@@ -34,7 +34,6 @@ class RunConfig:
     """Limits and output shape shared by all subcommands."""
 
     cap: int
-    threads: int
     output: str  # "json" | "text"
 
 
@@ -296,9 +295,10 @@ def _cmd_fixtures(args, cfg: RunConfig) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cap", type=int, default=None,
-                        help="max homomorphisms to enumerate")
+                        help="max homomorphisms to enumerate, and max partial "
+                             "assignments of an early-exit search")
     common.add_argument("--threads", type=int, default=None,
-                        help="worker count (output is identical for any value)")
+                        help="accepted and ignored; output is identical for any value")
     common.add_argument("--output", choices=("json", "text"), default="json")
 
     parser = argparse.ArgumentParser(
@@ -401,10 +401,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
-    cfg = RunConfig(cap=config.hom_cap(args.cap),
-                    threads=config.thread_count(args.threads),
-                    output=args.output)
     try:
+        cfg = RunConfig(cap=config.hom_cap(args.cap), output=args.output)
         return args.func(args, cfg)
     except CapExceededError as e:
         sys.stderr.write(f"cap exceeded: {e}\n")

@@ -16,7 +16,6 @@ DEFAULT_NODE_CAP = 1_000_000
 DEFAULT_MAX_VERTICES = 4096
 
 ENV_CAP = "CIRCMIX_CAP"
-ENV_THREADS = "CIRCMIX_THREADS"
 ENV_MAX_VERTICES = "CIRCMIX_MAX_N"
 
 
@@ -50,13 +49,3 @@ def node_cap(override: int | None = None) -> int:
 def max_vertices() -> int:
     return _env_int(ENV_MAX_VERTICES, DEFAULT_MAX_VERTICES)
 
-
-def thread_count(override: int | None = None) -> int:
-    """Requested worker count.
-
-    Accepted for interface stability; every algorithm in this package is
-    deterministic and produces identical output for any thread count.
-    """
-    if override is not None:
-        return override
-    return _env_int(ENV_THREADS, 1)

@@ -61,9 +61,6 @@ class Graph:
     def neighbours(self, v: int) -> list[int]:
         return _bits(self.rows[v])
 
-    def neighbours_mask(self, v: int) -> int:
-        return self.rows[v]
-
     def edges(self):
         """Yield each edge once as (u, v) with u <= v; loops appear as (v, v)."""
         for u in range(self.n):
@@ -305,55 +302,36 @@ def colouring_number(g: Graph) -> int:
 def max_clique(g: Graph, cap: int = 2_000_000) -> list[int]:
     """Lexicographically least maximum clique of a loop-free graph.
 
-    Branch and bound; ``cap`` bounds the number of search nodes.
+    Branch and bound over an explicit stack of candidate masks, smallest
+    vertex first; ``cap`` bounds the number of search nodes.  Cliques are
+    reached in lexicographic order and a branch is cut only when it cannot
+    beat the best size so far, so the first clique of each new best size is
+    the least one of that size.
     """
     if not g.is_loop_free:
         raise ValueError("clique search requires a loop-free graph")
-    if g.n == 0:
-        return []
     nodes = 0
-    best_size = 0
-
-    def grow(cand: int, depth: int) -> None:
-        nonlocal nodes, best_size
-        while cand:
-            if depth + cand.bit_count() <= best_size:
-                return
-            nodes += 1
-            if nodes > cap:
-                raise CapExceededError(cap, "clique search")
-            b = cand & -cand
-            cand ^= b
-            v = b.bit_length() - 1
-            if depth + 1 > best_size:
-                best_size = depth + 1
-            grow(cand & g.rows[v], depth + 1)
-
-    grow((1 << g.n) - 1, 0)
-
-    # second pass: lexicographically least clique of the maximum size
-    witness: list[int] = []
-
-    def seek(cand: int, picked: list[int]) -> bool:
-        nonlocal nodes
-        if len(picked) == best_size:
-            witness.extend(picked)
-            return True
-        while cand:
-            if len(picked) + cand.bit_count() < best_size:
-                return False
-            nodes += 1
-            if nodes > cap:
-                raise CapExceededError(cap, "clique search")
-            b = cand & -cand
-            cand ^= b
-            v = b.bit_length() - 1
-            if seek(cand & g.rows[v], picked + [v]):
-                return True
-        return False
-
-    seek((1 << g.n) - 1, [])
-    return witness
+    best: list[int] = []
+    picked: list[int] = []
+    stack = [(1 << g.n) - 1]  # candidates at each depth; len(picked) + 1 entries
+    while stack:
+        cand = stack[-1]
+        if len(picked) + cand.bit_count() <= len(best):
+            stack.pop()
+            if picked:
+                picked.pop()
+            continue
+        nodes += 1
+        if nodes > cap:
+            raise CapExceededError(cap, "clique search")
+        b = cand & -cand
+        stack[-1] = cand ^ b
+        v = b.bit_length() - 1
+        picked.append(v)
+        if len(picked) > len(best):
+            best = picked.copy()
+        stack.append(cand & g.rows[v])
+    return best
 
 
 def clique_number(g: Graph, cap: int = 2_000_000) -> int:

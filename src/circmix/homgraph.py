@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from .errors import NoColouringsError
 from .graphs import Graph
-from .homs import Hom, HomSpace, enumerate_homs, format_image, is_hom
+from .homs import (Hom, HomSpace, _search, _search_order, enumerate_homs,
+                   format_image, is_hom)
 
 
 @dataclass(frozen=True)
@@ -193,28 +194,28 @@ def _colour_partition(images: list[tuple[int, ...]], n: int) -> tuple[list[int],
     return [uf.find(i) for i in range(m)], moved
 
 
-def _hom_partition(space: HomSpace, source: Graph, target: Graph) -> tuple[list[int], bytearray]:
-    """Quadratic union-find over homomorphism adjacency."""
-    images = space.images
-    m = len(images)
-    avail = [_avail_masks(im, source, target) for im in images]
+def _hom_neighbours(space: HomSpace, i: int, source: Graph, target: Graph,
+                    order: list[int]) -> list[int]:
+    """Indices of the members hom-adjacent to member i, i itself included.
+
+    The homomorphisms inside the box of ``_avail_masks`` are exactly the
+    neighbours, so one search over that box finds them all; ``order`` is
+    the source's search order.  Ascending.
+    """
+    domains = _avail_masks(space.images[i], source, target)
+    hits = _search(source, target, order, [0] * source.n, domains)
+    return sorted(space.index(im) for im in hits)
+
+
+def _hom_partition(space: HomSpace, source: Graph, target: Graph) -> list[int]:
+    """Union-find over homomorphism adjacency; root per index."""
+    m = space.count
+    order = _search_order(source)
     uf = _UnionFind(m)
-    linked = bytearray(m)
-    n = source.n
     for i in range(m):
-        ai = avail[i]
-        for j in range(i + 1, m):
-            gj = images[j]
-            ok = True
-            for v in range(n):
-                if not ai[v] >> gj[v] & 1:
-                    ok = False
-                    break
-            if ok:
-                uf.union(i, j)
-                linked[i] = 1
-                linked[j] = 1
-    return [uf.find(i) for i in range(m)], linked
+        for j in _hom_neighbours(space, i, source, target, order):
+            uf.union(i, j)
+    return [uf.find(i) for i in range(m)]
 
 
 def _frozen_flags(space: HomSpace, source: Graph, target: Graph,
@@ -222,36 +223,22 @@ def _frozen_flags(space: HomSpace, source: Graph, target: Graph,
     """Per-member flag: isolated reflexive vertex of the homomorphism graph.
 
     For loop-free sources this coincides with having no colour neighbour;
-    otherwise each member is tested against the whole space.
+    otherwise each member's neighbours are searched.
     """
-    m = space.count
-    out = bytearray(m)
     if source.is_loop_free and colour_moved is not None:
-        for i in range(m):
-            out[i] = 0 if colour_moved[i] else 1
-        return out
-    images = space.images
-    for i in range(m):
-        ai = _avail_masks(images[i], source, target)
-        isolated = True
-        for j in range(m):
-            if j == i:
-                continue
-            if all(ai[v] >> images[j][v] & 1 for v in range(source.n)):
-                isolated = False
-                break
-        out[i] = 1 if isolated else 0
-    return out
+        return bytearray(0 if moved else 1 for moved in colour_moved)
+    order = _search_order(source)
+    return bytearray(_hom_neighbours(space, i, source, target, order) == [i]
+                     for i in range(space.count))
 
 
 def components(source: Graph, target: Graph, kind: str = "colour",
-               cap: int | None = None, force_pairwise: bool = False) -> ComponentReport:
+               cap: int | None = None) -> ComponentReport:
     """Connectivity classes of HOM(source, target).
 
     kind="colour" uses single-vertex recolouring steps; kind="homomorphism"
     uses the cross condition.  For loop-free sources the partitions agree,
-    and the homomorphism kind reuses the colour partition unless
-    ``force_pairwise`` asks for the quadratic computation.
+    and the homomorphism kind reuses the colour partition.
     """
     if kind not in ("colour", "homomorphism"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -262,12 +249,10 @@ def components(source: Graph, target: Graph, kind: str = "colour",
     images = space.images
 
     colour_moved: bytearray | None = None
-    if kind == "colour":
-        roots, colour_moved = _colour_partition(images, source.n)
-    elif source.is_loop_free and not force_pairwise:
+    if kind == "colour" or source.is_loop_free:
         roots, colour_moved = _colour_partition(images, source.n)
     else:
-        roots, _ = _hom_partition(space, source, target)
+        roots = _hom_partition(space, source, target)
 
     frozen = _frozen_flags(space, source, target, colour_moved)
 
@@ -325,19 +310,16 @@ def homotopy_path(f: Hom, g: Hom, source: Graph, target: Graph,
     if f.image == g.image:
         return [f]
     space = enumerate_homs(source, target, cap)
-    images = space.images
+    order = _search_order(source)
     start = space.index(f.image)
     goal = space.index(g.image)
-    n = source.n
     parent = {start: None}
     frontier = [start]
-    unseen = set(range(len(images))) - {start}
     while frontier:
         nxt = []
         for i in frontier:
-            ai = _avail_masks(images[i], source, target)
-            reached = sorted(j for j in unseen
-                             if all(ai[v] >> images[j][v] & 1 for v in range(n)))
+            reached = [j for j in _hom_neighbours(space, i, source, target, order)
+                       if j not in parent]
             for j in reached:
                 parent[j] = i
             if goal in parent:
@@ -345,7 +327,6 @@ def homotopy_path(f: Hom, g: Hom, source: Graph, target: Graph,
                 while parent[chain[-1]] is not None:
                     chain.append(parent[chain[-1]])
                 return [space.hom(idx) for idx in reversed(chain)]
-            unseen.difference_update(reached)
             nxt.extend(reached)
         frontier = nxt
     return None
@@ -370,29 +351,26 @@ def radius_centre(source: Graph, target: Graph, cap: int | None = None) -> tuple
     m = space.count
     if m == 0:
         raise NoColouringsError("no homomorphisms to measure")
-    images = space.images
-    n = source.n
-    avail = [_avail_masks(im, source, target) for im in images]
+    order = _search_order(source)
+    adjacent = [_hom_neighbours(space, i, source, target, order) for i in range(m)]
 
     def ecc(start: int) -> int:
-        dist = [-1] * m
-        dist[start] = 0
+        seen = bytearray(m)
+        seen[start] = 1
         frontier = [start]
-        unseen = set(range(m)) - {start}
-        worst = 0
+        reached = 1
+        worst = -1
         while frontier:
+            worst += 1
             nxt = []
             for i in frontier:
-                ai = avail[i]
-                reached = [j for j in unseen
-                           if all(ai[v] >> images[j][v] & 1 for v in range(n))]
-                for j in reached:
-                    dist[j] = dist[i] + 1
-                    worst = max(worst, dist[j])
-                unseen.difference_update(reached)
-                nxt.extend(reached)
+                for j in adjacent[i]:
+                    if not seen[j]:
+                        seen[j] = 1
+                        nxt.append(j)
+            reached += len(nxt)
             frontier = nxt
-        if unseen:
+        if reached < m:
             raise DisconnectedError("homomorphism graph is disconnected")
         return worst
 

@@ -7,6 +7,7 @@ the CLI is the comma-separated colour list "c0,c1,...".
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .config import hom_cap, node_cap
@@ -48,13 +49,6 @@ def is_hom(g: Graph, h: Graph, image) -> bool:
     return True
 
 
-def as_hom(g: Graph, h: Graph, image) -> Hom:
-    """Wrap an image as a Hom after checking it really is one."""
-    if not is_hom(g, h, image):
-        raise ValueError("not a homomorphism")
-    return Hom(g.n, h.n, tuple(image))
-
-
 def identity_hom(g: Graph) -> Hom:
     return Hom(g.n, g.n, tuple(range(g.n)))
 
@@ -64,10 +58,6 @@ def compose(f: Hom, g: Hom) -> Hom:
     if f.target_n != g.source_n:
         raise ValueError("composition shapes do not match")
     return Hom(f.source_n, g.target_n, tuple(g.image[c] for c in f.image))
-
-
-def is_surjective(f: Hom) -> bool:
-    return len(set(f.image)) == f.target_n
 
 
 def format_image(image) -> str:
@@ -129,6 +119,92 @@ def _search_order(g: Graph) -> list[int]:
     return order
 
 
+def _search(g: Graph, h: Graph, order: list[int], img: list[int],
+            domains: list[int] | None = None, budget: int | None = None):
+    """Yield every homomorphism g -> h completing ``img``, as image tuples.
+
+    The vertices in ``order`` are assigned in that order, each one trying
+    its colours in ascending order; every other vertex keeps the colour it
+    already has in ``img``, and the edges among those are not checked.
+    ``domains[v]`` narrows the colours allowed at v.  The budget counts
+    assignments of vertices in ``order``; running out raises
+    CapExceededError.  Backtracking keeps one candidate mask per level on
+    an explicit stack, so the depth of the search is unbounded.
+    """
+    rows = h.rows
+    full = (1 << h.n) - 1
+    refl = h.reflexive_mask()
+    level = {w: i for i, w in enumerate(order)}
+    base: list[int] = []
+    earlier: list[list[int]] = []
+    for i, w in enumerate(order):
+        m = refl if g.has_loop(w) else full
+        if domains is not None:
+            m &= domains[w]
+        prior = []
+        for u in g.neighbours(w):
+            j = level.get(u)
+            if j is None:
+                m &= rows[img[u]]
+            elif j < i:
+                prior.append(u)
+        base.append(m)
+        earlier.append(prior)
+
+    depth = len(order)
+    if depth == 0:
+        yield tuple(img)
+        return
+    limit = sys.maxsize if budget is None else budget  # an int compares faster
+    visited = 0
+    last = depth - 1
+    leaf = order[last]
+    cand = [0] * depth
+    cand[0] = base[0]
+    i = 0
+    while i >= 0:
+        m = cand[i]
+        if i == last:
+            # most nodes sit on the last level: sweep it and count it at once
+            visited += m.bit_count()
+            over = visited > limit
+            if over:
+                m = _lowest_bits(m, m.bit_count() - (visited - limit))
+            while m:
+                b = m & -m
+                m ^= b
+                img[leaf] = b.bit_length() - 1
+                yield tuple(img)
+            if over:
+                raise CapExceededError(budget, "partial assignments")
+            i -= 1
+            continue
+        if not m:
+            i -= 1
+            continue
+        b = m & -m
+        cand[i] = m ^ b
+        visited += 1
+        if visited > limit:
+            raise CapExceededError(budget, "partial assignments")
+        img[order[i]] = b.bit_length() - 1
+        i += 1
+        m = base[i]
+        for u in earlier[i]:
+            m &= rows[img[u]]
+        cand[i] = m
+
+
+def _lowest_bits(m: int, count: int) -> int:
+    """The ``count`` lowest set bits of m."""
+    out = 0
+    for _ in range(count):
+        b = m & -m
+        out |= b
+        m ^= b
+    return out
+
+
 def enumerate_homs(g: Graph, h: Graph, cap: int | None = None) -> HomSpace:
     """Every homomorphism g -> h, sorted by image tuple.
 
@@ -136,43 +212,13 @@ def enumerate_homs(g: Graph, h: Graph, cap: int | None = None) -> HomSpace:
     empty result is an answer, not an error.
     """
     cap = hom_cap(cap)
-    n = g.n
-    if n == 0:
-        return HomSpace(0, h.n, [()])
-    full = (1 << h.n) - 1
-    refl = h.reflexive_mask()
-    order = _search_order(g)
-    earlier: list[list[int]] = []
-    placed: set[int] = set()
-    base: list[int] = []
-    for w in order:
-        earlier.append([u for u in g.neighbours(w) if u in placed and u != w])
-        base.append(refl if g.has_loop(w) else full)
-        placed.add(w)
-
-    rows = h.rows
     out: list[tuple[int, ...]] = []
-    img = [0] * n
-
-    def walk(i: int) -> None:
-        if i == n:
-            out.append(tuple(img))
-            if len(out) > cap:
-                raise CapExceededError(cap, f"homomorphism count for n={n}")
-            return
-        w = order[i]
-        m = base[i]
-        for u in earlier[i]:
-            m &= rows[img[u]]
-        while m:
-            b = m & -m
-            m ^= b
-            img[w] = b.bit_length() - 1
-            walk(i + 1)
-
-    walk(0)
+    for im in _search(g, h, _search_order(g), [0] * g.n):
+        out.append(im)
+        if len(out) > cap:
+            raise CapExceededError(cap, f"homomorphism count for n={g.n}")
     out.sort()
-    return HomSpace(n, h.n, out)
+    return HomSpace(g.n, h.n, out)
 
 
 def iter_homs(g: Graph, h: Graph, budget: int | None = None):
@@ -181,45 +227,7 @@ def iter_homs(g: Graph, h: Graph, budget: int | None = None):
     For early-exit questions (is there a second endomorphism?); the order is
     the backtracking order, not lexicographic.
     """
-    budget = node_cap(budget)
-    n = g.n
-    if n == 0:
-        yield ()
-        return
-    full = (1 << h.n) - 1
-    refl = h.reflexive_mask()
-    order = _search_order(g)
-    earlier = []
-    placed: set[int] = set()
-    base = []
-    for w in order:
-        earlier.append([u for u in g.neighbours(w) if u in placed and u != w])
-        base.append(refl if g.has_loop(w) else full)
-        placed.add(w)
-
-    rows = h.rows
-    img = [0] * n
-    visited = 0
-
-    def walk(i: int):
-        nonlocal visited
-        if i == n:
-            yield tuple(img)
-            return
-        w = order[i]
-        m = base[i]
-        for u in earlier[i]:
-            m &= rows[img[u]]
-        while m:
-            b = m & -m
-            m ^= b
-            visited += 1
-            if visited > budget:
-                raise CapExceededError(budget, "partial assignments")
-            img[w] = b.bit_length() - 1
-            yield from walk(i + 1)
-
-    yield from walk(0)
+    return _search(g, h, _search_order(g), [0] * g.n, budget=node_cap(budget))
 
 
 def first_hom(g: Graph, h: Graph, pins: dict[int, int] | None = None,
@@ -242,42 +250,10 @@ def first_hom(g: Graph, h: Graph, pins: dict[int, int] | None = None,
             if u != v and u in pins and not h.has_edge(c, pins[u]):
                 raise ValueError(f"pins {v}={c} and {u}={pins[u]} break an edge")
 
-    n = g.n
-    if n == 0:
-        return Hom(0, h.n, ())
-    full = (1 << h.n) - 1
-    refl = h.reflexive_mask()
-    rows = h.rows
-    img = [-1] * n
-    for v, c in pins.items():
-        img[v] = c
-    visited = 0
-
-    def walk(v: int) -> bool:
-        nonlocal visited
-        if v == n:
-            return True
-        if img[v] >= 0:
-            return walk(v + 1)
-        m = refl if g.has_loop(v) else full
-        for u in g.neighbours(v):
-            if u != v and img[u] >= 0:
-                m &= rows[img[u]]
-        while m:
-            b = m & -m
-            m ^= b
-            visited += 1
-            if visited > budget:
-                raise CapExceededError(budget, "partial assignments")
-            img[v] = b.bit_length() - 1
-            if walk(v + 1):
-                return True
-        img[v] = -1
-        return False
-
-    if walk(0):
-        return Hom(n, h.n, tuple(img))
-    return None
+    img = [pins.get(v, 0) for v in range(g.n)]
+    free = [v for v in range(g.n) if v not in pins]
+    image = next(_search(g, h, free, img, budget=budget), None)
+    return None if image is None else Hom(g.n, h.n, image)
 
 
 def hom_exists(g: Graph, h: Graph, budget: int | None = None) -> bool:

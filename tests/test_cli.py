@@ -12,7 +12,8 @@ import pytest
 
 import circmix
 from circmix.cli import main
-from circmix.graphs import circular_clique, read_graph
+from circmix.config import DEFAULT_MAX_VERTICES
+from circmix.graphs import circular_clique, path_graph, read_graph, write_graph
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCHEMAS = ROOT / "schemas"
@@ -202,6 +203,27 @@ def test_env_cap(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "mixing", "--graph", "clique:3",
                          "--target", "circ:9/2", "--cap", "100000")
     assert code == 0
+    # a malformed value is a usage error, not a traceback
+    for value in ("abc", "0"):
+        monkeypatch.setenv("CIRCMIX_CAP", value)
+        code, _, err = run_cli(capsys, "fixtures")
+        assert code == 1
+        assert err.startswith("error: CIRCMIX_CAP must be")
+
+
+def test_vertex_limit_runs(tmp_path, capsys):
+    path = tmp_path / "path.graph"
+    write_graph(path_graph(DEFAULT_MAX_VERTICES), path)
+    code, payload = run_json(capsys, "hom", "--graph", f"file:{path}",
+                             "--target", "clique:3")
+    assert code == 0 and payload["exists"]
+    code, payload = run_json(capsys, "mixing", "--graph", f"file:{path}",
+                             "--target", "clique:2")
+    assert code == 0
+    assert (payload["verdict"], payload["hom_count"]) == ("NotMixing", 2)
+    code, payload = run_json(capsys, "structure", "--graph", "clique:1100",
+                             "--op", "omega")
+    assert code == 0 and payload["value"] == 1100
 
 
 # What an installed launcher does: import module:attr and exit with its call.

@@ -1,5 +1,6 @@
 """Graph type, generators, parameters, and the text format."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -126,6 +127,16 @@ def test_clique_and_chromatic():
     assert clique_number(complete_graph(5)) == 5
     assert clique_number(cycle_graph(5)) == 2
     assert sorted(max_clique(circular_clique(6, 2))) == [0, 2, 4]
+    # one search level per clique vertex, far past the recursion limit
+    assert max_clique(complete_graph(1100)) == list(range(1100))
+    rng = random.Random(23)
+    for _ in range(30):
+        g = random_graph(rng, 7, p=0.6)
+        cliques = [list(c) for r in range(1, 8)
+                   for c in itertools.combinations(range(7), r)
+                   if all(g.has_edge(u, v) for u, v in itertools.combinations(c, 2))]
+        size = max(len(c) for c in cliques)
+        assert max_clique(g) == min(c for c in cliques if len(c) == size)
     assert chromatic_number(cycle_graph(5)) == 3
     assert chromatic_number(complete_graph(4)) == 4
     assert chromatic_number(cycle_graph(6)) == 2

@@ -13,7 +13,8 @@ from circmix.homgraph import (colour_adjacent, components, hom_adjacent,
 from circmix.homs import Hom, enumerate_homs, identity_hom
 
 from helpers import (colour_adjacent_naive, components_naive,
-                     hom_adjacent_naive, naive_homs, random_graph)
+                     hom_adjacent_naive, hom_graph_radius_naive, naive_homs,
+                     random_graph)
 
 
 def _class_partitions(report):
@@ -34,9 +35,12 @@ def test_adjacency_predicates_match_naive():
 
 def test_components_match_naive_on_random_pairs():
     rng = random.Random(77)
-    for _ in range(25):
-        g = random_graph(rng, rng.randint(1, 4), p=0.5, loops=rng.random() < 0.3)
-        h = random_graph(rng, rng.randint(1, 4), p=0.6, loops=rng.random() < 0.3)
+    for trial in range(50):
+        looped = trial >= 25  # looped sources and targets after the first 25
+        g = random_graph(rng, rng.randint(1, 4), p=0.5,
+                         loops=looped or rng.random() < 0.3)
+        h = random_graph(rng, rng.randint(1, 4), p=0.6,
+                         loops=looped or rng.random() < 0.3)
         images = naive_homs(g, h)
         for kind, adj in (("colour", colour_adjacent_naive),
                           ("homomorphism", lambda a, b: hom_adjacent_naive(a, b, g, h))):
@@ -48,6 +52,12 @@ def test_components_match_naive_on_random_pairs():
                 sorted(cls[0] for cls in naive)
             assert sorted(c.size for c in report.classes) == \
                 sorted(len(cls) for cls in naive)
+            # frozen: some member is an isolated vertex of the hom graph
+            isolated = {a for a in images
+                        if not any(b != a and hom_adjacent_naive(a, b, g, h)
+                                   for b in images)}
+            assert {c.rep.image: c.contains_frozen for c in report.classes} == \
+                {cls[0]: any(a in isolated for a in cls) for cls in naive}
 
 
 def test_colour_and_hom_components_agree_for_loop_free_sources():
@@ -121,9 +131,10 @@ def test_homotopy_path_is_shortest_and_valid():
 
 def test_homotopy_distance_matches_naive_bfs():
     rng = random.Random(4)
-    for _ in range(15):
-        g = random_graph(rng, 3, p=0.5)
-        h = random_graph(rng, 4, p=0.6)
+    for trial in range(30):
+        loops = trial >= 15  # looped sources and targets after the first 15
+        g = random_graph(rng, 3, p=0.5, loops=loops)
+        h = random_graph(rng, 4, p=0.6, loops=loops)
         images = naive_homs(g, h)
         if len(images) < 2:
             continue
@@ -151,6 +162,26 @@ def test_radius_centre_values_and_errors():
         radius_centre(complete_graph(3), complete_graph(2))
     with pytest.raises(DisconnectedError):
         radius_centre(complete_graph(3), complete_graph(3))
+    rng = random.Random(8)
+    outcomes = set()
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(1, 3), p=0.5, loops=rng.random() < 0.5)
+        h = random_graph(rng, rng.randint(1, 4), p=0.6, loops=rng.random() < 0.5)
+        if not naive_homs(g, h):
+            with pytest.raises(NoColouringsError):
+                radius_centre(g, h)
+            outcomes.add("empty")
+            continue
+        try:
+            want = hom_graph_radius_naive(g, h)
+        except ValueError:
+            with pytest.raises(DisconnectedError):
+                radius_centre(g, h)
+            outcomes.add("disconnected")
+            continue
+        assert radius_centre(g, h)[0] == want
+        outcomes.add("connected")
+    assert outcomes == {"empty", "disconnected", "connected"}
 
 
 def test_component_report_json_keys():

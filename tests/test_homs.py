@@ -6,11 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circmix.config import DEFAULT_MAX_VERTICES
 from circmix.errors import CapExceededError
-from circmix.graphs import complete_graph, cycle_graph, circular_clique
+from circmix.extension import PrecolouringInstance, extend
+from circmix.graphs import (Graph, complete_graph, cycle_graph,
+                            circular_clique, path_graph)
+from circmix.homgraph import is_mixing
 from circmix.homs import (Hom, HomSpace, compose, enumerate_homs, first_hom,
                           format_image, hom_exists, identity_hom, is_hom,
-                          iter_homs, parse_image)
+                          iter_homs, parse_image, _search_order)
 
 from helpers import naive_homs, random_graph
 
@@ -65,6 +69,32 @@ def test_hom_exists_and_budget():
         enumerate_homs(cycle_graph(6), circular_clique(9, 2), cap=10)
     with pytest.raises(CapExceededError):
         list(iter_homs(cycle_graph(6), circular_clique(9, 2), budget=10))
+    # A node is a consistent assignment of a prefix of the search order;
+    # sorted as colour tuples along the order, they come in search order.
+    # A budget of b yields the complete ones among the first b nodes, then
+    # raises unless those were all the nodes.
+    rng = random.Random(5)
+    for _ in range(20):
+        g = random_graph(rng, rng.randint(1, 4), p=0.5, loops=rng.random() < 0.3)
+        h = random_graph(rng, rng.randint(1, 4), p=0.6, loops=rng.random() < 0.3)
+        order = _search_order(g)
+        nodes = sorted(node for i in range(1, g.n + 1)
+                       for node in naive_homs(g.induced(order[:i]), h))
+        for b in range(1, len(nodes) + 1):
+            want = []
+            for node in nodes[:b]:
+                if len(node) == g.n:
+                    image = [0] * g.n
+                    for v, c in zip(order, node):
+                        image[v] = c
+                    want.append(tuple(image))
+            got = []
+            try:
+                got.extend(iter_homs(g, h, budget=b))
+                assert b == len(nodes)
+            except CapExceededError:
+                assert b < len(nodes)
+            assert got == want
 
 
 def test_iter_matches_enumerate():
@@ -72,6 +102,35 @@ def test_iter_matches_enumerate():
     g = cycle_graph(4)
     h = circular_clique(5, 2)
     assert sorted(iter_homs(g, h)) == list(enumerate_homs(g, h).images)
+
+
+N = DEFAULT_MAX_VERTICES
+LIMIT_GRAPHS = {
+    "path": path_graph(N),
+    "even cycle": cycle_graph(N),
+    "star": Graph(N, [(0, v) for v in range(1, N)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIMIT_GRAPHS))
+def test_searches_at_the_vertex_limit(name):
+    g = LIMIT_GRAPHS[name]
+    k2, k3 = complete_graph(2), complete_graph(3)
+    # connected and bipartite: exactly the two proper 2-colourings
+    space = enumerate_homs(g, k2)
+    assert space.count == 2
+    assert sorted(iter_homs(g, k2)) == space.images
+    verdict = is_mixing(g, k2)
+    assert (verdict.hom_count, verdict.class_count) == (2, 2)
+
+    least = first_hom(g, k3).image
+    if name == "star":
+        assert least == (0,) + (1,) * (N - 1)
+    else:
+        assert least == (0, 1) * (N // 2)
+    pinned = extend(PrecolouringInstance(g, k3, ((N - 1, 2),)))
+    assert pinned.status == "Extended"
+    assert pinned.extension.image == least[:-1] + (2,)
 
 
 def test_identity_and_compose():
