@@ -192,6 +192,11 @@ def available_colours(f: Hom, v: int, g: Graph, k: int, q: int) -> AvailableColo
     _check_colouring(f, g, k, q)
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
+    return _available_colours(f, v, g, k, q)
+
+
+def _available_colours(f: Hom, v: int, g: Graph, k: int, q: int) -> AvailableColours:
+    """available_colours for a colouring and vertex already checked."""
     avail = []
     for c in range(k):
         ok = True
@@ -394,7 +399,7 @@ def mixing_scan(g: Graph, fracs, cap: int | None = None) -> MixingScanReport:
     lists theorem bounds beside scan evidence; the two kinds are tagged so
     enumeration facts stay distinguishable from derived inequalities.
     """
-    from .homgraph import components
+    from .homgraph import is_mixing
 
     if not g.is_loop_free:
         raise ValueError("mixing scans are defined for loop-free graphs")
@@ -403,20 +408,12 @@ def mixing_scan(g: Graph, fracs, cap: int | None = None) -> MixingScanReport:
         _require_frac(k, q)
         value = Fraction(k, q)
         try:
-            rep = components(g, circular_clique(k, q), kind="colour", cap=cap)
+            v = is_mixing(g, circular_clique(k, q), cap=cap)
         except CapExceededError:
             rows.append(MixingScanRow(k, q, value, "Skipped", None, None, ()))
             continue
-        if rep.total == 0:
-            verdict = "NoColourings"
-            witnesses = ()
-        elif rep.class_count == 1:
-            verdict = "Mixing"
-            witnesses = ()
-        else:
-            verdict = "NotMixing"
-            witnesses = tuple(cls.rep.image for cls in rep.classes[:2])
-        rows.append(MixingScanRow(k, q, value, verdict, rep.total,
-                                  rep.class_count, witnesses))
+        witnesses = () if v.witness is None else tuple(w.image for w in v.witness)
+        rows.append(MixingScanRow(k, q, value, v.name, v.hom_count,
+                                  v.class_count, witnesses))
     bounds = _theorem_bounds(g) + _scan_evidence(rows)
     return MixingScanReport(g.name or "", tuple(rows), tuple(bounds))

@@ -37,10 +37,6 @@ class RunConfig:
     output: str  # "json" | "text"
 
 
-_VERDICT = {"mixing": "Mixing", "not_mixing": "NotMixing",
-            "no_colourings": "NoColourings"}
-
-
 def _parse_frac(text: str) -> tuple[int, int]:
     num, slash, den = text.partition("/")
     try:
@@ -116,7 +112,7 @@ def _cmd_mixing(args, cfg: RunConfig) -> int:
     g = resolve_graph_spec(args.graph)
     h = resolve_graph_spec(args.target)
     verdict = is_mixing(g, h, cap=cfg.cap)
-    name = _VERDICT[verdict.status]
+    name = verdict.name
     payload = {
         "verdict": name,
         "hom_count": verdict.hom_count,

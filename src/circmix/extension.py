@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import DisconnectedError, RingHypothesisError
 from .graphs import Graph, extension_product, path_graph
 from .homgraph import homotopy_distance, homotopy_path, radius_centre
-from .homs import Hom, first_hom, is_hom
+from .homs import Hom, _broken_pin_edge, first_hom, is_hom
 from .structure import CoreResult, core_of
 
 
@@ -44,11 +44,11 @@ class PrecolouringInstance:
             if seen.get(v, c) != c:
                 raise ValueError(f"vertex {v} pinned to two colours")
             seen[v] = c
-        for u, cu in seen.items():
-            for v in self.host.neighbours(u):
-                if v in seen and not self.target.has_edge(cu, seen[v]):
-                    raise ValueError(
-                        f"pins {u}->{cu}, {v}->{seen[v]} break host edge ({u},{v})")
+        broken = _broken_pin_edge(self.host, self.target, seen)
+        if broken is not None:
+            u, v = broken
+            raise ValueError(
+                f"pins {u}->{seen[u]}, {v}->{seen[v]} break host edge ({u},{v})")
         object.__setattr__(self, "pins", tuple(sorted(seen.items())))
         groups = tuple(tuple(sorted(set(group))) for group in self.groups)
         covered: set[int] = set()
@@ -78,14 +78,6 @@ class PrecolouringInstance:
                         if dists[i][v] is not None]
                 out[(i, j)] = min(near) if near else None
         return out
-
-
-def _pins_break_edge(host: Graph, target: Graph, pins: dict[int, int]) -> bool:
-    for u, cu in pins.items():
-        for v in host.neighbours(u):
-            if v in pins and not target.has_edge(cu, pins[v]):
-                return True
-    return False
 
 
 def _distances_from(g: Graph, sources) -> list[int | None]:
@@ -151,7 +143,7 @@ def layered_extension_check(g: Graph, h: Graph, f_start: Hom, f_end: Hom,
         pins = {v * n: f_start.image[v] for v in range(g.n)}
         pins.update({v * n + n - 1: f_end.image[v] for v in range(g.n)})
         host = extension_product(g, path_graph(n))
-        if _pins_break_edge(host, h, pins):
+        if _broken_pin_edge(host, h, pins) is not None:
             by_product = False  # the pinned layers already collide
         else:
             by_product = first_hom(host, h, pins=pins, budget=cap) is not None

@@ -13,8 +13,10 @@ homomorphism graph has no edges at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
-from .errors import NoColouringsError
+from .config import hom_cap
+from .errors import CapExceededError, DisconnectedError, NoColouringsError
 from .graphs import Graph
 from .homs import (Hom, HomSpace, _search, _search_order, enumerate_homs,
                    format_image, is_hom)
@@ -76,6 +78,11 @@ class MixingVerdict:
     @property
     def is_mixing(self) -> bool:
         return self.status == "mixing"
+
+    @property
+    def name(self) -> str:
+        """The report spelling: Mixing, NotMixing or NoColourings."""
+        return self.status.title().replace("_", "")
 
 
 def colour_adjacent(f: Hom, g: Hom) -> bool:
@@ -172,64 +179,54 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def _colour_partition(images: list[tuple[int, ...]], n: int) -> tuple[list[int], bytearray]:
-    """Union-find over the implicit colour adjacency.
+def _colour_partition(images: list[tuple[int, ...]], n: int) -> list[int]:
+    """Union-find over the implicit colour adjacency; root per index.
 
     Two members are colour-adjacent exactly when they agree everywhere but
     one coordinate, so grouping by each dropped coordinate finds every edge.
-    Returns (root per index, flag per index: has at least one neighbour).
     """
-    m = len(images)
-    uf = _UnionFind(m)
-    moved = bytearray(m)
+    uf = _UnionFind(len(images))
     for v in range(n):
         first: dict[tuple[int, ...], int] = {}
         for i, im in enumerate(images):
-            key = im[:v] + im[v + 1:]
-            j = first.setdefault(key, i)
+            j = first.setdefault(im[:v] + im[v + 1:], i)
             if j != i:
-                moved[i] = 1
-                moved[j] = 1
                 uf.union(j, i)
-    return [uf.find(i) for i in range(m)], moved
+    return [uf.find(i) for i in range(len(images))]
 
 
-def _hom_neighbours(space: HomSpace, i: int, source: Graph, target: Graph,
-                    order: list[int]) -> list[int]:
-    """Indices of the members hom-adjacent to member i, i itself included.
+def _hom_neighbours(image, source: Graph, target: Graph, order: list[int],
+                    limit: int | None = None) -> list[tuple[int, ...]]:
+    """The homomorphisms hom-adjacent to ``image``, itself included, sorted.
 
     The homomorphisms inside the box of ``_avail_masks`` are exactly the
     neighbours, so one search over that box finds them all; ``order`` is
-    the source's search order.  Ascending.
+    the source's search order.  With ``limit`` set, the search stops after
+    that many, so a list of that length may be missing some.
     """
-    domains = _avail_masks(space.images[i], source, target)
-    hits = _search(source, target, order, [0] * source.n, domains)
-    return sorted(space.index(im) for im in hits)
+    domains = _avail_masks(image, source, target)
+    return sorted(islice(_search(source, target, order, [0] * source.n, domains),
+                         limit))
 
 
 def _hom_partition(space: HomSpace, source: Graph, target: Graph) -> list[int]:
     """Union-find over homomorphism adjacency; root per index."""
-    m = space.count
     order = _search_order(source)
-    uf = _UnionFind(m)
-    for i in range(m):
-        for j in _hom_neighbours(space, i, source, target, order):
-            uf.union(i, j)
-    return [uf.find(i) for i in range(m)]
+    uf = _UnionFind(space.count)
+    for i, im in enumerate(space.images):
+        for nb in _hom_neighbours(im, source, target, order):
+            j = space.index(nb)
+            if j > i:  # adjacency is symmetric: each edge once
+                uf.union(i, j)
+    return [uf.find(i) for i in range(space.count)]
 
 
-def _frozen_flags(space: HomSpace, source: Graph, target: Graph,
-                  colour_moved: bytearray | None) -> bytearray:
-    """Per-member flag: isolated reflexive vertex of the homomorphism graph.
-
-    For loop-free sources this coincides with having no colour neighbour;
-    otherwise each member's neighbours are searched.
-    """
-    if source.is_loop_free and colour_moved is not None:
-        return bytearray(0 if moved else 1 for moved in colour_moved)
-    order = _search_order(source)
-    return bytearray(_hom_neighbours(space, i, source, target, order) == [i]
-                     for i in range(space.count))
+def _group(roots: list[int]) -> dict[int, list[int]]:
+    """Members per root, in index order."""
+    grouped: dict[int, list[int]] = {}
+    for i, r in enumerate(roots):
+        grouped.setdefault(r, []).append(i)
+    return grouped
 
 
 def components(source: Graph, target: Graph, kind: str = "colour",
@@ -238,49 +235,48 @@ def components(source: Graph, target: Graph, kind: str = "colour",
 
     kind="colour" uses single-vertex recolouring steps; kind="homomorphism"
     uses the cross condition.  For loop-free sources the partitions agree,
-    and the homomorphism kind reuses the colour partition.
+    and the homomorphism kind reuses the colour partition.  A class is
+    frozen when it has a member with no neighbour but itself in the
+    homomorphism graph, that is, a member alone in its homomorphism class.
     """
     if kind not in ("colour", "homomorphism"):
         raise ValueError(f"unknown kind {kind!r}")
     space = enumerate_homs(source, target, cap)
-    m = space.count
-    if m == 0:
+    if space.count == 0:
         return ComponentReport(kind=kind, total=0, classes=())
     images = space.images
 
-    colour_moved: bytearray | None = None
-    if kind == "colour" or source.is_loop_free:
-        roots, colour_moved = _colour_partition(images, source.n)
+    if source.is_loop_free:
+        grouped = hom_classes = _group(_colour_partition(images, source.n))
     else:
-        roots = _hom_partition(space, source, target)
+        hom_classes = _group(_hom_partition(space, source, target))
+        grouped = (_group(_colour_partition(images, source.n))
+                   if kind == "colour" else hom_classes)
+    lone = {r for r, members in hom_classes.items() if len(members) == 1}
 
-    frozen = _frozen_flags(space, source, target, colour_moved)
-
-    grouped: dict[int, list[int]] = {}
-    for i, r in enumerate(roots):
-        grouped.setdefault(r, []).append(i)
+    # union-find roots are least indices, hence least images: the class reps
     classes = []
-    for r in sorted(grouped, key=lambda r: images[min(grouped[r])]):
+    for r in sorted(grouped):
         members = grouped[r]
-        rep = space.hom(min(members))
         non_surj = any(len(set(images[i])) < target.n for i in members)
-        has_frozen = any(frozen[i] for i in members)
-        classes.append(ClassSummary(rep, len(members), non_surj, has_frozen))
-    return ComponentReport(kind=kind, total=m, classes=tuple(classes))
+        classes.append(ClassSummary(space.hom(r), len(members), non_surj,
+                                    not lone.isdisjoint(members)))
+    return ComponentReport(kind=kind, total=space.count, classes=tuple(classes))
 
 
 def is_mixing(source: Graph, target: Graph, cap: int | None = None) -> MixingVerdict:
     """Is the colour graph of HOM(source, target) connected?
 
-    NotMixing verdicts carry two homomorphisms from different classes.
+    NotMixing verdicts carry the least members of the two least classes.
     """
-    report = components(source, target, kind="colour", cap=cap)
-    if report.total == 0:
+    space = enumerate_homs(source, target, cap)
+    if space.count == 0:
         return MixingVerdict("no_colourings", 0, 0, None)
-    if len(report.classes) == 1:
-        return MixingVerdict("mixing", report.total, 1, None)
-    witness = (report.classes[0].rep, report.classes[1].rep)
-    return MixingVerdict("not_mixing", report.total, len(report.classes), witness)
+    roots = sorted(set(_colour_partition(space.images, source.n)))
+    if len(roots) == 1:
+        return MixingVerdict("mixing", space.count, 1, None)
+    witness = (space.hom(roots[0]), space.hom(roots[1]))
+    return MixingVerdict("not_mixing", space.count, len(roots), witness)
 
 
 def is_frozen(f: Hom, source: Graph, target: Graph) -> bool:
@@ -297,38 +293,55 @@ def is_frozen(f: Hom, source: Graph, target: Graph) -> bool:
     return next(recolour_neighbours(f, source, target), None) is None
 
 
+def _bfs(start, neighbours, cap: int | None = None):
+    """Breadth-first search from ``start``, one layer at a time.
+
+    Yields the parent map once per depth, the start alone first; the last
+    yield maps the start to None and every other vertex reached to the one
+    it was first reached from.  Layers expand in the order reached, taking
+    ``neighbours(x)`` as given.  With ``cap`` set, raises CapExceededError
+    once more than ``cap`` vertices are reached.
+    """
+    parent = {start: None}
+    frontier = [start]
+    while frontier:
+        yield parent
+        nxt = []
+        for x in frontier:
+            for y in neighbours(x):
+                if y not in parent:
+                    parent[y] = x
+                    nxt.append(y)
+            if cap is not None and len(parent) > cap:
+                raise CapExceededError(cap, "maps reached by the homotopy search")
+        frontier = nxt
+
+
 def homotopy_path(f: Hom, g: Hom, source: Graph, target: Graph,
                   cap: int | None = None) -> list[Hom] | None:
     """Shortest walk from f to g in the homomorphism graph, both ends included.
 
-    BFS expands homomorphisms in enumeration order, so the returned path is
-    deterministic.  None if g is unreachable from f.
+    BFS expands homomorphisms in the order reached and takes their
+    neighbours in lexicographic order, so the returned path is
+    deterministic.  None if g is unreachable from f.  Raises
+    CapExceededError once it reaches more than ``cap`` maps.
     """
     for x in (f, g):
         if not is_hom(source, target, x.image):
             raise ValueError("not a homomorphism")
-    if f.image == g.image:
-        return [f]
-    space = enumerate_homs(source, target, cap)
+    cap = hom_cap(cap)
     order = _search_order(source)
-    start = space.index(f.image)
-    goal = space.index(g.image)
-    parent = {start: None}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            reached = [j for j in _hom_neighbours(space, i, source, target, order)
-                       if j not in parent]
-            for j in reached:
-                parent[j] = i
-            if goal in parent:
-                chain = [goal]
-                while parent[chain[-1]] is not None:
-                    chain.append(parent[chain[-1]])
-                return [space.hom(idx) for idx in reversed(chain)]
-            nxt.extend(reached)
-        frontier = nxt
+    goal = g.image
+    # cap + 1 neighbours of one map already overflow the cap once reached,
+    # so no neighbour search needs to go further
+    for parent in _bfs(f.image,
+                       lambda im: _hom_neighbours(im, source, target, order, cap + 1),
+                       cap):
+        if goal in parent:
+            chain = [goal]
+            while parent[chain[-1]] is not None:
+                chain.append(parent[chain[-1]])
+            return [Hom(source.n, target.n, im) for im in reversed(chain)]
     return None
 
 
@@ -345,40 +358,19 @@ def radius_centre(source: Graph, target: Graph, cap: int | None = None) -> tuple
     Raises NoColouringsError on an empty space and DisconnectedError when
     some pair is unreachable.
     """
-    from .errors import DisconnectedError
-
     space = enumerate_homs(source, target, cap)
     m = space.count
     if m == 0:
         raise NoColouringsError("no homomorphisms to measure")
     order = _search_order(source)
-    adjacent = [_hom_neighbours(space, i, source, target, order) for i in range(m)]
-
-    def ecc(start: int) -> int:
-        seen = bytearray(m)
-        seen[start] = 1
-        frontier = [start]
-        reached = 1
-        worst = -1
-        while frontier:
-            worst += 1
-            nxt = []
-            for i in frontier:
-                for j in adjacent[i]:
-                    if not seen[j]:
-                        seen[j] = 1
-                        nxt.append(j)
-            reached += len(nxt)
-            frontier = nxt
-        if reached < m:
-            raise DisconnectedError("homomorphism graph is disconnected")
-        return worst
-
-    best = None
-    centre = 0
+    adjacent = [[space.index(nb) for nb in _hom_neighbours(im, source, target, order)]
+                for im in space.images]
+    eccs = []
     for i in range(m):
-        e = ecc(i)
-        if best is None or e < best:
-            best = e
-            centre = i
-    return (best, space.hom(centre))
+        # one yield per depth: the eccentricity counts those before the last
+        *shallower, reached = _bfs(i, adjacent.__getitem__)
+        if len(reached) < m:
+            raise DisconnectedError("homomorphism graph is disconnected")
+        eccs.append(len(shallower))
+    best = min(eccs)
+    return (best, space.hom(eccs.index(best)))

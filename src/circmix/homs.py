@@ -230,6 +230,20 @@ def iter_homs(g: Graph, h: Graph, budget: int | None = None):
     return _search(g, h, _search_order(g), [0] * g.n, budget=node_cap(budget))
 
 
+def _broken_pin_edge(g: Graph, h: Graph,
+                     pins: dict[int, int]) -> tuple[int, int] | None:
+    """First edge (u, v) of g, loops included, whose pinned ends have
+    colours not adjacent in h, or None.  Pins go in dict order; each one's
+    loop comes first, then its other neighbours ascending."""
+    for u, cu in pins.items():
+        if g.has_loop(u) and not h.has_edge(cu, cu):
+            return (u, u)
+        for v in g.neighbours(u):
+            if v in pins and not h.has_edge(cu, pins[v]):
+                return (u, v)
+    return None
+
+
 def first_hom(g: Graph, h: Graph, pins: dict[int, int] | None = None,
               budget: int | None = None) -> Hom | None:
     """Lexicographically least homomorphism extending ``pins``, or None.
@@ -243,12 +257,12 @@ def first_hom(g: Graph, h: Graph, pins: dict[int, int] | None = None,
     for v, c in pins.items():
         if not (0 <= v < g.n and 0 <= c < h.n):
             raise ValueError(f"pin {v}={c} out of range")
-    for v, c in pins.items():
-        if g.has_loop(v) and not h.has_edge(c, c):
-            raise ValueError(f"pin {v}={c} breaks the loop at {v}")
-        for u in g.neighbours(v):
-            if u != v and u in pins and not h.has_edge(c, pins[u]):
-                raise ValueError(f"pins {v}={c} and {u}={pins[u]} break an edge")
+    broken = _broken_pin_edge(g, h, pins)
+    if broken is not None:
+        u, v = broken
+        if u == v:
+            raise ValueError(f"pin {u}={pins[u]} breaks the loop at {u}")
+        raise ValueError(f"pins {u}={pins[u]} and {v}={pins[v]} break an edge")
 
     img = [pins.get(v, 0) for v in range(g.n)]
     free = [v for v in range(g.n) if v not in pins]

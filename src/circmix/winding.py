@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circular import available_colours, _check_colouring, _require_frac
+from .circular import _available_colours, _check_colouring, _require_frac
 from .errors import NoColouringsError
-from .graphs import (Graph, circular_clique, clique_number, is_bipartite,
-                     max_clique, shortest_odd_cycle)
+from .graphs import (Graph, circular_clique, is_bipartite, max_clique,
+                     shortest_odd_cycle)
 from .homs import Hom, first_hom, is_hom
 
 
@@ -94,7 +94,7 @@ def is_constricting(f: Hom, g: Graph, k: int, q: int) -> ConstrictingResult:
     """Is every vertex's available-colour set a cyclic interval?"""
     _check_colouring(f, g, k, q)
     for v in range(g.n):
-        if not available_colours(f, v, g, k, q).is_interval:
+        if not _available_colours(f, v, g, k, q).is_interval:
             return ConstrictingResult(False, v)
     return ConstrictingResult(True, None)
 
@@ -135,7 +135,8 @@ def nonmixing_certificate(g: Graph, k: int, q: int,
         raise ValueError("colourings require a loop-free graph")
     if is_bipartite(g):
         raise ValueError("bipartite graphs admit no winding certificate")
-    omega = clique_number(g)
+    clique = tuple(max_clique(g))
+    omega = len(clique)
     if Fraction(k, q) >= max(4, omega + 1):
         raise ValueError(
             f"{k}/{q} is not below the certificate threshold max(4, {omega + 1})")
@@ -146,7 +147,7 @@ def nonmixing_certificate(g: Graph, k: int, q: int,
     reflection = reflect_colouring(colouring, k)
     if omega >= 4:
         kind = "clique"
-        subgraph = tuple(max_clique(g))
+        subgraph = clique
         cycle = _sorted_clique_cycle(subgraph, colouring)
     else:
         kind = "odd_cycle"

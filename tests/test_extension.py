@@ -39,6 +39,11 @@ def test_instance_normalizes_and_validates():
     looped = Graph(2, [(0, 0), (0, 1)])
     with pytest.raises(ValueError, match="break host edge"):
         PrecolouringInstance(looped, target, ((0, 1),))  # loop needs a looped colour
+    # a pin that breaks its own loop and an edge to a smaller pin: the loop
+    # is named first, as first_hom does
+    half = Graph(2, [(0, 1), (1, 1)])
+    with pytest.raises(ValueError, match=r"break host edge \(1,1\)"):
+        PrecolouringInstance(Graph(2, [(0, 1), (1, 1)]), half, ((1, 0), (0, 0)))
 
     with pytest.raises(ValueError, match="empty pin group"):
         PrecolouringInstance(host, target, (), groups=((),))

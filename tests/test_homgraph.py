@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from circmix.errors import DisconnectedError, NoColouringsError
+from circmix import homgraph
+from circmix.errors import (CapExceededError, DisconnectedError,
+                            NoColouringsError)
 from circmix.graphs import (Graph, circular_clique, complete_graph,
                             cycle_graph, frozen_regular_graph, path_graph)
 from circmix.homgraph import (colour_adjacent, components, hom_adjacent,
@@ -58,6 +60,19 @@ def test_components_match_naive_on_random_pairs():
                                    for b in images)}
             assert {c.rep.image: c.contains_frozen for c in report.classes} == \
                 {cls[0]: any(a in isolated for a in cls) for cls in naive}
+        # is_mixing reads the colour partition alone, loops or not
+        naive = components_naive(images, colour_adjacent_naive)
+        verdict = is_mixing(g, h)
+        assert verdict.hom_count == len(images)
+        assert verdict.class_count == len(naive)
+        if not images:
+            assert (verdict.status, verdict.witness) == ("no_colourings", None)
+        elif len(naive) == 1:
+            assert (verdict.status, verdict.witness) == ("mixing", None)
+        else:
+            assert verdict.status == "not_mixing"
+            assert tuple(w.image for w in verdict.witness) == \
+                (naive[0][0], naive[1][0])
 
 
 def test_colour_and_hom_components_agree_for_loop_free_sources():
@@ -86,6 +101,13 @@ def test_looped_source_can_split_differently():
             found = True
             break
     assert found
+    # two looped isolated vertices into themselves: the colour graph is
+    # connected, the homomorphism graph has no edge, so all four are frozen
+    g = Graph(2, [(0, 0), (1, 1)])
+    colour = components(g, g, kind="colour")
+    assert [(c.size, c.contains_frozen) for c in colour.classes] == [(4, True)]
+    hom = components(g, g, kind="homomorphism")
+    assert [(c.size, c.contains_frozen) for c in hom.classes] == [(1, True)] * 4
 
 
 def test_recolour_neighbours_match_definition():
@@ -127,6 +149,39 @@ def test_homotopy_path_is_shortest_and_valid():
         assert hom_adjacent_naive(x.image, y.image, g, h)
     assert homotopy_path(a, a, g, h) == [a]
     assert homotopy_distance(a, a, g, h) == 0
+    # the cap bounds the maps the search reaches, not the whole space:
+    # K_2 -> K_5 has 20 maps, and the first layer from (0,1) holds 13
+    k5 = complete_graph(5)
+    a, b = Hom(2, 5, (0, 1)), Hom(2, 5, (0, 2))
+    assert [f.image for f in homotopy_path(a, b, g, k5, cap=15)] == [(0, 1), (0, 2)]
+    with pytest.raises(CapExceededError):
+        homotopy_path(a, b, g, k5, cap=10)
+    # K_2 -> C_7: each map has at most 3 neighbours, so the count of maps
+    # reached, not one neighbour search, meets the cap
+    c7 = cycle_graph(7)
+    a, b = Hom(2, 7, (0, 1)), Hom(2, 7, (3, 4))
+    assert [f.image for f in homotopy_path(a, b, g, c7, cap=14)] == [
+        (0, 1), (0, 6), (5, 6), (5, 4), (3, 4)]
+    with pytest.raises(CapExceededError):
+        homotopy_path(a, b, g, c7, cap=8)
+    # 22 isolated vertices into K_2: every one of the 2^22 maps is adjacent
+    # to every other, and a small cap stops the first neighbour search
+    n = 22
+    with pytest.raises(CapExceededError):
+        homotopy_path(Hom(n, 2, (0,) * n), Hom(n, 2, (1,) * n),
+                      Graph(n, []), complete_graph(2), cap=100)
+
+
+def test_looped_hom_components_search_each_member_once(monkeypatch):
+    # P_6 with loops at both ends into the reflexive 5-cycle: 1215 maps
+    g = Graph(6, list(path_graph(6).edges()) + [(0, 0), (5, 5)])
+    h = cycle_graph(5, reflexive=True)
+    calls = []
+    search = homgraph._hom_neighbours
+    monkeypatch.setattr(homgraph, "_hom_neighbours",
+                        lambda *args: calls.append(1) or search(*args))
+    report = components(g, h, kind="homomorphism")
+    assert report.total == len(calls) == 1215
 
 
 def test_homotopy_distance_matches_naive_bfs():

@@ -58,8 +58,21 @@ def test_first_hom_is_least_and_respects_pins():
     pinned = first_hom(g, h, pins={2: 2, 0: 1})
     assert pinned.image == min(im for im in oracle if im[2] == 2 and im[0] == 1)
     assert first_hom(complete_graph(3), complete_graph(2)) is None
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="break an edge"):
         first_hom(g, h, pins={0: 0, 1: 0})  # adjacent pins collide
+    with pytest.raises(ValueError, match="out of range"):
+        first_hom(g, h, pins={5: 0})
+    with pytest.raises(ValueError, match="out of range"):
+        first_hom(g, h, pins={0: 3})
+    looped = Graph(2, [(0, 0), (0, 1)])
+    half = Graph(2, [(0, 1), (1, 1)])  # only colour 1 carries a loop
+    with pytest.raises(ValueError, match="breaks the loop at 0"):
+        first_hom(looped, half, pins={0: 0})
+    assert first_hom(looped, half, pins={0: 1}).image == (1, 0)
+    # a pin that breaks its own loop and an edge to a smaller pin: the loop
+    # is named first
+    with pytest.raises(ValueError, match="breaks the loop at 1"):
+        first_hom(Graph(2, [(0, 1), (1, 1)]), half, pins={1: 0, 0: 0})
 
 
 def test_hom_exists_and_budget():

@@ -8,8 +8,9 @@ import pytest
 from circmix.errors import NoColouringsError
 from circmix.graphs import (circular_clique, complete_graph, cycle_graph,
                             path_graph)
-from circmix.homs import Hom, iter_homs
-from circmix.winding import (check_certificate, cycle_trace, is_constricting,
+from circmix.homs import Hom, first_hom, iter_homs
+from circmix.winding import (ConstrictingResult, check_certificate,
+                             cycle_trace, is_constricting,
                              nonmixing_certificate, reflect_colouring)
 
 from helpers import colour_adjacent_naive
@@ -101,6 +102,10 @@ def test_is_constricting():
     res = is_constricting(Hom(3, 9, (0, 2, 4)), path_graph(3), 9, 2)
     assert not res.constricting
     assert res.violator == 1
+    # at the vertex limit; 61/20 < 4, so every colouring is constricting
+    g, k, q = cycle_graph(4096), 61, 20
+    f = first_hom(g, circular_clique(k, q))
+    assert is_constricting(f, g, k, q) == ConstrictingResult(True, None)
 
 
 def test_certificate_odd_cycle_triangle():
