@@ -17,8 +17,9 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import CapExceededError, NoColouringsError
-from .graphs import (Graph, circular_clique, clique_number, colouring_number,
-                     degrees, is_bipartite)
+from .graphs import (Graph, _bits, circular_clique, clique_number,
+                     colouring_number, degrees, is_bipartite)
+from .homgraph import _avail_masks, components, is_mixing
 from .homs import Hom, compose, identity_hom, is_hom
 from .structure import FoldStep, apply_fold, is_retraction, make_fold
 
@@ -187,27 +188,14 @@ def available_colours(f: Hom, v: int, g: Graph, k: int, q: int) -> AvailableColo
     """All colours v could hold against its neighbours' current colours.
 
     This is the complement of the union of blocked intervals
-    [f(u)-q+1, f(u)+q-1] over neighbours u, taken mod k.
+    [f(u)-q+1, f(u)+q-1] over neighbours u, taken mod k: the colours
+    adjacent in G_{k,q} to every neighbour's colour.
     """
-    _check_colouring(f, g, k, q)
+    target = _check_colouring(f, g, k, q)
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
-    return _available_colours(f, v, g, k, q)
-
-
-def _available_colours(f: Hom, v: int, g: Graph, k: int, q: int) -> AvailableColours:
-    """available_colours for a colouring and vertex already checked."""
-    avail = []
-    for c in range(k):
-        ok = True
-        for u in g.neighbours(v):
-            d = (f.image[u] - c) % k
-            if d < q or d > k - q:
-                ok = False
-                break
-        if ok:
-            avail.append(c)
-    return AvailableColours(v, tuple(avail), _is_cyclic_interval(avail, k))
+    colours = _bits(_avail_masks(f.image, g, target)[v])
+    return AvailableColours(v, tuple(colours), _is_cyclic_interval(colours, k))
 
 
 def _is_cyclic_interval(colours, k: int) -> bool:
@@ -225,8 +213,6 @@ def is_flexible(g: Graph, k: int, q: int, cap: int | None = None) -> Flexibility
     the witness is the representative of the first class consisting
     entirely of surjective colourings.
     """
-    from .homgraph import components
-
     _require_frac(k, q)
     rep = components(g, circular_clique(k, q), kind="colour", cap=cap)
     if rep.total == 0:
@@ -399,8 +385,6 @@ def mixing_scan(g: Graph, fracs, cap: int | None = None) -> MixingScanReport:
     lists theorem bounds beside scan evidence; the two kinds are tagged so
     enumeration facts stay distinguishable from derived inequalities.
     """
-    from .homgraph import is_mixing
-
     if not g.is_loop_free:
         raise ValueError("mixing scans are defined for loop-free graphs")
     rows = []

@@ -11,23 +11,19 @@ when that terminal is rigid (admits no endomorphism besides the identity).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 from .errors import CapExceededError
-from .graphs import Graph
+from .graphs import Graph, _bits, clique_number
+from .homgraph import components
 from .homs import Hom, compose, identity_hom, is_hom, iter_homs
 
 
 @dataclass(frozen=True)
 class FoldStep:
-    """One fold in the labels current at the time of the fold.
-
-    ``relabel[old]`` is the label after removal, -1 for the removed vertex.
-    """
+    """One fold in the labels current at the time of the fold."""
 
     removed: int
     absorber: int
-    relabel: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -65,23 +61,32 @@ class SelfMixingResult:
     method: str
 
 
-def _fold_relabel(n: int, removed: int) -> tuple[int, ...]:
-    return tuple(-1 if v == removed else v - (v > removed) for v in range(n))
+def _least_fold(rows, alive: int) -> tuple[int, int] | None:
+    """Least (removed, absorber) pair among the vertices of ``alive``, or None.
 
-
-def _fold_pairs(g: Graph):
-    for v in range(g.n):
-        rv = g.rows[v]
-        for u in range(g.n):
-            if u != v and rv | g.rows[u] == g.rows[u]:
-                yield (v, u)
+    N(v) lies within N(u) exactly when u is adjacent to every neighbour of
+    v, so v's absorbers are the other live vertices in the rows of all of
+    v's live neighbours.  The intersection stops once it is empty, which
+    keeps a high-degree vertex that folds nowhere cheap to pass over.
+    """
+    m = alive
+    while m:
+        v = (m & -m).bit_length() - 1
+        m &= m - 1
+        cand = alive & ~(1 << v)
+        nbrs = rows[v] & alive
+        while nbrs and cand:
+            cand &= rows[(nbrs & -nbrs).bit_length() - 1]
+            nbrs &= nbrs - 1
+        if cand:
+            return v, (cand & -cand).bit_length() - 1
+    return None
 
 
 def find_fold(g: Graph) -> FoldStep | None:
     """Lexicographically least (removed, absorber) pair, or None if stiff."""
-    for v, u in _fold_pairs(g):
-        return FoldStep(v, u, _fold_relabel(g.n, v))
-    return None
+    pair = _least_fold(g.rows, (1 << g.n) - 1)
+    return None if pair is None else FoldStep(*pair)
 
 
 def make_fold(g: Graph, removed: int, absorber: int) -> FoldStep:
@@ -91,7 +96,7 @@ def make_fold(g: Graph, removed: int, absorber: int) -> FoldStep:
     if g.rows[removed] | g.rows[absorber] != g.rows[absorber]:
         raise ValueError(
             f"({removed}, {absorber}) is not a fold: N({removed}) not within N({absorber})")
-    return FoldStep(removed, absorber, _fold_relabel(g.n, removed))
+    return FoldStep(removed, absorber)
 
 
 def apply_fold(g: Graph, step: FoldStep) -> Graph:
@@ -100,29 +105,30 @@ def apply_fold(g: Graph, step: FoldStep) -> Graph:
     return g.delete_vertex(step.removed)
 
 
-def stiff_reduction(g: Graph, rng=None) -> StiffReduction:
-    """Fold until no fold remains.
+def stiff_reduction(g: Graph) -> StiffReduction:
+    """Fold the least pair until no fold remains.
 
-    By default each step takes the least pair; passing a random generator
-    picks uniformly among the available folds instead, which changes the
-    step sequence but not the terminal up to isomorphism.
+    Folds only delete vertices, so the reduction keeps g's rows and a mask
+    of the live vertices.  A vertex's label at the time of a fold is the
+    number of live vertices below it; the terminal is induced once at the
+    end, and a stiff g is its own terminal.
     """
+    alive = (1 << g.n) - 1
     steps = []
-    cur = g
-    while True:
-        if rng is None:
-            step = find_fold(cur)
-        else:
-            options = list(_fold_pairs(cur))
-            step = None
-            if options:
-                v, u = rng.choice(options)
-                step = FoldStep(v, u, _fold_relabel(cur.n, v))
-        if step is None:
-            break
-        steps.append(step)
-        cur = apply_fold(cur, step)
-    return StiffReduction(tuple(steps), cur, None)
+    while (pair := _least_fold(g.rows, alive)) is not None:
+        v, u = pair
+        steps.append(FoldStep((alive & ((1 << v) - 1)).bit_count(),
+                              (alive & ((1 << u) - 1)).bit_count()))
+        alive ^= 1 << v
+    if not steps:
+        return StiffReduction((), g, None)
+    return StiffReduction(tuple(steps), g.induced(_bits(alive)), None)
+
+
+def _other_endo(g: Graph, cap: int | None) -> tuple[int, ...] | None:
+    """First endomorphism other than the identity in search order, or None."""
+    ident = tuple(range(g.n))
+    return next((im for im in iter_homs(g, g, cap) if im != ident), None)
 
 
 def is_rigid(g: Graph, cap: int | None = None) -> bool:
@@ -131,8 +137,7 @@ def is_rigid(g: Graph, cap: int | None = None) -> bool:
     The budget counts partial assignments; running out raises rather than
     guessing.
     """
-    found = list(islice(iter_homs(g, g, cap), 2))
-    return len(found) == 1
+    return _other_endo(g, cap) is None
 
 
 def is_dismantlable(g: Graph, cap: int | None = None) -> DismantleResult:
@@ -143,15 +148,10 @@ def is_dismantlable(g: Graph, cap: int | None = None) -> DismantleResult:
     """
     red = stiff_reduction(g)
     t = red.terminal
-    endos = list(islice(iter_homs(t, t, cap), 2))
-    rigid = len(endos) == 1
-    witness = None
-    if not rigid:
-        ident = tuple(range(t.n))
-        other = endos[0] if endos[0] != ident else endos[1]
-        witness = Hom(t.n, t.n, other)
-    red = StiffReduction(red.steps, t, rigid)
-    return DismantleResult(rigid, red, witness)
+    other = _other_endo(t, cap)
+    rigid = other is None
+    witness = None if rigid else Hom(t.n, t.n, other)
+    return DismantleResult(rigid, StiffReduction(red.steps, t, rigid), witness)
 
 
 def is_retraction(r: Hom, section: Hom, big: Graph, small: Graph) -> bool:
@@ -172,31 +172,35 @@ def is_retraction(r: Hom, section: Hom, big: Graph, small: Graph) -> bool:
 
 
 def _idempotent_power(image: tuple[int, ...]) -> tuple[int, ...]:
-    """Some power of the map equal to its own square."""
-    seen = {}
-    powers = []
+    """The first power of the map equal to its own square."""
     cur = image
-    t = 1
-    while cur not in seen:
-        seen[cur] = t
-        powers.append(cur)
+    while True:
+        square = tuple(cur[c] for c in cur)
+        if square == cur:
+            return cur
         cur = tuple(cur[c] for c in image)
-        t += 1
-    a = seen[cur]
-    p = t - a
-    m = a if a % p == 0 else ((a + p - 1) // p) * p
-    out = powers[m - 1]
-    assert tuple(out[c] for c in out) == out
-    return out
+
+
+def _image_floor(g: Graph) -> int:
+    """No endomorphism image is smaller: a largest clique, or one vertex
+    when g has a loop or no edge.  A clique search over its own budget
+    gives up the bound rather than the answer."""
+    if not (g.is_loop_free and any(g.rows)):
+        return 1
+    try:
+        return clique_number(g)
+    except CapExceededError:
+        return 1
 
 
 def core_of(g: Graph, cap: int | None = None) -> CoreResult:
     """Smallest retract, reached by iterating non-injective endomorphisms.
 
-    Each round enumerates the endomorphisms of the current graph in full
-    (budgeted), takes one with the smallest image, and retracts onto the
-    fixed vertices of an idempotent power.  Terminates when every
-    endomorphism is injective.
+    Each round walks the endomorphisms of the current graph in search order
+    (budgeted) and takes the first one with the smallest image.  The walk
+    stops early at an image as small as a largest clique, since none can be
+    smaller.  The round then retracts onto the fixed vertices of an
+    idempotent power.  Terminates when every endomorphism is injective.
     """
     cur = g
     keep = list(range(g.n))  # original labels of current vertices
@@ -204,10 +208,13 @@ def core_of(g: Graph, cap: int | None = None) -> CoreResult:
     while True:
         best: tuple[int, ...] | None = None
         best_size = cur.n + 1
+        floor = _image_floor(cur)
         for im in iter_homs(cur, cur, cap):
             size = len(set(im))
             if size < best_size:
                 best, best_size = im, size
+                if size == floor:
+                    break
         if best is None:
             raise AssertionError("a graph always has the identity endomorphism")
         if best_size == cur.n:
@@ -235,8 +242,6 @@ def self_mixing(g: Graph, cap: int | None = None) -> SelfMixingResult:
     instead.  The dismantlability answer is cross-checked against a direct
     component count whenever the endomorphism space fits the budget.
     """
-    from .homgraph import components
-
     verdict = is_dismantlable(g, cap)
     kind = "colour" if g.is_loop_free else "homomorphism"
     try:

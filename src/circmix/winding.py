@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circular import _available_colours, _check_colouring, _require_frac
+from .circular import _check_colouring, _is_cyclic_interval, _require_frac
 from .errors import NoColouringsError
-from .graphs import (Graph, circular_clique, is_bipartite, max_clique,
+from .graphs import (Graph, _bits, circular_clique, is_bipartite, max_clique,
                      shortest_odd_cycle)
+from .homgraph import _avail_masks
 from .homs import Hom, first_hom, is_hom
 
 
@@ -92,9 +93,9 @@ def cycle_trace(f: Hom, cycle, g: Graph, k: int, q: int) -> CycleTrace:
 
 def is_constricting(f: Hom, g: Graph, k: int, q: int) -> ConstrictingResult:
     """Is every vertex's available-colour set a cyclic interval?"""
-    _check_colouring(f, g, k, q)
-    for v in range(g.n):
-        if not _available_colours(f, v, g, k, q).is_interval:
+    target = _check_colouring(f, g, k, q)
+    for v, mask in enumerate(_avail_masks(f.image, g, target)):
+        if not _is_cyclic_interval(_bits(mask), k):
             return ConstrictingResult(False, v)
     return ConstrictingResult(True, None)
 

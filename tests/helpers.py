@@ -12,6 +12,7 @@ import random
 
 from circmix.graphs import Graph, canonical_key
 from circmix.homs import Hom, enumerate_homs
+from circmix.structure import FoldStep, apply_fold
 
 
 def directed_edges(g: Graph) -> list[tuple[int, int]]:
@@ -141,3 +142,43 @@ def retract_from_endo(g: Graph, endo: Hom) -> tuple[Graph, Hom]:
     small = g.induced(fixed)
     retraction = Hom(g.n, small.n, tuple(rank[endo.image[v]] for v in range(g.n)))
     return small, retraction
+
+
+def fold_pairs_naive(g: Graph) -> list[tuple[int, int]]:
+    """Every (removed, absorber) pair with N(removed) within N(absorber),
+    loops included, in lexicographic order, by scanning all n² pairs."""
+    return [(v, u) for v in range(g.n) for u in range(g.n)
+            if u != v and g.rows[v] | g.rows[u] == g.rows[u]]
+
+
+def stiff_reduction_naive(g: Graph) -> tuple[list[tuple[int, int]], Graph]:
+    """Fold the least pair until no fold remains; the steps and terminal."""
+    steps = []
+    while pairs := fold_pairs_naive(g):
+        steps.append(pairs[0])
+        g = apply_fold(g, FoldStep(*pairs[0]))
+    return steps, g
+
+
+def is_rigid_naive(g: Graph) -> bool:
+    """No endomorphism besides the identity, by plain recursion over the
+    vertices in index order, checking each new colour against the earlier
+    ones."""
+    img: list[int] = []
+
+    def other_endo_below() -> bool:
+        v = len(img)
+        if v == g.n:
+            return img != list(range(g.n))
+        for c in range(g.n):
+            if g.has_loop(v) and not g.has_loop(c):
+                continue
+            if any(g.has_edge(v, u) and not g.has_edge(c, img[u]) for u in range(v)):
+                continue
+            img.append(c)
+            if other_endo_below():
+                return True
+            img.pop()
+        return False
+
+    return not other_endo_below()

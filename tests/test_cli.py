@@ -221,6 +221,13 @@ def test_vertex_limit_runs(tmp_path, capsys):
                              "--target", "clique:2")
     assert code == 0
     assert (payload["verdict"], payload["hom_count"]) == ("NotMixing", 2)
+    code, payload = run_json(capsys, "structure", "--graph", f"file:{path}",
+                             "--op", "stiff")
+    assert code == 0 and len(payload["steps"]) == DEFAULT_MAX_VERTICES - 2
+    assert payload["terminal"] == {"n": 2, "edges": [[0, 1]]}
+    code, payload = run_json(capsys, "structure", "--graph", f"file:{path}",
+                             "--op", "dismantlable")
+    assert code == 0 and payload["value"] is False
     code, payload = run_json(capsys, "structure", "--graph", "clique:1100",
                              "--op", "omega")
     assert code == 0 and payload["value"] == 1100

@@ -3,16 +3,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from circmix import structure
 from circmix.graphs import (Graph, are_isomorphic, complete_graph,
-                            cycle_graph, path_graph)
+                            cycle_graph, extension_product, path_graph)
 from circmix.homgraph import components
 from circmix.homs import Hom, identity_hom, is_hom
 from circmix.structure import (apply_fold, core_of, find_fold, is_dismantlable,
                                is_retraction, is_rigid, make_fold, self_mixing,
                                stiff_reduction)
 
-from helpers import iso_reps, random_graph
+from helpers import (fold_pairs_naive, is_rigid_naive, iso_reps, random_graph,
+                     stiff_reduction_naive)
 
 
 def reflexive_path(n):
@@ -22,7 +26,6 @@ def reflexive_path(n):
 def test_find_fold_least_pair_on_c4():
     step = find_fold(cycle_graph(4))
     assert (step.removed, step.absorber) == (0, 2)
-    assert step.relabel == (-1, 0, 1, 2)
     after = apply_fold(cycle_graph(4), step)
     assert sorted(after.edges()) == [(0, 1), (1, 2)]
 
@@ -61,6 +64,13 @@ def test_stiff_terminals():
     assert find_fold(cycle_graph(6)) is None
 
 
+def random_fold_terminal(g, rng):
+    """Fold a uniformly chosen available pair until none remains."""
+    while folds := fold_pairs_naive(g):
+        g = apply_fold(g, make_fold(g, *rng.choice(folds)))
+    return g
+
+
 def test_stiff_terminal_independent_of_fold_order():
     for seed in (1, 2, 3):
         rng = random.Random(seed)
@@ -68,8 +78,57 @@ def test_stiff_terminal_independent_of_fold_order():
             g = random_graph(rng, 6, p=0.5, loops=rng.random() < 0.3)
             base = stiff_reduction(g).terminal
             for pick in (10, 20):
-                other = stiff_reduction(g, rng=random.Random(pick)).terminal
+                other = random_fold_terminal(g, random.Random(pick))
                 assert are_isomorphic(base, other)
+
+
+def assert_matches_naive_reduction(g):
+    steps, terminal = stiff_reduction_naive(g)
+    red = stiff_reduction(g)
+    assert [(s.removed, s.absorber) for s in red.steps] == steps
+    assert red.terminal == terminal
+    first = find_fold(g)
+    assert steps[:1] == ([] if first is None else [(first.removed, first.absorber)])
+
+
+def test_stiff_reduction_matches_naive_scan():
+    for g in iso_reps(4, loops=True):
+        assert_matches_naive_reduction(g)
+    rng = random.Random(41)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(1, 12), p=rng.random(),
+                         loops=rng.random() < 0.5)
+        assert_matches_naive_reduction(g)
+
+
+@st.composite
+def graphs_with_loops(draw, max_n=10):
+    n = draw(st.integers(1, max_n))
+    slots = [(u, v) for u in range(n) for v in range(u, n)]
+    return Graph(n, draw(st.sets(st.sampled_from(slots))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(graphs_with_loops())
+def test_reduction_and_dismantlability_match_naive(g):
+    assert_matches_naive_reduction(g)
+    verdict = is_dismantlable(g)
+    terminal = verdict.reduction.terminal
+    assert verdict.dismantlable == verdict.reduction.terminal_is_rigid \
+        == is_rigid_naive(terminal) == is_rigid(terminal)
+    if verdict.witness_endo is not None:
+        assert verdict.witness_endo.image != tuple(range(terminal.n))
+        assert is_hom(terminal, terminal, verdict.witness_endo.image)
+
+
+def test_stiff_reduction_at_the_vertex_limit():
+    red = stiff_reduction(path_graph(4096))
+    assert {(s.removed, s.absorber) for s in red.steps} == {(0, 2)}
+    assert len(red.steps) == 4094 and red.terminal == complete_graph(2)
+    star = Graph(4096, [(0, v) for v in range(1, 4096)])
+    red = stiff_reduction(star)
+    assert {(s.removed, s.absorber) for s in red.steps} == {(1, 2)}
+    assert len(red.steps) == 4094 and red.terminal == complete_graph(2)
 
 
 def test_rigidity():
@@ -101,6 +160,31 @@ def test_core_examples():
     assert result.vertices == (0, 1, 2)
     assert are_isomorphic(result.core, complete_graph(3))
     assert core_of(cycle_graph(5)).vertices == (0, 1, 2, 3, 4)
+
+
+def test_core_of_stops_at_a_clique_sized_image(monkeypatch):
+    drawn = 0
+    search = structure.iter_homs
+
+    def counting(*args):
+        nonlocal drawn
+        for image in search(*args):
+            drawn += 1
+            yield image
+
+    monkeypatch.setattr(structure, "iter_homs", counting)
+    ladder = extension_product(complete_graph(2), path_graph(7))
+    assert core_of(ladder).vertices == (0, 7)
+    assert drawn == 2  # one per round: the ladder onto an edge, then the edge
+
+
+def test_core_of_early_stop_keeps_the_full_walk_choice(monkeypatch):
+    rng = random.Random(29)
+    graphs = [random_graph(rng, rng.randint(1, 8), p=rng.random(),
+                           loops=rng.random() < 0.3) for _ in range(80)]
+    early = [core_of(g) for g in graphs]
+    monkeypatch.setattr(structure, "_image_floor", lambda g: 0)  # never stop
+    assert [core_of(g) for g in graphs] == early
 
 
 def test_core_certificates_and_idempotence():
