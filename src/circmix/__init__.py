@@ -36,8 +36,8 @@ from .homgraph import (ClassSummary, ComponentReport, MixingVerdict,
                        homotopy_distance, homotopy_path, is_frozen,
                        is_mixing, radius_centre, recolour_neighbours)
 from .homs import (Hom, HomSpace, compose, enumerate_homs, first_hom,
-                   format_image, hom_exists, identity_hom, is_hom, iter_homs,
-                   parse_image)
+                   format_image, hom_count, hom_exists, identity_hom, is_hom,
+                   iter_homs, parse_image)
 from .structure import (CoreResult, DismantleResult, FoldStep, SelfMixingResult,
                         StiffReduction, apply_fold, core_of, find_fold,
                         is_dismantlable, is_retraction, is_rigid, make_fold,

@@ -5,8 +5,10 @@ parent is the Farey predecessor k'/q' with kq'-k'q = 1.  Deleting any
 vertex from G_{k,q} (coprime case) dismantles onto the lower-parent
 clique, and deleting a full residue orbit from G_{kd,qd} dismantles onto
 G_{k(d-1),q(d-1)}; both facts drive the component-counting machinery.
-Scan verdicts are always certified by explicit component computation,
-never inferred from the bound theorems reported beside them.
+A scan row at a coprime fraction that a mixing theorem covers (k/q at
+least twice the colouring number, the integer threshold col+1, or above
+twice the maximum degree) is certified by that theorem plus an exact count
+of the colourings; every other row by explicit component computation.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .errors import CapExceededError, NoColouringsError
 from .graphs import (Graph, _bits, circular_clique, clique_number,
                      colouring_number, degrees, is_bipartite)
 from .homgraph import _avail_masks, components, is_mixing
-from .homs import Hom, compose, identity_hom, is_hom
+from .homs import Hom, compose, hom_count, identity_hom, is_hom
 from .structure import FoldStep, apply_fold, is_retraction, make_fold
 
 
@@ -322,10 +324,20 @@ def _clique_parameters(g: Graph) -> tuple[int, int] | None:
     return None
 
 
-def _theorem_bounds(g: Graph) -> list[ScanBound]:
-    col = colouring_number(g)
-    dmax = degrees(g)[0] if g.n else 0
-    has_edge = g.edge_count() > 0
+def _theorem_mixing(k: int, q: int, col: int, dmax: int) -> bool:
+    """Does a mixing theorem cover the coprime fraction k/q?
+
+    The rules are the theorem bounds of ``_theorem_bounds``: k/q >= 2 col
+    (the paper's main theorem), q = 1 with k >= col+1 (Cereceda, van den
+    Heuvel and Johnson), and k/q > 2 dmax on a graph with an edge.  The
+    last is strict: K_2 does not mix at 2/1.
+    """
+    return gcd(k, q) == 1 and (k >= 2 * col * q or (q == 1 and k >= col + 1)
+                               or 0 < 2 * dmax * q < k)
+
+
+def _theorem_bounds(g: Graph, col: int, dmax: int) -> list[ScanBound]:
+    has_edge = dmax > 0
     out = [
         ScanBound("M_c", "<=", Fraction(2 * col), "twice the colouring number", "theorem"),
         ScanBound("M", "<=", Fraction(col + 1), "colouring number plus one", "theorem"),
@@ -379,25 +391,37 @@ def _scan_evidence(rows) -> list[ScanBound]:
 def mixing_scan(g: Graph, fracs, cap: int | None = None) -> MixingScanReport:
     """Certified verdict per fraction plus labeled bound summary.
 
-    Every verdict comes from an explicit component computation; rows that
-    blow the budget are recorded as Skipped and the scan continues.
-    Fractions are scanned exactly as given, never reduced.  The summary
-    lists theorem bounds beside scan evidence; the two kinds are tagged so
-    enumeration facts stay distinguishable from derived inequalities.
+    A coprime row that a mixing theorem covers (``_theorem_mixing``) is
+    Mixing with one class, certified by the theorem and an exact count of
+    its colourings, without building the space; every other row comes from
+    an explicit component computation, and so does a covered row whose
+    count is 0.  Rows with more than ``cap`` colourings are recorded as
+    Skipped and the scan continues.  Fractions are scanned exactly as
+    given, never reduced.  The summary lists theorem bounds beside scan
+    evidence; the two kinds are tagged so enumeration facts stay
+    distinguishable from derived inequalities.
     """
     if not g.is_loop_free:
         raise ValueError("mixing scans are defined for loop-free graphs")
+    fracs = list(fracs)
+    for k, q in fracs:  # before colouring_number, which rejects an empty graph
+        _require_frac(k, q)
+    col = colouring_number(g)
+    dmax = degrees(g)[0]
     rows = []
     for k, q in fracs:
-        _require_frac(k, q)
         value = Fraction(k, q)
+        target = circular_clique(k, q)
         try:
-            v = is_mixing(g, circular_clique(k, q), cap=cap)
+            if _theorem_mixing(k, q, col, dmax) and (count := hom_count(g, target, cap)):
+                rows.append(MixingScanRow(k, q, value, "Mixing", count, 1, ()))
+                continue
+            v = is_mixing(g, target, cap=cap)
         except CapExceededError:
             rows.append(MixingScanRow(k, q, value, "Skipped", None, None, ()))
             continue
         witnesses = () if v.witness is None else tuple(w.image for w in v.witness)
         rows.append(MixingScanRow(k, q, value, v.name, v.hom_count,
                                   v.class_count, witnesses))
-    bounds = _theorem_bounds(g) + _scan_evidence(rows)
+    bounds = _theorem_bounds(g, col, dmax) + _scan_evidence(rows)
     return MixingScanReport(g.name or "", tuple(rows), tuple(bounds))

@@ -120,7 +120,8 @@ def _search_order(g: Graph) -> list[int]:
 
 
 def _search(g: Graph, h: Graph, order: list[int], img: list[int],
-            domains: list[int] | None = None, budget: int | None = None):
+            domains: list[int] | None = None, budget: int | None = None,
+            count: bool = False):
     """Yield every homomorphism g -> h completing ``img``, as image tuples.
 
     The vertices in ``order`` are assigned in that order, each one trying
@@ -129,7 +130,10 @@ def _search(g: Graph, h: Graph, order: list[int], img: list[int],
     ``domains[v]`` narrows the colours allowed at v.  The budget counts
     assignments of vertices in ``order``; running out raises
     CapExceededError.  Backtracking keeps one candidate mask per level on
-    an explicit stack, so the depth of the search is unbounded.
+    an explicit stack, so the depth of the search is unbounded.  With
+    ``count`` set, each sweep of the last level that completes any
+    homomorphism yields how many instead of their tuples; the counts sum
+    to the number of tuples the same call would yield.
     """
     rows = h.rows
     full = (1 << h.n) - 1
@@ -153,7 +157,7 @@ def _search(g: Graph, h: Graph, order: list[int], img: list[int],
 
     depth = len(order)
     if depth == 0:
-        yield tuple(img)
+        yield 1 if count else tuple(img)
         return
     limit = sys.maxsize if budget is None else budget  # an int compares faster
     visited = 0
@@ -170,11 +174,14 @@ def _search(g: Graph, h: Graph, order: list[int], img: list[int],
             over = visited > limit
             if over:
                 m = _lowest_bits(m, m.bit_count() - (visited - limit))
-            while m:
-                b = m & -m
-                m ^= b
-                img[leaf] = b.bit_length() - 1
-                yield tuple(img)
+            if not count:
+                while m:
+                    b = m & -m
+                    m ^= b
+                    img[leaf] = b.bit_length() - 1
+                    yield tuple(img)
+            elif m:
+                yield m.bit_count()
             if over:
                 raise CapExceededError(budget, "partial assignments")
             i -= 1
@@ -219,6 +226,21 @@ def enumerate_homs(g: Graph, h: Graph, cap: int | None = None) -> HomSpace:
             raise CapExceededError(cap, f"homomorphism count for n={g.n}")
     out.sort()
     return HomSpace(g.n, h.n, out)
+
+
+def hom_count(g: Graph, h: Graph, cap: int | None = None) -> int:
+    """The number of homomorphisms g -> h, without building any of them.
+
+    Raises CapExceededError exactly when enumerate_homs would: when more
+    than ``cap`` homomorphisms exist.
+    """
+    cap = hom_cap(cap)
+    total = 0
+    for found in _search(g, h, _search_order(g), [0] * g.n, count=True):
+        total += found
+        if total > cap:
+            raise CapExceededError(cap, f"homomorphism count for n={g.n}")
+    return total
 
 
 def iter_homs(g: Graph, h: Graph, budget: int | None = None):

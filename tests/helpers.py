@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 import random
 
+from hypothesis import strategies as st
+
 from circmix.graphs import Graph, canonical_key
 from circmix.homs import Hom, enumerate_homs
 from circmix.structure import FoldStep, apply_fold
@@ -38,8 +40,12 @@ def colour_adjacent_naive(a, b) -> bool:
     return sum(x != y for x, y in zip(a, b)) == 1
 
 
-def hom_adjacent_naive(a, b, g: Graph, h: Graph) -> bool:
-    return all(h.has_edge(a[u], b[v]) for u, v in directed_edges(g))
+def hom_adjacent_naive(a, b, g: Graph, h: Graph, arcs=None) -> bool:
+    """The cross condition over every arc of g; callers comparing many pairs
+    pass ``arcs = directed_edges(g)`` once."""
+    if arcs is None:
+        arcs = directed_edges(g)
+    return all(h.has_edge(a[u], b[v]) for u, v in arcs)
 
 
 def components_naive(images, adjacent) -> list[list[tuple[int, ...]]]:
@@ -67,10 +73,11 @@ def hom_graph(g: Graph, h: Graph) -> tuple[Graph, list[tuple[int, ...]]]:
     Every homomorphism is self-adjacent, so the result is reflexive.
     """
     images = list(enumerate_homs(g, h).images)
+    arcs = directed_edges(g)
     edges = [(i, i) for i in range(len(images))]
     for i, a in enumerate(images):
         for j in range(i + 1, len(images)):
-            if hom_adjacent_naive(a, images[j], g, h):
+            if hom_adjacent_naive(a, images[j], g, h, arcs):
                 edges.append((i, j))
     return Graph(len(images), edges), images
 
@@ -81,6 +88,7 @@ def hom_graph_radius_naive(g: Graph, h: Graph) -> int:
     Raises ValueError when the homomorphism graph is disconnected.
     """
     images = naive_homs(g, h)
+    arcs = directed_edges(g)
     eccentricities = []
     for start in images:
         dist = {start: 0}
@@ -89,7 +97,7 @@ def hom_graph_radius_naive(g: Graph, h: Graph) -> int:
             nxt = []
             for a in frontier:
                 for b in images:
-                    if b not in dist and hom_adjacent_naive(a, b, g, h):
+                    if b not in dist and hom_adjacent_naive(a, b, g, h, arcs):
                         dist[b] = dist[a] + 1
                         nxt.append(b)
             frontier = nxt
@@ -124,6 +132,14 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5,
             if rng.random() < p:
                 edges.append((u, v))
     return Graph(n, edges)
+
+
+@st.composite
+def graphs_with_loops(draw, max_n: int = 10, min_n: int = 1):
+    """A hypothesis strategy: any graph with loops on min_n..max_n vertices."""
+    n = draw(st.integers(min_n, max_n))
+    slots = [(u, v) for u in range(n) for v in range(u, n)]
+    return Graph(n, draw(st.sets(st.sampled_from(slots))) if slots else [])
 
 
 def idempotent_endos(g: Graph) -> list[Hom]:

@@ -1,20 +1,26 @@
 """Lower parents, flexibility, colour rotation, and scale retractions."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from circmix.circular import (available_colours, avoid_colour_normalize,
-                              delete_vertex_dismantle, is_flexible,
-                              lower_parent, lower_parent_bound, mixing_scan,
-                              scale_retraction)
+from circmix import circular
+from circmix.circular import (_theorem_mixing, available_colours,
+                              avoid_colour_normalize, delete_vertex_dismantle,
+                              is_flexible, lower_parent, lower_parent_bound,
+                              mixing_scan, scale_retraction)
 from circmix.errors import NoColouringsError
-from circmix.graphs import (Graph, circular_clique, complete_graph,
-                            cycle_graph, frozen_regular_graph, path_graph)
+from circmix.graphs import (Graph, circular_clique, colouring_number,
+                            complete_graph, cycle_graph, degrees,
+                            frozen_regular_graph, path_graph)
+from circmix.homgraph import is_mixing
 from circmix.homs import Hom, is_hom, iter_homs
 from circmix.structure import apply_fold, is_retraction
+
+from helpers import iso_reps
 
 
 def test_lower_parent_known_values():
@@ -250,3 +256,35 @@ def test_mixing_scan_keeps_fractions_and_skips_on_cap():
     assert rep.rows[1].hom_count is None
     with pytest.raises(ValueError):
         mixing_scan(Graph(2, [(0, 0), (0, 1)]), [(4, 1)])
+
+
+def test_mixing_scan_rows_match_is_mixing():
+    """Theorem rows count instead of enumerating; every row still reads as
+    is_mixing would, and the non-coprime rows still enumerate."""
+    fractions = [(k, q) for q in range(1, 6) for k in range(2 * q, 12)
+                 if math.gcd(k, q) == 1]
+    assert len(fractions) == 21
+    fractions += [(6, 2), (8, 2), (9, 3)]
+    theorem_rows = 0
+    for g in iso_reps(5):
+        col, dmax = colouring_number(g), degrees(g)[0]
+        for row in mixing_scan(g, fractions).rows:
+            want = is_mixing(g, circular_clique(row.k, row.q))
+            witnesses = () if want.witness is None else tuple(
+                w.image for w in want.witness)
+            assert (row.verdict, row.hom_count, row.class_count, row.witnesses) \
+                == (want.name, want.hom_count, want.class_count, witnesses), (g, row)
+            theorem_rows += _theorem_mixing(row.k, row.q, col, dmax)
+    assert theorem_rows == 592
+
+
+def test_theorem_rows_do_not_enumerate(monkeypatch):
+    calls = []
+    monkeypatch.setattr(circular, "is_mixing",
+                        lambda *a, **kw: calls.append(a) or is_mixing(*a, **kw))
+    rep = mixing_scan(complete_graph(3), [(4, 1), (9, 2), (8, 2), (7, 2)])
+    assert [r.verdict for r in rep.rows] == ["Mixing"] * 3 + ["NotMixing"]
+    # 4/1 and 9/2 are covered by theorems; 8/2 is not coprime
+    assert [a[1] for a in calls] == [circular_clique(8, 2), circular_clique(7, 2)]
+    rep = mixing_scan(complete_graph(3), [(4, 1)], cap=23)
+    assert rep.rows[0].verdict == "Skipped" and len(calls) == 2

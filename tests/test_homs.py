@@ -13,10 +13,10 @@ from circmix.graphs import (Graph, complete_graph, cycle_graph,
                             circular_clique, path_graph)
 from circmix.homgraph import is_mixing
 from circmix.homs import (Hom, HomSpace, compose, enumerate_homs, first_hom,
-                          format_image, hom_exists, identity_hom, is_hom,
-                          iter_homs, parse_image, _search_order)
+                          format_image, hom_count, hom_exists, identity_hom,
+                          is_hom, iter_homs, parse_image, _search_order)
 
-from helpers import naive_homs, random_graph
+from helpers import graphs_with_loops, naive_homs, random_graph
 
 
 def test_is_hom_matches_definition():
@@ -108,6 +108,45 @@ def test_hom_exists_and_budget():
             except CapExceededError:
                 assert b < len(nodes)
             assert got == want
+
+
+def assert_count_matches_enumeration(g, h):
+    """hom_count equals both enumerations, and for every cap next to the
+    count it raises, with the same detail, exactly when enumerate_homs does."""
+    count = hom_count(g, h)
+    assert count == enumerate_homs(g, h).count == len(naive_homs(g, h))
+    for cap in (count - 1, count, count + 1):
+        try:
+            enumerate_homs(g, h, cap=cap)
+            expected = None
+        except CapExceededError as exc:
+            expected = str(exc)
+        try:
+            assert hom_count(g, h, cap=cap) == count
+            got = None
+        except CapExceededError as exc:
+            got = str(exc)
+        assert got == expected, (g, h, cap)
+
+
+def test_hom_count_matches_enumeration_on_random_pairs():
+    rng = random.Random(77)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(1, 5), p=0.5, loops=rng.random() < 0.3)
+        h = random_graph(rng, rng.randint(1, 4), p=0.6, loops=rng.random() < 0.3)
+        assert_count_matches_enumeration(g, h)
+    empty = Graph(0, [])
+    for h in (empty, complete_graph(1), circular_clique(5, 2)):
+        assert hom_count(empty, h) == 1
+        assert_count_matches_enumeration(empty, h)
+    assert hom_count(complete_graph(1), empty) == 0
+    assert hom_count(cycle_graph(5), complete_graph(3)) == 30
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(graphs_with_loops(5, min_n=0), graphs_with_loops(4, min_n=0))
+def test_hom_count_matches_enumeration(g, h):
+    assert_count_matches_enumeration(g, h)
 
 
 def test_iter_matches_enumerate():

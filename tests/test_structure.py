@@ -4,7 +4,6 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from circmix import structure
 from circmix.graphs import (Graph, are_isomorphic, complete_graph,
@@ -15,8 +14,8 @@ from circmix.structure import (apply_fold, core_of, find_fold, is_dismantlable,
                                is_retraction, is_rigid, make_fold, self_mixing,
                                stiff_reduction)
 
-from helpers import (fold_pairs_naive, is_rigid_naive, iso_reps, random_graph,
-                     stiff_reduction_naive)
+from helpers import (fold_pairs_naive, graphs_with_loops, is_rigid_naive,
+                     iso_reps, random_graph, stiff_reduction_naive)
 
 
 def reflexive_path(n):
@@ -99,13 +98,6 @@ def test_stiff_reduction_matches_naive_scan():
         g = random_graph(rng, rng.randint(1, 12), p=rng.random(),
                          loops=rng.random() < 0.5)
         assert_matches_naive_reduction(g)
-
-
-@st.composite
-def graphs_with_loops(draw, max_n=10):
-    n = draw(st.integers(1, max_n))
-    slots = [(u, v) for u in range(n) for v in range(u, n)]
-    return Graph(n, draw(st.sets(st.sampled_from(slots))))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
