@@ -8,6 +8,7 @@ so a loop contributes v itself to N(v) and adds exactly 1 to deg(v).
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import permutations
 
 from .config import max_vertices
@@ -277,21 +278,28 @@ def degeneracy_order(g: Graph) -> tuple[int, list[int]]:
     Returns (col, order) where col is the colouring number, one more than the
     largest minimum degree over subgraphs, and order lists the vertices so
     that order[i] has at most col-1 neighbours among order[:i].  Ties pick
-    the least vertex, so the result is deterministic.
+    the least vertex, so the result is deterministic.  The graph with no
+    vertex has no subgraph with a vertex, and col 0.  A heap of (degree,
+    vertex) finds each removal.  A decrement pushes a new entry and leaves
+    the old one behind; it is larger, so it surfaces only once its vertex is
+    gone, and is skipped.
     """
-    if g.n == 0:
-        raise ValueError("degeneracy order needs at least one vertex")
-    alive = (1 << g.n) - 1
     deg = [g.degree(v) for v in range(g.n)]
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapify(heap)
+    alive = (1 << g.n) - 1
     removal = []
-    worst = 0
-    for _ in range(g.n):
-        v = min((u for u in range(g.n) if alive >> u & 1), key=lambda u: (deg[u], u))
-        worst = max(worst, deg[v])
+    worst = -1
+    while heap:
+        d, v = heappop(heap)
+        if not alive >> v & 1:
+            continue
+        worst = max(worst, d)
         removal.append(v)
         alive ^= 1 << v
         for u in _bits(g.rows[v] & alive):
             deg[u] -= 1
+            heappush(heap, (deg[u], u))
     return (worst + 1, removal[::-1])
 
 

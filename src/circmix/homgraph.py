@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from operator import itemgetter
 
 from .config import hom_cap
 from .errors import CapExceededError, DisconnectedError, NoColouringsError
@@ -179,17 +180,48 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def _colour_partition(images: list[tuple[int, ...]], n: int) -> list[int]:
+def _independent_sets(g: Graph) -> list[list[int]]:
+    """A cover of g by disjoint independent sets, loops ignored.
+
+    Greedy colouring in search order: each vertex takes the least set that
+    holds none of its other neighbours.  The search order is breadth-first,
+    so a connected bipartite graph gives two sets and an odd cycle three.
+    """
+    colour = [-1] * g.n
+    sets: list[list[int]] = []
+    for v in _search_order(g):
+        taken = {colour[u] for u in g.neighbours(v)}
+        c = 0
+        while c in taken:
+            c += 1
+        colour[v] = c
+        if c == len(sets):
+            sets.append([])
+        sets[c].append(v)
+    return sets
+
+
+def _colour_partition(images: list[tuple[int, ...]], source: Graph) -> list[int]:
     """Union-find over the implicit colour adjacency; root per index.
 
-    Two members are colour-adjacent exactly when they agree everywhere but
-    one coordinate, so grouping by each dropped coordinate finds every edge.
+    One grouping pass per independent set I of the source.  The vertices of
+    I recolour independently: each one's allowed colours depend only on the
+    colours off I (a loop at v only narrows v's own colours).  So the
+    members that agree off I form a box, the product of per-vertex colour
+    sets, and single-vertex steps inside the box join all of it.  A
+    colour-adjacent pair differs at one vertex v, so it agrees off the set
+    holding v and falls in one box.  Each pass keys the members by their
+    colours off I and unions each with the first member of its key.  Roots
+    are least indices.
     """
     uf = _UnionFind(len(images))
-    for v in range(n):
-        first: dict[tuple[int, ...], int] = {}
-        for i, im in enumerate(images):
-            j = first.setdefault(im[:v] + im[v + 1:], i)
+    for ind in _independent_sets(source):
+        off = set(ind)
+        kept = [v for v in range(source.n) if v not in off]
+        key = itemgetter(*kept) if kept else (lambda im: ())
+        first: dict = {}
+        for i, k in enumerate(map(key, images)):
+            j = first.setdefault(k, i)
             if j != i:
                 uf.union(j, i)
     return [uf.find(i) for i in range(len(images))]
@@ -247,10 +279,10 @@ def components(source: Graph, target: Graph, kind: str = "colour",
     images = space.images
 
     if source.is_loop_free:
-        grouped = hom_classes = _group(_colour_partition(images, source.n))
+        grouped = hom_classes = _group(_colour_partition(images, source))
     else:
         hom_classes = _group(_hom_partition(space, source, target))
-        grouped = (_group(_colour_partition(images, source.n))
+        grouped = (_group(_colour_partition(images, source))
                    if kind == "colour" else hom_classes)
     lone = {r for r, members in hom_classes.items() if len(members) == 1}
 
@@ -272,7 +304,7 @@ def is_mixing(source: Graph, target: Graph, cap: int | None = None) -> MixingVer
     space = enumerate_homs(source, target, cap)
     if space.count == 0:
         return MixingVerdict("no_colourings", 0, 0, None)
-    roots = sorted(set(_colour_partition(space.images, source.n)))
+    roots = sorted(set(_colour_partition(space.images, source)))
     if len(roots) == 1:
         return MixingVerdict("mixing", space.count, 1, None)
     witness = (space.hom(roots[0]), space.hom(roots[1]))

@@ -12,7 +12,7 @@ import random
 
 from hypothesis import strategies as st
 
-from circmix.graphs import Graph, canonical_key
+from circmix.graphs import Graph, _bits, canonical_key
 from circmix.homs import Hom, enumerate_homs
 from circmix.structure import FoldStep, apply_fold
 
@@ -65,6 +65,24 @@ def components_naive(images, adjacent) -> list[list[tuple[int, ...]]]:
             queue.extend(near)
         classes.append(sorted(images[i] for i in members))
     return sorted(classes)
+
+
+def degeneracy_order_naive(g: Graph) -> tuple[int, list[int]]:
+    """Iterated minimum-degree removal, each step a scan of every live
+    vertex for the least (degree, vertex); (col, order) as in
+    ``graphs.degeneracy_order``."""
+    alive = (1 << g.n) - 1
+    deg = [g.degree(v) for v in range(g.n)]
+    removal = []
+    worst = -1
+    for _ in range(g.n):
+        v = min((u for u in range(g.n) if alive >> u & 1), key=lambda u: (deg[u], u))
+        worst = max(worst, deg[v])
+        removal.append(v)
+        alive ^= 1 << v
+        for u in _bits(g.rows[v] & alive):
+            deg[u] -= 1
+    return (worst + 1, removal[::-1])
 
 
 def hom_graph(g: Graph, h: Graph) -> tuple[Graph, list[tuple[int, ...]]]:

@@ -278,6 +278,17 @@ def test_mixing_scan_rows_match_is_mixing():
     assert theorem_rows == 592
 
 
+def test_null_graph_scan_rows_match_is_mixing():
+    g = Graph(0)
+    rows = mixing_scan(g, [(2, 1), (5, 2), (6, 2), (7, 3)]).rows
+    assert len(rows) == 4
+    for row in rows:
+        want = is_mixing(g, circular_clique(row.k, row.q))
+        assert (want.name, want.hom_count, want.class_count) == ("Mixing", 1, 1)
+        assert (row.verdict, row.hom_count, row.class_count, row.witnesses) \
+            == ("Mixing", 1, 1, ())
+
+
 def test_theorem_rows_do_not_enumerate(monkeypatch):
     calls = []
     monkeypatch.setattr(circular, "is_mixing",

@@ -228,9 +228,31 @@ def test_vertex_limit_runs(tmp_path, capsys):
     code, payload = run_json(capsys, "structure", "--graph", f"file:{path}",
                              "--op", "dismantlable")
     assert code == 0 and payload["value"] is False
+    code, payload = run_json(capsys, "structure", "--graph", f"file:{path}",
+                             "--op", "col")
+    assert code == 0 and payload["value"] == 2
     code, payload = run_json(capsys, "structure", "--graph", "clique:1100",
                              "--op", "omega")
     assert code == 0 and payload["value"] == 1100
+
+
+def test_null_graph_runs(tmp_path, capsys):
+    path = tmp_path / "null.graph"
+    path.write_text("p 0\n")
+    code, payload = run_json(capsys, "structure", "--graph", f"file:{path}",
+                             "--op", "col")
+    assert code == 0 and payload["value"] == 0
+    check("structure", payload)
+    code, payload = run_json(capsys, "scan", "--graph", f"file:{path}",
+                             "--fracs", "2/1,5/2")
+    assert code == 0
+    check("scan", payload)
+    assert [(r["verdict"], r["hom_count"], r["class_count"])
+            for r in payload["rows"]] == [("Mixing", 1, 1)] * 2
+    code, payload = run_json(capsys, "mixing", "--graph", f"file:{path}",
+                             "--target", "circ:5/2")
+    assert code == 0
+    assert (payload["verdict"], payload["hom_count"]) == ("Mixing", 1)
 
 
 # What an installed launcher does: import module:attr and exit with its call.

@@ -18,7 +18,7 @@ from circmix.graphs import (Graph, are_isomorphic, canonical_key,
                             parse_graph, path_graph, shortest_odd_cycle,
                             tensor_product)
 
-from helpers import all_graphs, random_graph
+from helpers import all_graphs, degeneracy_order_naive, random_graph
 
 
 def test_graph_basics():
@@ -121,6 +121,16 @@ def test_degeneracy_and_colouring_number():
             worst = max(worst, sum(1 for u in g.neighbours(v) if u in seen))
             seen.add(v)
         assert worst == col - 1
+
+
+def test_degeneracy_order_matches_naive_scan():
+    assert degeneracy_order(Graph(0)) == degeneracy_order_naive(Graph(0)) == (0, [])
+    assert colouring_number(Graph(0)) == chromatic_number(Graph(0)) == 0
+    rng = random.Random(12)
+    for _ in range(500):
+        g = random_graph(rng, rng.randint(1, 12), p=rng.random(),
+                         loops=rng.random() < 0.5)
+        assert degeneracy_order(g) == degeneracy_order_naive(g), g
 
 
 def test_clique_and_chromatic():

@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from circmix import homgraph
+from circmix.config import DEFAULT_MAX_VERTICES
 from circmix.errors import (CapExceededError, DisconnectedError,
                             NoColouringsError)
 from circmix.graphs import (Graph, circular_clique, complete_graph,
@@ -14,8 +16,9 @@ from circmix.homgraph import (colour_adjacent, components, hom_adjacent,
                               is_mixing, radius_centre, recolour_neighbours)
 from circmix.homs import Hom, enumerate_homs, identity_hom
 
-from helpers import (colour_adjacent_naive, components_naive,
-                     hom_adjacent_naive, hom_graph_radius_naive, naive_homs,
+from helpers import (colour_adjacent_naive, components_naive, directed_edges,
+                     graphs_with_loops, hom_adjacent_naive,
+                     hom_graph_radius_naive, iso_reps, naive_homs,
                      random_graph)
 
 
@@ -35,6 +38,47 @@ def test_adjacency_predicates_match_naive():
         assert hom_adjacent(fa, fb, g, h) == hom_adjacent_naive(a, b, g, h)
 
 
+def _assert_partitions_match_naive(g, h):
+    """Colour partition, both kinds of components and is_mixing against BFS
+    over the naive adjacencies: class members, least-index roots, sizes,
+    non-surjective and frozen flags, and the verdict."""
+    images = naive_homs(g, h)
+    arcs = directed_edges(g)
+
+    def hom_adj(a, b):
+        return hom_adjacent_naive(a, b, g, h, arcs)
+
+    colour_naive = components_naive(images, colour_adjacent_naive)
+    classes = {}
+    for i, r in enumerate(homgraph._colour_partition(images, g)):
+        classes.setdefault(r, []).append(images[i])
+    assert sorted(classes.values()) == colour_naive
+    assert all(images[r] == members[0] for r, members in classes.items())
+    # frozen: some member is an isolated vertex of the hom graph
+    isolated = {a for a in images
+                if not any(b != a and hom_adj(a, b) for b in images)}
+    for kind, naive in (("colour", colour_naive),
+                        ("homomorphism", components_naive(images, hom_adj))):
+        report = components(g, h, kind=kind)
+        assert report.total == len(images)
+        assert [(c.rep.image, c.size, c.contains_non_surjective,
+                 c.contains_frozen) for c in report.classes] == \
+            [(cls[0], len(cls), any(len(set(a)) < h.n for a in cls),
+              any(a in isolated for a in cls)) for cls in naive]
+    # is_mixing reads the colour partition alone, loops or not
+    verdict = is_mixing(g, h)
+    assert verdict.hom_count == len(images)
+    assert verdict.class_count == len(colour_naive)
+    if not images:
+        assert (verdict.status, verdict.witness) == ("no_colourings", None)
+    elif len(colour_naive) == 1:
+        assert (verdict.status, verdict.witness) == ("mixing", None)
+    else:
+        assert verdict.status == "not_mixing"
+        assert tuple(w.image for w in verdict.witness) == \
+            (colour_naive[0][0], colour_naive[1][0])
+
+
 def test_components_match_naive_on_random_pairs():
     rng = random.Random(77)
     for trial in range(50):
@@ -43,36 +87,37 @@ def test_components_match_naive_on_random_pairs():
                          loops=looped or rng.random() < 0.3)
         h = random_graph(rng, rng.randint(1, 4), p=0.6,
                          loops=looped or rng.random() < 0.3)
-        images = naive_homs(g, h)
-        for kind, adj in (("colour", colour_adjacent_naive),
-                          ("homomorphism", lambda a, b: hom_adjacent_naive(a, b, g, h))):
-            report = components(g, h, kind=kind)
-            naive = components_naive(images, adj)
-            assert report.total == len(images)
-            assert report.class_count == len(naive)
-            assert sorted(c.rep.image for c in report.classes) == \
-                sorted(cls[0] for cls in naive)
-            assert sorted(c.size for c in report.classes) == \
-                sorted(len(cls) for cls in naive)
-            # frozen: some member is an isolated vertex of the hom graph
-            isolated = {a for a in images
-                        if not any(b != a and hom_adjacent_naive(a, b, g, h)
-                                   for b in images)}
-            assert {c.rep.image: c.contains_frozen for c in report.classes} == \
-                {cls[0]: any(a in isolated for a in cls) for cls in naive}
-        # is_mixing reads the colour partition alone, loops or not
-        naive = components_naive(images, colour_adjacent_naive)
-        verdict = is_mixing(g, h)
-        assert verdict.hom_count == len(images)
-        assert verdict.class_count == len(naive)
-        if not images:
-            assert (verdict.status, verdict.witness) == ("no_colourings", None)
-        elif len(naive) == 1:
-            assert (verdict.status, verdict.witness) == ("mixing", None)
-        else:
-            assert verdict.status == "not_mixing"
-            assert tuple(w.image for w in verdict.witness) == \
-                (naive[0][0], naive[1][0])
+        _assert_partitions_match_naive(g, h)
+
+
+def test_components_match_naive_on_all_small_pairs():
+    targets = iso_reps(3, loops=True)
+    for g in iso_reps(4, loops=True):
+        for h in targets:
+            _assert_partitions_match_naive(g, h)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(graphs_with_loops(max_n=5), graphs_with_loops(max_n=3))
+def test_components_match_naive_on_drawn_pairs(g, h):
+    _assert_partitions_match_naive(g, h)
+
+
+def test_independent_sets_cover_the_source():
+    rng = random.Random(5)
+    graphs = iso_reps(4, loops=True) + [
+        random_graph(rng, rng.randint(5, 12), p=rng.random(), loops=True)
+        for _ in range(200)]
+    for g in graphs:
+        sets = homgraph._independent_sets(g)
+        assert sorted(v for s in sets for v in s) == list(range(g.n))
+        assert all(not g.has_edge(u, v) for s in sets for u in s for v in s
+                   if u != v)
+    relabelled = Graph(8, [(3 * i % 8, 3 * (i + 1) % 8) for i in range(8)])
+    assert relabelled != cycle_graph(8)
+    for g, count in ((cycle_graph(8), 2), (relabelled, 2),
+                     (path_graph(DEFAULT_MAX_VERTICES), 2), (cycle_graph(7), 3)):
+        assert len(homgraph._independent_sets(g)) == count
 
 
 def test_colour_and_hom_components_agree_for_loop_free_sources():
