@@ -393,10 +393,11 @@ def mixing_scan(g: Graph, fracs, cap: int | None = None) -> MixingScanReport:
 
     A coprime row that a mixing theorem covers (``_theorem_mixing``) is
     Mixing with one class, certified by the theorem and an exact count of
-    its colourings, without building the space; every other row comes from
-    an explicit component computation, and so does a covered row whose
-    count is 0.  Rows with more than ``cap`` colourings are recorded as
-    Skipped and the scan continues.  Fractions are scanned exactly as
+    its colourings; every other row, and a covered row whose count is 0,
+    comes from an exact class computation by ``is_mixing``.  Neither builds
+    the space: both count the colourings box by box (``homs._boxes``), and
+    ``is_mixing`` joins the boxes into classes.  Rows with more than ``cap``
+    colourings are recorded as Skipped and the scan continues.  Fractions are scanned exactly as
     given, never reduced.  The summary lists theorem bounds beside scan
     evidence; the two kinds are tagged so enumeration facts stay
     distinguishable from derived inequalities.

@@ -8,6 +8,11 @@ homotopy between them.  For loop-free G both notions give the same
 connectivity classes, but not for sources with loops: two reflexive
 isolated vertices mapped to themselves form a connected colour graph whose
 homomorphism graph has no edges at all.
+
+Colour classes are computed on boxes, not members: the colourings that
+agree off an independent set of G form a product of per-vertex colour sets,
+which single-vertex steps connect (the recolouring argument of Cereceda,
+van den Heuvel and Johnson, applied to a whole independent set at once).
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from operator import itemgetter
 from .config import hom_cap
 from .errors import CapExceededError, DisconnectedError, NoColouringsError
 from .graphs import Graph
-from .homs import (Hom, HomSpace, _search, _search_order, enumerate_homs,
-                   format_image, is_hom)
+from .homs import (Hom, HomSpace, _boxes, _search, _search_order,
+                   enumerate_homs, format_image, is_hom)
 
 
 @dataclass(frozen=True)
@@ -180,51 +185,48 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def _independent_sets(g: Graph) -> list[list[int]]:
-    """A cover of g by disjoint independent sets, loops ignored.
+def _box_partition(source: Graph, target: Graph, cap: int | None = None):
+    """``(free, boxes, roots)``: the vertices box mode branches on, the
+    boxes of ``homs._boxes``, and a union-find root per box.
 
-    Greedy colouring in search order: each vertex takes the least set that
-    holds none of its other neighbours.  The search order is breadth-first,
-    so a connected bipartite graph gives two sets and an odd cycle three.
+    A box is connected, and a step at a boxed vertex stays in its box.  Two
+    boxes that differ at one other vertex w are joined by a step exactly
+    when the masks of w's boxed neighbours meet, so the colour classes are
+    the components of that graph on boxes.  Raises as ``_boxes`` does.
     """
-    colour = [-1] * g.n
-    sets: list[list[int]] = []
-    for v in _search_order(g):
-        taken = {colour[u] for u in g.neighbours(v)}
-        c = 0
-        while c in taken:
-            c += 1
-        colour[v] = c
-        if c == len(sets):
-            sets.append([])
-        sets[c].append(v)
-    return sets
+    boxed, found = _boxes(source, target, cap)
+    boxes = list(found)
+    slot = {v: j for j, v in enumerate(boxed)}
+    free = [v for v in range(source.n) if v not in slot]
+    if len(boxes) < 2:  # nothing to join
+        return free, boxes, list(range(len(boxes)))
+    uf = _UnionFind(len(boxes))
+    # a box's free colours as one integer, a bit field per free vertex, so
+    # the key off w is the code with w's field cleared
+    width = (target.n - 1).bit_length()
+    shift = {w: width * p for p, w in enumerate(free)}
+    codes = [sum(im[w] << s for w, s in shift.items()) for im, _, _ in boxes]
+    for w, s in shift.items():
+        near = [slot[u] for u in source.neighbours(w) if u in slot]
+        groups: dict = {}
+        for i, (code, (im, masks, _)) in enumerate(zip(codes, boxes)):
+            groups.setdefault(code ^ im[w] << s, []).append(
+                (i, [masks[j] for j in near]))
+        for group in groups.values():
+            for a, (i, mi) in enumerate(group):
+                for j, mj in group[a + 1:]:
+                    if all(map(int.__and__, mi, mj)):
+                        uf.union(i, j)
+    return free, boxes, [uf.find(i) for i in range(len(boxes))]
 
 
-def _colour_partition(images: list[tuple[int, ...]], source: Graph) -> list[int]:
-    """Union-find over the implicit colour adjacency; root per index.
-
-    One grouping pass per independent set I of the source.  The vertices of
-    I recolour independently: each one's allowed colours depend only on the
-    colours off I (a loop at v only narrows v's own colours).  So the
-    members that agree off I form a box, the product of per-vertex colour
-    sets, and single-vertex steps inside the box join all of it.  A
-    colour-adjacent pair differs at one vertex v, so it agrees off the set
-    holding v and falls in one box.  Each pass keys the members by their
-    colours off I and unions each with the first member of its key.  Roots
-    are least indices.
-    """
-    uf = _UnionFind(len(images))
-    for ind in _independent_sets(source):
-        off = set(ind)
-        kept = [v for v in range(source.n) if v not in off]
-        key = itemgetter(*kept) if kept else (lambda im: ())
-        first: dict = {}
-        for i, k in enumerate(map(key, images)):
-            j = first.setdefault(k, i)
-            if j != i:
-                uf.union(j, i)
-    return [uf.find(i) for i in range(len(images))]
+def _class_reps(boxes, roots) -> dict[int, tuple[int, ...]]:
+    """Least member per root, in increasing order of that member."""
+    least: dict[int, tuple[int, ...]] = {}
+    for (im, _, _), r in zip(boxes, roots):
+        if r not in least or im < least[r]:
+            least[r] = im
+    return dict(sorted(least.items(), key=itemgetter(1)))
 
 
 def _hom_neighbours(image, source: Graph, target: Graph, order: list[int],
@@ -267,48 +269,88 @@ def components(source: Graph, target: Graph, kind: str = "colour",
 
     kind="colour" uses single-vertex recolouring steps; kind="homomorphism"
     uses the cross condition.  For loop-free sources the partitions agree,
-    and the homomorphism kind reuses the colour partition.  A class is
-    frozen when it has a member with no neighbour but itself in the
-    homomorphism graph, that is, a member alone in its homomorphism class.
+    and both kinds read the classes off the boxes of ``_box_partition``
+    without building any member.  A class is frozen when it has a member
+    with no neighbour but itself in the homomorphism graph, that is, a
+    member alone in its homomorphism class; for a loop-free source, when
+    the class has one member.
     """
     if kind not in ("colour", "homomorphism"):
         raise ValueError(f"unknown kind {kind!r}")
+    if source.is_loop_free:
+        return _loop_free_components(source, target, kind, cap)
     space = enumerate_homs(source, target, cap)
     if space.count == 0:
         return ComponentReport(kind=kind, total=0, classes=())
     images = space.images
 
-    if source.is_loop_free:
-        grouped = hom_classes = _group(_colour_partition(images, source))
+    hom_classes = _group(_hom_partition(space, source, target))
+    if kind == "colour":
+        free, boxes, roots = _box_partition(source, target, cap)
+        root_of = {tuple(map(im.__getitem__, free)): r
+                   for (im, _, _), r in zip(boxes, roots)}
+        grouped = _group([root_of[tuple(map(im.__getitem__, free))]
+                          for im in images])
     else:
-        hom_classes = _group(_hom_partition(space, source, target))
-        grouped = (_group(_colour_partition(images, source))
-                   if kind == "colour" else hom_classes)
+        grouped = hom_classes
     lone = {r for r, members in hom_classes.items() if len(members) == 1}
 
-    # union-find roots are least indices, hence least images: the class reps
+    # images are sorted, so each class's first member is its least
     classes = []
-    for r in sorted(grouped):
-        members = grouped[r]
+    for r, members in grouped.items():
         non_surj = any(len(set(images[i])) < target.n for i in members)
-        classes.append(ClassSummary(space.hom(r), len(members), non_surj,
+        classes.append(ClassSummary(space.hom(members[0]), len(members), non_surj,
                                     not lone.isdisjoint(members)))
     return ComponentReport(kind=kind, total=space.count, classes=tuple(classes))
+
+
+def _loop_free_components(source: Graph, target: Graph, kind: str,
+                          cap: int | None) -> ComponentReport:
+    """``components`` for a loop-free source, from boxes alone.
+
+    A box has a member that misses some colour c exactly when its other
+    vertices miss c and no boxed vertex is held to c alone.
+    """
+    free, boxes, roots = _box_partition(source, target, cap)
+    full = (1 << target.n) - 1
+    sizes: dict[int, int] = {}
+    non_surj: set[int] = set()
+    for (im, masks, size), r in zip(boxes, roots):
+        sizes[r] = sizes.get(r, 0) + size
+        if r in non_surj:
+            continue
+        missing = full
+        for c in set(map(im.__getitem__, free)):
+            missing &= ~(1 << c)
+        for m in masks:
+            if m & (m - 1) == 0:
+                missing &= ~m
+        if missing:
+            non_surj.add(r)
+    classes = tuple(
+        ClassSummary(Hom(source.n, target.n, rep), sizes[r], r in non_surj,
+                     sizes[r] == 1)
+        for r, rep in _class_reps(boxes, roots).items())
+    return ComponentReport(kind=kind, total=sum(sizes.values()), classes=classes)
 
 
 def is_mixing(source: Graph, target: Graph, cap: int | None = None) -> MixingVerdict:
     """Is the colour graph of HOM(source, target) connected?
 
-    NotMixing verdicts carry the least members of the two least classes.
+    Reads the classes off the boxes of ``_box_partition``, building no
+    member but the class representatives.  NotMixing verdicts carry the
+    least members of the two least classes.
     """
-    space = enumerate_homs(source, target, cap)
-    if space.count == 0:
+    _, boxes, roots = _box_partition(source, target, cap)
+    total = sum(size for _, _, size in boxes)
+    if total == 0:
         return MixingVerdict("no_colourings", 0, 0, None)
-    roots = sorted(set(_colour_partition(space.images, source)))
-    if len(roots) == 1:
-        return MixingVerdict("mixing", space.count, 1, None)
-    witness = (space.hom(roots[0]), space.hom(roots[1]))
-    return MixingVerdict("not_mixing", space.count, len(roots), witness)
+    count = len(set(roots))
+    if count == 1:
+        return MixingVerdict("mixing", total, 1, None)
+    reps = list(_class_reps(boxes, roots).values())
+    witness = (Hom(source.n, target.n, reps[0]), Hom(source.n, target.n, reps[1]))
+    return MixingVerdict("not_mixing", total, count, witness)
 
 
 def is_frozen(f: Hom, source: Graph, target: Graph) -> bool:

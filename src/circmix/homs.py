@@ -3,16 +3,22 @@
 A homomorphism f: G -> H maps every edge of G (loops included) to an edge
 of H.  Images are tuples indexed by source vertex; the text form used by
 the CLI is the comma-separated colour list "c0,c1,...".
+
+One backtracking kernel, ``_search``, serves every search.  It yields
+images one by one for early-exit questions, or boxes for counting and
+enumeration: the homomorphisms that agree off an independent set of G,
+given as one candidate mask per vertex of the set.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from itertools import accumulate, product
 
 from .config import hom_cap, node_cap
 from .errors import CapExceededError
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 
 @dataclass(frozen=True)
@@ -119,9 +125,59 @@ def _search_order(g: Graph) -> list[int]:
     return order
 
 
+def _independent_sets(g: Graph) -> list[list[int]]:
+    """A cover of g by disjoint independent sets, loops ignored.
+
+    Greedy colouring in search order: each vertex takes the least set that
+    holds none of its other neighbours.  The search order is breadth-first,
+    so a connected bipartite graph gives two sets and an odd cycle three.
+    """
+    colour = [-1] * g.n
+    sets: list[list[int]] = []
+    for v in _search_order(g):
+        taken = {colour[u] for u in g.neighbours(v)}
+        c = 0
+        while c in taken:
+            c += 1
+        colour[v] = c
+        if c == len(sets):
+            sets.append([])
+        sets[c].append(v)
+    return sets
+
+
+def _box_order(g: Graph) -> list[int]:
+    """The search order with the largest of ``_independent_sets`` moved.
+
+    Each vertex of that set goes right after its last neighbour, or to the
+    front if it has none, so box mode prunes on its colours as soon as they
+    are known and never branches on them.
+    """
+    sets = _independent_sets(g)
+    lifted = set(max(sets, key=len)) if sets else set()
+    rest = [v for v in _search_order(g) if v not in lifted]
+    pos = {v: i for i, v in enumerate(rest)}
+    after: list[list[int]] = [[] for _ in range(len(rest) + 1)]
+    for v in sorted(lifted):
+        after[1 + max((pos[u] for u in g.neighbours(v) if u != v), default=-1)].append(v)
+    order = after[0]
+    for v, tail in zip(rest, after[1:]):
+        order.append(v)
+        order += tail
+    return order
+
+
+def _closed(g: Graph, order: list[int]) -> list[bool]:
+    """Per level of ``order``: do the vertex's other neighbours in ``order``
+    all come before it?  No two such vertices are adjacent."""
+    level = {w: i for i, w in enumerate(order)}
+    return [all(level.get(u, i) <= i for u in g.neighbours(w))
+            for i, w in enumerate(order)]
+
+
 def _search(g: Graph, h: Graph, order: list[int], img: list[int],
             domains: list[int] | None = None, budget: int | None = None,
-            count: bool = False):
+            boxes: bool = False):
     """Yield every homomorphism g -> h completing ``img``, as image tuples.
 
     The vertices in ``order`` are assigned in that order, each one trying
@@ -130,10 +186,14 @@ def _search(g: Graph, h: Graph, order: list[int], img: list[int],
     ``domains[v]`` narrows the colours allowed at v.  The budget counts
     assignments of vertices in ``order``; running out raises
     CapExceededError.  Backtracking keeps one candidate mask per level on
-    an explicit stack, so the depth of the search is unbounded.  With
-    ``count`` set, each sweep of the last level that completes any
-    homomorphism yields how many instead of their tuples; the counts sum
-    to the number of tuples the same call would yield.
+    an explicit stack, so the depth of the search is unbounded.
+
+    With ``boxes`` set, the search does not branch on the vertices that
+    ``_closed`` marks, the last one among them.  No two are adjacent, so
+    any colours from their candidate masks complete a homomorphism: each
+    assignment of the other vertices with all those masks nonempty is a
+    box, yielded as ``(image, masks)``, the masks in level order and the
+    image the box's least member.  The budget counts only branching.
     """
     rows = h.rows
     full = (1 << h.n) - 1
@@ -157,7 +217,7 @@ def _search(g: Graph, h: Graph, order: list[int], img: list[int],
 
     depth = len(order)
     if depth == 0:
-        yield 1 if count else tuple(img)
+        yield (tuple(img), ()) if boxes else tuple(img)
         return
     limit = sys.maxsize if budget is None else budget  # an int compares faster
     visited = 0
@@ -165,23 +225,31 @@ def _search(g: Graph, h: Graph, order: list[int], img: list[int],
     leaf = order[last]
     cand = [0] * depth
     cand[0] = base[0]
+    if boxes:
+        closed = _closed(g, order)
+        slot = list(accumulate(closed, initial=0))  # closed levels before each
+        masks = [0] * slot[-1]
     i = 0
     while i >= 0:
         m = cand[i]
         if i == last:
+            if boxes:
+                if m:
+                    masks[-1] = m
+                    img[leaf] = (m & -m).bit_length() - 1
+                    yield tuple(img), tuple(masks)
+                i -= 1
+                continue
             # most nodes sit on the last level: sweep it and count it at once
             visited += m.bit_count()
             over = visited > limit
             if over:
                 m = _lowest_bits(m, m.bit_count() - (visited - limit))
-            if not count:
-                while m:
-                    b = m & -m
-                    m ^= b
-                    img[leaf] = b.bit_length() - 1
-                    yield tuple(img)
-            elif m:
-                yield m.bit_count()
+            while m:
+                b = m & -m
+                m ^= b
+                img[leaf] = b.bit_length() - 1
+                yield tuple(img)
             if over:
                 raise CapExceededError(budget, "partial assignments")
             i -= 1
@@ -189,12 +257,17 @@ def _search(g: Graph, h: Graph, order: list[int], img: list[int],
         if not m:
             i -= 1
             continue
-        b = m & -m
-        cand[i] = m ^ b
-        visited += 1
-        if visited > limit:
-            raise CapExceededError(budget, "partial assignments")
-        img[order[i]] = b.bit_length() - 1
+        if boxes and closed[i]:
+            masks[slot[i]] = m
+            cand[i] = 0
+            img[order[i]] = (m & -m).bit_length() - 1
+        else:
+            b = m & -m
+            cand[i] = m ^ b
+            visited += 1
+            if visited > limit:
+                raise CapExceededError(budget, "partial assignments")
+            img[order[i]] = b.bit_length() - 1
         i += 1
         m = base[i]
         for u in earlier[i]:
@@ -212,18 +285,45 @@ def _lowest_bits(m: int, count: int) -> int:
     return out
 
 
+def _boxes(g: Graph, h: Graph, cap: int | None = None):
+    """``(boxed, boxes)``: the vertices box mode does not branch on in
+    ``_box_order``, and an iterator of the boxes of HOM(g, h) as
+    ``(image, masks, size)``.  The boxes partition HOM(g, h); the iterator
+    raises CapExceededError before the box that passes ``cap`` members.
+    """
+    cap = hom_cap(cap)
+    order = _box_order(g)
+    boxed = [w for w, c in zip(order, _closed(g, order)) if c]
+
+    def sized():
+        total = 0
+        for im, masks in _search(g, h, order, [0] * g.n, boxes=True):
+            size = 1
+            for m in masks:
+                size *= m.bit_count()
+            total += size
+            if total > cap:
+                raise CapExceededError(cap, f"homomorphism count for n={g.n}")
+            yield im, masks, size
+
+    return boxed, sized()
+
+
 def enumerate_homs(g: Graph, h: Graph, cap: int | None = None) -> HomSpace:
     """Every homomorphism g -> h, sorted by image tuple.
 
-    Raises CapExceededError if more than ``cap`` homomorphisms exist; an
-    empty result is an answer, not an error.
+    Raises CapExceededError if more than ``cap`` homomorphisms exist, before
+    building the members of the box that passes the cap; an empty result
+    is an answer, not an error.
     """
-    cap = hom_cap(cap)
+    boxed, boxes = _boxes(g, h, cap)
     out: list[tuple[int, ...]] = []
-    for im in _search(g, h, _search_order(g), [0] * g.n):
-        out.append(im)
-        if len(out) > cap:
-            raise CapExceededError(cap, f"homomorphism count for n={g.n}")
+    for im, masks, _ in boxes:
+        img = list(im)
+        for colours in product(*map(_bits, masks)):
+            for v, c in zip(boxed, colours):
+                img[v] = c
+            out.append(tuple(img))
     out.sort()
     return HomSpace(g.n, h.n, out)
 
@@ -234,13 +334,7 @@ def hom_count(g: Graph, h: Graph, cap: int | None = None) -> int:
     Raises CapExceededError exactly when enumerate_homs would: when more
     than ``cap`` homomorphisms exist.
     """
-    cap = hom_cap(cap)
-    total = 0
-    for found in _search(g, h, _search_order(g), [0] * g.n, count=True):
-        total += found
-        if total > cap:
-            raise CapExceededError(cap, f"homomorphism count for n={g.n}")
-    return total
+    return sum(size for _, _, size in _boxes(g, h, cap)[1])
 
 
 def iter_homs(g: Graph, h: Graph, budget: int | None = None):

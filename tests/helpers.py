@@ -67,6 +67,32 @@ def components_naive(images, adjacent) -> list[list[tuple[int, ...]]]:
     return sorted(classes)
 
 
+def colour_components_by_steps(images, colours: int) -> list[list[tuple[int, ...]]]:
+    """Components of the colour graph over the image list, by a BFS that
+    tries every single-coordinate change and looks it up; classes sorted,
+    in order of least member.  Linear in the images, for spaces too large
+    for the pairwise ``components_naive``."""
+    members = set(images)
+    seen = set()
+    classes = []
+    for start in sorted(members):
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, cls = [start], [start]
+        while queue:
+            a = queue.pop()
+            for v in range(len(a)):
+                for c in range(colours):
+                    b = a[:v] + (c,) + a[v + 1:]
+                    if b in members and b not in seen:
+                        seen.add(b)
+                        queue.append(b)
+                        cls.append(b)
+        classes.append(sorted(cls))
+    return classes
+
+
 def degeneracy_order_naive(g: Graph) -> tuple[int, list[int]]:
     """Iterated minimum-degree removal, each step a scan of every live
     vertex for the least (degree, vertex); (col, order) as in

@@ -221,6 +221,13 @@ def test_vertex_limit_runs(tmp_path, capsys):
                              "--target", "clique:2")
     assert code == 0
     assert (payload["verdict"], payload["hom_count"]) == ("NotMixing", 2)
+    # 3 * 2^4095 colourings: the first box alone passes the default cap
+    for cmd in ("mixing", "components"):
+        code, out, err = run_cli(capsys, cmd, "--graph", f"file:{path}",
+                                 "--target", "clique:3")
+        assert (code, out) == (2, "")
+        assert err.startswith("cap exceeded: ")
+        assert err.endswith("(homomorphism count for n=4096)\n")
     code, payload = run_json(capsys, "structure", "--graph", f"file:{path}",
                              "--op", "stiff")
     assert code == 0 and len(payload["steps"]) == DEFAULT_MAX_VERTICES - 2

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from circmix import homgraph
+from circmix import homgraph, homs
 from circmix.config import DEFAULT_MAX_VERTICES
 from circmix.errors import (CapExceededError, DisconnectedError,
                             NoColouringsError)
@@ -16,7 +16,8 @@ from circmix.homgraph import (colour_adjacent, components, hom_adjacent,
                               is_mixing, radius_centre, recolour_neighbours)
 from circmix.homs import Hom, enumerate_homs, identity_hom
 
-from helpers import (colour_adjacent_naive, components_naive, directed_edges,
+from helpers import (colour_adjacent_naive, colour_components_by_steps,
+                     components_naive, directed_edges,
                      graphs_with_loops, hom_adjacent_naive,
                      hom_graph_radius_naive, iso_reps, naive_homs,
                      random_graph)
@@ -39,8 +40,8 @@ def test_adjacency_predicates_match_naive():
 
 
 def _assert_partitions_match_naive(g, h):
-    """Colour partition, both kinds of components and is_mixing against BFS
-    over the naive adjacencies: class members, least-index roots, sizes,
+    """Box partition, both kinds of components and is_mixing against BFS
+    over the naive adjacencies: class members, least representatives, sizes,
     non-surjective and frozen flags, and the verdict."""
     images = naive_homs(g, h)
     arcs = directed_edges(g)
@@ -49,11 +50,19 @@ def _assert_partitions_match_naive(g, h):
         return hom_adjacent_naive(a, b, g, h, arcs)
 
     colour_naive = components_naive(images, colour_adjacent_naive)
+    # every member lies in exactly one box, and takes its box's class
+    boxed = homs._boxes(g, h)[0]
+    _, boxes, roots = homgraph._box_partition(g, h)
+    assert sum(size for _, _, size in boxes) == len(images)
+    reps = homgraph._class_reps(boxes, roots)
     classes = {}
-    for i, r in enumerate(homgraph._colour_partition(images, g)):
-        classes.setdefault(r, []).append(images[i])
+    for a in images:
+        [r] = [r for (im, masks, _), r in zip(boxes, roots)
+               if all(a[v] == im[v] for v in range(g.n) if v not in boxed)
+               and all(m >> a[v] & 1 for v, m in zip(boxed, masks))]
+        classes.setdefault(r, []).append(a)
     assert sorted(classes.values()) == colour_naive
-    assert all(images[r] == members[0] for r, members in classes.items())
+    assert all(reps[r] == members[0] for r, members in classes.items())
     # frozen: some member is an isolated vertex of the hom graph
     isolated = {a for a in images
                 if not any(b != a and hom_adj(a, b) for b in images)}
@@ -103,13 +112,75 @@ def test_components_match_naive_on_drawn_pairs(g, h):
     _assert_partitions_match_naive(g, h)
 
 
+def _assert_loop_free_classes_match_steps(g, h):
+    """Both kinds of components and is_mixing of a loop-free source against
+    a BFS over single-vertex steps: reps, sizes, flags and the verdict."""
+    images = naive_homs(g, h)
+    naive = colour_components_by_steps(images, h.n)
+    want = [(cls[0], len(cls), any(len(set(a)) < h.n for a in cls), len(cls) == 1)
+            for cls in naive]
+    for kind in ("colour", "homomorphism"):
+        report = components(g, h, kind=kind)
+        assert report.total == len(images)
+        assert [(c.rep.image, c.size, c.contains_non_surjective,
+                 c.contains_frozen) for c in report.classes] == want
+    verdict = is_mixing(g, h)
+    assert (verdict.hom_count, verdict.class_count) == (len(images), len(naive))
+    if len(naive) > 1:
+        assert tuple(w.image for w in verdict.witness) == (naive[0][0], naive[1][0])
+
+
+def test_box_choice_extremes_match_naive():
+    """Sources whose boxes hold one vertex, almost every vertex, isolated
+    vertices, and loops on boxed and on branched vertices."""
+    g112 = circular_clique(11, 2)
+    for r in (4, 5):  # the largest independent set of K_r is one vertex
+        assert len(homs._boxes(complete_graph(r), g112)[0]) == 1
+        _assert_loop_free_classes_match_steps(complete_graph(r), g112)
+    star = Graph(9, [(0, v) for v in range(1, 9)])  # K_{1,8}
+    assert homs._boxes(star, complete_graph(3))[0] == list(range(1, 9))
+    for h in (complete_graph(3), circular_clique(5, 2)):
+        _assert_loop_free_classes_match_steps(star, h)
+    isolated = (Graph(3, []), Graph(6, list(cycle_graph(4).edges())),
+                Graph(4, [(0, 1), (2, 2)]))
+    for g in isolated:
+        for h in (complete_graph(3), cycle_graph(4, reflexive=True),
+                  Graph(3, [(0, 0), (0, 1), (1, 2)])):
+            _assert_partitions_match_naive(g, h)
+    # P_3 boxes its ends; a loop at an end, at the middle, or at all three
+    p3 = list(path_graph(3).edges())
+    assert homs._boxes(path_graph(3), complete_graph(3))[0] == [0, 2]
+    for loops in ([(0, 0)], [(1, 1)], [(0, 0), (1, 1), (2, 2)]):
+        g = Graph(3, p3 + loops)
+        for h in (cycle_graph(5, reflexive=True), Graph(3, [(0, 0), (0, 1), (1, 2)]),
+                  Graph(4, [(0, 0), (1, 1), (0, 1), (1, 2), (2, 3), (3, 3)])):
+            _assert_partitions_match_naive(g, h)
+
+
+def test_box_answers_do_not_enumerate(monkeypatch):
+    calls = []
+    for module in (homs, homgraph):
+        monkeypatch.setattr(module, "enumerate_homs",
+                            lambda *a, **kw: calls.append(a) or enumerate_homs(*a, **kw))
+    g, h = cycle_graph(6), complete_graph(3)
+    assert is_mixing(g, h).class_count == 7
+    for kind in ("colour", "homomorphism"):
+        assert components(g, h, kind=kind).total == 66
+    assert homs.hom_count(g, h) == 66
+    assert calls == []
+    looped = Graph(2, [(0, 1), (0, 0)])
+    target = cycle_graph(4, reflexive=True)
+    components(looped, target)
+    assert calls == [(looped, target, None)]
+
+
 def test_independent_sets_cover_the_source():
     rng = random.Random(5)
     graphs = iso_reps(4, loops=True) + [
         random_graph(rng, rng.randint(5, 12), p=rng.random(), loops=True)
         for _ in range(200)]
     for g in graphs:
-        sets = homgraph._independent_sets(g)
+        sets = homs._independent_sets(g)
         assert sorted(v for s in sets for v in s) == list(range(g.n))
         assert all(not g.has_edge(u, v) for s in sets for u in s for v in s
                    if u != v)
@@ -117,7 +188,7 @@ def test_independent_sets_cover_the_source():
     assert relabelled != cycle_graph(8)
     for g, count in ((cycle_graph(8), 2), (relabelled, 2),
                      (path_graph(DEFAULT_MAX_VERTICES), 2), (cycle_graph(7), 3)):
-        assert len(homgraph._independent_sets(g)) == count
+        assert len(homs._independent_sets(g)) == count
 
 
 def test_colour_and_hom_components_agree_for_loop_free_sources():

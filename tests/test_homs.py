@@ -174,6 +174,11 @@ def test_searches_at_the_vertex_limit(name):
     assert sorted(iter_homs(g, k2)) == space.images
     verdict = is_mixing(g, k2)
     assert (verdict.hom_count, verdict.class_count) == (2, 2)
+    # more than 2^2047 proper 3-colourings: the cap stops the first box
+    with pytest.raises(CapExceededError):
+        enumerate_homs(g, k3)
+    with pytest.raises(CapExceededError):
+        hom_count(g, k3)
 
     least = first_hom(g, k3).image
     if name == "star":
