@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import config
 from .circular import lower_parent, mixing_scan
@@ -27,14 +26,6 @@ from .structure import (core_of, is_dismantlable, is_rigid, self_mixing,
                         stiff_reduction)
 from .winding import (cycle_trace, is_constricting, nonmixing_certificate,
                       reflect_colouring)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Limits and output shape shared by all subcommands."""
-
-    cap: int
-    output: str  # "json" | "text"
 
 
 def _parse_frac(text: str) -> tuple[int, int]:
@@ -54,8 +45,8 @@ def _parse_pin(text: str) -> tuple[int, int]:
     return int(v), int(c)
 
 
-def _emit(payload: dict, cfg: RunConfig, text_lines) -> None:
-    if cfg.output == "json":
+def _emit(payload: dict, args, text_lines) -> None:
+    if args.output == "json":
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         for line in text_lines:
@@ -72,9 +63,12 @@ def _check_expect(expect: str | None, verdict: str) -> int:
 # --- subcommand bodies --------------------------------------------------
 
 
-def _cmd_gen(args, cfg: RunConfig) -> int:
+def _cmd_gen(args) -> int:
     params = args.params
     kind = args.kind
+    want = 2 if kind in ("circular-clique", "frozen-regular") else 1
+    if len(params) != want:
+        raise ValueError(f"gen {kind} takes {want} parameter(s), got {len(params)}")
     if kind == "circular-clique":
         k, q = int(params[0]), int(params[1])
         g = circular_clique(k, q)
@@ -97,21 +91,21 @@ def _cmd_gen(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_hom(args, cfg: RunConfig) -> int:
+def _cmd_hom(args) -> int:
     g = resolve_graph_spec(args.graph)
     h = resolve_graph_spec(args.target)
     pins = dict(_parse_pin(p) for p in args.pin)
-    hom = first_hom(g, h, pins=pins or None, budget=cfg.cap)
+    hom = first_hom(g, h, pins=pins or None, budget=args.cap)
     payload = {"exists": hom is not None,
                "hom": None if hom is None else format_image(hom.image)}
-    _emit(payload, cfg, [payload["hom"] if hom else "none"])
+    _emit(payload, args, [payload["hom"] if hom else "none"])
     return 0
 
 
-def _cmd_mixing(args, cfg: RunConfig) -> int:
+def _cmd_mixing(args) -> int:
     g = resolve_graph_spec(args.graph)
     h = resolve_graph_spec(args.target)
-    verdict = is_mixing(g, h, cap=cfg.cap)
+    verdict = is_mixing(g, h, cap=args.cap)
     name = verdict.name
     payload = {
         "verdict": name,
@@ -120,40 +114,40 @@ def _cmd_mixing(args, cfg: RunConfig) -> int:
         "witnesses": (None if verdict.witness is None else
                       [format_image(w.image) for w in verdict.witness]),
     }
-    _emit(payload, cfg,
+    _emit(payload, args,
           [f"{name} ({verdict.hom_count} homs, {verdict.class_count} classes)"])
     return _check_expect(args.expect, name)
 
 
-def _cmd_components(args, cfg: RunConfig) -> int:
+def _cmd_components(args) -> int:
     g = resolve_graph_spec(args.graph)
     h = resolve_graph_spec(args.target)
-    report = components(g, h, kind=args.kind, cap=cfg.cap)
+    report = components(g, h, kind=args.kind, cap=args.cap)
     payload = report.to_json_dict()
     lines = [f"{report.kind}: {report.total} homs, {report.class_count} classes"]
     lines += [f"  size {c.size} rep {format_image(c.rep.image)}"
               for c in report.classes]
-    _emit(payload, cfg, lines)
+    _emit(payload, args, lines)
     return 0
 
 
-def _cmd_frozen(args, cfg: RunConfig) -> int:
+def _cmd_frozen(args) -> int:
     g = resolve_graph_spec(args.graph)
     h = resolve_graph_spec(args.target)
     f = Hom(g.n, h.n, parse_image(args.colouring))
     value = is_frozen(f, g, h)
-    _emit({"frozen": value}, cfg, ["frozen" if value else "not frozen"])
+    _emit({"frozen": value}, args, ["frozen" if value else "not frozen"])
     return 0
 
 
-def _cmd_lower_parent(args, cfg: RunConfig) -> int:
+def _cmd_lower_parent(args) -> int:
     parent = lower_parent(args.k, args.q)
     payload = {"k'": parent.parent_k, "q'": parent.parent_q}
-    _emit(payload, cfg, [f"{parent.parent_k}/{parent.parent_q}"])
+    _emit(payload, args, [f"{parent.parent_k}/{parent.parent_q}"])
     return 0
 
 
-def _cmd_structure(args, cfg: RunConfig) -> int:
+def _cmd_structure(args) -> int:
     g = resolve_graph_spec(args.graph)
     op = args.op
     if op == "col":
@@ -170,25 +164,25 @@ def _cmd_structure(args, cfg: RunConfig) -> int:
                          "edges": sorted(red.terminal.edges())},
         }
     elif op == "core":
-        result = core_of(g, cap=cfg.cap)
+        result = core_of(g, cap=args.cap)
         payload = {"op": op, "vertices": list(result.vertices),
                    "n": result.core.n}
     elif op == "dismantlable":
-        payload = {"op": op, "value": is_dismantlable(g, cap=cfg.cap).dismantlable}
+        payload = {"op": op, "value": is_dismantlable(g, cap=args.cap).dismantlable}
     elif op == "rigid":
-        payload = {"op": op, "value": is_rigid(g, cap=cfg.cap)}
+        payload = {"op": op, "value": is_rigid(g, cap=args.cap)}
     else:  # self-mixing
-        result = self_mixing(g, cap=cfg.cap)
+        result = self_mixing(g, cap=args.cap)
         payload = {"op": op, "value": result.mixing, "method": result.method}
     value = payload.get("value")
     line = f"{op}: {value}" if value is not None else f"{op}: done"
-    _emit(payload, cfg, [line])
+    _emit(payload, args, [line])
     if args.expect is not None:
         return _check_expect(args.expect, str(value))
     return 0
 
 
-def _cmd_sigma(args, cfg: RunConfig) -> int:
+def _cmd_sigma(args) -> int:
     g = resolve_graph_spec(args.graph)
     k, q = _parse_frac(args.frac)
     cycle = [int(t) for t in args.cycle.split(",")]
@@ -203,18 +197,18 @@ def _cmd_sigma(args, cfg: RunConfig) -> int:
         "sigma_reflection": back.sigma,
         "constricting": is_constricting(f, g, k, q).constricting,
     }
-    _emit(payload, cfg, [f"sigma {trace.sigma} taus {list(trace.taus)}"])
+    _emit(payload, args, [f"sigma {trace.sigma} taus {list(trace.taus)}"])
     return 0
 
 
-def _cmd_certify(args, cfg: RunConfig) -> int:
+def _cmd_certify(args) -> int:
     g = resolve_graph_spec(args.graph)
     k, q = _parse_frac(args.frac)
-    cert = nonmixing_certificate(g, k, q, cap=cfg.cap)
+    cert = nonmixing_certificate(g, k, q, cap=args.cap)
     if cert is None:
         payload = {"certified": False,
                    "reason": "winding totals agree; fall back to enumeration"}
-        _emit(payload, cfg, ["not certified"])
+        _emit(payload, args, ["not certified"])
         return _check_expect(args.expect, "NotCertified")
     payload = {
         "certified": True,
@@ -226,17 +220,17 @@ def _cmd_certify(args, cfg: RunConfig) -> int:
         "sigma": cert.sigma,
         "sigma_reflection": cert.sigma_reflection,
     }
-    _emit(payload, cfg,
+    _emit(payload, args,
           [f"NotMixing: {cert.kind} sigma {cert.sigma} vs {cert.sigma_reflection}"])
     return _check_expect(args.expect, "Certified")
 
 
-def _cmd_extend(args, cfg: RunConfig) -> int:
+def _cmd_extend(args) -> int:
     g = resolve_graph_spec(args.graph)
     h = resolve_graph_spec(args.target)
     pins = tuple(_parse_pin(p) for p in args.pin)
     instance = PrecolouringInstance(g, h, pins)
-    result = extend(instance, cap=cfg.cap)
+    result = extend(instance, cap=args.cap)
     payload = {
         "status": result.status,
         "extension": (None if result.extension is None
@@ -244,14 +238,14 @@ def _cmd_extend(args, cfg: RunConfig) -> int:
         "certificate": ("exhausted backtracking over all completions"
                         if result.extension is None else None),
     }
-    _emit(payload, cfg, [f"{result.status}: {payload['extension']}"])
+    _emit(payload, args, [f"{result.status}: {payload['extension']}"])
     return _check_expect(args.expect, result.status)
 
 
-def _cmd_scan(args, cfg: RunConfig) -> int:
+def _cmd_scan(args) -> int:
     g = resolve_graph_spec(args.graph)
     fracs = [_parse_frac(t) for t in args.fracs.split(",")]
-    report = mixing_scan(g, fracs, cap=cfg.cap)
+    report = mixing_scan(g, fracs, cap=args.cap)
     payload = {
         "graph": report.graph_name,
         "rows": [
@@ -275,13 +269,13 @@ def _cmd_scan(args, cfg: RunConfig) -> int:
     lines = [f"{r.k}/{r.q}: {r.verdict}" for r in report.rows]
     lines += [f"{b.quantity} {b.relation} {b.value} [{b.certified}: {b.source}]"
               for b in report.bounds]
-    _emit(payload, cfg, lines)
+    _emit(payload, args, lines)
     return 0
 
 
-def _cmd_fixtures(args, cfg: RunConfig) -> int:
+def _cmd_fixtures(args) -> int:
     rows = [{"name": name, "n": REGISTRY[name]().n} for name in sorted(REGISTRY)]
-    _emit({"fixtures": rows}, cfg, [f"{r['name']} ({r['n']} vertices)" for r in rows])
+    _emit({"fixtures": rows}, args, [f"{r['name']} ({r['n']} vertices)" for r in rows])
     return 0
 
 
@@ -398,8 +392,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     try:
-        cfg = RunConfig(cap=config.hom_cap(args.cap), output=args.output)
-        return args.func(args, cfg)
+        if args.cap is not None and args.cap <= 0:
+            raise ValueError(f"--cap must be positive, got {args.cap}")
+        args.cap = config.hom_cap(args.cap)
+        return args.func(args)
     except CapExceededError as e:
         sys.stderr.write(f"cap exceeded: {e}\n")
         return 2

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DisconnectedError, RingHypothesisError
-from .graphs import Graph, extension_product, path_graph
+from .graphs import Graph, _bfs, extension_product, path_graph
 from .homgraph import homotopy_distance, homotopy_path, radius_centre
 from .homs import Hom, _broken_pin_edge, first_hom, is_hom
 from .structure import CoreResult, core_of
@@ -82,19 +82,9 @@ class PrecolouringInstance:
 
 def _distances_from(g: Graph, sources) -> list[int | None]:
     dist: list[int | None] = [None] * g.n
-    frontier = sorted(set(sources))
-    for v in frontier:
-        dist[v] = 0
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for v in g.neighbours(u):
-                if dist[v] is None:
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
+    for d, (layer, _) in enumerate(_bfs(sources, g.neighbours)):
+        for v in layer:
+            dist[v] = d
     return dist
 
 

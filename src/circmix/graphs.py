@@ -3,10 +3,16 @@
 Vertices are always 0..n-1.  Loops are allowed and live on the diagonal:
 a loop at v sets bit v of row v.  The neighbour set N(v) uses set semantics,
 so a loop contributes v itself to N(v) and adds exactly 1 to deg(v).
+
+Every traversal in the package is ``_bfs``, a breadth-first search over any
+hashable vertices given a neighbour function: components, bipartiteness and
+odd cycles here, search orders, host distances, and walks in the
+homomorphism graph elsewhere.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import permutations
@@ -90,21 +96,13 @@ class Graph:
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, ordered by least vertex."""
-        seen = [False] * self.n
+        seen: set[int] = set()
         out = []
         for s in range(self.n):
-            if seen[s]:
-                continue
-            comp, stack = [], [s]
-            seen[s] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for u in _bits(self.rows[v]):
-                    if not seen[u]:
-                        seen[u] = True
-                        stack.append(u)
-            out.append(sorted(comp))
+            if s not in seen:
+                *_, (_, reached) = _bfs([s], self.neighbours)
+                seen.update(reached)
+                out.append(sorted(reached))
         return out
 
     # --- derived graphs ---------------------------------------------------
@@ -166,6 +164,41 @@ def _bits(m: int) -> list[int]:
         out.append(b.bit_length() - 1)
         m ^= b
     return out
+
+
+def _bfs(starts, neighbours, cap: int | None = None, detail: str = ""):
+    """Breadth-first search from ``starts``, one layer at a time.
+
+    Yields ``(layer, parent)`` once per depth, the starts first: ``layer``
+    lists the vertices first reached at that depth, in the order reached,
+    and ``parent`` maps every vertex reached so far to the one it was first
+    reached from, each start to None.  Layers expand in the order reached,
+    taking ``neighbours(x)`` as given.  With ``cap`` set, raises
+    CapExceededError(cap, detail) after the expansion that brings the
+    vertices reached past ``cap``.
+    """
+    limit = sys.maxsize if cap is None else cap  # an int compares faster
+    parent = dict.fromkeys(starts)
+    layer = list(parent)
+    while layer:
+        yield layer, parent
+        nxt = []
+        for x in layer:
+            for y in neighbours(x):
+                if y not in parent:
+                    parent[y] = x
+                    nxt.append(y)
+            if len(parent) > limit:
+                raise CapExceededError(cap, detail)
+        layer = nxt
+
+
+def _path(parent: dict, x) -> list:
+    """The path of a ``_bfs`` parent map from its start to ``x``."""
+    path = [x]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 # --- generators -------------------------------------------------------------
@@ -394,69 +427,52 @@ def circular_chromatic_number(g: Graph, max_q: int | None = None, cap: int | Non
 
 
 def is_bipartite(g: Graph) -> bool:
-    """Two-colourability; any loop makes a graph non-bipartite."""
+    """Two-colourability; any loop makes a graph non-bipartite.
+
+    Searched breadth-first from the least vertex of each component, a graph
+    is bipartite iff no edge joins two vertices at depths of equal parity.
+    """
     if not g.is_loop_free:
         return False
-    side = [-1] * g.n
+    seen = odd = 0
     for s in range(g.n):
-        if side[s] >= 0:
+        if seen >> s & 1:
             continue
-        side[s] = 0
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in _bits(g.rows[v]):
-                if side[u] < 0:
-                    side[u] = side[v] ^ 1
-                    stack.append(u)
-                elif side[u] == side[v]:
-                    return False
-    return True
+        for depth, (layer, _) in enumerate(_bfs([s], g.neighbours)):
+            for v in layer:
+                seen |= 1 << v
+                if depth & 1:
+                    odd |= 1 << v
+    even = seen ^ odd
+    return not any(g.rows[v] & (odd if odd >> v & 1 else even) for v in range(g.n))
 
 
 def shortest_odd_cycle(g: Graph) -> list[int] | None:
     """A shortest odd cycle of a loop-free graph as a vertex list, or None.
 
-    Ties break toward the least starting vertex, so the answer is
-    deterministic.  A shortest odd closed walk is always a simple cycle.
+    From each vertex s, a breadth-first search over (vertex, parity) pairs
+    reaches (s, 1) first along a shortest odd closed walk through s.  Ties
+    break toward the least starting vertex, so the answer is deterministic.
+    A shortest odd closed walk is always a simple cycle.
     """
     if not g.is_loop_free:
         raise ValueError("odd cycle search requires a loop-free graph")
+
+    def flips(node):
+        v, p = node
+        return [(u, p ^ 1) for u in _bits(g.rows[v])]
+
     best: list[int] | None = None
     for s in range(g.n):
-        # BFS on (vertex, parity) pairs; reaching (s, 1) closes an odd walk.
-        dist = {(s, 0): 0}
-        parent: dict[tuple[int, int], tuple[int, int]] = {}
-        frontier = [(s, 0)]
-        found = None
-        while frontier and found is None:
-            nxt = []
-            for v, p in frontier:
-                for u in _bits(g.rows[v]):
-                    node = (u, p ^ 1)
-                    if node not in dist:
-                        dist[node] = dist[(v, p)] + 1
-                        parent[node] = (v, p)
-                        if node == (s, 1):
-                            found = node
-                            break
-                        nxt.append(node)
-                if found:
-                    break
-            frontier = nxt
-        if found is None:
+        goal = (s, 1)
+        parent = next((parent for _, parent in _bfs([(s, 0)], flips)
+                       if goal in parent), None)
+        if parent is None:
             continue
-        walk = []
-        node = found
-        while node != (s, 0):
-            walk.append(node[0])
-            node = parent[node]
-        walk.append(s)
-        walk.reverse()  # s ... s as vertices, length odd
-        cycle = walk[:-1]
+        cycle = [v for v, _ in _path(parent, goal)[:-1]]
         # a non-simple odd walk through s is strictly longer than the
         # globally shortest odd cycle, so it can never be the answer
-        if len(set(cycle)) != len(cycle):
+        if len(set(cycle)) < len(cycle):
             continue
         if best is None or len(cycle) < len(best):
             best = cycle

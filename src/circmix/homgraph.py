@@ -13,6 +13,8 @@ Colour classes are computed on boxes, not members: the colourings that
 agree off an independent set of G form a product of per-vertex colour sets,
 which single-vertex steps connect (the recolouring argument of Cereceda,
 van den Heuvel and Johnson, applied to a whole independent set at once).
+Homotopy paths and radii walk the homomorphism graph with ``graphs._bfs``,
+finding each map's neighbours by one search over its neighbour box.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from itertools import islice
 from operator import itemgetter
 
 from .config import hom_cap
-from .errors import CapExceededError, DisconnectedError, NoColouringsError
-from .graphs import Graph
+from .errors import DisconnectedError, NoColouringsError
+from .graphs import Graph, _bfs, _path
 from .homs import (Hom, HomSpace, _boxes, _search, _search_order,
                    enumerate_homs, format_image, is_hom)
 
@@ -367,30 +369,6 @@ def is_frozen(f: Hom, source: Graph, target: Graph) -> bool:
     return next(recolour_neighbours(f, source, target), None) is None
 
 
-def _bfs(start, neighbours, cap: int | None = None):
-    """Breadth-first search from ``start``, one layer at a time.
-
-    Yields the parent map once per depth, the start alone first; the last
-    yield maps the start to None and every other vertex reached to the one
-    it was first reached from.  Layers expand in the order reached, taking
-    ``neighbours(x)`` as given.  With ``cap`` set, raises CapExceededError
-    once more than ``cap`` vertices are reached.
-    """
-    parent = {start: None}
-    frontier = [start]
-    while frontier:
-        yield parent
-        nxt = []
-        for x in frontier:
-            for y in neighbours(x):
-                if y not in parent:
-                    parent[y] = x
-                    nxt.append(y)
-            if cap is not None and len(parent) > cap:
-                raise CapExceededError(cap, "maps reached by the homotopy search")
-        frontier = nxt
-
-
 def homotopy_path(f: Hom, g: Hom, source: Graph, target: Graph,
                   cap: int | None = None) -> list[Hom] | None:
     """Shortest walk from f to g in the homomorphism graph, both ends included.
@@ -408,14 +386,11 @@ def homotopy_path(f: Hom, g: Hom, source: Graph, target: Graph,
     goal = g.image
     # cap + 1 neighbours of one map already overflow the cap once reached,
     # so no neighbour search needs to go further
-    for parent in _bfs(f.image,
-                       lambda im: _hom_neighbours(im, source, target, order, cap + 1),
-                       cap):
+    for _, parent in _bfs([f.image],
+                          lambda im: _hom_neighbours(im, source, target, order, cap + 1),
+                          cap, "maps reached by the homotopy search"):
         if goal in parent:
-            chain = [goal]
-            while parent[chain[-1]] is not None:
-                chain.append(parent[chain[-1]])
-            return [Hom(source.n, target.n, im) for im in reversed(chain)]
+            return [Hom(source.n, target.n, im) for im in _path(parent, goal)]
     return None
 
 
@@ -442,7 +417,7 @@ def radius_centre(source: Graph, target: Graph, cap: int | None = None) -> tuple
     eccs = []
     for i in range(m):
         # one yield per depth: the eccentricity counts those before the last
-        *shallower, reached = _bfs(i, adjacent.__getitem__)
+        *shallower, (_, reached) = _bfs([i], adjacent.__getitem__)
         if len(reached) < m:
             raise DisconnectedError("homomorphism graph is disconnected")
         eccs.append(len(shallower))

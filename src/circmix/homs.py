@@ -18,7 +18,7 @@ from itertools import accumulate, product
 
 from .config import hom_cap, node_cap
 from .errors import CapExceededError
-from .graphs import Graph, _bits
+from .graphs import Graph, _bfs, _bits
 
 
 @dataclass(frozen=True)
@@ -110,31 +110,24 @@ class HomSpace:
 def _search_order(g: Graph) -> list[int]:
     """BFS order rooted at a maximum-degree vertex of each component."""
     order = []
-    seen = [False] * g.n
     for comp in g.components():
         root = max(comp, key=lambda v: (g.degree(v), -v))
-        queue = [root]
-        seen[root] = True
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for u in g.neighbours(v):
-                if not seen[u]:
-                    seen[u] = True
-                    queue.append(u)
+        for layer, _ in _bfs([root], g.neighbours):
+            order += layer
     return order
 
 
-def _independent_sets(g: Graph) -> list[list[int]]:
+def _independent_sets(g: Graph, order: list[int]) -> list[list[int]]:
     """A cover of g by disjoint independent sets, loops ignored.
 
-    Greedy colouring in search order: each vertex takes the least set that
-    holds none of its other neighbours.  The search order is breadth-first,
-    so a connected bipartite graph gives two sets and an odd cycle three.
+    Greedy colouring in ``order``, the search order: each vertex takes the
+    least set that holds none of its other neighbours.  The search order is
+    breadth-first, so a connected bipartite graph gives two sets and an odd
+    cycle three.
     """
     colour = [-1] * g.n
     sets: list[list[int]] = []
-    for v in _search_order(g):
+    for v in order:
         taken = {colour[u] for u in g.neighbours(v)}
         c = 0
         while c in taken:
@@ -153,9 +146,10 @@ def _box_order(g: Graph) -> list[int]:
     front if it has none, so box mode prunes on its colours as soon as they
     are known and never branches on them.
     """
-    sets = _independent_sets(g)
+    search = _search_order(g)
+    sets = _independent_sets(g, search)
     lifted = set(max(sets, key=len)) if sets else set()
-    rest = [v for v in _search_order(g) if v not in lifted]
+    rest = [v for v in search if v not in lifted]
     pos = {v: i for i, v in enumerate(rest)}
     after: list[list[int]] = [[] for _ in range(len(rest) + 1)]
     for v in sorted(lifted):

@@ -111,6 +111,95 @@ def degeneracy_order_naive(g: Graph) -> tuple[int, list[int]]:
     return (worst + 1, removal[::-1])
 
 
+def vertex_components_naive(g: Graph) -> list[list[int]]:
+    """Connected components of g by ``components_naive`` over its vertices,
+    sorted, in order of least vertex, as ``Graph.components`` gives them."""
+    classes = components_naive([(v,) for v in range(g.n)],
+                               lambda a, b: g.has_edge(a[0], b[0]))
+    return [[v for (v,) in cls] for cls in classes]
+
+
+def search_order_naive(g: Graph) -> list[int]:
+    """A queue search rooted at a maximum-degree vertex of each component,
+    least vertex on ties, neighbours in increasing order; the order of
+    ``homs._search_order``."""
+    order = []
+    seen = [False] * g.n
+    for comp in vertex_components_naive(g):
+        root = max(comp, key=lambda v: (g.degree(v), -v))
+        queue = [root]
+        seen[root] = True
+        while queue:
+            v = queue.pop(0)
+            order.append(v)
+            for u in range(g.n):
+                if g.has_edge(v, u) and not seen[u]:
+                    seen[u] = True
+                    queue.append(u)
+    return order
+
+
+def shortest_odd_cycle_naive(g: Graph) -> list[int] | None:
+    """``graphs.shortest_odd_cycle`` by a search from each vertex s over
+    (vertex, parity) pairs that stops the moment it reaches (s, 1)."""
+    best = None
+    for s in range(g.n):
+        dist = {(s, 0): 0}
+        parent = {}
+        frontier = [(s, 0)]
+        found = None
+        while frontier and found is None:
+            nxt = []
+            for v, p in frontier:
+                for u in range(g.n):
+                    node = (u, p ^ 1)
+                    if not g.has_edge(v, u) or node in dist:
+                        continue
+                    dist[node] = dist[(v, p)] + 1
+                    parent[node] = (v, p)
+                    if node == (s, 1):
+                        found = node
+                        break
+                    nxt.append(node)
+                if found:
+                    break
+            frontier = nxt
+        if found is None:
+            continue
+        walk = []
+        node = found
+        while node != (s, 0):
+            walk.append(node[0])
+            node = parent[node]
+        walk.append(s)
+        cycle = walk[::-1][:-1]
+        if len(set(cycle)) != len(cycle):
+            continue
+        if best is None or len(cycle) < len(best):
+            best = cycle
+    return best
+
+
+def distances_naive(g: Graph, sources) -> list[int | None]:
+    """Host distance from the nearest of ``sources`` to each vertex, None
+    when unreachable, by expanding one frontier at a time."""
+    dist: list[int | None] = [None] * g.n
+    frontier = sorted(set(sources))
+    for v in frontier:
+        dist[v] = 0
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for u in frontier:
+            for v in range(g.n):
+                if g.has_edge(u, v) and dist[v] is None:
+                    dist[v] = d
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
 def hom_graph(g: Graph, h: Graph) -> tuple[Graph, list[tuple[int, ...]]]:
     """The homomorphism graph as an explicit Graph, plus its vertex order.
 

@@ -175,6 +175,11 @@ def test_gen_round_trip(tmp_path, capsys):
     code, text, _ = run_cli(capsys, "gen", "cycle", "4", "--reflexive")
     assert code == 0
     assert "p 4" in text
+    # each kind takes a fixed number of parameters
+    for params in (["circular-clique", "6"], ["frozen-regular", "3"],
+                   ["clique", "3", "4"]):
+        code, _, err = run_cli(capsys, "gen", *params)
+        assert code == 1 and err.startswith("error: gen ")
 
 
 def test_byte_identical_output(capsys):
@@ -209,6 +214,13 @@ def test_env_cap(capsys, monkeypatch):
         code, _, err = run_cli(capsys, "fixtures")
         assert code == 1
         assert err.startswith("error: CIRCMIX_CAP must be")
+    # and so is a flag value the environment would reject
+    monkeypatch.delenv("CIRCMIX_CAP")
+    for value in ("0", "-3"):
+        code, _, err = run_cli(capsys, "mixing", "--graph", "clique:3",
+                               "--target", "circ:9/2", "--cap", value)
+        assert code == 1
+        assert err == f"error: --cap must be positive, got {value}\n"
 
 
 def test_vertex_limit_runs(tmp_path, capsys):

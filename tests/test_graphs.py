@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circmix.errors import GraphFormatError
-from circmix.graphs import (Graph, are_isomorphic, canonical_key,
+from circmix.errors import CapExceededError, GraphFormatError
+from circmix.extension import _distances_from
+from circmix.graphs import (Graph, _bfs, are_isomorphic, canonical_key,
                             chromatic_number, circular_chromatic_number,
                             circular_clique, clique_number, colouring_number,
                             complete_graph, cycle_graph, degeneracy_order,
@@ -18,7 +19,11 @@ from circmix.graphs import (Graph, are_isomorphic, canonical_key,
                             parse_graph, path_graph, shortest_odd_cycle,
                             tensor_product)
 
-from helpers import all_graphs, degeneracy_order_naive, random_graph
+from circmix.homs import _search_order
+
+from helpers import (all_graphs, degeneracy_order_naive, distances_naive,
+                     iso_reps, random_graph, search_order_naive,
+                     shortest_odd_cycle_naive, vertex_components_naive)
 
 
 def test_graph_basics():
@@ -167,6 +172,48 @@ def test_bipartite_and_odd_cycle():
     assert len(cyc) == 5
     g = Graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
     assert shortest_odd_cycle(g) == [0, 1, 2]
+
+
+def test_bfs_layers_parents_and_cap():
+    adjacency = {5: [1, 3], 0: [2, 1], 1: [4], 3: [4, 0], 2: [], 4: []}
+    steps = [(list(layer), dict(parent))
+             for layer, parent in _bfs([5, 0], adjacency.__getitem__)]
+    assert steps == [
+        ([5, 0], {5: None, 0: None}),
+        ([1, 3, 2], {5: None, 0: None, 1: 5, 3: 5, 2: 0}),
+        ([4], {5: None, 0: None, 1: 5, 3: 5, 2: 0, 4: 1}),
+    ]
+    # the cap is checked after each expansion: 5 reaches the fourth vertex,
+    # 0 the fifth, 1 the sixth, and nothing a seventh
+    for cap, expanded in ((3, [5]), (4, [5, 0]), (5, [5, 0, 1])):
+        calls = []
+
+        def neighbours(x):
+            calls.append(x)
+            return adjacency[x]
+
+        with pytest.raises(CapExceededError,
+                           match=rf"budget of {cap} exceeded \(lost\)"):
+            list(_bfs([5, 0], neighbours, cap, "lost"))
+        assert calls == expanded
+    assert len(list(_bfs([5, 0], adjacency.__getitem__, 6))) == 3
+
+
+def test_traversals_match_naive():
+    rng = random.Random(9)
+    graphs = iso_reps(5) + iso_reps(4, loops=True) + [
+        random_graph(rng, rng.randint(1, 12), p=rng.random(), loops=True)
+        for _ in range(500)]
+    for g in graphs:
+        assert g.components() == vertex_components_naive(g)
+        assert _search_order(g) == search_order_naive(g)
+        loop_free = Graph.from_rows([r & ~(1 << v) for v, r in enumerate(g.rows)])
+        odd = shortest_odd_cycle_naive(loop_free)
+        assert shortest_odd_cycle(loop_free) == odd
+        assert is_bipartite(loop_free) == (odd is None)
+        assert is_bipartite(g) == (g.is_loop_free and odd is None)
+        sources = rng.sample(range(g.n), rng.randint(0, min(3, g.n)))
+        assert _distances_from(g, sources) == distances_naive(g, sources)
 
 
 def test_canonical_key_invariance():

@@ -180,7 +180,7 @@ def test_independent_sets_cover_the_source():
         random_graph(rng, rng.randint(5, 12), p=rng.random(), loops=True)
         for _ in range(200)]
     for g in graphs:
-        sets = homs._independent_sets(g)
+        sets = homs._independent_sets(g, homs._search_order(g))
         assert sorted(v for s in sets for v in s) == list(range(g.n))
         assert all(not g.has_edge(u, v) for s in sets for u in s for v in s
                    if u != v)
@@ -188,7 +188,7 @@ def test_independent_sets_cover_the_source():
     assert relabelled != cycle_graph(8)
     for g, count in ((cycle_graph(8), 2), (relabelled, 2),
                      (path_graph(DEFAULT_MAX_VERTICES), 2), (cycle_graph(7), 3)):
-        assert len(homs._independent_sets(g)) == count
+        assert len(homs._independent_sets(g, homs._search_order(g))) == count
 
 
 def test_colour_and_hom_components_agree_for_loop_free_sources():
