@@ -15,7 +15,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import permutations
+from itertools import chain, islice, permutations
 
 from .config import max_vertices
 from .errors import CapExceededError, GraphFormatError
@@ -207,15 +207,15 @@ def _path(parent: dict, x) -> list:
 def complete_graph(r: int) -> Graph:
     if r < 1:
         raise ValueError("complete graph needs at least one vertex")
-    return Graph(r, [(i, j) for i in range(r) for j in range(i + 1, r)], name=f"K_{r}")
+    return Graph(r, ((i, j) for i in range(r) for j in range(i + 1, r)), name=f"K_{r}")
 
 
 def cycle_graph(r: int, reflexive: bool = False) -> Graph:
     if r < 3:
         raise ValueError("cycle needs at least three vertices")
-    edges = [(i, (i + 1) % r) for i in range(r)]
+    edges = ((i, (i + 1) % r) for i in range(r))
     if reflexive:
-        edges += [(i, i) for i in range(r)]
+        edges = chain(edges, ((i, i) for i in range(r)))
     return Graph(r, edges, name=f"C_{r}")
 
 
@@ -223,9 +223,9 @@ def path_graph(n: int, reflexive: bool = False) -> Graph:
     """Path on n vertices, 0 - 1 - ... - (n-1)."""
     if n < 1:
         raise ValueError("path needs at least one vertex")
-    edges = [(i, i + 1) for i in range(n - 1)]
+    edges = ((i, i + 1) for i in range(n - 1))
     if reflexive:
-        edges += [(i, i) for i in range(n)]
+        edges = chain(edges, ((i, i) for i in range(n)))
     return Graph(n, edges, name=f"P_{n}")
 
 
@@ -237,12 +237,7 @@ def circular_clique(k: int, q: int) -> Graph:
     """
     if q < 1 or k < 2 * q:
         raise ValueError(f"circular clique needs k >= 2q >= 2, got ({k}, {q})")
-    edges = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            d = j - i
-            if q <= d <= k - q:
-                edges.append((i, j))
+    edges = ((i, j) for i in range(k) for j in range(i + q, min(k, i + k - q + 1)))
     return Graph(k, edges, name=f"G_{{{k},{q}}}")
 
 
@@ -255,12 +250,8 @@ def frozen_regular_graph(d: int, q: int) -> Graph:
     if d < 2 or q < 1:
         raise ValueError("need d >= 2 and q >= 1")
     k = (2 * q - 1) * d + 1
-    edges = set()
-    for i in range(k):
-        for j in range(d):
-            u = (i + q + j * (2 * q - 1)) % k
-            edges.add((min(i, u), max(i, u)))
-    g = Graph(k, sorted(edges), name=f"F_{{{d},{q}}}")
+    edges = ((i, (i + q + j * (2 * q - 1)) % k) for i in range(k) for j in range(d))
+    g = Graph(k, edges, name=f"F_{{{d},{q}}}")
     if any(g.degree(v) != d for v in range(k)):
         raise AssertionError("frozen graph construction is not d-regular")
     return g
@@ -452,8 +443,10 @@ def shortest_odd_cycle(g: Graph) -> list[int] | None:
 
     From each vertex s, a breadth-first search over (vertex, parity) pairs
     reaches (s, 1) first along a shortest odd closed walk through s.  Ties
-    break toward the least starting vertex, so the answer is deterministic.
-    A shortest odd closed walk is always a simple cycle.
+    break toward the least starting vertex, so the answer is deterministic,
+    and a search stops short of the depth of the best cycle so far, since
+    only a strictly shorter one can replace it.  A shortest odd closed walk
+    is always a simple cycle.
     """
     if not g.is_loop_free:
         raise ValueError("odd cycle search requires a loop-free graph")
@@ -465,8 +458,10 @@ def shortest_odd_cycle(g: Graph) -> list[int] | None:
     best: list[int] | None = None
     for s in range(g.n):
         goal = (s, 1)
-        parent = next((parent for _, parent in _bfs([(s, 0)], flips)
-                       if goal in parent), None)
+        layers = _bfs([(s, 0)], flips)
+        if best is not None:
+            layers = islice(layers, len(best))  # depths below len(best)
+        parent = next((parent for _, parent in layers if goal in parent), None)
         if parent is None:
             continue
         cycle = [v for v, _ in _path(parent, goal)[:-1]]
@@ -538,6 +533,9 @@ def parse_graph(text: str) -> Graph:
                 raise GraphFormatError(f"line {lineno}: bad vertex count {rest!r}") from None
             if n < 0:
                 raise GraphFormatError(f"line {lineno}: negative vertex count")
+            if n > max_vertices():
+                raise GraphFormatError(f"line {lineno}: vertex count {n} exceeds "
+                                       f"the configured limit {max_vertices()}")
             continue
         if kind == "e":
             if n is None:

@@ -9,12 +9,18 @@ connectivity classes, but not for sources with loops: two reflexive
 isolated vertices mapped to themselves form a connected colour graph whose
 homomorphism graph has no edges at all.
 
-Colour classes are computed on boxes, not members: the colourings that
-agree off an independent set of G form a product of per-vertex colour sets,
-which single-vertex steps connect (the recolouring argument of Cereceda,
-van den Heuvel and Johnson, applied to a whole independent set at once).
-Homotopy paths and radii walk the homomorphism graph with ``graphs._bfs``,
-finding each map's neighbours by one search over its neighbour box.
+Both kinds of classes are computed on boxes, not members: the colourings
+that agree off an independent set of G form a product of per-vertex colour
+sets, which single-vertex steps connect (the recolouring argument of
+Cereceda, van den Heuvel and Johnson, applied to a whole independent set at
+once).  Homomorphism classes are the classes of single-vertex steps where a
+step at a looped vertex follows an edge of H: changing the vertices from f
+to a neighbour g one at a time meets only homomorphisms, each adjacent to
+the last, since every pair of colours an edge uv of G then meets is one of
+f(u)g(v), g(u)f(v), f(u)f(v) or g(u)g(v).  So a box that boxes no looped
+vertex is connected in the homomorphism graph too.  Homotopy paths and
+radii walk the homomorphism graph with ``graphs._bfs``, finding each map's
+neighbours by one search over its neighbour box.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ from operator import itemgetter
 from .config import hom_cap
 from .errors import DisconnectedError, NoColouringsError
 from .graphs import Graph, _bfs, _path
-from .homs import (Hom, HomSpace, _boxes, _search, _search_order,
-                   enumerate_homs, format_image, is_hom)
+from .homs import (Hom, _boxes, _search, _search_order, enumerate_homs,
+                   format_image, is_hom)
 
 
 @dataclass(frozen=True)
@@ -188,28 +194,38 @@ class _UnionFind:
 
 
 def _box_partition(source: Graph, target: Graph, cap: int | None = None):
-    """``(free, boxes, roots)``: the vertices box mode branches on, the
-    boxes of ``homs._boxes``, and a union-find root per box.
+    """``(boxed, boxes, roots)``: the boxes of ``homs._boxes`` and a colour
+    class root per box from ``_join``.  Raises as ``_boxes`` does."""
+    boxed, found = _boxes(source, target, cap)
+    boxes = list(found)
+    return boxed, boxes, _join(source, target, boxed, boxes)
+
+
+def _join(source: Graph, target: Graph, boxed: list[int], boxes,
+          homotopy: bool = False) -> list[int]:
+    """A union-find root per box: its colour class, or with ``homotopy``
+    set its homomorphism class, when no looped vertex is boxed.
 
     A box is connected, and a step at a boxed vertex stays in its box.  Two
     boxes that differ at one other vertex w are joined by a step exactly
-    when the masks of w's boxed neighbours meet, so the colour classes are
-    the components of that graph on boxes.  Raises as ``_boxes`` does.
+    when the masks of w's boxed neighbours meet, and, with ``homotopy`` set
+    and a loop at w, w's two colours are adjacent in the target: the
+    homomorphism classes are those of single-vertex steps where a step at
+    a looped vertex follows an edge of the target.
     """
-    boxed, found = _boxes(source, target, cap)
-    boxes = list(found)
-    slot = {v: j for j, v in enumerate(boxed)}
-    free = [v for v in range(source.n) if v not in slot]
     if len(boxes) < 2:  # nothing to join
-        return free, boxes, list(range(len(boxes)))
+        return list(range(len(boxes)))
     uf = _UnionFind(len(boxes))
+    slot = {v: j for j, v in enumerate(boxed)}
     # a box's free colours as one integer, a bit field per free vertex, so
     # the key off w is the code with w's field cleared
     width = (target.n - 1).bit_length()
+    free = [v for v in range(source.n) if v not in slot]
     shift = {w: width * p for p, w in enumerate(free)}
     codes = [sum(im[w] << s for w, s in shift.items()) for im, _, _ in boxes]
     for w, s in shift.items():
         near = [slot[u] for u in source.neighbours(w) if u in slot]
+        step = homotopy and source.has_loop(w)
         groups: dict = {}
         for i, (code, (im, masks, _)) in enumerate(zip(codes, boxes)):
             groups.setdefault(code ^ im[w] << s, []).append(
@@ -217,9 +233,10 @@ def _box_partition(source: Graph, target: Graph, cap: int | None = None):
         for group in groups.values():
             for a, (i, mi) in enumerate(group):
                 for j, mj in group[a + 1:]:
-                    if all(map(int.__and__, mi, mj)):
+                    if all(map(int.__and__, mi, mj)) and (
+                            not step or target.has_edge(boxes[i][0][w], boxes[j][0][w])):
                         uf.union(i, j)
-    return free, boxes, [uf.find(i) for i in range(len(boxes))]
+    return [uf.find(i) for i in range(len(boxes))]
 
 
 def _class_reps(boxes, roots) -> dict[int, tuple[int, ...]]:
@@ -245,75 +262,31 @@ def _hom_neighbours(image, source: Graph, target: Graph, order: list[int],
                          limit))
 
 
-def _hom_partition(space: HomSpace, source: Graph, target: Graph) -> list[int]:
-    """Union-find over homomorphism adjacency; root per index."""
-    order = _search_order(source)
-    uf = _UnionFind(space.count)
-    for i, im in enumerate(space.images):
-        for nb in _hom_neighbours(im, source, target, order):
-            j = space.index(nb)
-            if j > i:  # adjacency is symmetric: each edge once
-                uf.union(i, j)
-    return [uf.find(i) for i in range(space.count)]
-
-
-def _group(roots: list[int]) -> dict[int, list[int]]:
-    """Members per root, in index order."""
-    grouped: dict[int, list[int]] = {}
-    for i, r in enumerate(roots):
-        grouped.setdefault(r, []).append(i)
-    return grouped
-
-
 def components(source: Graph, target: Graph, kind: str = "colour",
                cap: int | None = None) -> ComponentReport:
     """Connectivity classes of HOM(source, target).
 
     kind="colour" uses single-vertex recolouring steps; kind="homomorphism"
-    uses the cross condition.  For loop-free sources the partitions agree,
-    and both kinds read the classes off the boxes of ``_box_partition``
-    without building any member.  A class is frozen when it has a member
-    with no neighbour but itself in the homomorphism graph, that is, a
-    member alone in its homomorphism class; for a loop-free source, when
-    the class has one member.
+    uses the cross condition.  For loop-free sources the partitions agree.
+    Both kinds read the classes off boxes that box no looped vertex, joined
+    by ``_join``, and build no member but the representatives.  A class is
+    frozen when it has a member with no neighbour but itself in the
+    homomorphism graph, that is, when it holds a homomorphism class of one
+    member.  A box has a member that misses some colour c exactly when its
+    other vertices miss c and no boxed vertex is held to c alone.
     """
     if kind not in ("colour", "homomorphism"):
         raise ValueError(f"unknown kind {kind!r}")
-    if source.is_loop_free:
-        return _loop_free_components(source, target, kind, cap)
-    space = enumerate_homs(source, target, cap)
-    if space.count == 0:
-        return ComponentReport(kind=kind, total=0, classes=())
-    images = space.images
-
-    hom_classes = _group(_hom_partition(space, source, target))
-    if kind == "colour":
-        free, boxes, roots = _box_partition(source, target, cap)
-        root_of = {tuple(map(im.__getitem__, free)): r
-                   for (im, _, _), r in zip(boxes, roots)}
-        grouped = _group([root_of[tuple(map(im.__getitem__, free))]
-                          for im in images])
-    else:
-        grouped = hom_classes
-    lone = {r for r, members in hom_classes.items() if len(members) == 1}
-
-    # images are sorted, so each class's first member is its least
-    classes = []
-    for r, members in grouped.items():
-        non_surj = any(len(set(images[i])) < target.n for i in members)
-        classes.append(ClassSummary(space.hom(members[0]), len(members), non_surj,
-                                    not lone.isdisjoint(members)))
-    return ComponentReport(kind=kind, total=space.count, classes=tuple(classes))
-
-
-def _loop_free_components(source: Graph, target: Graph, kind: str,
-                          cap: int | None) -> ComponentReport:
-    """``components`` for a loop-free source, from boxes alone.
-
-    A box has a member that misses some colour c exactly when its other
-    vertices miss c and no boxed vertex is held to c alone.
-    """
-    free, boxes, roots = _box_partition(source, target, cap)
+    boxed, found = _boxes(source, target, cap, loops=False)
+    boxes = list(found)
+    hom_roots = roots = _join(source, target, boxed, boxes, homotopy=True)
+    if kind == "colour" and not source.is_loop_free:
+        roots = _join(source, target, boxed, boxes)
+    hom_sizes: dict[int, int] = {}
+    for (_, _, size), h in zip(boxes, hom_roots):
+        hom_sizes[h] = hom_sizes.get(h, 0) + size
+    frozen = {r for r, h in zip(roots, hom_roots) if hom_sizes[h] == 1}
+    free = set(range(source.n)).difference(boxed)
     full = (1 << target.n) - 1
     sizes: dict[int, int] = {}
     non_surj: set[int] = set()
@@ -331,7 +304,7 @@ def _loop_free_components(source: Graph, target: Graph, kind: str,
             non_surj.add(r)
     classes = tuple(
         ClassSummary(Hom(source.n, target.n, rep), sizes[r], r in non_surj,
-                     sizes[r] == 1)
+                     r in frozen)
         for r, rep in _class_reps(boxes, roots).items())
     return ComponentReport(kind=kind, total=sum(sizes.values()), classes=classes)
 

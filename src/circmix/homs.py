@@ -171,7 +171,7 @@ def _closed(g: Graph, order: list[int]) -> list[bool]:
 
 def _search(g: Graph, h: Graph, order: list[int], img: list[int],
             domains: list[int] | None = None, budget: int | None = None,
-            boxes: bool = False):
+            boxes: list[bool] | None = None):
     """Yield every homomorphism g -> h completing ``img``, as image tuples.
 
     The vertices in ``order`` are assigned in that order, each one trying
@@ -182,12 +182,13 @@ def _search(g: Graph, h: Graph, order: list[int], img: list[int],
     CapExceededError.  Backtracking keeps one candidate mask per level on
     an explicit stack, so the depth of the search is unbounded.
 
-    With ``boxes`` set, the search does not branch on the vertices that
-    ``_closed`` marks, the last one among them.  No two are adjacent, so
-    any colours from their candidate masks complete a homomorphism: each
-    assignment of the other vertices with all those masks nonempty is a
-    box, yielded as ``(image, masks)``, the masks in level order and the
-    image the box's least member.  The budget counts only branching.
+    With ``boxes`` given, one flag per level, the search does not branch on
+    the levels flagged, each of them closed in the sense of ``_closed``.
+    No two are adjacent, so any colours from their candidate masks complete
+    a homomorphism: each assignment of the other vertices with all those
+    masks nonempty is a box, yielded as ``(image, masks)``, the masks in
+    level order and the image the box's least member.  The budget counts
+    only branching.
     """
     rows = h.rows
     full = (1 << h.n) - 1
@@ -211,7 +212,7 @@ def _search(g: Graph, h: Graph, order: list[int], img: list[int],
 
     depth = len(order)
     if depth == 0:
-        yield (tuple(img), ()) if boxes else tuple(img)
+        yield tuple(img) if boxes is None else (tuple(img), ())
         return
     limit = sys.maxsize if budget is None else budget  # an int compares faster
     visited = 0
@@ -219,16 +220,22 @@ def _search(g: Graph, h: Graph, order: list[int], img: list[int],
     leaf = order[last]
     cand = [0] * depth
     cand[0] = base[0]
-    if boxes:
-        closed = _closed(g, order)
-        slot = list(accumulate(closed, initial=0))  # closed levels before each
+    if boxes is not None:
+        slot = list(accumulate(boxes, initial=0))  # boxed levels before each
         masks = [0] * slot[-1]
     i = 0
     while i >= 0:
         m = cand[i]
         if i == last:
-            if boxes:
-                if m:
+            if boxes is not None:
+                if not boxes[i]:  # a branched leaf: one box per colour
+                    visited += m.bit_count()
+                    if visited > limit:
+                        raise CapExceededError(budget, "partial assignments")
+                    for c in _bits(m):
+                        img[leaf] = c
+                        yield tuple(img), tuple(masks)
+                elif m:
                     masks[-1] = m
                     img[leaf] = (m & -m).bit_length() - 1
                     yield tuple(img), tuple(masks)
@@ -251,7 +258,7 @@ def _search(g: Graph, h: Graph, order: list[int], img: list[int],
         if not m:
             i -= 1
             continue
-        if boxes and closed[i]:
+        if boxes is not None and boxes[i]:
             masks[slot[i]] = m
             cand[i] = 0
             img[order[i]] = (m & -m).bit_length() - 1
@@ -279,19 +286,22 @@ def _lowest_bits(m: int, count: int) -> int:
     return out
 
 
-def _boxes(g: Graph, h: Graph, cap: int | None = None):
+def _boxes(g: Graph, h: Graph, cap: int | None = None, loops: bool = True):
     """``(boxed, boxes)``: the vertices box mode does not branch on in
     ``_box_order``, and an iterator of the boxes of HOM(g, h) as
     ``(image, masks, size)``.  The boxes partition HOM(g, h); the iterator
     raises CapExceededError before the box that passes ``cap`` members.
+    With ``loops`` false, no looped vertex is boxed.
     """
     cap = hom_cap(cap)
     order = _box_order(g)
-    boxed = [w for w, c in zip(order, _closed(g, order)) if c]
+    flags = [c and (loops or not g.has_loop(w))
+             for w, c in zip(order, _closed(g, order))]
+    boxed = [w for w, c in zip(order, flags) if c]
 
     def sized():
         total = 0
-        for im, masks in _search(g, h, order, [0] * g.n, boxes=True):
+        for im, masks in _search(g, h, order, [0] * g.n, boxes=flags):
             size = 1
             for m in masks:
                 size *= m.bit_count()

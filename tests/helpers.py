@@ -67,11 +67,13 @@ def components_naive(images, adjacent) -> list[list[tuple[int, ...]]]:
     return sorted(classes)
 
 
-def colour_components_by_steps(images, colours: int) -> list[list[tuple[int, ...]]]:
+def colour_components_by_steps(images, colours: int,
+                               step=None) -> list[list[tuple[int, ...]]]:
     """Components of the colour graph over the image list, by a BFS that
     tries every single-coordinate change and looks it up; classes sorted,
     in order of least member.  Linear in the images, for spaces too large
-    for the pairwise ``components_naive``."""
+    for the pairwise ``components_naive``.  With ``step`` given, changing
+    coordinate v of a to c is tried only when ``step(a, v, c)`` holds."""
     members = set(images)
     seen = set()
     classes = []
@@ -85,12 +87,21 @@ def colour_components_by_steps(images, colours: int) -> list[list[tuple[int, ...
             for v in range(len(a)):
                 for c in range(colours):
                     b = a[:v] + (c,) + a[v + 1:]
-                    if b in members and b not in seen:
+                    if b in members and b not in seen and (
+                            step is None or step(a, v, c)):
                         seen.add(b)
                         queue.append(b)
                         cls.append(b)
         classes.append(sorted(cls))
     return classes
+
+
+def hom_components_by_steps(images, g: Graph, h: Graph) -> list[list[tuple[int, ...]]]:
+    """Components over the image list under single-vertex steps, where a
+    step at a looped vertex v of g must join the old and new colours of v
+    in h; as ``colour_components_by_steps`` gives them."""
+    return colour_components_by_steps(
+        images, h.n, lambda a, v, c: not g.has_loop(v) or h.has_edge(a[v], c))
 
 
 def degeneracy_order_naive(g: Graph) -> tuple[int, list[int]]:

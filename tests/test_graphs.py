@@ -2,12 +2,15 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circmix import graphs
+from circmix.config import DEFAULT_MAX_VERTICES
 from circmix.errors import CapExceededError, GraphFormatError
 from circmix.extension import _distances_from
 from circmix.graphs import (Graph, _bfs, are_isomorphic, canonical_key,
@@ -174,6 +177,39 @@ def test_bipartite_and_odd_cycle():
     assert shortest_odd_cycle(g) == [0, 1, 2]
 
 
+def test_odd_cycle_search_stops_at_the_best_depth(monkeypatch):
+    # a triangle with a path tail: once the triangle is found, each later
+    # start expands its first two layers only, at most 1 + deg(s) pairs,
+    # where a search to full depth from every start expands about 2n² pairs
+    n = 200
+    g = Graph(n, [(0, 1), (1, 2), (0, 2)] + [(i, i + 1) for i in range(2, n - 1)])
+    expanded = []
+    bfs = graphs._bfs
+    monkeypatch.setattr(graphs, "_bfs", lambda starts, neighbours, *rest: bfs(
+        starts, lambda x: expanded.append(x) or neighbours(x), *rest))
+    assert shortest_odd_cycle(g) == [0, 1, 2]
+    assert len(expanded) <= 2 * n + 2 * g.edge_count()
+
+
+def test_generators_check_the_vertex_limit_first():
+    # every edge list just over the limit would take megabytes; K_4097
+    # alone has 8.4M edges
+    over = DEFAULT_MAX_VERTICES + 1
+    for build in (lambda: complete_graph(over), lambda: circular_clique(over, 1),
+                  lambda: circular_clique(over, 3), lambda: cycle_graph(over, True),
+                  lambda: path_graph(over, True),
+                  lambda: frozen_regular_graph(over - 1, 1),
+                  lambda: parse_graph(f"p {over}\n")):
+        tracemalloc.start()
+        try:
+            with pytest.raises((ValueError, GraphFormatError), match="exceeds"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
 def test_bfs_layers_parents_and_cap():
     adjacency = {5: [1, 3], 0: [2, 1], 1: [4], 3: [4, 0], 2: [], 4: []}
     steps = [(list(layer), dict(parent))
@@ -241,6 +277,9 @@ def test_format_parse_round_trip(n, seed, loops):
 
 
 def test_parse_rejects_garbage():
+    over = DEFAULT_MAX_VERTICES + 1
+    with pytest.raises(GraphFormatError, match=f"line 2: vertex count {over} exceeds"):
+        parse_graph(f"c big\np {over}\ne 0 1\n")
     with pytest.raises(GraphFormatError):
         parse_graph("p 2\ne 0 5\n")
     with pytest.raises(GraphFormatError):

@@ -19,8 +19,8 @@ from circmix.homs import Hom, enumerate_homs, identity_hom
 from helpers import (colour_adjacent_naive, colour_components_by_steps,
                      components_naive, directed_edges,
                      graphs_with_loops, hom_adjacent_naive,
-                     hom_graph_radius_naive, iso_reps, naive_homs,
-                     random_graph)
+                     hom_components_by_steps, hom_graph_radius_naive,
+                     iso_reps, naive_homs, random_graph)
 
 
 def _class_partitions(report):
@@ -170,8 +170,9 @@ def test_box_answers_do_not_enumerate(monkeypatch):
     assert calls == []
     looped = Graph(2, [(0, 1), (0, 0)])
     target = cycle_graph(4, reflexive=True)
-    components(looped, target)
-    assert calls == [(looped, target, None)]
+    for kind in ("colour", "homomorphism"):
+        components(looped, target, kind=kind)
+    assert calls == []
 
 
 def test_independent_sets_cover_the_source():
@@ -288,8 +289,9 @@ def test_homotopy_path_is_shortest_and_valid():
                       Graph(n, []), complete_graph(2), cap=100)
 
 
-def test_looped_hom_components_search_each_member_once(monkeypatch):
-    # P_6 with loops at both ends into the reflexive 5-cycle: 1215 maps
+def test_looped_hom_components_search_no_neighbours(monkeypatch):
+    # P_6 with loops at both ends into the reflexive 5-cycle: 1215 maps,
+    # whose classes come from boxes without a neighbour search per map
     g = Graph(6, list(path_graph(6).edges()) + [(0, 0), (5, 5)])
     h = cycle_graph(5, reflexive=True)
     calls = []
@@ -297,7 +299,21 @@ def test_looped_hom_components_search_each_member_once(monkeypatch):
     monkeypatch.setattr(homgraph, "_hom_neighbours",
                         lambda *args: calls.append(1) or search(*args))
     report = components(g, h, kind="homomorphism")
-    assert report.total == len(calls) == 1215
+    assert report.total == 1215
+    assert calls == []
+
+
+def test_hom_steps_lemma_on_all_small_pairs():
+    """Homomorphism classes are the classes of single-vertex steps, a step
+    at a looped vertex following an edge of the target: the lemma that
+    lets ``components`` join boxes for looped sources."""
+    targets = iso_reps(3, loops=True)
+    for g in iso_reps(4, loops=True):
+        arcs = directed_edges(g)
+        for h in targets:
+            images = naive_homs(g, h)
+            assert hom_components_by_steps(images, g, h) == components_naive(
+                images, lambda a, b: hom_adjacent_naive(a, b, g, h, arcs))
 
 
 def test_homotopy_distance_matches_naive_bfs():
