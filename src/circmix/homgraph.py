@@ -25,6 +25,7 @@ neighbours by one search over its neighbour box.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
@@ -203,8 +204,9 @@ def _box_partition(source: Graph, target: Graph, cap: int | None = None):
 
 def _join(source: Graph, target: Graph, boxed: list[int], boxes,
           homotopy: bool = False) -> list[int]:
-    """A union-find root per box: its colour class, or with ``homotopy``
-    set its homomorphism class, when no looped vertex is boxed.
+    """A union-find root per box, the least box of its colour class, or
+    with ``homotopy`` set of its homomorphism class, when no looped vertex
+    is boxed.
 
     A box is connected, and a step at a boxed vertex stays in its box.  Two
     boxes that differ at one other vertex w are joined by a step exactly
@@ -282,10 +284,9 @@ def components(source: Graph, target: Graph, kind: str = "colour",
     hom_roots = roots = _join(source, target, boxed, boxes, homotopy=True)
     if kind == "colour" and not source.is_loop_free:
         roots = _join(source, target, boxed, boxes)
-    hom_sizes: dict[int, int] = {}
-    for (_, _, size), h in zip(boxes, hom_roots):
-        hom_sizes[h] = hom_sizes.get(h, 0) + size
-    frozen = {r for r, h in zip(roots, hom_roots) if hom_sizes[h] == 1}
+    # a root is a box of its class, so a class of one box is rooted there
+    frozen = {roots[h] for h, count in Counter(hom_roots).items()
+              if count == 1 and boxes[h][2] == 1}
     free = set(range(source.n)).difference(boxed)
     full = (1 << target.n) - 1
     sizes: dict[int, int] = {}
