@@ -204,9 +204,8 @@ def _box_partition(source: Graph, target: Graph, cap: int | None = None):
 
 def _join(source: Graph, target: Graph, boxed: list[int], boxes,
           homotopy: bool = False) -> list[int]:
-    """A union-find root per box, the least box of its colour class, or
-    with ``homotopy`` set of its homomorphism class, when no looped vertex
-    is boxed.
+    """A root per box: the least box of its colour class or, with
+    ``homotopy`` set and no looped vertex boxed, of its homomorphism class.
 
     A box is connected, and a step at a boxed vertex stays in its box.  Two
     boxes that differ at one other vertex w are joined by a step exactly
