@@ -9,6 +9,7 @@ against --expect.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -282,7 +283,14 @@ def _cmd_fixtures(args) -> int:
 # --- parser -------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and then shared by every main call.
+
+    Parsing leaves it unchanged: flags land on a fresh namespace, append
+    defaults are copied before use, and help width and the environment are
+    read when they are needed.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cap", type=int, default=None,
                         help="max homomorphisms to enumerate, and max partial "

@@ -6,6 +6,11 @@ everything else and sending v to u is then a retraction.  A graph with no
 fold available is stiff.  Repeated folding reaches a terminal graph that is
 unique up to isomorphism, and the original graph is dismantlable exactly
 when that terminal is rigid (admits no endomorphism besides the identity).
+
+Deleting a vertex only shrinks neighbourhoods, so it can give a fold only to
+a live neighbour of the deleted vertex.  The stiff reduction therefore keeps
+a worklist of the live vertices not yet known to be unfoldable, and a fold
+puts back only the folded vertex's live neighbours.
 """
 
 from __future__ import annotations
@@ -61,32 +66,29 @@ class SelfMixingResult:
     method: str
 
 
-def _least_fold(rows, alive: int) -> tuple[int, int] | None:
-    """Least (removed, absorber) pair among the vertices of ``alive``, or None.
+def _absorbers(rows, alive: int, v: int) -> int:
+    """Mask of the live vertices other than v that v folds into.
 
     N(v) lies within N(u) exactly when u is adjacent to every neighbour of
     v, so v's absorbers are the other live vertices in the rows of all of
     v's live neighbours.  The intersection stops once it is empty, which
     keeps a high-degree vertex that folds nowhere cheap to pass over.
     """
-    m = alive
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        cand = alive & ~(1 << v)
-        nbrs = rows[v] & alive
-        while nbrs and cand:
-            cand &= rows[(nbrs & -nbrs).bit_length() - 1]
-            nbrs &= nbrs - 1
-        if cand:
-            return v, (cand & -cand).bit_length() - 1
-    return None
+    cand = alive & ~(1 << v)
+    nbrs = rows[v] & alive
+    while nbrs and cand:
+        cand &= rows[(nbrs & -nbrs).bit_length() - 1]
+        nbrs &= nbrs - 1
+    return cand
 
 
 def find_fold(g: Graph) -> FoldStep | None:
     """Lexicographically least (removed, absorber) pair, or None if stiff."""
-    pair = _least_fold(g.rows, (1 << g.n) - 1)
-    return None if pair is None else FoldStep(*pair)
+    alive = (1 << g.n) - 1
+    for v in range(g.n):
+        if cand := _absorbers(g.rows, alive, v):
+            return FoldStep(v, (cand & -cand).bit_length() - 1)
+    return None
 
 
 def make_fold(g: Graph, removed: int, absorber: int) -> FoldStep:
@@ -109,17 +111,27 @@ def stiff_reduction(g: Graph) -> StiffReduction:
     """Fold the least pair until no fold remains.
 
     Folds only delete vertices, so the reduction keeps g's rows and a mask
-    of the live vertices.  A vertex's label at the time of a fold is the
-    number of live vertices below it; the terminal is induced once at the
-    end, and a stiff g is its own terminal.
+    of the live vertices.  ``todo`` holds every live vertex that may have a
+    fold: a vertex leaves it when it has no absorber, and comes back only
+    when one of its neighbours is folded away.  Its least vertex with an
+    absorber is thus the least foldable live vertex, the same pair a rescan
+    from vertex 0 would take, and the reduction makes O(n + m) absorber
+    tests.  A vertex's label at the time of a fold is the number of live
+    vertices below it; the terminal is induced once at the end, and a stiff
+    g is its own terminal.
     """
-    alive = (1 << g.n) - 1
+    rows = g.rows
+    alive = todo = (1 << g.n) - 1
     steps = []
-    while (pair := _least_fold(g.rows, alive)) is not None:
-        v, u = pair
-        steps.append(FoldStep((alive & ((1 << v) - 1)).bit_count(),
-                              (alive & ((1 << u) - 1)).bit_count()))
-        alive ^= 1 << v
+    while todo:
+        v = (todo & -todo).bit_length() - 1
+        todo ^= 1 << v
+        if cand := _absorbers(rows, alive, v):
+            u = (cand & -cand).bit_length() - 1
+            steps.append(FoldStep((alive & ((1 << v) - 1)).bit_count(),
+                                  (alive & ((1 << u) - 1)).bit_count()))
+            alive ^= 1 << v
+            todo |= rows[v] & alive
     if not steps:
         return StiffReduction((), g, None)
     return StiffReduction(tuple(steps), g.induced(_bits(alive)), None)

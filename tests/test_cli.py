@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 
 import circmix
-from circmix.cli import main
+from circmix.cli import _build_parser, main
 from circmix.config import DEFAULT_MAX_VERTICES
 from circmix.graphs import circular_clique, path_graph, read_graph, write_graph
 
@@ -223,6 +223,41 @@ def test_env_cap(capsys, monkeypatch):
         assert err == f"error: --cap must be positive, got {value}\n"
 
 
+def test_shared_parser_keeps_no_state(capsys, monkeypatch):
+    assert _build_parser() is _build_parser()
+    runs = [
+        ({}, ["extend", "--graph", "clique:3", "--target", "circ:7/2",
+              "--pin", "0=1", "--pin", "1=4"]),
+        ({}, ["hom", "--graph", "clique:3", "--target", "circ:7/2"]),
+        ({}, ["extend", "--graph", "clique:3", "--target", "circ:7/2"]),
+        ({}, ["mixing", "--graph", "clique:3"]),
+        ({"COLUMNS": "50"}, ["extend", "--help"]),
+        ({"COLUMNS": "150"}, ["extend", "--help"]),
+        ({"CIRCMIX_CAP": "3"}, ["mixing", "--graph", "clique:3",
+                                "--target", "circ:9/2"]),
+        ({}, ["mixing", "--graph", "clique:3", "--target", "circ:9/2"]),
+    ]
+
+    def play(fresh_parser):
+        _build_parser.cache_clear()
+        out = []
+        for env, argv in runs:
+            for name in ("COLUMNS", "CIRCMIX_CAP"):
+                if name in env:
+                    monkeypatch.setenv(name, env[name])
+                else:
+                    monkeypatch.delenv(name, raising=False)
+            if fresh_parser:
+                _build_parser.cache_clear()
+            out.append(run_cli(capsys, *argv))
+        return out
+
+    shared = play(fresh_parser=False)
+    assert shared == play(fresh_parser=True)
+    assert [code for code, _, _ in shared] == [0, 0, 0, 1, 0, 0, 2, 0]
+    assert shared[4][1] != shared[5][1]  # the help wraps at the new width
+
+
 def test_vertex_limit_runs(tmp_path, capsys):
     path = tmp_path / "path.graph"
     write_graph(path_graph(DEFAULT_MAX_VERTICES), path)
@@ -303,3 +338,18 @@ def test_installed_console_script():
                           text=True)
     assert proc.returncode == 0
     assert "g62x" in proc.stdout
+
+
+def test_python_dash_m_matches_in_process(tmp_path, capsys):
+    path = tmp_path / "tree.graph"
+    write_graph(path_graph(7), path)
+    package_root = pathlib.Path(circmix.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(package_root)}
+    for argv in (["structure", "--op", "stiff", "--graph", f"file:{path}"],
+                 ["scan", "--graph", "clique:3", "--fracs", "3/1,7/2,4/1"]):
+        proc = subprocess.run([sys.executable, "-m", "circmix", *argv],
+                              capture_output=True, env=env)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, out.encode(), err.encode())

@@ -91,7 +91,7 @@ def assert_matches_naive_reduction(g):
 
 
 def test_stiff_reduction_matches_naive_scan():
-    for g in iso_reps(4, loops=True):
+    for g in iso_reps(4, loops=True) + iso_reps(5):
         assert_matches_naive_reduction(g)
     rng = random.Random(41)
     for _ in range(200):
@@ -121,6 +121,28 @@ def test_stiff_reduction_at_the_vertex_limit():
     red = stiff_reduction(star)
     assert {(s.removed, s.absorber) for s in red.steps} == {(1, 2)}
     assert len(red.steps) == 4094 and red.terminal == complete_graph(2)
+
+
+def test_stiff_reduction_makes_linear_absorber_tests(monkeypatch):
+    tests = 0
+    absorbers = structure._absorbers
+
+    def counting(*args):
+        nonlocal tests
+        tests += 1
+        return absorbers(*args)
+
+    monkeypatch.setattr(structure, "_absorbers", counting)
+    n = 4096
+    order = [n - 1, *range(n - 1)]  # a path whose two ends are labelled last
+    ends_last = Graph(n, zip(order, order[1:]))
+    rng = random.Random(43)
+    tree = Graph(n, [(v, rng.randrange(v)) for v in range(1, n)])
+    for g in (ends_last, tree):
+        tests = 0
+        red = stiff_reduction(g)
+        assert len(red.steps) == n - 2 and red.terminal == complete_graph(2)
+        assert tests <= n + 2 * (n - 1)  # n + 2m
 
 
 def test_rigidity():
