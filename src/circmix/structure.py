@@ -113,10 +113,10 @@ def stiff_reduction(g: Graph) -> StiffReduction:
     Folds only delete vertices, so the reduction keeps g's rows and a mask
     of the live vertices.  ``todo`` holds every live vertex that may have a
     fold: a vertex leaves it when it has no absorber, and comes back only
-    when one of its neighbours is folded away.  Its least vertex with an
-    absorber is thus the least foldable live vertex, the same pair a rescan
-    from vertex 0 would take, and the reduction makes O(n + m) absorber
-    tests.  A vertex's label at the time of a fold is the number of live
+    when one of its neighbours is folded away.  The least vertex of
+    ``todo`` with an absorber is thus the least foldable live vertex, the
+    pair a rescan from vertex 0 would take, and the reduction makes
+    O(n + m) absorber tests.  A vertex's label at the time of a fold is the number of live
     vertices below it; the terminal is induced once at the end, and a stiff
     g is its own terminal.
     """
