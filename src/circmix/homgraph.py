@@ -18,7 +18,11 @@ step at a looped vertex follows an edge of H: changing the vertices from f
 to a neighbour g one at a time meets only homomorphisms, each adjacent to
 the last, since every pair of colours an edge uv of G then meets is one of
 f(u)g(v), g(u)f(v), f(u)f(v) or g(u)g(v).  So a box that boxes no looped
-vertex is connected in the homomorphism graph too.  Homotopy paths and
+vertex is connected in the homomorphism graph too.  Joining boxes is
+local: whether two boxes that differ at one unboxed vertex w are linked by
+a step depends only on the colours of the unboxed vertices adjacent to w or
+to a boxed neighbour of w, so ``_join`` decides it once per colouring of
+those vertices, not once per pair of boxes.  Homotopy paths and
 radii walk the homomorphism graph with ``graphs._bfs``, finding each map's
 neighbours by one search over its neighbour box.
 """
@@ -208,36 +212,82 @@ def _join(source: Graph, target: Graph, boxed: list[int], boxes,
     ``homotopy`` set and no looped vertex boxed, of its homomorphism class.
 
     A box is connected, and a step at a boxed vertex stays in its box.  Two
-    boxes that differ at one other vertex w are joined by a step exactly
-    when the masks of w's boxed neighbours meet, and, with ``homotopy`` set
-    and a loop at w, w's two colours are adjacent in the target: the
-    homomorphism classes are those of single-vertex steps where a step at
-    a looped vertex follows an edge of the target.
+    boxes that differ at one other vertex w, a group off w, are joined by a
+    step exactly when the masks of w's boxed neighbours meet, and, with
+    ``homotopy`` set and a loop at w, w's two colours are adjacent in the
+    target: the homomorphism classes are those of single-vertex steps where
+    a step at a looped vertex follows an edge of the target.
+
+    The test is local.  Boxed vertices are independent and closed, so each
+    boxed neighbour's mask, and which colours of w the group holds, are
+    functions of the colours of w's free neighbourhood: the free vertices
+    adjacent to w or to a boxed neighbour of w, w excluded.  Groups that
+    colour that neighbourhood alike split w's colours alike, so
+    ``_local_classes`` runs once per colouring of it, not once per group.
     """
     if len(boxes) < 2:  # nothing to join
         return list(range(len(boxes)))
     uf = _UnionFind(len(boxes))
     slot = {v: j for j, v in enumerate(boxed)}
     # a box's free colours as one integer, a bit field per free vertex, so
-    # the key off w is the code with w's field cleared
+    # its group off w is the code with w's field cleared, and the key of
+    # that group is the code masked to w's free neighbourhood
     width = (target.n - 1).bit_length()
     free = [v for v in range(source.n) if v not in slot]
     shift = {w: width * p for p, w in enumerate(free)}
     codes = [sum(im[w] << s for w, s in shift.items()) for im, _, _ in boxes]
     for w, s in shift.items():
         near = [slot[u] for u in source.neighbours(w) if u in slot]
+        around = {x for u in source.neighbours(w)
+                  for x in (source.neighbours(u) if u in slot else (u,))}
+        context = sum(((1 << width) - 1) << shift[x]
+                      for x in around.intersection(shift) - {w})
         step = homotopy and source.has_loop(w)
+        colours = [im[w] for im, _, _ in boxes]
         groups: dict = {}
-        for i, (code, (im, masks, _)) in enumerate(zip(codes, boxes)):
-            groups.setdefault(code ^ im[w] << s, []).append(
-                (i, [masks[j] for j in near]))
-        for group in groups.values():
-            for a, (i, mi) in enumerate(group):
-                for j, mj in group[a + 1:]:
-                    if all(map(int.__and__, mi, mj)) and (
-                            not step or target.has_edge(boxes[i][0][w], boxes[j][0][w])):
-                        uf.union(i, j)
+        for i, (code, c) in enumerate(zip(codes, colours)):
+            groups.setdefault(code ^ c << s, []).append(i)
+        known: dict = {}
+        for code, group in groups.items():
+            if len(group) < 2:  # so is every group of its key
+                continue
+            key = code & context
+            if key not in known:
+                known[key] = _local_classes(
+                    [(colours[i], [boxes[i][1][j] for j in near]) for i in group],
+                    target if step else None)
+            classes = known[key]
+            if not classes:
+                continue
+            first: dict = {}
+            for i in group:
+                j = first.setdefault(classes[colours[i]], i)
+                if j != i:
+                    uf.union(j, i)
     return [uf.find(i) for i in range(len(boxes))]
+
+
+def _local_classes(members, target: Graph | None) -> dict[int, int]:
+    """The classes of one group off w, as a map from each colour of w to
+    the least colour of its class, or empty when every class is one colour.
+
+    ``members`` pairs each colour of w in the group with the masks of w's
+    boxed neighbours; two colours join when those masks meet and, with
+    ``target`` given (a homotopy step at a looped w), the colours are
+    adjacent in it.
+    """
+    label = {c: c for c, _ in members}
+    joined = False
+    for a, (c, mc) in enumerate(members):
+        for d, md in members[a + 1:]:
+            if label[c] != label[d] and all(map(int.__and__, mc, md)) and (
+                    target is None or target.has_edge(c, d)):
+                keep, drop = sorted((label[c], label[d]))
+                joined = True
+                for x, y in label.items():
+                    if y == drop:
+                        label[x] = keep
+    return label if joined else {}
 
 
 def _class_reps(boxes, roots) -> dict[int, tuple[int, ...]]:

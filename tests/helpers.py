@@ -104,6 +104,37 @@ def hom_components_by_steps(images, g: Graph, h: Graph) -> list[list[tuple[int, 
         images, h.n, lambda a, v, c: not g.has_loop(v) or h.has_edge(a[v], c))
 
 
+def join_pairwise_naive(source: Graph, target: Graph, boxed, boxes,
+                        homotopy: bool = False) -> list[int]:
+    """``homgraph._join`` by testing every pair of boxes that differ at one
+    free vertex w only: they join when the masks of w's boxed neighbours
+    meet and, with ``homotopy`` set and a loop at w, w's two colours are
+    adjacent in the target.  A root per box, the least box of its class."""
+    parent = list(range(len(boxes)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    free = [v for v in range(source.n) if v not in boxed]
+    for w in free:
+        near = [boxed.index(u) for u in source.neighbours(w) if u in boxed]
+        groups = {}
+        for i, (im, _, _) in enumerate(boxes):
+            groups.setdefault(tuple(im[v] for v in free if v != w), []).append(i)
+        for group in groups.values():
+            for a, i in enumerate(group):
+                for j in group[a + 1:]:
+                    ci, cj = boxes[i][0][w], boxes[j][0][w]
+                    if all(boxes[i][1][k] & boxes[j][1][k] for k in near) and (
+                            not (homotopy and source.has_loop(w))
+                            or target.has_edge(ci, cj)):
+                        ri, rj = sorted((find(i), find(j)))
+                        parent[rj] = ri
+    return [find(i) for i in range(len(boxes))]
+
+
 def degeneracy_order_naive(g: Graph) -> tuple[int, list[int]]:
     """Iterated minimum-degree removal, each step a scan of every live
     vertex for the least (degree, vertex); (col, order) as in

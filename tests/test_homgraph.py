@@ -1,9 +1,11 @@
 """Colour graph and homomorphism graph connectivity against naive BFS."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circmix import homgraph, homs
 from circmix.config import DEFAULT_MAX_VERTICES
@@ -20,7 +22,7 @@ from helpers import (colour_adjacent_naive, colour_components_by_steps,
                      components_naive, directed_edges,
                      graphs_with_loops, hom_adjacent_naive,
                      hom_components_by_steps, hom_graph_radius_naive,
-                     iso_reps, naive_homs, random_graph)
+                     iso_reps, join_pairwise_naive, naive_homs, random_graph)
 
 
 def _class_partitions(report):
@@ -155,6 +157,88 @@ def test_box_choice_extremes_match_naive():
         for h in (cycle_graph(5, reflexive=True), Graph(3, [(0, 0), (0, 1), (1, 2)]),
                   Graph(4, [(0, 0), (1, 1), (0, 1), (1, 2), (2, 3), (3, 3)])):
             _assert_partitions_match_naive(g, h)
+
+
+def _assert_join_matches_pairwise(g, h):
+    """``_join``'s roots against the pairwise oracle, colour classes on the
+    boxes of both box choices and homomorphism classes on those that box no
+    looped vertex."""
+    for loops in (True, False):
+        boxed, found = homs._boxes(g, h, loops=loops)
+        boxes = list(found)
+        for homotopy in (False, True) if not loops else (False,):
+            assert homgraph._join(g, h, boxed, boxes, homotopy) == \
+                join_pairwise_naive(g, h, boxed, boxes, homotopy)
+
+
+def test_join_matches_pairwise_oracle():
+    targets = iso_reps(3, loops=True)
+    for g in iso_reps(4, loops=True):
+        for h in targets:
+            _assert_join_matches_pairwise(g, h)
+    # medium pairs, where free neighbourhoods are coloured alike in many groups
+    looped = Graph(4, [(0, 0), (1, 1), (0, 1), (1, 2), (2, 3), (3, 3)])
+    for g, h in ((cycle_graph(7), circular_clique(10, 3)),
+                 (cycle_graph(8), circular_clique(7, 2)),
+                 (cycle_graph(7, reflexive=True), cycle_graph(5, reflexive=True)),
+                 (cycle_graph(7, reflexive=True), looped)):
+        _assert_join_matches_pairwise(g, h)
+
+
+def test_join_computes_classes_once_per_neighbourhood_colouring(monkeypatch):
+    calls = 0
+    local_classes = homgraph._local_classes
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return local_classes(*args)
+
+    monkeypatch.setattr(homgraph, "_local_classes", counting)
+    g, h = cycle_graph(7), circular_clique(11, 3)
+    boxed, found = homs._boxes(g, h)
+    boxes = list(found)
+    free = [v for v in range(g.n) if v not in boxed]
+    groups = keys = 0
+    for w in free:
+        # w's free neighbourhood: free vertices adjacent to w or to a boxed
+        # neighbour of w, w excluded
+        near = {x for u in g.neighbours(w) for x in [u, *g.neighbours(u)]
+                if x in free and x != w and (x == u or u in boxed)}
+        groups += len({tuple(im[v] for v in free if v != w) for im, _, _ in boxes})
+        keys += len({tuple(im[v] for v in sorted(near)) for im, _, _ in boxes})
+    assert (groups, keys) == (4114, 484)
+    for homotopy in (False, True):
+        calls = 0
+        homgraph._join(g, h, boxed, boxes, homotopy)
+        assert calls == keys
+
+
+@st.composite
+def _sparse_sources(draw):
+    """A path on 6 or 7 vertices plus at most two chords and any loops:
+    sparse enough that free neighbourhoods repeat, so most groups reuse the
+    classes of an earlier one."""
+    n = draw(st.integers(6, 7))
+    vertex = st.integers(0, n - 1)
+    chords = draw(st.sets(st.tuples(vertex, vertex), max_size=2))
+    loops = draw(st.sets(vertex))
+    return Graph(n, [*path_graph(n).edges(), *((u, v) for u, v in chords if u != v),
+                     *((v, v) for v in loops)])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_sparse_sources(), graphs_with_loops(max_n=4, min_n=2))
+def test_components_match_pairwise_join_on_drawn_pairs(g, h):
+    _assert_join_matches_pairwise(g, h)
+
+    def answers():
+        return ([components(g, h, kind=kind) for kind in ("colour", "homomorphism")],
+                is_mixing(g, h))
+
+    fast = answers()
+    with mock.patch.object(homgraph, "_join", join_pairwise_naive):
+        assert answers() == fast
 
 
 def test_box_answers_do_not_enumerate(monkeypatch):
