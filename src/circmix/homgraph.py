@@ -249,7 +249,7 @@ def _join(source: Graph, target: Graph, boxed: list[int], boxes,
             groups.setdefault(code ^ c << s, []).append(i)
         known: dict = {}
         for code, group in groups.items():
-            if len(group) < 2:  # so is every group of its key
+            if len(group) < 2:  # one box, as in every group with its key
                 continue
             key = code & context
             if key not in known:

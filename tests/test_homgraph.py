@@ -166,7 +166,7 @@ def _assert_join_matches_pairwise(g, h):
     for loops in (True, False):
         boxed, found = homs._boxes(g, h, loops=loops)
         boxes = list(found)
-        for homotopy in (False, True) if not loops else (False,):
+        for homotopy in ((False,) if loops else (False, True)):
             assert homgraph._join(g, h, boxed, boxes, homotopy) == \
                 join_pairwise_naive(g, h, boxed, boxes, homotopy)
 
@@ -217,8 +217,8 @@ def test_join_computes_classes_once_per_neighbourhood_colouring(monkeypatch):
 @st.composite
 def _sparse_sources(draw):
     """A path on 6 or 7 vertices plus at most two chords and any loops:
-    sparse enough that free neighbourhoods repeat, so most groups reuse the
-    classes of an earlier one."""
+    sparse enough that free neighbourhoods repeat, so that groups often
+    reuse the classes of an earlier one."""
     n = draw(st.integers(6, 7))
     vertex = st.integers(0, n - 1)
     chords = draw(st.sets(st.tuples(vertex, vertex), max_size=2))
