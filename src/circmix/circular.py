@@ -396,7 +396,9 @@ def mixing_scan(g: Graph, fracs, cap: int | None = None) -> MixingScanReport:
     its colourings; every other row, and a covered row whose count is 0,
     comes from an exact class computation by ``is_mixing``.  Neither builds
     the space: both count the colourings box by box (``homs._boxes``), and
-    ``is_mixing`` joins the boxes into classes.  Rows with more than ``cap``
+    ``is_mixing`` joins the boxes into classes.  G_{k,q} is fixed by the
+    shift c -> c + 1, so the boxes searched and joined are one per orbit of
+    its k shifts, about 1/k of all of them.  Rows with more than ``cap``
     colourings are recorded as Skipped and the scan continues.  Fractions are scanned exactly as
     given, never reduced.  The summary lists theorem bounds beside scan
     evidence; the two kinds are tagged so enumeration facts stay

@@ -22,9 +22,20 @@ vertex is connected in the homomorphism graph too.  Joining boxes is
 local: whether two boxes that differ at one unboxed vertex w are linked by
 a step depends only on the colours of the unboxed vertices adjacent to w or
 to a boxed neighbour of w, so ``_join`` decides it once per colouring of
-those vertices, not once per pair of boxes.  Homotopy paths and
-radii walk the homomorphism graph with ``graphs._bfs``, finding each map's
-neighbours by one search over its neighbour box.
+those vertices, not once per pair of boxes.
+
+The target's cyclic shifts act on all of this.  When c -> c + d (mod n)
+is an automorphism of H (``homs._shift_period``), so is f -> f + d on
+HOM(G, H): it keeps both adjacencies, since it keeps every edge of H, so it
+maps classes to classes, boxes to boxes and groups to groups.  The boxes
+are enumerated one per orbit of the r = n / d shifts, and ``_join`` joins
+them with a union-find whose links carry a shift in Z_r: a class of the
+whole space is a root and a residue of the shift modulo the gcd of r and
+the root's cycle voltages.  Sizes, flags and least members are read off
+that quotient, so the work is about 1/r of a join over all boxes.
+
+Homotopy paths and radii walk the homomorphism graph with ``graphs._bfs``,
+finding each map's neighbours by one search over its neighbour box.
 """
 
 from __future__ import annotations
@@ -32,13 +43,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
+from math import gcd
 from operator import itemgetter
 
 from .config import hom_cap
 from .errors import DisconnectedError, NoColouringsError
 from .graphs import Graph, _bfs, _path
-from .homs import (Hom, _boxes, _search, _search_order, enumerate_homs,
-                   format_image, is_hom)
+from .homs import (Hom, _boxes, _rotate, _search, _search_order,
+                   enumerate_homs, format_image, is_hom)
 
 
 @dataclass(frozen=True)
@@ -180,36 +192,68 @@ def _avail_masks(image, source: Graph, target: Graph) -> list[int]:
 
 
 class _UnionFind:
-    def __init__(self, n: int):
+    """Union-find over boxes whose shifts carry a potential in Z_r: shift
+    t of box x lies in the class of shift t + pot[x] of parent[x].  A root
+    also keeps ``split``, the gcd of r and of the voltages of the cycles
+    its unions closed, so its shifts t and t + split share a class."""
+
+    def __init__(self, n: int, r: int):
         self.parent = list(range(n))
+        self.pot = [0] * n
+        self.split = [r] * n
+        self.r = r
 
     def find(self, x: int) -> int:
+        """x's root, leaving pot[x] the potential from x to it."""
         p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
+        y = p[x]
+        if p[y] == y:  # x is a root or a child of one
+            return y
+        pot = self.pot
+        root, total = y, pot[x]
+        while p[root] != root:
+            total += pot[root]
+            root = p[root]
+        while y != root:  # point the path at the root
+            pot[x], total = total % self.r, total - pot[x]
+            p[x] = root
+            x, y = y, p[y]
+        return root
 
-    def union(self, a: int, b: int) -> None:
+    def union(self, a: int, b: int, delta: int = 0) -> None:
+        """Join shift t of a with shift t + delta of b, for every t.  b's
+        root goes under a's: the group loops pass one box as a again and
+        again, and it stays next to its root."""
         ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
+        pot, r = self.pot, self.r
+        gap = (delta + pot[b] - pot[a]) % r  # a root's potential is 0
+        if ra == rb:
+            if gap:
+                self.split[ra] = gcd(self.split[ra], gap)
+            return
+        self.parent[rb] = ra
+        pot[rb] = -gap % r
+        if self.split[rb] < r:
+            self.split[ra] = gcd(self.split[ra], self.split[rb])
 
 
 def _box_partition(source: Graph, target: Graph, cap: int | None = None):
-    """``(boxed, boxes, roots)``: the boxes of ``homs._boxes`` and a colour
-    class root per box from ``_join``.  Raises as ``_boxes`` does."""
-    boxed, found = _boxes(source, target, cap)
+    """``(boxed, boxes, r, join)``: the orbit boxes of ``homs._boxes``, the
+    order of the shift group, and their colour classes from ``_join``.
+    Raises as ``_boxes`` does."""
+    boxed, found, root, r = _boxes(source, target, cap)
     boxes = list(found)
-    return boxed, boxes, _join(source, target, boxed, boxes)
+    return boxed, boxes, r, _join(source, target, boxed, boxes, root, r)
 
 
-def _join(source: Graph, target: Graph, boxed: list[int], boxes,
-          homotopy: bool = False) -> list[int]:
-    """A root per box: the least box of its colour class or, with
-    ``homotopy`` set and no looped vertex boxed, of its homomorphism class.
+def _join(source: Graph, target: Graph, boxed: list[int], boxes, root, r: int,
+          homotopy: bool = False):
+    """The classes of the shifts of ``boxes``, as ``(roots, pots, splits)``:
+    shift t of box i lies in class (roots[i], (t + pots[i]) % s) for
+    s = splits[roots[i]], one of the s classes of that root.  These are the
+    colour classes or, with ``homotopy`` set and no looped vertex boxed,
+    the homomorphism classes; ``boxes``, ``root`` and r are those of
+    ``homs._boxes``.
 
     A box is connected, and a step at a boxed vertex stays in its box.  Two
     boxes that differ at one other vertex w, a group off w, are joined by a
@@ -224,15 +268,32 @@ def _join(source: Graph, target: Graph, boxed: list[int], boxes,
     adjacent to w or to a boxed neighbour of w, w excluded.  Groups that
     colour that neighbourhood alike split w's colours alike, so
     ``_local_classes`` runs once per colouring of it, not once per group.
+
+    The test is also equivariant.  A shift c -> c + d of the target maps
+    groups to groups and classes to classes, since it keeps both
+    adjacencies, so the join runs on one box per orbit and each union joins
+    shift t of one box to shift t + delta of another for every t at once.
+    Off a free vertex w other than ``root`` a group's boxes share root's
+    colour, so the orbit's group with that colour below d holds shift 0 of
+    each: delta is 0.  Off ``root`` each box is framed by the shift that
+    brings the colour of a fixed other free vertex below d, one of w's free
+    neighbourhood when it has one, so the key is framed too; the framed
+    boxes of one orbit of groups form one group, and a union carries the
+    difference of the two frames.  With no other free vertex the one group
+    holds all r shifts of every box.  A union inside one tree closes a
+    cycle whose voltage, the gap of its potentials, puts shifts t and
+    t + voltage of the root in one class; so a root whose voltages have gcd
+    s with r splits into s classes, shift t of box i lying in class
+    (t + potential of i) mod s.
     """
-    if len(boxes) < 2:  # nothing to join
-        return list(range(len(boxes)))
-    uf = _UnionFind(len(boxes))
+    uf = _UnionFind(len(boxes), r)
+    n = target.n
+    d = n // r
     slot = {v: j for j, v in enumerate(boxed)}
     # a box's free colours as one integer, a bit field per free vertex, so
     # its group off w is the code with w's field cleared, and the key of
     # that group is the code masked to w's free neighbourhood
-    width = (target.n - 1).bit_length()
+    width = (n - 1).bit_length()
     free = [v for v in range(source.n) if v not in slot]
     shift = {w: width * p for p, w in enumerate(free)}
     codes = [sum(im[w] << s for w, s in shift.items()) for im, _, _ in boxes]
@@ -240,13 +301,28 @@ def _join(source: Graph, target: Graph, boxed: list[int], boxes,
         near = [slot[u] for u in source.neighbours(w) if u in slot]
         around = {x for u in source.neighbours(w)
                   for x in (source.neighbours(u) if u in slot else (u,))}
-        context = sum(((1 << width) - 1) << shift[x]
-                      for x in around.intersection(shift) - {w})
+        around = sorted(around.intersection(shift) - {w})
+        context = sum(((1 << width) - 1) << shift[x] for x in around)
         step = homotopy and source.has_loop(w)
-        colours = [im[w] for im, _, _ in boxes]
+        # the entries of this pass: the boxes, or off the root the shift
+        # lifts[e] of box owner[e], framed as described above
+        owner = lifts = None
+        lift_codes, colours = codes, [im[w] for im, _, _ in boxes]
+        if w == root and r > 1:
+            frame = (around or [x for x in free if x != w] or [None])[0]
+            if frame is None:
+                owner = [i for i in range(len(boxes)) for _ in range(r)]
+                lifts = list(range(r)) * len(boxes)
+            else:
+                owner = range(len(boxes))
+                lifts = [-(im[frame] // d) % r for im, _, _ in boxes]
+            lift_codes = [sum((boxes[i][0][x] + t * d) % n << sx
+                              for x, sx in shift.items()) if t else codes[i]
+                          for i, t in zip(owner, lifts)]
+            colours = [(boxes[i][0][w] + t * d) % n for i, t in zip(owner, lifts)]
         groups: dict = {}
-        for i, (code, c) in enumerate(zip(codes, colours)):
-            groups.setdefault(code ^ c << s, []).append(i)
+        for e, (code, c) in enumerate(zip(lift_codes, colours)):
+            groups.setdefault(code ^ c << s, []).append(e)
         known: dict = {}
         for code, group in groups.items():
             if len(group) < 2:  # one box, as in every group with its key
@@ -254,17 +330,24 @@ def _join(source: Graph, target: Graph, boxed: list[int], boxes,
             key = code & context
             if key not in known:
                 known[key] = _local_classes(
-                    [(colours[i], [boxes[i][1][j] for j in near]) for i in group],
+                    [(colours[e], [boxes[e][1][j] for j in near] if lifts is None else
+                      [_rotate(boxes[owner[e]][1][j], lifts[e] * d, n) for j in near])
+                     for e in group],
                     target if step else None)
             classes = known[key]
             if not classes:
                 continue
             first: dict = {}
-            for i in group:
-                j = first.setdefault(classes[colours[i]], i)
-                if j != i:
-                    uf.union(j, i)
-    return [uf.find(i) for i in range(len(boxes))]
+            for e in group:
+                f = first.setdefault(classes[colours[e]], e)
+                if f == e:
+                    continue
+                if lifts is None:
+                    uf.union(f, e)
+                else:
+                    uf.union(owner[f], owner[e], lifts[e] - lifts[f])
+    roots = [uf.find(i) for i in range(len(boxes))]
+    return roots, uf.pot, uf.split
 
 
 def _local_classes(members, target: Graph | None) -> dict[int, int]:
@@ -290,13 +373,69 @@ def _local_classes(members, target: Graph | None) -> dict[int, int]:
     return label if joined else {}
 
 
-def _class_reps(boxes, roots) -> dict[int, tuple[int, ...]]:
-    """Least member per root, in increasing order of that member."""
-    least: dict[int, tuple[int, ...]] = {}
-    for (im, _, _), r in zip(boxes, roots):
-        if r not in least or im < least[r]:
-            least[r] = im
-    return dict(sorted(least.items(), key=itemgetter(1)))
+def _class_reps(source: Graph, target: Graph, boxed: list[int], boxes, r: int,
+                join) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Least member of each class ``(root, c)`` of ``_join``, in increasing
+    order of that member.
+
+    The candidates are the shifts of the root's boxes in the class; each
+    vertex in index order keeps those whose least member takes the least
+    colour there, until one is left, so no other member is built.  At
+    vertex 0 that colour depends only on the box's colours there and on
+    which shifts the class holds, so it is found once per colour mask and
+    potential, not once per box.
+    """
+    roots, pots, splits = join
+    n = target.n
+    d = n // r
+    if not source.n:  # the one box of the empty map
+        return {(x, 0): () for x in set(roots)}
+
+    slot = {v: j for j, v in enumerate(boxed)}
+
+    def colours(cands, v):  # the least member's colour at v, per candidate
+        if v not in slot:
+            return [(boxes[i][0][v] + t * d) % n for i, t in cands]
+        out = []
+        for i, t in cands:
+            m = _rotate(boxes[i][1][slot[v]], t * d, n)
+            out.append((m & -m).bit_length() - 1)
+        return out
+
+    # boxes of one root alike in their colours at vertex 0 and in their
+    # potential mod its split take the same least colour there in each class
+    head = slot.get(0)
+    alike: dict[tuple[int, int, int], list[int]] = {}
+    for i, (x, p, (im, masks, _)) in enumerate(zip(roots, pots, boxes)):
+        m = 1 << im[0] if head is None else masks[head]
+        alike.setdefault((x, m, p % splits[x]), []).append(i)
+    trees: dict[int, list] = {}
+    for (x, m, p), members in alike.items():
+        trees.setdefault(x, []).append((m, p, members))
+    reps = {}
+    for x, tree in trees.items():
+        s = splits[x]
+        for c in range(s):
+            best, cands = n, []
+            for m, p, members in tree:
+                lows: dict[int, list[int]] = {}
+                for t in range((c - p) % s, r, s):  # the class's shifts
+                    y = _rotate(m, t * d, n)
+                    lows.setdefault((y & -y).bit_length() - 1, []).append(t)
+                low, ts = min(lows.items())
+                if low < best:
+                    best, cands = low, []
+                if low == best:
+                    cands += [(i, t) for i in members for t in ts]
+            for v in range(1, source.n):  # keep the least, vertex by vertex
+                if len(cands) == 1:
+                    break
+                seen = colours(cands, v)
+                low = min(seen)
+                cands = [ic for ic, y in zip(cands, seen) if y == low]
+            [(i, t)] = cands
+            reps[x, c] = tuple(y for v in range(source.n) for y in colours(cands, v))
+    return dict(sorted(reps.items(), key=itemgetter(1)))
 
 
 def _hom_neighbours(image, source: Graph, target: Graph, order: list[int],
@@ -325,24 +464,33 @@ def components(source: Graph, target: Graph, kind: str = "colour",
     homomorphism graph, that is, when it holds a homomorphism class of one
     member.  A box has a member that misses some colour c exactly when its
     other vertices miss c and no boxed vertex is held to c alone.
+
+    The boxes are one per orbit of the target's r cyclic shifts.  A root
+    of ``_join`` with split s stands for s classes, each of r/s times its
+    boxes' size; they share its non-surjective flag, since a shift moves
+    the colours a member misses, and are frozen when its homomorphism class
+    is one box of one member whose shifts are all apart (split r).
     """
     if kind not in ("colour", "homomorphism"):
         raise ValueError(f"unknown kind {kind!r}")
-    boxed, found = _boxes(source, target, cap, loops=False)
+    boxed, found, root, r = _boxes(source, target, cap, loops=False)
     boxes = list(found)
-    hom_roots = roots = _join(source, target, boxed, boxes, homotopy=True)
+    hom = join = _join(source, target, boxed, boxes, root, r, homotopy=True)
     if kind == "colour" and not source.is_loop_free:
-        roots = _join(source, target, boxed, boxes)
-    # a root is a box of its class, so a class of one box is rooted there
+        join = _join(source, target, boxed, boxes, root, r)
+    roots, _, splits = join
+    # a root is a box of its class, so a class of one box is rooted there;
+    # its shifts are classes of their own when its split is r
+    hom_roots, _, hom_splits = hom
     frozen = {roots[h] for h, count in Counter(hom_roots).items()
-              if count == 1 and boxes[h][2] == 1}
+              if count == 1 and boxes[h][2] == 1 and hom_splits[h] == r}
     free = set(range(source.n)).difference(boxed)
     full = (1 << target.n) - 1
     sizes: dict[int, int] = {}
     non_surj: set[int] = set()
-    for (im, masks, size), r in zip(boxes, roots):
-        sizes[r] = sizes.get(r, 0) + size
-        if r in non_surj:
+    for (im, masks, size), x in zip(boxes, roots):
+        sizes[x] = sizes.get(x, 0) + size
+        if x in non_surj:
             continue
         missing = full
         for c in set(map(im.__getitem__, free)):
@@ -351,29 +499,31 @@ def components(source: Graph, target: Graph, kind: str = "colour",
             if m & (m - 1) == 0:
                 missing &= ~m
         if missing:
-            non_surj.add(r)
+            non_surj.add(x)
     classes = tuple(
-        ClassSummary(Hom(source.n, target.n, rep), sizes[r], r in non_surj,
-                     r in frozen)
-        for r, rep in _class_reps(boxes, roots).items())
-    return ComponentReport(kind=kind, total=sum(sizes.values()), classes=classes)
+        ClassSummary(Hom(source.n, target.n, rep), sizes[x] * r // splits[x],
+                     x in non_surj, x in frozen)
+        for (x, _), rep in _class_reps(source, target, boxed, boxes, r, join).items())
+    return ComponentReport(kind=kind, total=r * sum(sizes.values()), classes=classes)
 
 
 def is_mixing(source: Graph, target: Graph, cap: int | None = None) -> MixingVerdict:
     """Is the colour graph of HOM(source, target) connected?
 
-    Reads the classes off the boxes of ``_box_partition``, building no
-    member but the class representatives.  NotMixing verdicts carry the
-    least members of the two least classes.
+    Reads the classes off the orbit boxes of ``_box_partition``, building
+    no member but the class representatives: a root with split s is s
+    classes.  NotMixing verdicts carry the least members of the two least
+    classes.
     """
-    _, boxes, roots = _box_partition(source, target, cap)
-    total = sum(size for _, _, size in boxes)
+    boxed, boxes, r, join = _box_partition(source, target, cap)
+    total = r * sum(size for _, _, size in boxes)
     if total == 0:
         return MixingVerdict("no_colourings", 0, 0, None)
-    count = len(set(roots))
+    roots, _, splits = join
+    count = sum(splits[x] for x in set(roots))
     if count == 1:
         return MixingVerdict("mixing", total, 1, None)
-    reps = list(_class_reps(boxes, roots).values())
+    reps = list(_class_reps(source, target, boxed, boxes, r, join).values())
     witness = (Hom(source.n, target.n, reps[0]), Hom(source.n, target.n, reps[1]))
     return MixingVerdict("not_mixing", total, count, witness)
 

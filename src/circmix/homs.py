@@ -286,31 +286,68 @@ def _lowest_bits(m: int, count: int) -> int:
     return out
 
 
+def _rotate(m: int, k: int, n: int) -> int:
+    """The colour mask m shifted by c -> c + k (mod n), for 0 <= k < n."""
+    return (m << k | m >> (n - k)) & ((1 << n) - 1) if k else m
+
+
+def _shift_period(h: Graph) -> int:
+    """The least d dividing n = h.n such that c -> c + d (mod n) is an
+    automorphism of h: for every c, ``rows[(c + d) % n]`` is ``rows[c]``
+    rotated by d.  The shifts by multiples of d are then a group of order
+    n / d.  Every circular clique, K_n and C_n have d = 1; a target with no
+    shift symmetry has d = n.
+    """
+    n, rows = h.n, h.rows
+    for d in range(1, n):
+        if n % d == 0 and all(rows[(c + d) % n] == _rotate(rows[c], d, n)
+                              for c in range(n)):
+            return d
+    return n
+
+
 def _boxes(g: Graph, h: Graph, cap: int | None = None, loops: bool = True):
-    """``(boxed, boxes)``: the vertices box mode does not branch on in
-    ``_box_order``, and an iterator of the boxes of HOM(g, h) as
-    ``(image, masks, size)``.  The boxes partition HOM(g, h); the iterator
-    raises CapExceededError before the box that passes ``cap`` members.
-    With ``loops`` false, no looped vertex is boxed.
+    """``(boxed, boxes, root, r)``: the vertices box mode does not branch on
+    in ``_box_order``, an iterator of one box of HOM(g, h) per orbit of the
+    target's cyclic shifts, as ``(image, masks, size)``, the free vertex
+    whose colour picks the orbit's box, and the order r of the shift group.
+
+    With d = ``_shift_period(h)``, the shifts c -> c + t*d (mod n), t in
+    Z_r, r = n / d, map HOM(g, h) onto itself and a box onto a box, its
+    free colours shifted and its masks rotated with them.  They act freely
+    on the colour of ``root``, the first free vertex of ``_box_order``, so
+    holding that colour below d yields exactly one box per orbit, and the
+    search is cut r-fold at its root.  The shifts of the boxes yielded
+    partition HOM(g, h), which has r times their total size; the iterator
+    raises CapExceededError before the box that brings that count past
+    ``cap``.  With ``loops`` false, no looped vertex is boxed.  A source
+    with no free vertex has root None and r = 1.
     """
     cap = hom_cap(cap)
     order = _box_order(g)
     flags = [c and (loops or not g.has_loop(w))
              for w, c in zip(order, _closed(g, order))]
     boxed = [w for w, c in zip(order, flags) if c]
+    root = next((w for w, c in zip(order, flags) if not c), None)
+    d = _shift_period(h) if root is not None else h.n
+    r = h.n // d if d else 1
+    domains = None
+    if r > 1:
+        domains = [(1 << h.n) - 1] * g.n
+        domains[root] = (1 << d) - 1
 
     def sized():
         total = 0
-        for im, masks in _search(g, h, order, [0] * g.n, boxes=flags):
+        for im, masks in _search(g, h, order, [0] * g.n, domains, boxes=flags):
             size = 1
             for m in masks:
                 size *= m.bit_count()
-            total += size
+            total += r * size
             if total > cap:
                 raise CapExceededError(cap, f"homomorphism count for n={g.n}")
             yield im, masks, size
 
-    return boxed, sized()
+    return boxed, sized(), root, r
 
 
 def enumerate_homs(g: Graph, h: Graph, cap: int | None = None) -> HomSpace:
@@ -320,7 +357,7 @@ def enumerate_homs(g: Graph, h: Graph, cap: int | None = None) -> HomSpace:
     building the members of the box that passes the cap; an empty result
     is an answer, not an error.
     """
-    boxed, boxes = _boxes(g, h, cap)
+    boxed, boxes, _, r = _boxes(g, h, cap)
     out: list[tuple[int, ...]] = []
     for im, masks, _ in boxes:
         img = list(im)
@@ -328,17 +365,28 @@ def enumerate_homs(g: Graph, h: Graph, cap: int | None = None) -> HomSpace:
             for v, c in zip(boxed, colours):
                 img[v] = c
             out.append(tuple(img))
+    # a shift keeps most of a sorted list in order, so the final sort
+    # merges long runs
+    out.sort()
+    orbit = len(out)
+    for t in range(1, r):
+        shifted = [(c + t * h.n // r) % h.n for c in range(h.n)]
+        out += [tuple(map(shifted.__getitem__, im)) for im in out[:orbit]]
     out.sort()
     return HomSpace(g.n, h.n, out)
 
 
 def hom_count(g: Graph, h: Graph, cap: int | None = None) -> int:
-    """The number of homomorphisms g -> h, without building any of them.
+    """The number of homomorphisms g -> h, without building any of them:
+    r times the total size of the boxes of ``_boxes``, one box per orbit of
+    the target's r cyclic shifts, so the search is about 1/r of one over
+    every box.
 
     Raises CapExceededError exactly when enumerate_homs would: when more
     than ``cap`` homomorphisms exist.
     """
-    return sum(size for _, _, size in _boxes(g, h, cap)[1])
+    _, boxes, _, r = _boxes(g, h, cap)
+    return r * sum(size for _, _, size in boxes)
 
 
 def iter_homs(g: Graph, h: Graph, budget: int | None = None):

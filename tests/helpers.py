@@ -135,6 +135,25 @@ def join_pairwise_naive(source: Graph, target: Graph, boxed, boxes,
     return [find(i) for i in range(len(boxes))]
 
 
+def lift_boxes(boxed, boxes, n: int, r: int):
+    """The r shifts of each orbit box of ``homs._boxes`` into a target on
+    n colours, box by box, shift t of box i at position i*r + t: every box
+    of the space once, as ``(image, masks, size)``.  Shift t adds t*n/r to
+    each free colour and rotates each mask with it; a boxed vertex's image
+    is the least colour of its rotated mask."""
+    d = n // r
+    out = []
+    for im, masks, size in boxes:
+        for t in range(r):
+            k = t * d
+            rotated = tuple(sum(1 << (c + k) % n for c in _bits(m)) for m in masks)
+            img = [(c + k) % n for c in im]
+            for v, m in zip(boxed, rotated):
+                img[v] = min(_bits(m))
+            out.append((tuple(img), rotated, size))
+    return out
+
+
 def degeneracy_order_naive(g: Graph) -> tuple[int, list[int]]:
     """Iterated minimum-degree removal, each step a scan of every live
     vertex for the least (degree, vertex); (col, order) as in

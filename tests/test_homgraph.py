@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circmix import homgraph, homs
+from circmix.cli import main
 from circmix.config import DEFAULT_MAX_VERTICES
 from circmix.errors import (CapExceededError, DisconnectedError,
                             NoColouringsError)
@@ -22,7 +23,8 @@ from helpers import (colour_adjacent_naive, colour_components_by_steps,
                      components_naive, directed_edges,
                      graphs_with_loops, hom_adjacent_naive,
                      hom_components_by_steps, hom_graph_radius_naive,
-                     iso_reps, join_pairwise_naive, naive_homs, random_graph)
+                     iso_reps, join_pairwise_naive, lift_boxes, naive_homs,
+                     random_graph)
 
 
 def _class_partitions(report):
@@ -41,6 +43,21 @@ def test_adjacency_predicates_match_naive():
         assert hom_adjacent(fa, fb, g, h) == hom_adjacent_naive(a, b, g, h)
 
 
+def _lifted_labels(join, r):
+    """The class ``(root, c)`` of every box of ``helpers.lift_boxes``: shift t of
+    orbit box i, at position i*r + t, lies in (root, (t + pot) % split)."""
+    roots, pots, splits = join
+    return [(roots[i // r], (i % r + pots[i // r]) % splits[roots[i // r]])
+            for i in range(len(roots) * r)]
+
+
+def _lifted_roots(join, r):
+    """``_join`` read on the boxes of ``helpers.lift_boxes``, as the pairwise
+    oracle gives it: a root per box, the least box of its class."""
+    least = {}
+    return [least.setdefault(label, i) for i, label in enumerate(_lifted_labels(join, r))]
+
+
 def _assert_partitions_match_naive(g, h):
     """Box partition, both kinds of components and is_mixing against BFS
     over the naive adjacencies: class members, least representatives, sizes,
@@ -52,19 +69,23 @@ def _assert_partitions_match_naive(g, h):
         return hom_adjacent_naive(a, b, g, h, arcs)
 
     colour_naive = components_naive(images, colour_adjacent_naive)
-    # every member lies in exactly one box, and takes its box's class
-    boxed = homs._boxes(g, h)[0]
-    _, boxes, roots = homgraph._box_partition(g, h)
-    assert sum(size for _, _, size in boxes) == len(images)
-    reps = homgraph._class_reps(boxes, roots)
+    # every member lies in exactly one shift of one orbit box, and takes
+    # that shift's class
+    boxed, boxes, r, join = homgraph._box_partition(g, h)
+    assert boxed == homs._boxes(g, h)[0]
+    lifted = list(lift_boxes(boxed, boxes, h.n, r))
+    assert sum(size for _, _, size in lifted) == len(images)
+    labels = _lifted_labels(join, r)
+    reps = homgraph._class_reps(g, h, boxed, boxes, r, join)
     classes = {}
     for a in images:
-        [r] = [r for (im, masks, _), r in zip(boxes, roots)
-               if all(a[v] == im[v] for v in range(g.n) if v not in boxed)
-               and all(m >> a[v] & 1 for v, m in zip(boxed, masks))]
-        classes.setdefault(r, []).append(a)
+        [label] = [label for (im, masks, _), label in zip(lifted, labels)
+                   if all(a[v] == im[v] for v in range(g.n) if v not in boxed)
+                   and all(m >> a[v] & 1 for v, m in zip(boxed, masks))]
+        classes.setdefault(label, []).append(a)
     assert sorted(classes.values()) == colour_naive
-    assert all(reps[r] == members[0] for r, members in classes.items())
+    assert set(reps) == set(classes)
+    assert all(reps[label] == members[0] for label, members in classes.items())
     # frozen: some member is an isolated vertex of the hom graph
     isolated = {a for a in images
                 if not any(b != a and hom_adj(a, b) for b in images)}
@@ -160,15 +181,24 @@ def test_box_choice_extremes_match_naive():
 
 
 def _assert_join_matches_pairwise(g, h):
-    """``_join``'s roots against the pairwise oracle, colour classes on the
-    boxes of both box choices and homomorphism classes on those that box no
-    looped vertex."""
+    """``_join``'s classes, lifted to every shift of the orbit boxes,
+    against the pairwise oracle on those lifted boxes, box for box: colour
+    classes on the boxes of both box choices and homomorphism classes on
+    those that box no looped vertex."""
     for loops in (True, False):
-        boxed, found = homs._boxes(g, h, loops=loops)
+        boxed, found, root, r = homs._boxes(g, h, loops=loops)
         boxes = list(found)
+        lifted = list(lift_boxes(boxed, boxes, h.n, r))
         for homotopy in ((False,) if loops else (False, True)):
-            assert homgraph._join(g, h, boxed, boxes, homotopy) == \
-                join_pairwise_naive(g, h, boxed, boxes, homotopy)
+            join = homgraph._join(g, h, boxed, boxes, root, r, homotopy)
+            assert _lifted_roots(join, r) == \
+                join_pairwise_naive(g, h, boxed, lifted, homotopy)
+
+
+# shift-invariant targets with shift periods 1, 2, 3 and n
+MATCHING = Graph(6, [(0, 1), (2, 3), (4, 5)])
+SHIFT_3 = Graph(6, [(0, 3), (1, 4), (2, 5), (0, 1), (3, 4)])
+LOOPED_PATH = Graph(4, [(0, 0), (1, 1), (0, 1), (1, 2), (2, 3), (3, 3)])
 
 
 def test_join_matches_pairwise_oracle():
@@ -177,12 +207,21 @@ def test_join_matches_pairwise_oracle():
         for h in targets:
             _assert_join_matches_pairwise(g, h)
     # medium pairs, where free neighbourhoods are coloured alike in many groups
-    looped = Graph(4, [(0, 0), (1, 1), (0, 1), (1, 2), (2, 3), (3, 3)])
     for g, h in ((cycle_graph(7), circular_clique(10, 3)),
                  (cycle_graph(8), circular_clique(7, 2)),
                  (cycle_graph(7, reflexive=True), cycle_graph(5, reflexive=True)),
-                 (cycle_graph(7, reflexive=True), looped)):
+                 (cycle_graph(7, reflexive=True), LOOPED_PATH)):
         _assert_join_matches_pairwise(g, h)
+
+
+def test_orbit_join_matches_pairwise_oracle_on_shift_invariant_targets():
+    targets = {cycle_graph(5, reflexive=True): 1, MATCHING: 2,
+               circular_clique(6, 2): 1, complete_graph(4).with_all_loops(): 1,
+               SHIFT_3: 3, LOOPED_PATH: 4}
+    assert {h: homs._shift_period(h) for h in targets} == targets
+    for g in iso_reps(4, loops=True):
+        for h in targets:
+            _assert_join_matches_pairwise(g, h)
 
 
 def test_join_computes_classes_once_per_neighbourhood_colouring(monkeypatch):
@@ -196,21 +235,28 @@ def test_join_computes_classes_once_per_neighbourhood_colouring(monkeypatch):
 
     monkeypatch.setattr(homgraph, "_local_classes", counting)
     g, h = cycle_graph(7), circular_clique(11, 3)
-    boxed, found = homs._boxes(g, h)
+    boxed, found, root, r = homs._boxes(g, h)
     boxes = list(found)
+    assert (len(boxes), r) == (726, 11)
+    d = h.n // r
     free = [v for v in range(g.n) if v not in boxed]
     groups = keys = 0
     for w in free:
         # w's free neighbourhood: free vertices adjacent to w or to a boxed
         # neighbour of w, w excluded
-        near = {x for u in g.neighbours(w) for x in [u, *g.neighbours(u)]
-                if x in free and x != w and (x == u or u in boxed)}
-        groups += len({tuple(im[v] for v in free if v != w) for im, _, _ in boxes})
-        keys += len({tuple(im[v] for v in sorted(near)) for im, _, _ in boxes})
-    assert (groups, keys) == (4114, 484)
+        near = sorted({x for u in g.neighbours(w) for x in [u, *g.neighbours(u)]
+                       if x in free and x != w and (x == u or u in boxed)})
+        # off the root each box is shifted to bring its least neighbourhood
+        # vertex's colour below d
+        lift = [-(im[near[0]] // d) * d if w == root else 0 for im, _, _ in boxes]
+        colours = [{v: (im[v] + k) % h.n for v in free}
+                   for (im, _, _), k in zip(boxes, lift)]
+        groups += len({tuple(c[v] for v in free if v != w) for c in colours})
+        keys += len({tuple(c[v] for v in near) for c in colours})
+    assert (groups, keys) == (374, 154)
     for homotopy in (False, True):
         calls = 0
-        homgraph._join(g, h, boxed, boxes, homotopy)
+        homgraph._join(g, h, boxed, boxes, root, r, homotopy)
         assert calls == keys
 
 
@@ -237,8 +283,80 @@ def test_components_match_pairwise_join_on_drawn_pairs(g, h):
                 is_mixing(g, h))
 
     fast = answers()
-    with mock.patch.object(homgraph, "_join", join_pairwise_naive):
+    # the reference: every box of the space, joined pair by pair
+    with mock.patch.object(homs, "_shift_period", lambda h: h.n), \
+            mock.patch.object(homgraph, "_join", _pairwise_join):
         assert answers() == fast
+
+
+def _pairwise_join(source, target, boxed, boxes, root, r, homotopy=False):
+    """``_join`` by the pairwise oracle, for the trivial shift group."""
+    assert r == 1
+    roots = join_pairwise_naive(source, target, boxed, boxes, homotopy)
+    return roots, [0] * len(roots), [1] * len(roots)
+
+
+@st.composite
+def _shift_invariant_targets(draw):
+    """A target on 4, 6 or 8 colours drawn as the orbit of a random edge
+    set, loops allowed, under the shifts by a divisor d of n."""
+    n = draw(st.sampled_from([4, 6, 8]))
+    d = draw(st.sampled_from([x for x in (1, 2, 3, 4, n) if n % x == 0]))
+    colour = st.integers(0, n - 1)
+    seeds = draw(st.sets(st.tuples(colour, colour), min_size=1, max_size=4))
+    edges = [((u + t) % n, (v + t) % n) for u, v in seeds for t in range(0, n, d)]
+    return Graph(n, edges), d
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(graphs_with_loops(max_n=5), _shift_invariant_targets())
+def test_components_match_naive_on_drawn_shift_invariant_targets(g, drawn):
+    h, d = drawn
+    period = homs._shift_period(h)
+    assert d % period == 0
+    assert all(h.rows[(c + period) % h.n] == homs._rotate(h.rows[c], period, h.n)
+               for c in range(h.n))
+    images = naive_homs(g, h)
+    arcs = directed_edges(g)
+    if len(images) <= 300:
+        colour = components_naive(images, colour_adjacent_naive)
+        hom = components_naive(
+            images, lambda a, b: hom_adjacent_naive(a, b, g, h, arcs))
+    else:  # the pairwise oracle is quadratic; steps give the same classes
+        colour = colour_components_by_steps(images, h.n)
+        hom = hom_components_by_steps(images, g, h)
+    # a frozen member is alone in its homomorphism class
+    frozen = {cls[0] for cls in hom if len(cls) == 1}
+    for kind, naive in (("colour", colour), ("homomorphism", hom)):
+        report = components(g, h, kind=kind)
+        assert report.total == len(images)
+        assert [(c.rep.image, c.size, c.contains_non_surjective,
+                 c.contains_frozen) for c in report.classes] == \
+            [(cls[0], len(cls), any(len(set(a)) < h.n for a in cls),
+              any(a in frozen for a in cls)) for cls in naive]
+    verdict = is_mixing(g, h)
+    assert (verdict.hom_count, verdict.class_count) == (len(images), len(colour))
+    if len(colour) > 1:
+        assert tuple(w.image for w in verdict.witness) == (colour[0][0], colour[1][0])
+
+
+def test_cap_counts_every_shift(capsys):
+    # C_7 -> G_{11,3}: 266,728 maps in 726 orbit boxes of 11 shifts each
+    g, h = cycle_graph(7), circular_clique(11, 3)
+    count = 266728
+    assert homs.hom_count(g, h, cap=count) == count
+    assert is_mixing(g, h, cap=count).hom_count == count
+    assert components(g, h, cap=count).total == count
+    for ask in (homs.hom_count, is_mixing, components):
+        with pytest.raises(CapExceededError) as exc:
+            ask(g, h, cap=count - 1)
+        assert str(exc.value) == \
+            "budget of 266727 exceeded (homomorphism count for n=7)"
+    # G_{7,3} is C_7, labelled v -> 3v
+    argv = ["mixing", "--graph", "circ:7/3", "--target", "circ:11/3", "--cap"]
+    assert main(argv + [str(count)]) == 0
+    assert main(argv + [str(count - 1)]) == 2
+    assert "budget of 266727 exceeded" in capsys.readouterr().err
 
 
 def test_box_answers_do_not_enumerate(monkeypatch):

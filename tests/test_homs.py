@@ -14,7 +14,8 @@ from circmix.graphs import (Graph, complete_graph, cycle_graph,
 from circmix.homgraph import is_mixing
 from circmix.homs import (Hom, HomSpace, compose, enumerate_homs, first_hom,
                           format_image, hom_count, hom_exists, identity_hom,
-                          is_hom, iter_homs, parse_image, _search_order)
+                          is_hom, iter_homs, parse_image, _search_order,
+                          _shift_period)
 
 from helpers import graphs_with_loops, naive_homs, random_graph
 
@@ -147,6 +148,26 @@ def test_hom_count_matches_enumeration_on_random_pairs():
 @given(graphs_with_loops(5, min_n=0), graphs_with_loops(4, min_n=0))
 def test_hom_count_matches_enumeration(g, h):
     assert_count_matches_enumeration(g, h)
+
+
+def test_shift_period_values():
+    # circular cliques, complete graphs and cycles, looped or not: period 1
+    for h in (circular_clique(7, 2), circular_clique(13, 4), circular_clique(6, 2),
+              complete_graph(4), complete_graph(4).with_all_loops(),
+              cycle_graph(5), cycle_graph(8, reflexive=True)):
+        assert _shift_period(h) == 1, h
+    # C_5 drawn as the pentagram: the period comes from the rows, not a name
+    assert _shift_period(Graph(5, [(v, (v + 2) % 5) for v in range(5)])) == 1
+    # the matching 01/23/45 is fixed by shifts of 2 and 4 only
+    assert _shift_period(Graph(6, [(0, 1), (2, 3), (4, 5)])) == 2
+    assert _shift_period(Graph(6, [(0, 3), (1, 4), (2, 5), (0, 1), (3, 4)])) == 3
+    assert _shift_period(Graph(8, [(0, 1), (4, 5), (2, 2), (6, 6)])) == 4
+    # no shift symmetry: the path, a partial loop, an edgeless graph with one loop
+    for h in (path_graph(4), Graph(3, [(0, 0)]), cycle_graph(6).delete_vertex(0),
+              Graph(4, [(0, 0), (1, 1), (0, 1), (1, 2), (2, 3), (3, 3)])):
+        assert _shift_period(h) == h.n, h
+    # edgeless graphs and tiny ones
+    assert [_shift_period(Graph(n, [])) for n in (0, 1, 2, 5)] == [0, 1, 1, 1]
 
 
 def test_iter_matches_enumerate():
