@@ -295,14 +295,14 @@ def _join(source: Graph, target: Graph, boxed: list[int], boxes, root, r: int,
     # that group is the code masked to w's free neighbourhood
     width = (n - 1).bit_length()
     free = [v for v in range(source.n) if v not in slot]
-    shift = {w: width * p for p, w in enumerate(free)}
-    codes = [sum(im[w] << s for w, s in shift.items()) for im, _, _ in boxes]
-    for w, s in shift.items():
+    offset = {w: width * p for p, w in enumerate(free)}
+    codes = [sum(im[w] << s for w, s in offset.items()) for im, _, _ in boxes]
+    for w, s in offset.items():
         near = [slot[u] for u in source.neighbours(w) if u in slot]
         around = {x for u in source.neighbours(w)
                   for x in (source.neighbours(u) if u in slot else (u,))}
-        around = sorted(around.intersection(shift) - {w})
-        context = sum(((1 << width) - 1) << shift[x] for x in around)
+        around = sorted(around.intersection(offset) - {w})
+        context = sum(((1 << width) - 1) << offset[x] for x in around)
         step = homotopy and source.has_loop(w)
         # the entries of this pass: the boxes, or off the root the shift
         # lifts[e] of box owner[e], framed as described above
@@ -317,7 +317,7 @@ def _join(source: Graph, target: Graph, boxed: list[int], boxes, root, r: int,
                 owner = range(len(boxes))
                 lifts = [-(im[frame] // d) % r for im, _, _ in boxes]
             lift_codes = [sum((boxes[i][0][x] + t * d) % n << sx
-                              for x, sx in shift.items()) if t else codes[i]
+                              for x, sx in offset.items()) if t else codes[i]
                           for i, t in zip(owner, lifts)]
             colours = [(boxes[i][0][w] + t * d) % n for i, t in zip(owner, lifts)]
         groups: dict = {}
@@ -398,8 +398,11 @@ def _class_reps(source: Graph, target: Graph, boxed: list[int], boxes, r: int,
             return [(boxes[i][0][v] + t * d) % n for i, t in cands]
         out = []
         for i, t in cands:
-            m = _rotate(boxes[i][1][slot[v]], t * d, n)
-            out.append((m & -m).bit_length() - 1)
+            if t:
+                m = _rotate(boxes[i][1][slot[v]], t * d, n)
+                out.append((m & -m).bit_length() - 1)
+            else:  # a box's image holds its least member
+                out.append(boxes[i][0][v])
         return out
 
     # boxes of one root alike in their colours at vertex 0 and in their
@@ -433,8 +436,7 @@ def _class_reps(source: Graph, target: Graph, boxed: list[int], boxes, r: int,
                 seen = colours(cands, v)
                 low = min(seen)
                 cands = [ic for ic, y in zip(cands, seen) if y == low]
-            [(i, t)] = cands
-            reps[x, c] = tuple(y for v in range(source.n) for y in colours(cands, v))
+            reps[x, c] = tuple(colours(cands[:1], v)[0] for v in range(source.n))
     return dict(sorted(reps.items(), key=itemgetter(1)))
 
 

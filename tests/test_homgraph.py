@@ -73,7 +73,7 @@ def _assert_partitions_match_naive(g, h):
     # that shift's class
     boxed, boxes, r, join = homgraph._box_partition(g, h)
     assert boxed == homs._boxes(g, h)[0]
-    lifted = list(lift_boxes(boxed, boxes, h.n, r))
+    lifted = lift_boxes(boxed, boxes, h.n, r)
     assert sum(size for _, _, size in lifted) == len(images)
     labels = _lifted_labels(join, r)
     reps = homgraph._class_reps(g, h, boxed, boxes, r, join)
@@ -188,7 +188,7 @@ def _assert_join_matches_pairwise(g, h):
     for loops in (True, False):
         boxed, found, root, r = homs._boxes(g, h, loops=loops)
         boxes = list(found)
-        lifted = list(lift_boxes(boxed, boxes, h.n, r))
+        lifted = lift_boxes(boxed, boxes, h.n, r)
         for homotopy in ((False,) if loops else (False, True)):
             join = homgraph._join(g, h, boxed, boxes, root, r, homotopy)
             assert _lifted_roots(join, r) == \
