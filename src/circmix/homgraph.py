@@ -209,7 +209,11 @@ class _UnionFind:
         y = p[x]
         if p[y] == y:  # x is a root or a child of one
             return y
-        pot = self.pot
+        pot, root = self.pot, p[y]
+        if p[root] == root:  # a grandchild, the commonest deeper case
+            pot[x] = (pot[x] + pot[y]) % self.r
+            p[x] = root
+            return root
         root, total = y, pot[x]
         while p[root] != root:
             total += pot[root]
