@@ -21,8 +21,8 @@ from math import gcd
 from .errors import CapExceededError, NoColouringsError
 from .graphs import (Graph, _bits, circular_clique, clique_number,
                      colouring_number, degrees, is_bipartite)
-from .homgraph import _avail_masks, components, is_mixing
-from .homs import Hom, compose, hom_count, identity_hom, is_hom
+from .homgraph import _avail_masks, _is_mixing, components
+from .homs import Hom, _box_source, _hom_count, compose, identity_hom, is_hom
 from .structure import FoldStep, apply_fold, is_retraction, make_fold
 
 
@@ -398,9 +398,10 @@ def mixing_scan(g: Graph, fracs, cap: int | None = None) -> MixingScanReport:
     the space: both count the colourings box by box (``homs._boxes``), and
     ``is_mixing`` joins the boxes into classes.  G_{k,q} is fixed by the
     shift c -> c + 1, so the boxes searched and joined are one per orbit of
-    its k shifts, about 1/k of all of them.  Rows with more than ``cap``
-    colourings are recorded as Skipped and the scan continues.  Fractions are scanned exactly as
-    given, never reduced.  The summary lists theorem bounds beside scan
+    its k shifts, about 1/k of all of them.  The search order and box
+    flags of g are worked out once for all rows.  Rows with more than
+    ``cap`` colourings are recorded as Skipped and the scan continues.
+    Fractions are scanned exactly as given, never reduced.  The summary lists theorem bounds beside scan
     evidence; the two kinds are tagged so enumeration facts stay
     distinguishable from derived inequalities.
     """
@@ -411,15 +412,16 @@ def mixing_scan(g: Graph, fracs, cap: int | None = None) -> MixingScanReport:
         _require_frac(k, q)
     col = colouring_number(g)
     dmax = degrees(g)[0]
+    src = _box_source(g)
     rows = []
     for k, q in fracs:
         value = Fraction(k, q)
         target = circular_clique(k, q)
         try:
-            if _theorem_mixing(k, q, col, dmax) and (count := hom_count(g, target, cap)):
+            if _theorem_mixing(k, q, col, dmax) and (count := _hom_count(src, target, cap)):
                 rows.append(MixingScanRow(k, q, value, "Mixing", count, 1, ()))
                 continue
-            v = is_mixing(g, target, cap=cap)
+            v = _is_mixing(src, target, cap)
         except CapExceededError:
             rows.append(MixingScanRow(k, q, value, "Skipped", None, None, ()))
             continue

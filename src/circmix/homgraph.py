@@ -35,7 +35,13 @@ the root's cycle voltages.  Sizes, flags and least members are read off
 that quotient, so the work is about 1/r of a join over all boxes.
 
 Homotopy paths and radii walk the homomorphism graph with ``graphs._bfs``,
-finding each map's neighbours by one search over its neighbour box.
+finding each map's neighbours by one search over its neighbour box; the
+source side of those searches is prepared once per walk (``homs._Source``).
+A homotopy path stops one layer before its goal: the goal's own neighbours
+name the map it is reached from, and the expansion of that last layer is
+skipped when the neighbour boxes of the layer show it could not pass the
+cap.  The target's shifts and reflections (``homs._symmetries``) act on
+the homomorphism graph too, so a radius takes one search per orbit.
 """
 
 from __future__ import annotations
@@ -49,8 +55,8 @@ from operator import itemgetter
 from .config import hom_cap
 from .errors import DisconnectedError, NoColouringsError
 from .graphs import Graph, _bfs, _path
-from .homs import (Hom, _boxes, _rotate, _search, _search_order,
-                   enumerate_homs, format_image, is_hom)
+from .homs import (Hom, _box_source, _boxes, _rotate, _search, _search_order,
+                   _Source, _symmetries, enumerate_homs, format_image, is_hom)
 
 
 @dataclass(frozen=True)
@@ -241,13 +247,13 @@ class _UnionFind:
             self.split[ra] = gcd(self.split[ra], self.split[rb])
 
 
-def _box_partition(source: Graph, target: Graph, cap: int | None = None):
-    """``(boxed, boxes, r, join)``: the orbit boxes of ``homs._boxes``, the
-    order of the shift group, and their colour classes from ``_join``.
-    Raises as ``_boxes`` does."""
-    boxed, found, root, r = _boxes(source, target, cap)
+def _box_partition(src: _Source, target: Graph, cap: int | None = None):
+    """``(boxed, boxes, r, join)`` for the ``homs._box_source`` of a source:
+    the orbit boxes of ``homs._boxes``, the order of the shift group, and
+    their colour classes from ``_join``.  Raises as ``_boxes`` does."""
+    boxed, found, root, r = _boxes(src, target, cap)
     boxes = list(found)
-    return boxed, boxes, r, _join(source, target, boxed, boxes, root, r)
+    return boxed, boxes, r, _join(src.graph, target, boxed, boxes, root, r)
 
 
 def _join(source: Graph, target: Graph, boxed: list[int], boxes, root, r: int,
@@ -444,18 +450,19 @@ def _class_reps(source: Graph, target: Graph, boxed: list[int], boxes, r: int,
     return dict(sorted(reps.items(), key=itemgetter(1)))
 
 
-def _hom_neighbours(image, source: Graph, target: Graph, order: list[int],
+def _hom_neighbours(image, src: _Source, target: Graph,
                     limit: int | None = None) -> list[tuple[int, ...]]:
     """The homomorphisms hom-adjacent to ``image``, itself included, sorted.
 
     The homomorphisms inside the box of ``_avail_masks`` are exactly the
-    neighbours, so one search over that box finds them all; ``order`` is
-    the source's search order.  With ``limit`` set, the search stops after
-    that many, so a list of that length may be missing some.
+    neighbours, so one search over that box finds them all; ``src`` is the
+    source prepared over its whole search order.  With ``limit`` set, the
+    search stops after that many, so a list of that length may be missing
+    some.
     """
+    source = src.graph
     domains = _avail_masks(image, source, target)
-    return sorted(islice(_search(source, target, order, [0] * source.n, domains),
-                         limit))
+    return sorted(islice(_search(src, target, [0] * source.n, domains), limit))
 
 
 def components(source: Graph, target: Graph, kind: str = "colour",
@@ -479,7 +486,7 @@ def components(source: Graph, target: Graph, kind: str = "colour",
     """
     if kind not in ("colour", "homomorphism"):
         raise ValueError(f"unknown kind {kind!r}")
-    boxed, found, root, r = _boxes(source, target, cap, loops=False)
+    boxed, found, root, r = _boxes(_box_source(source, loops=False), target, cap)
     boxes = list(found)
     hom = join = _join(source, target, boxed, boxes, root, r, homotopy=True)
     if kind == "colour" and not source.is_loop_free:
@@ -521,7 +528,13 @@ def is_mixing(source: Graph, target: Graph, cap: int | None = None) -> MixingVer
     classes.  NotMixing verdicts carry the least members of the two least
     classes.
     """
-    boxed, boxes, r, join = _box_partition(source, target, cap)
+    return _is_mixing(_box_source(source), target, cap)
+
+
+def _is_mixing(src: _Source, target: Graph, cap: int | None = None) -> MixingVerdict:
+    """``is_mixing`` for the ``homs._box_source`` of its source."""
+    source = src.graph
+    boxed, boxes, r, join = _box_partition(src, target, cap)
     total = r * sum(size for _, _, size in boxes)
     if total == 0:
         return MixingVerdict("no_colourings", 0, 0, None)
@@ -556,21 +569,50 @@ def homotopy_path(f: Hom, g: Hom, source: Graph, target: Graph,
     neighbours in lexicographic order, so the returned path is
     deterministic.  None if g is unreachable from f.  Raises
     CapExceededError once it reaches more than ``cap`` maps.
+
+    The search stops one layer early.  Adjacency is symmetric, so g is
+    first reached from the first map of a layer that is one of g's own
+    neighbours, found once.  Expanding that layer reaches at most the sum
+    of its maps' neighbour-box sizes, so when that sum and the maps
+    reached fit in the cap, the expansion could not raise and is skipped.
     """
     for x in (f, g):
         if not is_hom(source, target, x.image):
             raise ValueError("not a homomorphism")
     cap = hom_cap(cap)
-    order = _search_order(source)
+    src = _Source(source, _search_order(source))
     goal = g.image
-    # cap + 1 neighbours of one map already overflow the cap once reached,
-    # so no neighbour search needs to go further
-    for _, parent in _bfs([f.image],
-                          lambda im: _hom_neighbours(im, source, target, order, cap + 1),
-                          cap, "maps reached by the homotopy search"):
+
+    def neighbours(im):
+        # cap + 1 neighbours of one map already overflow the cap once
+        # reached, so no neighbour search needs to go further
+        return _hom_neighbours(im, src, target, cap + 1)
+
+    near = None
+    for layer, parent in _bfs([f.image], neighbours, cap,
+                              "maps reached by the homotopy search"):
         if goal in parent:
             return [Hom(source.n, target.n, im) for im in _path(parent, goal)]
+        if near is None:
+            near = set(neighbours(goal))
+            if len(near) > cap:  # maybe not all of them: expand every layer
+                near = set()
+        last = next((im for im in layer if im in near), None)
+        if last is not None and _boxes_fit(layer, source, target, cap - len(parent)):
+            return [Hom(source.n, target.n, im) for im in _path(parent, last) + [goal]]
     return None
+
+
+def _boxes_fit(images, source: Graph, target: Graph, room: int) -> bool:
+    """Do the neighbour boxes of ``images`` hold at most ``room`` maps in all?"""
+    for im in images:
+        size = 1
+        for m in _avail_masks(im, source, target):
+            size *= m.bit_count()
+        room -= size
+        if room < 0:
+            return False
+    return True
 
 
 def homotopy_distance(f: Hom, g: Hom, source: Graph, target: Graph,
@@ -585,20 +627,32 @@ def radius_centre(source: Graph, target: Graph, cap: int | None = None) -> tuple
 
     Raises NoColouringsError on an empty space and DisconnectedError when
     some pair is unreachable.
+
+    An automorphism s of the target maps the homomorphism graph onto
+    itself by f -> s.f, so eccentricity is constant on the orbits of
+    ``homs._symmetries``: one BFS per orbit, from its least member, the
+    first of the sorted space it holds.  The least centre is the first of
+    those of least eccentricity.
     """
     space = enumerate_homs(source, target, cap)
     m = space.count
     if m == 0:
         raise NoColouringsError("no homomorphisms to measure")
-    order = _search_order(source)
-    adjacent = [[space.index(nb) for nb in _hom_neighbours(im, source, target, order)]
+    src = _Source(source, _search_order(source))
+    adjacent = [[space.index(nb) for nb in _hom_neighbours(im, src, target)]
                 for im in space.images]
-    eccs = []
-    for i in range(m):
+    symmetries = _symmetries(target)
+    seen = bytearray(m)
+    best = centre = None
+    for i, im in enumerate(space.images):
+        if seen[i]:
+            continue
+        for s in symmetries:
+            seen[space.index(map(s.__getitem__, im))] = 1
         # one yield per depth: the eccentricity counts those before the last
         *shallower, (_, reached) = _bfs([i], adjacent.__getitem__)
         if len(reached) < m:
             raise DisconnectedError("homomorphism graph is disconnected")
-        eccs.append(len(shallower))
-    best = min(eccs)
-    return (best, space.hom(eccs.index(best)))
+        if best is None or len(shallower) < best:
+            best, centre = len(shallower), i
+    return (best, space.hom(centre))

@@ -7,7 +7,10 @@ the CLI is the comma-separated colour list "c0,c1,...".
 One backtracking kernel, ``_search``, serves every search.  It yields
 images one by one for early-exit questions, or boxes for counting and
 enumeration: the homomorphisms that agree off an independent set of G,
-given as one candidate mask per vertex of the set.
+given as one candidate mask per vertex of the set.  What it needs of the
+source, a ``_Source``, is built once by a caller that searches the same
+source many times: every neighbour box of a walk in the homomorphism
+graph, every target of a scan.
 """
 
 from __future__ import annotations
@@ -169,21 +172,50 @@ def _closed(g: Graph, order: list[int]) -> list[bool]:
             for i, w in enumerate(order)]
 
 
-def _search(g: Graph, h: Graph, order: list[int], img: list[int],
-            domains: list[int] | None = None, budget: int | None = None,
-            boxes: list[bool] | None = None):
-    """Yield every homomorphism g -> h completing ``img``, as image tuples.
+class _Source:
+    """What ``_search`` needs of the source g, built once and shared by
+    every search over ``order``, whatever its target, image and domains.  Per level i: does ``order[i]`` carry a loop, which of its
+    neighbours come before it (``earlier[i]``), and which are outside
+    ``order`` (``fixed[i]``), keeping the colours the image gives them.
+    ``boxes`` holds the box-mode flags, one per level, or None."""
 
-    The vertices in ``order`` are assigned in that order, each one trying
-    its colours in ascending order; every other vertex keeps the colour it
-    already has in ``img``, and the edges among those are not checked.
-    ``domains[v]`` narrows the colours allowed at v.  The budget counts
-    assignments of vertices in ``order``; running out raises
+    __slots__ = ("graph", "order", "looped", "earlier", "fixed", "boxes")
+
+    def __init__(self, g: Graph, order: list[int], boxes: list[bool] | None = None):
+        level = {w: i for i, w in enumerate(order)}
+        self.graph, self.order, self.boxes = g, order, boxes
+        self.looped = [g.has_loop(w) for w in order]
+        self.earlier: list[list[int]] = []
+        self.fixed: list[list[int]] = []
+        for i, w in enumerate(order):
+            near = g.neighbours(w)
+            self.earlier.append([u for u in near if level.get(u, i) < i])
+            self.fixed.append([u for u in near if u not in level])
+
+
+def _box_source(g: Graph, loops: bool = True) -> _Source:
+    """The source of a box-mode search of g: ``_box_order`` with every
+    level ``_closed`` flagged, except looped ones when ``loops`` is false."""
+    order = _box_order(g)
+    return _Source(g, order, [c and (loops or not g.has_loop(w))
+                              for w, c in zip(order, _closed(g, order))])
+
+
+def _search(src: _Source, h: Graph, img: list[int],
+            domains: list[int] | None = None, budget: int | None = None):
+    """Yield every homomorphism g -> h completing ``img``, as image tuples,
+    g being ``src.graph``.
+
+    The vertices in ``src.order`` are assigned in that order, each one
+    trying its colours in ascending order; every other vertex keeps the
+    colour it already has in ``img``, and the edges among those are not
+    checked.  ``domains[v]`` narrows the colours allowed at v.  The budget
+    counts assignments of vertices in the order; running out raises
     CapExceededError.  Backtracking keeps one candidate mask per level on
     an explicit stack, so the depth of the search is unbounded.
 
-    With ``boxes`` given, one flag per level, the search does not branch on
-    the levels flagged, each of them closed in the sense of ``_closed``.
+    With ``src.boxes`` set, one flag per level, the search does not branch
+    on the levels flagged, each of them closed in the sense of ``_closed``.
     No two are adjacent, so any colours from their candidate masks complete
     a homomorphism: each assignment of the other vertices with all those
     masks nonempty is a box, yielded as ``(image, masks)``, the masks in
@@ -193,22 +225,15 @@ def _search(g: Graph, h: Graph, order: list[int], img: list[int],
     rows = h.rows
     full = (1 << h.n) - 1
     refl = h.reflexive_mask()
-    level = {w: i for i, w in enumerate(order)}
+    order, earlier, boxes = src.order, src.earlier, src.boxes
     base: list[int] = []
-    earlier: list[list[int]] = []
-    for i, w in enumerate(order):
-        m = refl if g.has_loop(w) else full
+    for w, loop, fixed in zip(order, src.looped, src.fixed):
+        m = refl if loop else full
         if domains is not None:
             m &= domains[w]
-        prior = []
-        for u in g.neighbours(w):
-            j = level.get(u)
-            if j is None:
-                m &= rows[img[u]]
-            elif j < i:
-                prior.append(u)
+        for u in fixed:
+            m &= rows[img[u]]
         base.append(m)
-        earlier.append(prior)
 
     depth = len(order)
     if depth == 0:
@@ -306,11 +331,33 @@ def _shift_period(h: Graph) -> int:
     return n
 
 
-def _boxes(g: Graph, h: Graph, cap: int | None = None, loops: bool = True):
-    """``(boxed, boxes, root, r)``: the vertices box mode does not branch on
-    in ``_box_order``, an iterator of one box of HOM(g, h) per orbit of the
-    target's cyclic shifts, as ``(image, masks, size)``, the free vertex
-    whose colour picks the orbit's box, and the order r of the shift group.
+def _symmetries(h: Graph) -> list[tuple[int, ...]]:
+    """Automorphisms of h read off its rows, as colour permutations, the
+    identity first: the r shifts c -> c + t*d of ``_shift_period`` and,
+    when c -> a - c is an automorphism for some a below d (the least is
+    taken), the r reflections c -> a + t*d - c as well.  They form a
+    group: a reflection composed with a shift or a reflection is one of
+    these maps again.
+    """
+    n, rows = h.n, h.rows
+    d = _shift_period(h) or 1  # 0 on the empty graph
+    shifts = [tuple((c + t) % n for c in range(n)) for t in range(0, n or 1, d)]
+    for a in range(d):
+        flip = [(a - c) % n for c in range(n)]
+        if all(rows[flip[c]] == sum(1 << flip[x] for x in _bits(rows[c]))
+               for c in range(n)):
+            # on one or two colours a reflection may be a shift
+            return list(dict.fromkeys(
+                shifts + [tuple(shift[x] for x in flip) for shift in shifts]))
+    return shifts
+
+
+def _boxes(src: _Source, h: Graph, cap: int | None = None):
+    """``(boxed, boxes, root, r)`` for the ``_box_source`` of g: the
+    vertices box mode does not branch on, in ``_box_order``, an iterator of
+    one box of HOM(g, h) per orbit of the target's cyclic shifts, as
+    ``(image, masks, size)``, the free vertex whose colour picks the
+    orbit's box, and the order r of the shift group.
 
     With d = ``_shift_period(h)``, the shifts c -> c + t*d (mod n), t in
     Z_r, r = n / d, map HOM(g, h) onto itself and a box onto a box, its
@@ -320,15 +367,12 @@ def _boxes(g: Graph, h: Graph, cap: int | None = None, loops: bool = True):
     search is cut r-fold at its root.  The shifts of the boxes yielded
     partition HOM(g, h), which has r times their total size; the iterator
     raises CapExceededError before the box that brings that count past
-    ``cap``.  With ``loops`` false, no looped vertex is boxed.  A source
-    with no free vertex has root None and r = 1.
+    ``cap``.  A source with no free vertex has root None and r = 1.
     """
     cap = hom_cap(cap)
-    order = _box_order(g)
-    flags = [c and (loops or not g.has_loop(w))
-             for w, c in zip(order, _closed(g, order))]
-    boxed = [w for w, c in zip(order, flags) if c]
-    root = next((w for w, c in zip(order, flags) if not c), None)
+    g = src.graph
+    boxed = [w for w, c in zip(src.order, src.boxes) if c]
+    root = next((w for w, c in zip(src.order, src.boxes) if not c), None)
     d = _shift_period(h) if root is not None else h.n
     r = h.n // d if d else 1
     domains = None
@@ -338,7 +382,7 @@ def _boxes(g: Graph, h: Graph, cap: int | None = None, loops: bool = True):
 
     def sized():
         total = 0
-        for im, masks in _search(g, h, order, [0] * g.n, domains, boxes=flags):
+        for im, masks in _search(src, h, [0] * g.n, domains):
             size = 1
             for m in masks:
                 size *= m.bit_count()
@@ -357,7 +401,7 @@ def enumerate_homs(g: Graph, h: Graph, cap: int | None = None) -> HomSpace:
     building the members of the box that passes the cap; an empty result
     is an answer, not an error.
     """
-    boxed, boxes, _, r = _boxes(g, h, cap)
+    boxed, boxes, _, r = _boxes(_box_source(g), h, cap)
     out: list[tuple[int, ...]] = []
     for im, masks, _ in boxes:
         img = list(im)
@@ -385,7 +429,12 @@ def hom_count(g: Graph, h: Graph, cap: int | None = None) -> int:
     Raises CapExceededError exactly when enumerate_homs would: when more
     than ``cap`` homomorphisms exist.
     """
-    _, boxes, _, r = _boxes(g, h, cap)
+    return _hom_count(_box_source(g), h, cap)
+
+
+def _hom_count(src: _Source, h: Graph, cap: int | None = None) -> int:
+    """``hom_count`` for the ``_box_source`` of its source."""
+    _, boxes, _, r = _boxes(src, h, cap)
     return r * sum(size for _, _, size in boxes)
 
 
@@ -395,7 +444,7 @@ def iter_homs(g: Graph, h: Graph, budget: int | None = None):
     For early-exit questions (is there a second endomorphism?); the order is
     the backtracking order, not lexicographic.
     """
-    return _search(g, h, _search_order(g), [0] * g.n, budget=node_cap(budget))
+    return _search(_Source(g, _search_order(g)), h, [0] * g.n, budget=node_cap(budget))
 
 
 def _broken_pin_edge(g: Graph, h: Graph,
@@ -434,7 +483,7 @@ def first_hom(g: Graph, h: Graph, pins: dict[int, int] | None = None,
 
     img = [pins.get(v, 0) for v in range(g.n)]
     free = [v for v in range(g.n) if v not in pins]
-    image = next(_search(g, h, free, img, budget=budget), None)
+    image = next(_search(_Source(g, free), h, img, budget=budget), None)
     return None if image is None else Hom(g.n, h.n, image)
 
 

@@ -12,6 +12,7 @@ import random
 
 from hypothesis import strategies as st
 
+from circmix.errors import CapExceededError
 from circmix.graphs import Graph, _bits, canonical_key
 from circmix.homs import Hom, enumerate_homs
 from circmix.structure import FoldStep, apply_fold
@@ -277,28 +278,73 @@ def hom_graph(g: Graph, h: Graph) -> tuple[Graph, list[tuple[int, ...]]]:
 
 
 def hom_graph_radius_naive(g: Graph, h: Graph) -> int:
-    """Radius of the homomorphism graph, by BFS from every naive hom.
+    """Radius of the homomorphism graph, as ``radius_centre_naive`` gives it."""
+    return radius_centre_naive(g, h)[0]
 
-    Raises ValueError when the homomorphism graph is disconnected.
+
+def radius_centre_naive(g: Graph, h: Graph) -> tuple[int, tuple[int, ...]]:
+    """Radius of the homomorphism graph and its least centre, by a search
+    from every naive hom over the pairwise cross condition, each layer one
+    bit mask over the homs; the centre is the first hom of least
+    eccentricity in lexicographic order.
+
+    Raises ValueError when there is no hom or the graph is disconnected.
     """
     images = naive_homs(g, h)
+    if not images:
+        raise ValueError("no homomorphisms")
     arcs = directed_edges(g)
+    adjacent = [0] * len(images)
+    for i, a in enumerate(images):  # the cross condition is symmetric
+        for j in range(i, len(images)):
+            if hom_adjacent_naive(a, images[j], g, h, arcs):
+                adjacent[i] |= 1 << j
+                adjacent[j] |= 1 << i
+    everything = (1 << len(images)) - 1
     eccentricities = []
-    for start in images:
-        dist = {start: 0}
-        frontier = [start]
+    for start in range(len(images)):
+        reached = frontier = 1 << start
+        depth = 0
         while frontier:
-            nxt = []
-            for a in frontier:
-                for b in images:
-                    if b not in dist and hom_adjacent_naive(a, b, g, h, arcs):
-                        dist[b] = dist[a] + 1
-                        nxt.append(b)
-            frontier = nxt
-        if len(dist) < len(images):
+            nxt = 0
+            for i in _bits(frontier):
+                nxt |= adjacent[i]
+            frontier = nxt & ~reached
+            reached |= frontier
+            depth += 1
+        if reached != everything:
             raise ValueError("homomorphism graph is disconnected")
-        eccentricities.append(max(dist.values()))
-    return min(eccentricities)
+        eccentricities.append(depth - 1)
+    radius = min(eccentricities)
+    return radius, images[eccentricities.index(radius)]
+
+
+def homotopy_path_naive(a, b, g: Graph, h: Graph, cap: int | None = None):
+    """Shortest walk from image a to image b in the homomorphism graph, by
+    a plain first-reached BFS over ``naive_homs``: layer by layer, each
+    map's neighbours in lexicographic order, b looked for between layers.
+    None when b is unreachable.  Raises CapExceededError as soon as the
+    neighbours of one map bring the maps reached past ``cap``."""
+    images = naive_homs(g, h)
+    arcs = directed_edges(g)
+    parent = {a: None}
+    layer = [a]
+    while layer:
+        if b in parent:
+            path = [b]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            return path[::-1]
+        nxt = []
+        for x in layer:
+            for y in images:
+                if y not in parent and hom_adjacent_naive(x, y, g, h, arcs):
+                    parent[y] = x
+                    nxt.append(y)
+            if cap is not None and len(parent) > cap:
+                raise CapExceededError(cap, "maps reached by the naive search")
+        layer = nxt
+    return None
 
 
 def all_graphs(n: int, loops: bool = False):

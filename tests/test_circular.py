@@ -291,8 +291,10 @@ def test_null_graph_scan_rows_match_is_mixing():
 
 def test_theorem_rows_do_not_enumerate(monkeypatch):
     calls = []
-    monkeypatch.setattr(circular, "is_mixing",
-                        lambda *a, **kw: calls.append(a) or is_mixing(*a, **kw))
+    # the scan decides its rows on one prepared source, by ``_is_mixing``
+    is_mixing_on = circular._is_mixing
+    monkeypatch.setattr(circular, "_is_mixing",
+                        lambda *a, **kw: calls.append(a) or is_mixing_on(*a, **kw))
     rep = mixing_scan(complete_graph(3), [(4, 1), (9, 2), (8, 2), (7, 2)])
     assert [r.verdict for r in rep.rows] == ["Mixing"] * 3 + ["NotMixing"]
     # 4/1 and 9/2 are covered by theorems; 8/2 is not coprime

@@ -22,9 +22,9 @@ from circmix.homs import Hom, enumerate_homs, identity_hom
 from helpers import (colour_adjacent_naive, colour_components_by_steps,
                      components_naive, directed_edges,
                      graphs_with_loops, hom_adjacent_naive,
-                     hom_components_by_steps, hom_graph_radius_naive,
+                     hom_components_by_steps, homotopy_path_naive,
                      iso_reps, join_pairwise_naive, lift_boxes, naive_homs,
-                     random_graph)
+                     radius_centre_naive, random_graph)
 
 
 def _class_partitions(report):
@@ -71,8 +71,8 @@ def _assert_partitions_match_naive(g, h):
     colour_naive = components_naive(images, colour_adjacent_naive)
     # every member lies in exactly one shift of one orbit box, and takes
     # that shift's class
-    boxed, boxes, r, join = homgraph._box_partition(g, h)
-    assert boxed == homs._boxes(g, h)[0]
+    boxed, boxes, r, join = homgraph._box_partition(homs._box_source(g), h)
+    assert boxed == homs._boxes(homs._box_source(g), h)[0]
     lifted = lift_boxes(boxed, boxes, h.n, r)
     assert sum(size for _, _, size in lifted) == len(images)
     labels = _lifted_labels(join, r)
@@ -158,10 +158,10 @@ def test_box_choice_extremes_match_naive():
     vertices, and loops on boxed and on branched vertices."""
     g112 = circular_clique(11, 2)
     for r in (4, 5):  # the largest independent set of K_r is one vertex
-        assert len(homs._boxes(complete_graph(r), g112)[0]) == 1
+        assert len(homs._boxes(homs._box_source(complete_graph(r)), g112)[0]) == 1
         _assert_loop_free_classes_match_steps(complete_graph(r), g112)
     star = Graph(9, [(0, v) for v in range(1, 9)])  # K_{1,8}
-    assert homs._boxes(star, complete_graph(3))[0] == list(range(1, 9))
+    assert homs._boxes(homs._box_source(star), complete_graph(3))[0] == list(range(1, 9))
     for h in (complete_graph(3), circular_clique(5, 2)):
         _assert_loop_free_classes_match_steps(star, h)
     isolated = (Graph(3, []), Graph(6, list(cycle_graph(4).edges())),
@@ -172,7 +172,7 @@ def test_box_choice_extremes_match_naive():
             _assert_partitions_match_naive(g, h)
     # P_3 boxes its ends; a loop at an end, at the middle, or at all three
     p3 = list(path_graph(3).edges())
-    assert homs._boxes(path_graph(3), complete_graph(3))[0] == [0, 2]
+    assert homs._boxes(homs._box_source(path_graph(3)), complete_graph(3))[0] == [0, 2]
     for loops in ([(0, 0)], [(1, 1)], [(0, 0), (1, 1), (2, 2)]):
         g = Graph(3, p3 + loops)
         for h in (cycle_graph(5, reflexive=True), Graph(3, [(0, 0), (0, 1), (1, 2)]),
@@ -186,7 +186,7 @@ def _assert_join_matches_pairwise(g, h):
     classes on the boxes of both box choices and homomorphism classes on
     those that box no looped vertex."""
     for loops in (True, False):
-        boxed, found, root, r = homs._boxes(g, h, loops=loops)
+        boxed, found, root, r = homs._boxes(homs._box_source(g, loops), h)
         boxes = list(found)
         lifted = lift_boxes(boxed, boxes, h.n, r)
         for homotopy in ((False,) if loops else (False, True)):
@@ -235,7 +235,7 @@ def test_join_computes_classes_once_per_neighbourhood_colouring(monkeypatch):
 
     monkeypatch.setattr(homgraph, "_local_classes", counting)
     g, h = cycle_graph(7), circular_clique(11, 3)
-    boxed, found, root, r = homs._boxes(g, h)
+    boxed, found, root, r = homs._boxes(homs._box_source(g), h)
     boxes = list(found)
     assert (len(boxes), r) == (726, 11)
     d = h.n // r
@@ -543,6 +543,49 @@ def test_homotopy_distance_matches_naive_bfs():
         assert homotopy_distance(f, t, g, h) == dist.get(goal)
 
 
+def test_homotopy_path_matches_naive_bfs_at_every_cap():
+    """The same path, or the same CapExceededError, as a plain BFS over the
+    naive adjacency, on every source of three or four vertices into small
+    looped targets, from drawn pairs of maps, uncapped and at small caps:
+    the early stop one layer before the goal must never answer where the
+    full expansion of that layer raises."""
+    rng = random.Random(14)
+    targets = (Graph(2, [(0, 0), (0, 1), (1, 1)]), Graph(2, [(0, 0), (1, 1)]),
+               Graph(3, [(0, 0), (0, 1), (1, 2)]),
+               path_graph(3).with_all_loops(),
+               Graph(3, [(0, 0), (0, 1), (0, 2), (1, 2)]),
+               cycle_graph(4, reflexive=True))
+    outcomes = set()
+    for g in iso_reps(4, loops=True, min_n=3):
+        for h in targets:
+            images = naive_homs(g, h)
+            if not images:
+                continue
+            for _ in range(3):
+                a, b = rng.choice(images), rng.choice(images)
+                for cap in (None, 1, 2, 3, 5, 8, 13, 30):
+                    try:
+                        want = homotopy_path_naive(a, b, g, h, cap)
+                    except CapExceededError:
+                        with pytest.raises(CapExceededError):
+                            homotopy_path(Hom(g.n, h.n, a), Hom(g.n, h.n, b), g, h, cap)
+                        outcomes.add("raised")
+                        continue
+                    got = homotopy_path(Hom(g.n, h.n, a), Hom(g.n, h.n, b), g, h, cap)
+                    assert (None if got is None else [f.image for f in got]) == want
+                    outcomes.add("unreachable" if want is None else "path")
+    assert outcomes == {"raised", "unreachable", "path"}
+
+
+def _shifted_targets():
+    """Targets fixed by a shift c -> c + d, d > 1, and by no reflection
+    c -> a - c: a triangle on the even colours with an odd pendant at each,
+    looped, and the 8-colour graph of two edges and two loops."""
+    tri = Graph(6, [(0, 2), (2, 4), (4, 0), (0, 1), (2, 3), (4, 5),
+                    (1, 1), (3, 3), (5, 5)])
+    return (tri, Graph(8, [(0, 1), (4, 5), (2, 2), (6, 6)]))
+
+
 def test_radius_centre_values_and_errors():
     radius, centre = radius_centre(complete_graph(2), complete_graph(3))
     assert radius == 3
@@ -551,24 +594,27 @@ def test_radius_centre_values_and_errors():
         radius_centre(complete_graph(3), complete_graph(2))
     with pytest.raises(DisconnectedError):
         radius_centre(complete_graph(3), complete_graph(3))
-    rng = random.Random(8)
+    for h in _shifted_targets():
+        d = homs._shift_period(h)
+        assert 1 < d < h.n and len(homs._symmetries(h)) == h.n // d
+    pairs = [(g, h) for g in iso_reps(4, loops=True) for h in iso_reps(3, loops=True)]
+    pairs += [(g, h) for g in iso_reps(3, loops=True) for h in _shifted_targets()]
     outcomes = set()
-    for _ in range(30):
-        g = random_graph(rng, rng.randint(1, 3), p=0.5, loops=rng.random() < 0.5)
-        h = random_graph(rng, rng.randint(1, 4), p=0.6, loops=rng.random() < 0.5)
+    for g, h in pairs:
         if not naive_homs(g, h):
             with pytest.raises(NoColouringsError):
                 radius_centre(g, h)
             outcomes.add("empty")
             continue
         try:
-            want = hom_graph_radius_naive(g, h)
+            want = radius_centre_naive(g, h)
         except ValueError:
             with pytest.raises(DisconnectedError):
                 radius_centre(g, h)
             outcomes.add("disconnected")
             continue
-        assert radius_centre(g, h)[0] == want
+        radius, centre = radius_centre(g, h)
+        assert (radius, centre.image) == want, (g.rows, h.rows)
         outcomes.add("connected")
     assert outcomes == {"empty", "disconnected", "connected"}
 

@@ -15,9 +15,9 @@ from circmix.homgraph import is_mixing
 from circmix.homs import (Hom, HomSpace, compose, enumerate_homs, first_hom,
                           format_image, hom_count, hom_exists, identity_hom,
                           is_hom, iter_homs, parse_image, _search_order,
-                          _shift_period)
+                          _shift_period, _symmetries)
 
-from helpers import graphs_with_loops, naive_homs, random_graph
+from helpers import graphs_with_loops, iso_reps, naive_homs, random_graph
 
 
 def test_is_hom_matches_definition():
@@ -168,6 +168,36 @@ def test_shift_period_values():
         assert _shift_period(h) == h.n, h
     # edgeless graphs and tiny ones
     assert [_shift_period(Graph(n, [])) for n in (0, 1, 2, 5)] == [0, 1, 1, 1]
+
+
+def test_symmetries_are_automorphisms():
+    """Every map of ``_symmetries`` is a bijection keeping every edge and
+    non-edge, loops included; the identity comes first, the maps form a
+    group, and there are n/d of them, or 2n/d with the reflections."""
+    targets = [circular_clique(7, 2), circular_clique(9, 2), complete_graph(4),
+               cycle_graph(6, reflexive=True), path_graph(4), Graph(0),
+               Graph(6, [(0, 1), (2, 3), (4, 5)]),
+               Graph(6, [(0, 3), (1, 4), (2, 5), (0, 1), (3, 4)]),
+               Graph(8, [(0, 1), (4, 5), (2, 2), (6, 6)]),
+               Graph(6, [(0, 2), (2, 4), (4, 0), (0, 1), (2, 3), (4, 5)])]
+    sizes = []
+    for h in targets + iso_reps(4, loops=True):
+        maps = _symmetries(h)
+        assert maps[0] == tuple(range(h.n))
+        assert len(set(maps)) == len(maps)
+        for s in maps:
+            assert sorted(s) == list(range(h.n))
+            assert all(h.has_edge(s[u], s[v]) == h.has_edge(u, v)
+                       for u in range(h.n) for v in range(h.n)), (h.rows, s)
+            for t in maps:
+                assert tuple(s[c] for c in t) in maps
+        d = _shift_period(h) or 1
+        assert len(maps) in (h.n // d or 1, 2 * h.n // d)
+        sizes.append(len(maps))
+    # dihedral on G_{7,2}, G_{9,2}, K_4 and the reflexive C_6; the path
+    # has its reversal; the matching and the shift-by-3 graph a reflection;
+    # the last two have their shifts only
+    assert sizes[:len(targets)] == [14, 18, 8, 12, 2, 1, 6, 4, 2, 3]
 
 
 def test_iter_matches_enumerate():
