@@ -174,23 +174,35 @@ def _closed(g: Graph, order: list[int]) -> list[bool]:
 
 class _Source:
     """What ``_search`` needs of the source g, built once and shared by
-    every search over ``order``, whatever its target, image and domains.  Per level i: does ``order[i]`` carry a loop, which of its
-    neighbours come before it (``earlier[i]``), and which are outside
-    ``order`` (``fixed[i]``), keeping the colours the image gives them.
-    ``boxes`` holds the box-mode flags, one per level, or None."""
+    every search over ``order``, whatever its target, image and domains.
+    ``looped`` lists the levels whose vertex carries a loop, ``earlier[i]``
+    the neighbours of ``order[i]`` that come before it, and ``fixed`` the
+    levels with neighbours outside ``order``, whose colours the image
+    gives, as pairs ``(i, outside)``.  ``boxes`` holds the box-mode flags,
+    one per level, or None."""
 
     __slots__ = ("graph", "order", "looped", "earlier", "fixed", "boxes")
 
     def __init__(self, g: Graph, order: list[int], boxes: list[bool] | None = None):
-        level = {w: i for i, w in enumerate(order)}
         self.graph, self.order, self.boxes = g, order, boxes
-        self.looped = [g.has_loop(w) for w in order]
-        self.earlier: list[list[int]] = []
-        self.fixed: list[list[int]] = []
+        self.looped = looped = []
+        self.earlier = earlier = []
+        self.fixed = fixed = []
+        level = {w: i for i, w in enumerate(order)}
         for i, w in enumerate(order):
-            near = g.neighbours(w)
-            self.earlier.append([u for u in near if level.get(u, i) < i])
-            self.fixed.append([u for u in near if u not in level])
+            if g.has_loop(w):
+                looped.append(i)
+            prior: list[int] = []
+            outside: list[int] = []
+            for u in g.neighbours(w):
+                j = level.get(u)
+                if j is None:
+                    outside.append(u)
+                elif j < i:
+                    prior.append(u)
+            earlier.append(prior)
+            if outside:
+                fixed.append((i, outside))
 
 
 def _box_source(g: Graph, loops: bool = True) -> _Source:
@@ -224,16 +236,15 @@ def _search(src: _Source, h: Graph, img: list[int],
     """
     rows = h.rows
     full = (1 << h.n) - 1
-    refl = h.reflexive_mask()
     order, earlier, boxes = src.order, src.earlier, src.boxes
-    base: list[int] = []
-    for w, loop, fixed in zip(order, src.looped, src.fixed):
-        m = refl if loop else full
-        if domains is not None:
-            m &= domains[w]
-        for u in fixed:
-            m &= rows[img[u]]
-        base.append(m)
+    base = [full] * len(order) if domains is None else [domains[w] & full for w in order]
+    if src.looped:
+        refl = h.reflexive_mask()
+        for i in src.looped:
+            base[i] &= refl
+    for i, outside in src.fixed:
+        for u in outside:
+            base[i] &= rows[img[u]]
 
     depth = len(order)
     if depth == 0:

@@ -277,11 +277,6 @@ def hom_graph(g: Graph, h: Graph) -> tuple[Graph, list[tuple[int, ...]]]:
     return Graph(len(images), edges), images
 
 
-def hom_graph_radius_naive(g: Graph, h: Graph) -> int:
-    """Radius of the homomorphism graph, as ``radius_centre_naive`` gives it."""
-    return radius_centre_naive(g, h)[0]
-
-
 def radius_centre_naive(g: Graph, h: Graph) -> tuple[int, tuple[int, ...]]:
     """Radius of the homomorphism graph and its least centre, by a search
     from every naive hom over the pairwise cross condition, each layer one

@@ -31,7 +31,7 @@ from circmix.structure import (apply_fold, is_dismantlable, is_retraction,
 from circmix.winding import (check_certificate, cycle_trace,
                              nonmixing_certificate, reflect_colouring)
 
-from helpers import (hom_graph, hom_graph_radius_naive, idempotent_endos,
+from helpers import (hom_graph, idempotent_endos, radius_centre_naive,
                      iso_reps, naive_homs, random_graph, retract_from_endo)
 
 CAP = 10 ** 7
@@ -265,7 +265,7 @@ def test_criterion_11():
     rb = core_ext_radius_bound(path_graph(4), k3, cap=CAP)
     # the bound is twice the radius of the core's homomorphism graph: the
     # six edge maps into a triangle form a six-cycle of radius 3, so 6
-    assert rb.radius == hom_graph_radius_naive(rb.core.core, k3) == 3
+    assert rb.radius == radius_centre_naive(rb.core.core, k3)[0] == 3
     assert rb.bound == 2 * rb.radius == 6
 
     def pinned_ladder(m, first, last):
