@@ -401,9 +401,9 @@ def mixing_scan(g: Graph, fracs, cap: int | None = None) -> MixingScanReport:
     its k shifts, about 1/k of all of them.  The search order and box
     flags of g are worked out once for all rows.  Rows with more than
     ``cap`` colourings are recorded as Skipped and the scan continues.
-    Fractions are scanned exactly as given, never reduced.  The summary lists theorem bounds beside scan
-    evidence; the two kinds are tagged so enumeration facts stay
-    distinguishable from derived inequalities.
+    Fractions are scanned exactly as given, never reduced.  The summary
+    lists theorem bounds beside scan evidence; the two kinds are tagged so
+    enumeration facts stay distinguishable from derived inequalities.
     """
     if not g.is_loop_free:
         raise ValueError("mixing scans are defined for loop-free graphs")

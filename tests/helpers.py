@@ -289,10 +289,12 @@ def radius_centre_naive(g: Graph, h: Graph) -> tuple[int, tuple[int, ...]]:
     if not images:
         raise ValueError("no homomorphisms")
     arcs = directed_edges(g)
+    rows = h.rows
     adjacent = [0] * len(images)
     for i, a in enumerate(images):  # the cross condition is symmetric
         for j in range(i, len(images)):
-            if hom_adjacent_naive(a, images[j], g, h, arcs):
+            b = images[j]
+            if all(rows[a[u]] >> b[v] & 1 for u, v in arcs):
                 adjacent[i] |= 1 << j
                 adjacent[j] |= 1 << i
     everything = (1 << len(images)) - 1
@@ -314,13 +316,16 @@ def radius_centre_naive(g: Graph, h: Graph) -> tuple[int, tuple[int, ...]]:
     return radius, images[eccentricities.index(radius)]
 
 
-def homotopy_path_naive(a, b, g: Graph, h: Graph, cap: int | None = None):
+def homotopy_path_naive(a, b, g: Graph, h: Graph, cap: int | None = None,
+                        images=None):
     """Shortest walk from image a to image b in the homomorphism graph, by
     a plain first-reached BFS over ``naive_homs``: layer by layer, each
     map's neighbours in lexicographic order, b looked for between layers.
     None when b is unreachable.  Raises CapExceededError as soon as the
-    neighbours of one map bring the maps reached past ``cap``."""
-    images = naive_homs(g, h)
+    neighbours of one map bring the maps reached past ``cap``.  Callers
+    walking one space many times pass ``images = naive_homs(g, h)`` once."""
+    if images is None:
+        images = naive_homs(g, h)
     arcs = directed_edges(g)
     parent = {a: None}
     layer = [a]

@@ -565,7 +565,7 @@ def test_homotopy_path_matches_naive_bfs_at_every_cap():
                 a, b = rng.choice(images), rng.choice(images)
                 for cap in (None, 1, 2, 3, 5, 8, 13, 30):
                     try:
-                        want = homotopy_path_naive(a, b, g, h, cap)
+                        want = homotopy_path_naive(a, b, g, h, cap, images)
                     except CapExceededError:
                         with pytest.raises(CapExceededError):
                             homotopy_path(Hom(g.n, h.n, a), Hom(g.n, h.n, b), g, h, cap)
