@@ -95,7 +95,10 @@ def _cmd_gen(args) -> int:
 def _cmd_hom(args) -> int:
     g = resolve_graph_spec(args.graph)
     h = resolve_graph_spec(args.target)
-    pins = dict(_parse_pin(p) for p in args.pin)
+    pins: dict[int, int] = {}
+    for v, c in map(_parse_pin, args.pin):
+        if pins.setdefault(v, c) != c:
+            raise ValueError(f"vertex {v} pinned to two colours")
     hom = first_hom(g, h, pins=pins or None, budget=args.cap)
     payload = {"exists": hom is not None,
                "hom": None if hom is None else format_image(hom.image)}

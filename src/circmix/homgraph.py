@@ -247,15 +247,6 @@ class _UnionFind:
             self.split[ra] = gcd(self.split[ra], self.split[rb])
 
 
-def _box_partition(src: _Source, target: Graph, cap: int | None = None):
-    """``(boxed, boxes, r, join)`` for the ``homs._box_source`` of a source:
-    the orbit boxes of ``homs._boxes``, the order of the shift group, and
-    their colour classes from ``_join``.  Raises as ``_boxes`` does."""
-    boxed, found, root, r = _boxes(src, target, cap)
-    boxes = list(found)
-    return boxed, boxes, r, _join(src.graph, target, boxed, boxes, root, r)
-
-
 def _join(source: Graph, target: Graph, boxed: list[int], boxes, root, r: int,
           homotopy: bool = False):
     """The classes of the shifts of ``boxes``, as ``(roots, pots, splits)``:
@@ -523,10 +514,10 @@ def components(source: Graph, target: Graph, kind: str = "colour",
 def is_mixing(source: Graph, target: Graph, cap: int | None = None) -> MixingVerdict:
     """Is the colour graph of HOM(source, target) connected?
 
-    Reads the classes off the orbit boxes of ``_box_partition``, building
-    no member but the class representatives: a root with split s is s
-    classes.  NotMixing verdicts carry the least members of the two least
-    classes.
+    Reads the classes off the orbit boxes of ``homs._boxes``, joined by
+    ``_join``, building no member but the class representatives: a root
+    with split s is s classes.  NotMixing verdicts carry the least members
+    of the two least classes.
     """
     return _is_mixing(_box_source(source), target, cap)
 
@@ -534,7 +525,9 @@ def is_mixing(source: Graph, target: Graph, cap: int | None = None) -> MixingVer
 def _is_mixing(src: _Source, target: Graph, cap: int | None = None) -> MixingVerdict:
     """``is_mixing`` for the ``homs._box_source`` of its source."""
     source = src.graph
-    boxed, boxes, r, join = _box_partition(src, target, cap)
+    boxed, found, root, r = _boxes(src, target, cap)
+    boxes = list(found)
+    join = _join(source, target, boxed, boxes, root, r)
     total = r * sum(size for _, _, size in boxes)
     if total == 0:
         return MixingVerdict("no_colourings", 0, 0, None)

@@ -4,13 +4,14 @@ A homomorphism f: G -> H maps every edge of G (loops included) to an edge
 of H.  Images are tuples indexed by source vertex; the text form used by
 the CLI is the comma-separated colour list "c0,c1,...".
 
-One backtracking kernel, ``_search``, serves every search.  It yields
-images one by one for early-exit questions, or boxes for counting and
-enumeration: the homomorphisms that agree off an independent set of G,
-given as one candidate mask per vertex of the set.  What it needs of the
-source, a ``_Source``, is built once by a caller that searches the same
-source many times: every neighbour box of a walk in the homomorphism
-graph, every target of a scan.
+One backtracking kernel, ``_search``, serves every search, and it yields
+boxes: the homomorphisms that agree off an independent set of G, each as
+its least member followed by one candidate mask per vertex of the set.
+Counting and enumeration box the largest such set; early-exit questions
+box none, so their boxes are single images.  What it needs of the source,
+a ``_Source``, is built once by a caller that searches the same source
+many times: every neighbour box of a walk in the homomorphism graph,
+every target of a scan.
 """
 
 from __future__ import annotations
@@ -146,8 +147,8 @@ def _box_order(g: Graph) -> list[int]:
     """The search order with the largest of ``_independent_sets`` moved.
 
     Each vertex of that set goes right after its last neighbour, or to the
-    front if it has none, so box mode prunes on its colours as soon as they
-    are known and never branches on them.
+    front if it has none, so a box search prunes on its colours as soon as
+    they are known and never branches on them.
     """
     search = _search_order(g)
     sets = _independent_sets(g, search)
@@ -178,13 +179,14 @@ class _Source:
     ``looped`` lists the levels whose vertex carries a loop, ``earlier[i]``
     the neighbours of ``order[i]`` that come before it, and ``fixed`` the
     levels with neighbours outside ``order``, whose colours the image
-    gives, as pairs ``(i, outside)``.  ``boxes`` holds the box-mode flags,
-    one per level, or None."""
+    gives, as pairs ``(i, outside)``.  ``boxes`` flags, one per level, the
+    levels the search does not branch on; by default none is flagged."""
 
     __slots__ = ("graph", "order", "looped", "earlier", "fixed", "boxes")
 
     def __init__(self, g: Graph, order: list[int], boxes: list[bool] | None = None):
-        self.graph, self.order, self.boxes = g, order, boxes
+        self.graph, self.order = g, order
+        self.boxes = boxes or [False] * len(order)
         self.looped = looped = []
         self.earlier = earlier = []
         self.fixed = fixed = []
@@ -206,8 +208,8 @@ class _Source:
 
 
 def _box_source(g: Graph, loops: bool = True) -> _Source:
-    """The source of a box-mode search of g: ``_box_order`` with every
-    level ``_closed`` flagged, except looped ones when ``loops`` is false."""
+    """The source of a box search of g: ``_box_order`` with every level
+    ``_closed`` flagged, except looped ones when ``loops`` is false."""
     order = _box_order(g)
     return _Source(g, order, [c and (loops or not g.has_loop(w))
                               for w, c in zip(order, _closed(g, order))])
@@ -215,24 +217,27 @@ def _box_source(g: Graph, loops: bool = True) -> _Source:
 
 def _search(src: _Source, h: Graph, img: list[int],
             domains: list[int] | None = None, budget: int | None = None):
-    """Yield every homomorphism g -> h completing ``img``, as image tuples,
-    g being ``src.graph``.
+    """Yield the homomorphisms g -> h completing ``img``, g being
+    ``src.graph``, one box at a time.
 
     The vertices in ``src.order`` are assigned in that order, each one
     trying its colours in ascending order; every other vertex keeps the
     colour it already has in ``img``, and the edges among those are not
-    checked.  ``domains[v]`` narrows the colours allowed at v.  The budget
-    counts assignments of vertices in the order; running out raises
-    CapExceededError.  Backtracking keeps one candidate mask per level on
-    an explicit stack, so the depth of the search is unbounded.
+    checked.  ``domains[v]`` narrows the colours allowed at v.
+    Backtracking keeps one candidate mask per level on an explicit stack,
+    so the depth of the search is unbounded.
 
-    With ``src.boxes`` set, one flag per level, the search does not branch
-    on the levels flagged, each of them closed in the sense of ``_closed``.
-    No two are adjacent, so any colours from their candidate masks complete
-    a homomorphism: each assignment of the other vertices with all those
-    masks nonempty is a box, yielded as ``(image, masks)``, the masks in
-    level order and the image the box's least member.  The budget counts
-    only branching.
+    The search does not branch on the levels ``src.boxes`` flags, each of
+    them closed in the sense of ``_closed``.  No two are adjacent, so any
+    colours from their candidate masks complete a homomorphism: each
+    assignment of the other vertices with all those masks nonempty is a
+    box.  It is yielded as one tuple, the box's least member followed by
+    the mask of each flagged level in level order, so a search that flags
+    no level yields bare images.
+
+    The budget counts branched assignments; running out raises
+    CapExceededError.  The last level is counted whole, and when it passes
+    the budget its colours within the budget are yielded before the raise.
     """
     rows = h.rows
     full = (1 << h.n) - 1
@@ -248,7 +253,7 @@ def _search(src: _Source, h: Graph, img: list[int],
 
     depth = len(order)
     if depth == 0:
-        yield tuple(img) if boxes is None else (tuple(img), ())
+        yield tuple(img)
         return
     limit = sys.maxsize if budget is None else budget  # an int compares faster
     visited = 0
@@ -256,46 +261,38 @@ def _search(src: _Source, h: Graph, img: list[int],
     leaf = order[last]
     cand = [0] * depth
     cand[0] = base[0]
-    if boxes is not None:
-        slot = list(accumulate(boxes, initial=0))  # boxed levels before each
-        masks = [0] * slot[-1]
+    # the box is built in place: the image, then one slot per flagged level
+    slot = list(accumulate(boxes, initial=len(img)))
+    img = img + [0] * sum(boxes)
     i = 0
     while i >= 0:
         m = cand[i]
         if i == last:
-            if boxes is not None:
-                if not boxes[i]:  # a branched leaf: one box per colour
-                    visited += m.bit_count()
-                    if visited > limit:
-                        raise CapExceededError(budget, "partial assignments")
-                    for c in _bits(m):
-                        img[leaf] = c
-                        yield tuple(img), tuple(masks)
-                elif m:
-                    masks[-1] = m
+            if boxes[i]:
+                if m:
+                    img[-1] = m
                     img[leaf] = (m & -m).bit_length() - 1
-                    yield tuple(img), tuple(masks)
-                i -= 1
-                continue
-            # most nodes sit on the last level: sweep it and count it at once
-            visited += m.bit_count()
-            over = visited > limit
-            if over:
-                m = _lowest_bits(m, m.bit_count() - (visited - limit))
-            while m:
-                b = m & -m
-                m ^= b
-                img[leaf] = b.bit_length() - 1
-                yield tuple(img)
-            if over:
-                raise CapExceededError(budget, "partial assignments")
+                    yield tuple(img)
+            else:  # most nodes sit here: sweep the level and count it at once
+                visited += m.bit_count()
+                over = visited > limit
+                if over:  # keep only the colours within the budget
+                    for _ in range(visited - limit):
+                        m ^= 1 << m.bit_length() - 1
+                while m:
+                    b = m & -m
+                    m ^= b
+                    img[leaf] = b.bit_length() - 1
+                    yield tuple(img)
+                if over:
+                    raise CapExceededError(budget, "partial assignments")
             i -= 1
             continue
         if not m:
             i -= 1
             continue
-        if boxes is not None and boxes[i]:
-            masks[slot[i]] = m
+        if boxes[i]:
+            img[slot[i]] = m
             cand[i] = 0
             img[order[i]] = (m & -m).bit_length() - 1
         else:
@@ -310,16 +307,6 @@ def _search(src: _Source, h: Graph, img: list[int],
         for u in earlier[i]:
             m &= rows[img[u]]
         cand[i] = m
-
-
-def _lowest_bits(m: int, count: int) -> int:
-    """The ``count`` lowest set bits of m."""
-    out = 0
-    for _ in range(count):
-        b = m & -m
-        out |= b
-        m ^= b
-    return out
 
 
 def _rotate(m: int, k: int, n: int) -> int:
@@ -365,7 +352,7 @@ def _symmetries(h: Graph) -> list[tuple[int, ...]]:
 
 def _boxes(src: _Source, h: Graph, cap: int | None = None):
     """``(boxed, boxes, root, r)`` for the ``_box_source`` of g: the
-    vertices box mode does not branch on, in ``_box_order``, an iterator of
+    vertices the search does not branch on, in ``_box_order``, an iterator of
     one box of HOM(g, h) per orbit of the target's cyclic shifts, as
     ``(image, masks, size)``, the free vertex whose colour picks the
     orbit's box, and the order r of the shift group.
@@ -392,15 +379,16 @@ def _boxes(src: _Source, h: Graph, cap: int | None = None):
         domains[root] = (1 << d) - 1
 
     def sized():
-        total = 0
-        for im, masks in _search(src, h, [0] * g.n, domains):
+        n, total = g.n, 0
+        for box in _search(src, h, [0] * n, domains):
+            masks = box[n:]
             size = 1
             for m in masks:
                 size *= m.bit_count()
             total += r * size
             if total > cap:
                 raise CapExceededError(cap, f"homomorphism count for n={g.n}")
-            yield im, masks, size
+            yield box[:n], masks, size
 
     return boxed, sized(), root, r
 

@@ -75,6 +75,12 @@ def test_hom_and_frozen_schema(capsys):
     assert code == 0
     check("hom", payload)
     assert payload == {"exists": True, "hom": "1,3,5"}
+    # two colours on one vertex are an error, as in extend; a repeat is not
+    args = ["hom", "--graph", "clique:3", "--target", "clique:3", "--pin", "0=0"]
+    code, out, err = run_cli(capsys, *args, "--pin", "0=1")
+    assert (code, out, err) == (1, "", "error: vertex 0 pinned to two colours\n")
+    code, payload = run_json(capsys, *args, "--pin", "0=0")
+    assert (code, payload) == (0, {"exists": True, "hom": "0,1,2"})
 
     code, payload = run_json(capsys, "frozen", "--graph", "gadget:g62x",
                              "--target", "gadget:g62x", "--colouring",

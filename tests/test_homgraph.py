@@ -71,8 +71,9 @@ def _assert_partitions_match_naive(g, h):
     colour_naive = components_naive(images, colour_adjacent_naive)
     # every member lies in exactly one shift of one orbit box, and takes
     # that shift's class
-    boxed, boxes, r, join = homgraph._box_partition(homs._box_source(g), h)
-    assert boxed == homs._boxes(homs._box_source(g), h)[0]
+    boxed, found, root, r = homs._boxes(homs._box_source(g), h)
+    boxes = list(found)
+    join = homgraph._join(g, h, boxed, boxes, root, r)
     lifted = lift_boxes(boxed, boxes, h.n, r)
     assert sum(size for _, _, size in lifted) == len(images)
     labels = _lifted_labels(join, r)

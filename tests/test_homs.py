@@ -1,5 +1,6 @@
 """Homomorphism search against the brute-force product oracle."""
 
+import itertools
 import random
 
 import pytest
@@ -9,13 +10,13 @@ from hypothesis import strategies as st
 from circmix.config import DEFAULT_MAX_VERTICES
 from circmix.errors import CapExceededError
 from circmix.extension import PrecolouringInstance, extend
-from circmix.graphs import (Graph, complete_graph, cycle_graph,
+from circmix.graphs import (Graph, _bits, complete_graph, cycle_graph,
                             circular_clique, path_graph)
 from circmix.homgraph import is_mixing
 from circmix.homs import (Hom, HomSpace, compose, enumerate_homs, first_hom,
                           format_image, hom_count, hom_exists, identity_hom,
-                          is_hom, iter_homs, parse_image, _search_order,
-                          _shift_period, _symmetries)
+                          is_hom, iter_homs, parse_image, _box_source, _search,
+                          _search_order, _shift_period, _Source, _symmetries)
 
 from helpers import graphs_with_loops, iso_reps, naive_homs, random_graph
 
@@ -87,7 +88,7 @@ def test_hom_exists_and_budget():
     # sorted as colour tuples along the order, they come in search order.
     # A budget of b yields the complete ones among the first b nodes, then
     # raises unless those were all the nodes.
-    rng = random.Random(5)
+    rng, pick = random.Random(5), random.Random(6)
     for _ in range(20):
         g = random_graph(rng, rng.randint(1, 4), p=0.5, loops=rng.random() < 0.3)
         h = random_graph(rng, rng.randint(1, 4), p=0.6, loops=rng.random() < 0.3)
@@ -109,6 +110,33 @@ def test_hom_exists_and_budget():
             except CapExceededError:
                 assert b < len(nodes)
             assert got == want
+        # Pinned: the search runs over the free vertices in ascending order,
+        # its levels next to a pin narrowed by the pinned colour.  The least
+        # extension is the first complete node, so a budget of b returns it
+        # exactly when it lies among the first b nodes; below that, or when
+        # no extension exists and b misses some node, the search raises.
+        pinned = sorted(pick.sample(range(g.n), pick.randint(1, min(2, g.n))))
+        for colours in itertools.product(range(h.n), repeat=len(pinned)):
+            pins = dict(zip(pinned, colours))
+            free = [v for v in range(g.n) if v not in pins]
+            if colours not in naive_homs(g.induced(pinned), h):
+                with pytest.raises(ValueError):
+                    first_hom(g, h, pins=pins)
+                continue
+            nodes = sorted(node[len(pinned):] for i in range(1, len(free) + 1)
+                           for node in naive_homs(g.induced(pinned + free[:i]), h)
+                           if node[:len(pinned)] == colours)
+            least = min((im for im in naive_homs(g, h)
+                         if all(im[v] == c for v, c in pins.items())), default=None)
+            reach = (len(nodes) if least is None else
+                     nodes.index(tuple(least[v] for v in free)) + 1 if free else 0)
+            for b in range(1, len(nodes) + 2):
+                if b < reach:
+                    with pytest.raises(CapExceededError):
+                        first_hom(g, h, pins=pins, budget=b)
+                else:
+                    hom = first_hom(g, h, pins=pins, budget=b)
+                    assert (None if hom is None else hom.image) == least
 
 
 def assert_count_matches_enumeration(g, h):
@@ -205,6 +233,28 @@ def test_iter_matches_enumerate():
     g = cycle_graph(4)
     h = circular_clique(5, 2)
     assert sorted(iter_homs(g, h)) == list(enumerate_homs(g, h).images)
+
+
+def test_search_yields_one_shape():
+    # every search yields the image, then the mask of each flagged level in
+    # level order: bare images when no level is flagged
+    for g in iso_reps(3, loops=True):
+        plain, box_src = _Source(g, _search_order(g)), _box_source(g)
+        flagged = [w for w, c in zip(box_src.order, box_src.boxes) if c]
+        assert not any(plain.boxes) and flagged
+        for h in iso_reps(3, loops=True):
+            images = list(_search(plain, h, [0] * g.n))
+            assert all(len(im) == g.n for im in images)
+            assert sorted(images) == naive_homs(g, h)
+            members = []
+            for box in _search(box_src, h, [0] * g.n):
+                assert len(box) == g.n + len(flagged) and all(box[g.n:])
+                for colours in itertools.product(*map(_bits, box[g.n:])):
+                    member = list(box[:g.n])
+                    for w, c in zip(flagged, colours):
+                        member[w] = c
+                    members.append(tuple(member))
+            assert sorted(members) == naive_homs(g, h)
 
 
 N = DEFAULT_MAX_VERTICES
