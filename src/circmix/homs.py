@@ -179,14 +179,15 @@ class _Source:
     ``looped`` lists the levels whose vertex carries a loop, ``earlier[i]``
     the neighbours of ``order[i]`` that come before it, and ``fixed`` the
     levels with neighbours outside ``order``, whose colours the image
-    gives, as pairs ``(i, outside)``.  ``boxes`` flags, one per level, the
-    levels the search does not branch on; by default none is flagged."""
+    gives, as pairs ``(i, outside)``.  ``boxes[i]`` is 0 when the search
+    branches on level i, and otherwise the index of the level's mask in
+    the boxes the search yields; by default every entry is 0."""
 
     __slots__ = ("graph", "order", "looped", "earlier", "fixed", "boxes")
 
-    def __init__(self, g: Graph, order: list[int], boxes: list[bool] | None = None):
+    def __init__(self, g: Graph, order: list[int], boxes: list[int] | None = None):
         self.graph, self.order = g, order
-        self.boxes = boxes or [False] * len(order)
+        self.boxes = boxes or [0] * len(order)
         self.looped = looped = []
         self.earlier = earlier = []
         self.fixed = fixed = []
@@ -209,10 +210,13 @@ class _Source:
 
 def _box_source(g: Graph, loops: bool = True) -> _Source:
     """The source of a box search of g: ``_box_order`` with every level
-    ``_closed`` flagged, except looped ones when ``loops`` is false."""
+    ``_closed`` flagged, except looped ones when ``loops`` is false, the
+    masks of the flagged levels following the image in level order."""
     order = _box_order(g)
-    return _Source(g, order, [c and (loops or not g.has_loop(w))
-                              for w, c in zip(order, _closed(g, order))])
+    flags = [c and (loops or not g.has_loop(w))
+             for w, c in zip(order, _closed(g, order))]
+    return _Source(g, order, [k if c else 0
+                              for c, k in zip(flags, accumulate(flags, initial=g.n))])
 
 
 def _search(src: _Source, h: Graph, img: list[int],
@@ -227,13 +231,14 @@ def _search(src: _Source, h: Graph, img: list[int],
     Backtracking keeps one candidate mask per level on an explicit stack,
     so the depth of the search is unbounded.
 
-    The search does not branch on the levels ``src.boxes`` flags, each of
-    them closed in the sense of ``_closed``.  No two are adjacent, so any
-    colours from their candidate masks complete a homomorphism: each
-    assignment of the other vertices with all those masks nonempty is a
-    box.  It is yielded as one tuple, the box's least member followed by
-    the mask of each flagged level in level order, so a search that flags
-    no level yields bare images.
+    The search does not branch on the levels with a nonzero ``src.boxes``
+    entry, each of them closed in the sense of ``_closed``.  No two are
+    adjacent, so any colours from their candidate masks complete a
+    homomorphism: each assignment of the other vertices with all those
+    masks nonempty is a box.  It is yielded as one tuple, ``img`` holding
+    the box's least member and, at the index ``src.boxes`` gives, the mask
+    of each such level, so ``img`` has one more entry per such level.  A
+    search that branches on every level yields bare images.
 
     The budget counts branched assignments; running out raises
     CapExceededError.  The last level is counted whole, and when it passes
@@ -261,16 +266,13 @@ def _search(src: _Source, h: Graph, img: list[int],
     leaf = order[last]
     cand = [0] * depth
     cand[0] = base[0]
-    # the box is built in place: the image, then one slot per flagged level
-    slot = list(accumulate(boxes, initial=len(img)))
-    img = img + [0] * sum(boxes)
     i = 0
     while i >= 0:
         m = cand[i]
         if i == last:
             if boxes[i]:
                 if m:
-                    img[-1] = m
+                    img[boxes[i]] = m
                     img[leaf] = (m & -m).bit_length() - 1
                     yield tuple(img)
             else:  # most nodes sit here: sweep the level and count it at once
@@ -292,7 +294,7 @@ def _search(src: _Source, h: Graph, img: list[int],
             i -= 1
             continue
         if boxes[i]:
-            img[slot[i]] = m
+            img[boxes[i]] = m
             cand[i] = 0
             img[order[i]] = (m & -m).bit_length() - 1
         else:
@@ -380,7 +382,7 @@ def _boxes(src: _Source, h: Graph, cap: int | None = None):
 
     def sized():
         n, total = g.n, 0
-        for box in _search(src, h, [0] * n, domains):
+        for box in _search(src, h, [0] * (n + len(boxed)), domains):
             masks = box[n:]
             size = 1
             for m in masks:

@@ -236,8 +236,8 @@ def test_iter_matches_enumerate():
 
 
 def test_search_yields_one_shape():
-    # every search yields the image, then the mask of each flagged level in
-    # level order: bare images when no level is flagged
+    # every search yields the image, then the mask of each unbranched level
+    # in level order: bare images when it branches on every level
     for g in iso_reps(3, loops=True):
         plain, box_src = _Source(g, _search_order(g)), _box_source(g)
         flagged = [w for w, c in zip(box_src.order, box_src.boxes) if c]
@@ -247,7 +247,7 @@ def test_search_yields_one_shape():
             assert all(len(im) == g.n for im in images)
             assert sorted(images) == naive_homs(g, h)
             members = []
-            for box in _search(box_src, h, [0] * g.n):
+            for box in _search(box_src, h, [0] * (g.n + len(flagged))):
                 assert len(box) == g.n + len(flagged) and all(box[g.n:])
                 for colours in itertools.product(*map(_bits, box[g.n:])):
                     member = list(box[:g.n])
