@@ -3,7 +3,8 @@
 Every report is deterministic: identical inputs and limits produce
 byte-identical JSON regardless of the requested thread count.  Exit codes:
 0 success, 1 usage or domain error, 2 cap exceeded, 3 verdict mismatch
-against --expect.
+against --expect.  ``main`` turns the ``--graph`` and ``--target`` specs
+into graphs once the cap is checked, so every subcommand body gets graphs.
 """
 
 from __future__ import annotations
@@ -81,10 +82,8 @@ def _cmd_gen(args) -> int:
         g = path_graph(int(params[0]), reflexive=args.reflexive)
     elif kind == "frozen-regular":
         g = frozen_regular_graph(int(params[0]), int(params[1]))
-    elif kind == "gadget":
+    else:  # gadget
         g = resolve_graph_spec(f"gadget:{params[0]}")
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
     if args.out:
         write_graph(g, args.out)
     else:
@@ -93,13 +92,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_hom(args) -> int:
-    g = resolve_graph_spec(args.graph)
-    h = resolve_graph_spec(args.target)
     pins: dict[int, int] = {}
     for v, c in map(_parse_pin, args.pin):
         if pins.setdefault(v, c) != c:
             raise ValueError(f"vertex {v} pinned to two colours")
-    hom = first_hom(g, h, pins=pins or None, budget=args.cap)
+    hom = first_hom(args.graph, args.target, pins=pins or None, budget=args.cap)
     payload = {"exists": hom is not None,
                "hom": None if hom is None else format_image(hom.image)}
     _emit(payload, args, [payload["hom"] if hom else "none"])
@@ -107,9 +104,7 @@ def _cmd_hom(args) -> int:
 
 
 def _cmd_mixing(args) -> int:
-    g = resolve_graph_spec(args.graph)
-    h = resolve_graph_spec(args.target)
-    verdict = is_mixing(g, h, cap=args.cap)
+    verdict = is_mixing(args.graph, args.target, cap=args.cap)
     name = verdict.name
     payload = {
         "verdict": name,
@@ -124,9 +119,7 @@ def _cmd_mixing(args) -> int:
 
 
 def _cmd_components(args) -> int:
-    g = resolve_graph_spec(args.graph)
-    h = resolve_graph_spec(args.target)
-    report = components(g, h, kind=args.kind, cap=args.cap)
+    report = components(args.graph, args.target, kind=args.kind, cap=args.cap)
     payload = report.to_json_dict()
     lines = [f"{report.kind}: {report.total} homs, {report.class_count} classes"]
     lines += [f"  size {c.size} rep {format_image(c.rep.image)}"
@@ -136,8 +129,7 @@ def _cmd_components(args) -> int:
 
 
 def _cmd_frozen(args) -> int:
-    g = resolve_graph_spec(args.graph)
-    h = resolve_graph_spec(args.target)
+    g, h = args.graph, args.target
     f = Hom(g.n, h.n, parse_image(args.colouring))
     value = is_frozen(f, g, h)
     _emit({"frozen": value}, args, ["frozen" if value else "not frozen"])
@@ -152,7 +144,7 @@ def _cmd_lower_parent(args) -> int:
 
 
 def _cmd_structure(args) -> int:
-    g = resolve_graph_spec(args.graph)
+    g = args.graph
     op = args.op
     if op == "col":
         payload = {"op": op, "value": colouring_number(g)}
@@ -181,13 +173,11 @@ def _cmd_structure(args) -> int:
     value = payload.get("value")
     line = f"{op}: {value}" if value is not None else f"{op}: done"
     _emit(payload, args, [line])
-    if args.expect is not None:
-        return _check_expect(args.expect, str(value))
-    return 0
+    return _check_expect(args.expect, str(value))
 
 
 def _cmd_sigma(args) -> int:
-    g = resolve_graph_spec(args.graph)
+    g = args.graph
     k, q = _parse_frac(args.frac)
     cycle = [int(t) for t in args.cycle.split(",")]
     f = Hom(g.n, k, parse_image(args.colouring))
@@ -206,14 +196,8 @@ def _cmd_sigma(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    g = resolve_graph_spec(args.graph)
     k, q = _parse_frac(args.frac)
-    cert = nonmixing_certificate(g, k, q, cap=args.cap)
-    if cert is None:
-        payload = {"certified": False,
-                   "reason": "winding totals agree; fall back to enumeration"}
-        _emit(payload, args, ["not certified"])
-        return _check_expect(args.expect, "NotCertified")
+    cert = nonmixing_certificate(args.graph, k, q, cap=args.cap)
     payload = {
         "certified": True,
         "kind": cert.kind,
@@ -230,10 +214,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_extend(args) -> int:
-    g = resolve_graph_spec(args.graph)
-    h = resolve_graph_spec(args.target)
     pins = tuple(_parse_pin(p) for p in args.pin)
-    instance = PrecolouringInstance(g, h, pins)
+    instance = PrecolouringInstance(args.graph, args.target, pins)
     result = extend(instance, cap=args.cap)
     payload = {
         "status": result.status,
@@ -247,9 +229,8 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    g = resolve_graph_spec(args.graph)
     fracs = [_parse_frac(t) for t in args.fracs.split(",")]
-    report = mixing_scan(g, fracs, cap=args.cap)
+    report = mixing_scan(args.graph, fracs, cap=args.cap)
     payload = {
         "graph": report.graph_name,
         "rows": [
@@ -301,6 +282,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int, default=None,
                         help="accepted and ignored; output is identical for any value")
     common.add_argument("--output", choices=("json", "text"), default="json")
+    # graph specs, resolved by main once the cap is checked
+    one_graph = argparse.ArgumentParser(add_help=False, parents=[common])
+    one_graph.add_argument("--graph", required=True)
+    two_graphs = argparse.ArgumentParser(add_help=False, parents=[one_graph])
+    two_graphs.add_argument("--target", required=True)
 
     parser = argparse.ArgumentParser(
         prog="circmix",
@@ -315,33 +301,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("hom", parents=[common],
+    p = sub.add_parser("hom", parents=[two_graphs],
                        help="least homomorphism, optionally pinned")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--target", required=True)
     p.add_argument("--pin", action="append", default=[], metavar="v=c")
     p.set_defaults(func=_cmd_hom)
 
-    p = sub.add_parser("mixing", parents=[common],
+    p = sub.add_parser("mixing", parents=[two_graphs],
                        help="connectivity verdict for the colour graph")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--target", required=True)
     p.add_argument("--expect", default=None,
                    help="exit 3 unless the verdict matches")
     p.set_defaults(func=_cmd_mixing)
 
-    p = sub.add_parser("components", parents=[common],
+    p = sub.add_parser("components", parents=[two_graphs],
                        help="full class report for HOM(G, H)")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--target", required=True)
     p.add_argument("--kind", choices=("colour", "homomorphism"),
                    default="colour")
     p.set_defaults(func=_cmd_components)
 
-    p = sub.add_parser("frozen", parents=[common],
+    p = sub.add_parser("frozen", parents=[two_graphs],
                        help="is the given colouring frozen?")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--target", required=True)
     p.add_argument("--colouring", required=True)
     p.set_defaults(func=_cmd_frozen)
 
@@ -351,41 +329,35 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("q", type=int)
     p.set_defaults(func=_cmd_lower_parent)
 
-    p = sub.add_parser("structure", parents=[common],
+    p = sub.add_parser("structure", parents=[one_graph],
                        help="structural reports on one graph")
-    p.add_argument("--graph", required=True)
     p.add_argument("--op", required=True,
                    choices=("col", "omega", "stiff", "core", "dismantlable",
                             "rigid", "self-mixing"))
     p.add_argument("--expect", default=None)
     p.set_defaults(func=_cmd_structure)
 
-    p = sub.add_parser("sigma", parents=[common],
+    p = sub.add_parser("sigma", parents=[one_graph],
                        help="winding totals of a colouring around a cycle")
-    p.add_argument("--graph", required=True)
     p.add_argument("--cycle", required=True, metavar="v0,v1,...")
     p.add_argument("--colouring", required=True, metavar="c0,c1,...")
     p.add_argument("--frac", required=True, metavar="k/q")
     p.set_defaults(func=_cmd_sigma)
 
-    p = sub.add_parser("certify-nonmixing", parents=[common],
+    p = sub.add_parser("certify-nonmixing", parents=[one_graph],
                        help="winding certificate that mixing fails")
-    p.add_argument("--graph", required=True)
     p.add_argument("--frac", required=True, metavar="k/q")
     p.add_argument("--expect", default=None)
     p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("extend", parents=[common],
+    p = sub.add_parser("extend", parents=[two_graphs],
                        help="extend pinned colours to a full homomorphism")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--target", required=True)
     p.add_argument("--pin", action="append", default=[], metavar="v=c")
     p.add_argument("--expect", default=None)
     p.set_defaults(func=_cmd_extend)
 
-    p = sub.add_parser("scan", parents=[common],
+    p = sub.add_parser("scan", parents=[one_graph],
                        help="mixing verdicts over a fraction list, with bounds")
-    p.add_argument("--graph", required=True)
     p.add_argument("--fracs", required=True, metavar="k1/q1,k2/q2,...")
     p.set_defaults(func=_cmd_scan)
 
@@ -406,6 +378,9 @@ def main(argv=None) -> int:
         if args.cap is not None and args.cap <= 0:
             raise ValueError(f"--cap must be positive, got {args.cap}")
         args.cap = config.hom_cap(args.cap)
+        for name in ("graph", "target"):
+            if name in vars(args):
+                setattr(args, name, resolve_graph_spec(getattr(args, name)))
         return args.func(args)
     except CapExceededError as e:
         sys.stderr.write(f"cap exceeded: {e}\n")

@@ -70,14 +70,18 @@ class PrecolouringInstance:
 
         The distance between two groups is the minimum over vertex pairs.
         """
-        out: dict[tuple[int, int], int | None] = {}
-        dists = [_distances_from(self.host, group) for group in self.groups]
-        for i in range(len(self.groups)):
-            for j in range(i + 1, len(self.groups)):
-                near = [dists[i][v] for v in self.groups[j]
-                        if dists[i][v] is not None]
-                out[(i, j)] = min(near) if near else None
-        return out
+        return _group_distances(
+            self.groups, [_distances_from(self.host, group) for group in self.groups])
+
+
+def _group_distances(groups, dists) -> dict[tuple[int, int], int | None]:
+    """Group distances read off each group's host distances ``dists``."""
+    out: dict[tuple[int, int], int | None] = {}
+    for i in range(len(groups)):
+        for j in range(i + 1, len(groups)):
+            near = [dists[i][v] for v in groups[j] if dists[i][v] is not None]
+            out[(i, j)] = min(near) if near else None
+    return out
 
 
 def _distances_from(g: Graph, sources) -> list[int | None]:
@@ -229,12 +233,12 @@ def greedy_ring_extension(instance: PrecolouringInstance, centre: Hom,
         paths.append(path)
 
     need = [len(path) - 1 for path in paths]
-    for (i, j), dist in instance.group_distances().items():
+    ring = [_distances_from(host, group) for group in instance.groups]
+    for (i, j), dist in _group_distances(instance.groups, ring).items():
         required = need[i] + need[j]
         if dist is not None and dist < required:
             raise RingHypothesisError((i, j), required, dist)
 
-    ring = [_distances_from(host, group) for group in instance.groups]
     image = []
     for v in range(host.n):
         inside = [i for i in range(len(paths))

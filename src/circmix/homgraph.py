@@ -130,7 +130,8 @@ def colour_adjacent(f: Hom, g: Hom) -> bool:
 
 
 def hom_adjacent(f: Hom, g: Hom, source: Graph, target: Graph) -> bool:
-    """Cross condition over all source edges, both orientations.
+    """Cross condition over all source edges, both orientations, loops
+    included: g(v) lies in f's mask ``_avail_masks`` at every vertex v.
 
     Reflexive: every homomorphism is adjacent to itself.
     """
@@ -138,13 +139,8 @@ def hom_adjacent(f: Hom, g: Hom, source: Graph, target: Graph) -> bool:
         raise ValueError("homomorphisms live in different spaces")
     if f.source_n != source.n or f.target_n != target.n:
         raise ValueError("graphs do not match the homomorphisms")
-    fi, gi = f.image, g.image
-    for u, v in source.edges():
-        if not target.has_edge(fi[u], gi[v]):
-            return False
-        if not target.has_edge(fi[v], gi[u]):
-            return False
-    return True
+    masks = _avail_masks(f.image, source, target)
+    return all(m >> c & 1 for m, c in zip(masks, g.image))
 
 
 def _recolour_mask(image, v: int, source: Graph, target: Graph) -> int:

@@ -122,14 +122,15 @@ def _sorted_clique_cycle(clique, f: Hom) -> tuple[int, ...]:
 
 
 def nonmixing_certificate(g: Graph, k: int, q: int,
-                          cap: int | None = None) -> NonMixingCertificate | None:
+                          cap: int | None = None) -> NonMixingCertificate:
     """Certify that g is not (k,q)-mixing by a winding-number split.
 
     Applies below the clique threshold: k/q < max{4, omega+1}.  Picks an
     omega-clique (omega >= 4) or a shortest odd cycle, colours g, reflects,
-    and compares winding totals; the canonical choices make the totals
-    differ whenever the construction applies, but a None fallback is kept
-    for the equal case so callers can switch to component enumeration.
+    and compares winding totals around it.  Reflection turns each step tau
+    into k - tau, so on L vertices the totals are sigma and Lk - sigma.
+    They always differ: sigma is a multiple of k and L is odd on an odd
+    cycle, and the colour-sorted clique cycle winds once, sigma = k != (L-1)k.
     """
     _require_frac(k, q)
     if not g.is_loop_free:
@@ -156,8 +157,6 @@ def nonmixing_certificate(g: Graph, k: int, q: int,
         cycle = subgraph
     t1 = cycle_trace(colouring, cycle, g, k, q)
     t2 = cycle_trace(reflection, cycle, g, k, q)
-    if t1.sigma == t2.sigma:
-        return None
     cert = NonMixingCertificate(k, q, kind, subgraph, cycle,
                                 colouring, reflection, t1.sigma, t2.sigma)
     assert check_certificate(g, cert)

@@ -324,8 +324,8 @@ def test_criterion_12():
                     continue
                 assert status == "not_mixing", (g, k, q)
                 cert = nonmixing_certificate(g, k, q, cap=CAP)
-                if cert is not None:
-                    assert check_certificate(g, cert)
+                assert cert is not None, (g, k, q)
+                assert check_certificate(g, cert)
 
 
 def test_criterion_13():

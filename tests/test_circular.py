@@ -247,6 +247,19 @@ def test_mixing_scan_on_triangle():
     assert ("M", ">=", Fraction(4), "scan") in facts
 
 
+def test_mixing_scan_circular_clique_bounds():
+    # a scan of G_{k,q} adds the circular-clique thresholds: M <= ceil(k/q)+1
+    # when k >= 3(q-1)+1, and M_c <= max((k+1)/2, ceil(k/q)+1)
+    for (k, q), want in (((7, 2), {"M": 5, "M_c": 5}), ((5, 2), {"M": 4, "M_c": 4}),
+                         ((9, 4), {"M_c": 5})):
+        rep = mixing_scan(circular_clique(k, q), [(2, 1)])
+        got = {b.quantity: b.value for b in rep.bounds
+               if b.source.startswith("circular-clique")}
+        assert got == want, (k, q)
+        assert all(b.relation == "<=" and b.certified == "theorem"
+                   for b in rep.bounds if b.source.startswith("circular-clique"))
+
+
 def test_mixing_scan_keeps_fractions_and_skips_on_cap():
     rep = mixing_scan(complete_graph(3), [(6, 2), (7, 2)], cap=10)
     first = rep.rows[0]

@@ -13,7 +13,10 @@ import pytest
 import circmix
 from circmix.cli import _build_parser, main
 from circmix.config import DEFAULT_MAX_VERTICES
-from circmix.graphs import circular_clique, path_graph, read_graph, write_graph
+from circmix.fixtures import gadget_g62x
+from circmix.graphs import (circular_clique, complete_graph,
+                            frozen_regular_graph, path_graph, read_graph,
+                            write_graph)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCHEMAS = ROOT / "schemas"
@@ -181,6 +184,13 @@ def test_gen_round_trip(tmp_path, capsys):
     code, text, _ = run_cli(capsys, "gen", "cycle", "4", "--reflexive")
     assert code == 0
     assert "p 4" in text
+    for params, want in ((["clique", "4"], complete_graph(4)),
+                         (["path", "3", "--reflexive"], path_graph(3, reflexive=True)),
+                         (["frozen-regular", "3", "2"], frozen_regular_graph(3, 2)),
+                         (["gadget", "g62x"], gadget_g62x())):
+        code, _, _ = run_cli(capsys, "gen", *params, "-o", str(out))
+        assert code == 0
+        assert read_graph(out) == want, params
     # each kind takes a fixed number of parameters
     for params in (["circular-clique", "6"], ["frozen-regular", "3"],
                    ["clique", "3", "4"]):

@@ -41,6 +41,16 @@ def test_adjacency_predicates_match_naive():
         fa, fb = Hom(5, 3, a), Hom(5, 3, b)
         assert colour_adjacent(fa, fb) == colour_adjacent_naive(a, b)
         assert hom_adjacent(fa, fb, g, h) == hom_adjacent_naive(a, b, g, h)
+    # loops on both sides: a loop at v asks f(v)g(v) to be an edge
+    targets = iso_reps(3, loops=True)
+    for g in targets:
+        arcs = directed_edges(g)
+        for h in targets:
+            homs_gh = [Hom(g.n, h.n, im) for im in naive_homs(g, h)]
+            for fa in homs_gh:
+                for fb in homs_gh:
+                    assert hom_adjacent(fa, fb, g, h) == hom_adjacent_naive(
+                        fa.image, fb.image, g, h, arcs), (g, h, fa, fb)
 
 
 def _lifted_labels(join, r):
@@ -223,6 +233,42 @@ def test_orbit_join_matches_pairwise_oracle_on_shift_invariant_targets():
     for g in iso_reps(4, loops=True):
         for h in targets:
             _assert_join_matches_pairwise(g, h)
+
+
+def test_union_find_matches_brute_force_unions():
+    """``_UnionFind`` against a plain union over (box, shift) pairs: each
+    union(a, b, delta) joins (a, t) with (b, t + delta) for every t."""
+    rng = random.Random(1709)
+    split_merges = 0
+    for _ in range(3000):
+        n, r = rng.randint(1, 6), rng.randint(1, 6)
+        uf = homgraph._UnionFind(n, r)
+        parent = {(x, t): (x, t) for x in range(n) for t in range(r)}
+
+        def find(e):
+            while parent[e] != e:
+                e = parent[e]
+            return e
+
+        for _ in range(rng.randint(1, 2 * n)):
+            a, b, delta = rng.randrange(n), rng.randrange(n), rng.randint(-r, 2 * r)
+            ra, rb = uf.find(a), uf.find(b)
+            split_merges += ra != rb and uf.split[rb] < r
+            uf.union(a, b, delta)
+            for t in range(r):
+                parent[find((a, t))] = find((b, (t + delta) % r))
+        labels = {}
+        for x in range(n):
+            root = uf.find(x)
+            for t in range(r):
+                labels[x, t] = (root, (t + uf.pot[x]) % uf.split[root])
+        want = {frozenset(e for e in parent if find(e) == c)
+                for c in set(map(find, parent))}
+        got = {frozenset(e for e in labels if labels[e] == c)
+               for c in set(labels.values())}
+        assert got == want, (n, r)
+    # unions that carry a split root under another (``union``'s last lines)
+    assert split_merges > 100
 
 
 def test_join_computes_classes_once_per_neighbourhood_colouring(monkeypatch):
@@ -438,6 +484,15 @@ def test_recolour_neighbours_match_definition():
     all_images = set(naive_homs(g, h))
     want = {im for im in all_images if colour_adjacent_naive(f.image, im)}
     assert near == want
+    # a looped vertex may only move to a looped colour
+    targets = iso_reps(3, loops=True)
+    for g in targets:
+        for h in targets:
+            images = naive_homs(g, h)
+            for im in images:
+                near = {n.image for n in recolour_neighbours(Hom(g.n, h.n, im), g, h)}
+                assert near == {b for b in images if colour_adjacent_naive(im, b)}, \
+                    (g, h, im)
 
 
 def test_mixing_verdicts():
