@@ -11,10 +11,11 @@ a common centre assembles an extension ring by ring.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import DisconnectedError, RingHypothesisError
 from .graphs import Graph, _bfs, extension_product, path_graph
-from .homgraph import homotopy_distance, homotopy_path, radius_centre
+from .homgraph import _HomIndex, homotopy_path, radius_centre
 from .homs import Hom, _broken_pin_edge, first_hom, is_hom
 from .structure import CoreResult, core_of
 
@@ -123,8 +124,15 @@ def layered_extension_check(g: Graph, h: Graph, f_start: Hom, f_end: Hom,
 
     The host is the extension product of g with the path on n vertices,
     with layer 0 pinned to f_start and layer n-1 to f_end.  The answer is
-    computed twice, by the extension search and as homotopy_distance < n,
-    and the two must agree.
+    computed twice, by the extension search and as homotopy distance < n,
+    and the two must agree (AssertionError otherwise).
+
+    The distance is read off HOM(g, h), enumerated under ``cap``: layers
+    of a breadth-first search from f_start on bitsets (``_HomIndex``),
+    until f_end is reached, n layers are done or its class is used up.  So
+    this raises CapExceededError whenever HOM(g, h) has more than ``cap``
+    maps, even where ``homotopy_distance``, which does not enumerate,
+    would stay inside the cap.
     """
     if n < 1:
         raise ValueError("layer count must be at least 1")
@@ -141,8 +149,11 @@ def layered_extension_check(g: Graph, h: Graph, f_start: Hom, f_end: Hom,
             by_product = False  # the pinned layers already collide
         else:
             by_product = first_hom(host, h, pins=pins, budget=cap) is not None
-    d = homotopy_distance(f_start, f_end, g, h, cap)
-    by_distance = d is not None and d < n
+    index = _HomIndex(g, h, cap)
+    end = index.position(f_end.image)
+    # f_end lies within distance n - 1 when it is reached in the first n layers
+    by_distance = any(reached >> end & 1 for _, reached in
+                      islice(index.layers(index.position(f_start.image)), n))
     if by_product != by_distance:
         raise AssertionError("layered extension disagrees with homotopy distance")
     return by_product
