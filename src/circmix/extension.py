@@ -15,7 +15,8 @@ from itertools import islice
 
 from .errors import DisconnectedError, RingHypothesisError
 from .graphs import Graph, _bfs, extension_product, path_graph
-from .homgraph import _HomIndex, homotopy_path, radius_centre
+from .homgraph import homotopy_path, radius_centre
+from .homindex import _HomIndex
 from .homs import Hom, _broken_pin_edge, first_hom, is_hom
 from .structure import CoreResult, core_of
 
