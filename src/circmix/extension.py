@@ -16,7 +16,6 @@ from itertools import islice
 from .errors import DisconnectedError, RingHypothesisError
 from .graphs import Graph, _bfs, extension_product, path_graph
 from .homgraph import homotopy_path, radius_centre
-from .homindex import _HomIndex
 from .homs import Hom, _broken_pin_edge, first_hom, is_hom
 from .structure import CoreResult, core_of
 
@@ -150,6 +149,9 @@ def layered_extension_check(g: Graph, h: Graph, f_start: Hom, f_end: Hom,
             by_product = False  # the pinned layers already collide
         else:
             by_product = first_hom(host, h, pins=pins, budget=cap) is not None
+    # imported on first use: commands that walk no bitsets never load it
+    from .homindex import _HomIndex
+
     index = _HomIndex(g, h, cap)
     end = index.position(f_end.image)
     # f_end lies within distance n - 1 when it is reached in the first n layers

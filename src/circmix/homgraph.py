@@ -60,9 +60,8 @@ from operator import itemgetter
 from .config import hom_cap
 from .errors import DisconnectedError, NoColouringsError
 from .graphs import Graph, _bfs, _path
-from .homindex import _HomIndex
 from .homs import (Hom, _box_source, _boxes, _rotate, _search, _search_order,
-                   _Source, _symmetries, enumerate_homs, format_image, is_hom)
+                   _Source, _symmetries, format_image, is_hom)
 
 
 @dataclass(frozen=True)
@@ -630,6 +629,9 @@ def radius_centre(source: Graph, target: Graph, cap: int | None = None) -> tuple
     those of least eccentricity.  The searches run together, as one sweep
     of ``_HomIndex.eccentricities``.
     """
+    # imported on first use: commands that walk no bitsets never load it
+    from .homindex import _HomIndex
+
     index = _HomIndex(source, target, cap)
     space = index.space
     m = space.count
