@@ -128,7 +128,7 @@ def layered_extension_check(g: Graph, h: Graph, f_start: Hom, f_end: Hom,
     and the two must agree (AssertionError otherwise).
 
     The distance is read off HOM(g, h), enumerated under ``cap``: layers
-    of a breadth-first search from f_start on bitsets (``_HomIndex``),
+    of a breadth-first search from f_start on bitsets (``homindex``),
     until f_end is reached, n layers are done or its class is used up.  So
     this raises CapExceededError whenever HOM(g, h) has more than ``cap``
     maps, even where ``homotopy_distance``, which does not enumerate,

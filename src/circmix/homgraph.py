@@ -627,7 +627,7 @@ def radius_centre(source: Graph, target: Graph, cap: int | None = None) -> tuple
     ``homs._symmetries``: one search per orbit, from its least member, the
     first of the sorted space it holds.  The least centre is the first of
     those of least eccentricity.  The searches run together, as one sweep
-    of ``_HomIndex.eccentricities``.
+    of ``homindex._HomIndex.eccentricities``.
     """
     # imported on first use: commands that walk no bitsets never load it
     from .homindex import _HomIndex

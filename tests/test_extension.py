@@ -5,17 +5,19 @@ import random
 
 import pytest
 
-from circmix.errors import (DisconnectedError, NoColouringsError,
-                            RingHypothesisError)
+from circmix import homgraph, homs
+from circmix.errors import (CapExceededError, DisconnectedError,
+                            NoColouringsError, RingHypothesisError)
 from circmix.extension import (PrecolouringInstance, core_ext_radius_bound,
                                extend, greedy_ring_extension,
                                layered_extension_check)
 from circmix.fixtures import gadget_g62x
-from circmix.graphs import (Graph, complete_graph, cycle_graph,
-                            extension_product, path_graph)
+from circmix.graphs import (Graph, _bfs, circular_clique, complete_graph,
+                            cycle_graph, extension_product, path_graph)
+from circmix.homgraph import homotopy_distance
 from circmix.homs import Hom, enumerate_homs, is_hom
 
-from helpers import hom_adjacent_naive, naive_homs, random_graph
+from helpers import hom_adjacent_naive, iso_reps, naive_homs, random_graph
 
 
 def pin_all(colours):
@@ -152,6 +154,95 @@ def test_layered_matches_naive_homotopy_distance():
             assert got == want
             checked += 1
     assert checked > 0
+
+
+def test_layered_matches_homotopy_distance_on_all_small_pairs():
+    """Every ordered pair of maps between graphs on at most three vertices,
+    loops included, pairs in different classes too: the layered check
+    answers d < n exactly, where d is ``homotopy_distance``, at the
+    threshold n = d, d + 1.  Unreachable pairs extend over no number of
+    layers; n = 1, 2 keeps their product searches small."""
+    reps = iso_reps(3, loops=True)
+    seen = set()
+    for g in reps:
+        for h in reps:
+            images = enumerate_homs(g, h).images
+            for a in images:
+                f = Hom(g.n, h.n, a)
+                for b in images:
+                    t = Hom(g.n, h.n, b)
+                    d = homotopy_distance(f, t, g, h)
+                    for n in (1, 2) if d is None else (d, d + 1):
+                        if n:
+                            assert layered_extension_check(g, h, f, t, n) == (
+                                d is not None and d < n), (g.rows, h.rows, a, b, n)
+                    seen.add(d if d is None else min(d, 3))
+    assert seen == {None, 0, 1, 2, 3}
+
+
+def test_layered_on_c5_into_g72_at_drawn_distances():
+    """HOM(C_5, G_{7,2}) has two classes of 455 maps.  From a drawn start,
+    ends drawn at each distance 1-6 (read off a breadth-first search over
+    the neighbour-box searches, not the bitsets) and ends from the other
+    class: the layered check turns true exactly at n = d + 1.  The product
+    search on seven layers can pass the default node budget, so the cap is
+    the CLI's default."""
+    g, h, cap = cycle_graph(5), circular_clique(7, 2), 10_000_000
+    images = enumerate_homs(g, h).images
+    rng = random.Random(17)
+    start = rng.choice(images)
+    src = homs._Source(g, homs._search_order(g))
+    layers = [layer for layer, _ in
+              _bfs([start], lambda im: homgraph._hom_neighbours(im, src, h))]
+    assert len(layers) >= 7 and sum(map(len, layers)) == 455
+    reached = {im for layer in layers for im in layer}
+    f = Hom(5, 7, start)
+    for d in range(1, 7):
+        for end in rng.sample(layers[d], 2):
+            t = Hom(5, 7, end)
+            assert homotopy_distance(f, t, g, h) == d
+            assert not layered_extension_check(g, h, f, t, d, cap)
+            assert layered_extension_check(g, h, f, t, d + 1, cap)
+    for end in rng.sample([im for im in images if im not in reached], 3):
+        t = Hom(5, 7, end)
+        assert homotopy_distance(f, t, g, h) is None
+        for n in (1, 4):
+            assert not layered_extension_check(g, h, f, t, n, cap)
+            assert not layered_extension_check(g, h, t, f, n, cap)
+
+
+def test_layered_on_degenerate_sources():
+    """The 0-vertex source, whose bitset neighbour set is an AND over no
+    vertex, an edgeless source and looped sources, with the answers of
+    the walk the check used before it read distances off bitsets."""
+    empty = Graph(0)
+    for h in (Graph(0), complete_graph(2), cycle_graph(4, reflexive=True)):
+        f = Hom(0, h.n, ())
+        assert all(layered_extension_check(empty, h, f, f, n) for n in (1, 2, 3))
+    edgeless = Graph(3)
+    a, b = Hom(3, 2, (0, 0, 0)), Hom(3, 2, (1, 0, 1))
+    assert not layered_extension_check(edgeless, complete_graph(2), a, b, 1)
+    assert layered_extension_check(edgeless, complete_graph(2), a, b, 2)
+    loop, c4 = Graph(1, [(0, 0)]), cycle_graph(4, reflexive=True)
+    a, b = Hom(1, 4, (0,)), Hom(1, 4, (2,))
+    assert [layered_extension_check(loop, c4, a, b, n) for n in (1, 2, 3)] == [
+        False, False, True]
+    two_loops = Graph(2, [(0, 0), (1, 1)])
+    a, b = Hom(2, 2, (0, 0)), Hom(2, 2, (1, 1))
+    assert [layered_extension_check(two_loops, two_loops, x, y, n)
+            for x, y in ((a, b), (b, a), (a, a)) for n in (1, 2, 3)] == [
+        False] * 6 + [True] * 3
+
+
+def test_layered_enumerates_under_the_cap():
+    """The layered check enumerates HOM(g, h): past the cap it raises, even
+    where the walk of ``homotopy_distance`` stays inside the cap."""
+    g, h = Graph(2), complete_graph(3)  # nine maps, all adjacent
+    a, b = Hom(2, 3, (0, 0)), Hom(2, 3, (1, 2))
+    assert homotopy_distance(a, b, g, h, cap=9) == 1
+    assert layered_extension_check(g, h, a, b, 2, cap=9)
+    with pytest.raises(CapExceededError):
+        layered_extension_check(g, h, a, b, 2, cap=8)
 
 
 def test_radius_bound_for_bipartite_host():

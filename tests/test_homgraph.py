@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circmix import homgraph, homs
+from circmix import homgraph, homindex, homs
 from circmix.cli import main
 from circmix.config import DEFAULT_MAX_VERTICES
 from circmix.errors import (CapExceededError, DisconnectedError,
@@ -408,7 +408,7 @@ def test_cap_counts_every_shift(capsys):
 
 def test_box_answers_do_not_enumerate(monkeypatch):
     calls = []
-    for module in (homs, homgraph):
+    for module in (homs, homindex):
         monkeypatch.setattr(module, "enumerate_homs",
                             lambda *a, **kw: calls.append(a) or enumerate_homs(*a, **kw))
     g, h = cycle_graph(6), complete_graph(3)
@@ -673,6 +673,69 @@ def test_radius_centre_values_and_errors():
         assert (radius, centre.image) == want, (g.rows, h.rows)
         outcomes.add("connected")
     assert outcomes == {"empty", "disconnected", "connected"}
+
+
+def test_hom_index_neighbour_sets_match_search():
+    """The bitset neighbour set of every map, for every source and target
+    on at most three vertices, loops included, is the set the neighbour-box
+    search finds."""
+    reps = iso_reps(3, loops=True)
+    checked = 0
+    for g in reps:
+        src = homs._Source(g, homs._search_order(g))
+        for h in reps:
+            index = homindex._HomIndex(g, h)
+            images = index.space.images
+            assert index.full == (1 << len(images)) - 1
+            for i, im in enumerate(images):
+                assert index.position(im) == i
+                want = sum(1 << index.position(nb)
+                           for nb in homgraph._hom_neighbours(im, src, h))
+                assert index.neighbours(i) == want, (g.rows, h.rows, im)
+                checked += 1
+    assert checked > 4000
+
+
+def test_radius_centre_on_degenerate_sources():
+    """The 0-vertex source, whose neighbour sets are ANDs over no vertex,
+    an edgeless source and looped sources: the values are those of the
+    per-map neighbour searches that the bitset walk replaced."""
+    empty = Graph(0)
+    for h in (Graph(0), complete_graph(1), complete_graph(2),
+              cycle_graph(4, reflexive=True)):
+        index = homindex._HomIndex(empty, h)
+        assert index.full == 1 and index.neighbours(0) == 1
+        assert [f for f, _ in index.layers(0)] == [1]
+        radius, centre = radius_centre(empty, h)
+        assert (radius, centre.image) == (0, ())
+    edgeless = Graph(3)
+    two_loops = Graph(2, [(0, 0), (1, 1)])
+    looped = [Graph(1, [(0, 0)]), Graph(2, [(0, 0), (0, 1)]), two_loops]
+    want = {  # (source, target): (radius, centre)
+        (edgeless, complete_graph(1)): (0, (0, 0, 0)),
+        (edgeless, complete_graph(2)): (1, (0, 0, 0)),
+        (edgeless, path_graph(3, reflexive=True)): (1, (0, 0, 0)),
+        (edgeless, two_loops): (1, (0, 0, 0)),
+        (looped[0], path_graph(3, reflexive=True)): (1, (1,)),
+        (looped[0], cycle_graph(4, reflexive=True)): (2, (0,)),
+        (looped[1], path_graph(3, reflexive=True)): (1, (1, 1)),
+        (looped[1], cycle_graph(4, reflexive=True)): (2, (0, 0)),
+        (looped[2], path_graph(3, reflexive=True)): (1, (1, 1)),
+        (looped[2], cycle_graph(4, reflexive=True)): (2, (0, 0)),
+    }
+    for (g, h), value in want.items():
+        radius, centre = radius_centre(g, h)
+        assert (radius, centre.image) == value
+        assert value == radius_centre_naive(g, h)
+    with pytest.raises(NoColouringsError):
+        radius_centre(edgeless, Graph(0))
+    for g in looped:
+        with pytest.raises(NoColouringsError):
+            radius_centre(g, complete_graph(2))
+        # a looped vertex keeps its colour when the target has no edge
+        # between its two loops
+        with pytest.raises(DisconnectedError):
+            radius_centre(g, two_loops)
 
 
 def test_component_report_json_keys():
