@@ -6,8 +6,9 @@ so a loop contributes v itself to N(v) and adds exactly 1 to deg(v).
 
 Every traversal in the package is ``_bfs``, a breadth-first search over any
 hashable vertices given a neighbour function: components, bipartiteness and
-odd cycles here, search orders, host distances, and walks in the
-homomorphism graph elsewhere.
+odd cycles here, search orders, host distances, and homotopy paths
+elsewhere.  The one exception is ``homindex``, whose walks of an enumerated
+homomorphism graph run on bitsets over its maps.
 """
 
 from __future__ import annotations

@@ -159,9 +159,9 @@ def test_layered_matches_naive_homotopy_distance():
 def test_layered_matches_homotopy_distance_on_all_small_pairs():
     """Every ordered pair of maps between graphs on at most three vertices,
     loops included, pairs in different classes too: the layered check
-    answers d < n exactly, where d is ``homotopy_distance``, at the
-    threshold n = d, d + 1.  Unreachable pairs extend over no number of
-    layers; n = 1, 2 keeps their product searches small."""
+    answers d < n exactly, where d is ``homotopy_distance``, at every
+    n = 1 ... d + 1.  Unreachable pairs extend over no number of layers;
+    n = 1, 2 keeps their product searches small."""
     reps = iso_reps(3, loops=True)
     seen = set()
     for g in reps:
@@ -172,10 +172,9 @@ def test_layered_matches_homotopy_distance_on_all_small_pairs():
                 for b in images:
                     t = Hom(g.n, h.n, b)
                     d = homotopy_distance(f, t, g, h)
-                    for n in (1, 2) if d is None else (d, d + 1):
-                        if n:
-                            assert layered_extension_check(g, h, f, t, n) == (
-                                d is not None and d < n), (g.rows, h.rows, a, b, n)
+                    for n in (1, 2) if d is None else range(1, d + 2):
+                        assert layered_extension_check(g, h, f, t, n) == (
+                            d is not None and d < n), (g.rows, h.rows, a, b, n)
                     seen.add(d if d is None else min(d, 3))
     assert seen == {None, 0, 1, 2, 3}
 
