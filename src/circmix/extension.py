@@ -133,6 +133,13 @@ def layered_extension_check(g: Graph, h: Graph, f_start: Hom, f_end: Hom,
     this raises CapExceededError whenever HOM(g, h) has more than ``cap``
     maps, even where ``homotopy_distance``, which does not enumerate,
     would stay inside the cap.
+
+    ``cap`` is also the node budget of the product search (``first_hom``),
+    1,000,000 partial assignments at ``cap=None``, and that budget can run
+    out first: with ends at homotopy distance 6 on C_5 into G_{7,2} and
+    n = 7, this raises CapExceededError at ``cap=None`` after about 0.6 s
+    on a 2-CPU machine and answers True at cap 10,000,000, while the
+    bitset layers take about 2 ms.
     """
     if n < 1:
         raise ValueError("layer count must be at least 1")
@@ -153,10 +160,10 @@ def layered_extension_check(g: Graph, h: Graph, f_start: Hom, f_end: Hom,
     from .homindex import _HomIndex
 
     index = _HomIndex(g, h, cap)
-    end = index.position(f_end.image)
+    end = index.space.index(f_end.image)
     # f_end lies within distance n - 1 when it is reached in the first n layers
     by_distance = any(reached >> end & 1 for _, reached in
-                      islice(index.layers(index.position(f_start.image)), n))
+                      islice(index.layers(index.space.index(f_start.image)), n))
     if by_product != by_distance:
         raise AssertionError("layered extension disagrees with homotopy distance")
     return by_product

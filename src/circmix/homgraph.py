@@ -644,7 +644,7 @@ def radius_centre(source: Graph, target: Graph, cap: int | None = None) -> tuple
         if not seen[i]:
             starts.append(i)
             for s in symmetries:
-                seen[index.position(map(s.__getitem__, im))] = 1
+                seen[space.index(map(s.__getitem__, im))] = 1
     eccentricity = index.eccentricities(starts)
     if eccentricity is None:
         raise DisconnectedError("homomorphism graph is disconnected")

@@ -4,17 +4,16 @@
 distances between many maps of one space HOM(G, H).  Rather than search each
 map's neighbour box, they enumerate the space once and number its maps in
 sorted order; a set of maps is then an int, and a map's neighbour set is an
-AND over the source vertices of ORs of per-vertex colour sets, with no
-search.  The layers of a breadth-first search and the multi-source sweep of
-a radius are the only traversals outside ``graphs._bfs``.
+AND of one stored set per source vertex, with no search.  The layers of a
+breadth-first search and the multi-source sweep of a radius are the only
+traversals outside ``graphs._bfs``.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 
-from .graphs import Graph, _bits
+from .graphs import Graph
 from .homs import enumerate_homs
 
 
@@ -23,51 +22,38 @@ class _HomIndex:
     ``enumerate_homs``, for walks on bitsets: a set of maps is an int whose
     bit i stands for map i.
 
-    ``_colours[v][c]`` holds the maps that colour v with c.  The neighbours
-    of map i are the maps inside its neighbour box, so its neighbour set is
-    the AND over v of the OR of ``_colours[v][c]`` over the colours c of its
-    ``homgraph._avail_masks`` mask at v; each (v, mask) OR is made once.
-    With no source vertex the AND is over nothing: the whole space, the one
-    empty map.
+    Maps f and g are hom-adjacent when g(v) is adjacent to f(u) at every
+    neighbour v of every source vertex u, loops included.  So
+    ``_near[u][c]`` holds the maps g with g(v) adjacent to c at every
+    neighbour v of u, and the neighbour set of map i is the AND over u of
+    ``_near[u][image_i[u]]``.  With no source vertex the AND is over
+    nothing: the whole space, the one empty map.
     """
 
     def __init__(self, source: Graph, target: Graph, cap: int | None = None):
-        self.target = target
         self.space = enumerate_homs(source, target, cap)
         images = self.space.images
         self.full = (1 << len(images)) - 1
         # a column of colours, map i's at character m - 1 - i, becomes one
-        # base-2 numeral per colour: a character is 1 where it is that colour
+        # base-2 numeral per colour c: a character is 1 where it is next to c
         table = dict.fromkeys(range(target.n), "0")
-        self._colours = []
+        self._near = [[self.full] * target.n for _ in range(source.n)]
         for v in range(source.n):
+            around = source.neighbours(v)
             column = "".join([chr(im[v]) for im in reversed(images)])
-            maps = {}
-            for c in map(ord, set(column)):
-                table[c] = "1"
-                maps[c] = int(column.translate(table), 2)
-                table[c] = "0"
-            self._colours.append(maps)
-        self._around = [source.neighbours(v) for v in range(source.n)]
-        self._unions: list[dict[int, int]] = [{} for _ in range(source.n)]
-
-    def position(self, image) -> int:
-        """The number of the map ``image``, a member of the space."""
-        return bisect_left(self.space.images, tuple(image))
+            for c in range(target.n):
+                ones = target.neighbours(c)
+                table.update(dict.fromkeys(ones, "1"))
+                adjacent = int(column.translate(table) or "0", 2)
+                table.update(dict.fromkeys(ones, "0"))
+                for u in around:
+                    self._near[u][c] &= adjacent
 
     def neighbours(self, i: int) -> int:
         """The set of maps hom-adjacent to map i, itself included."""
-        image, rows = self.space.images[i], self.target.rows
         near = self.full
-        for v, around in enumerate(self._around):
-            mask = (1 << self.target.n) - 1  # as in homgraph._avail_masks
-            for u in around:
-                mask &= rows[image[u]]
-            union = self._unions[v].get(mask)
-            if union is None:  # a map has one colour at v: a disjoint union
-                maps = self._colours[v]
-                union = self._unions[v][mask] = sum(maps.get(c, 0) for c in _bits(mask))
-            near &= union
+        for sets, c in zip(self._near, self.space.images[i]):
+            near &= sets[c]
         return near
 
     def layers(self, start: int):
@@ -78,7 +64,7 @@ class _HomIndex:
         while frontier:
             yield frontier, reached
             grown = 0
-            for i in _bits(frontier):
+            for i in _members(frontier):
                 grown |= self.neighbours(i)
             frontier = grown & ~reached
             reached |= frontier
@@ -121,7 +107,7 @@ class _HomIndex:
             if not new:
                 break
             depth += 1
-            for b in _bits(new):
+            for b in _members(new):
                 eccentricity[b] = depth
             frontier = grown
         if any(x != everyone for x in reached):

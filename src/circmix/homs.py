@@ -17,6 +17,7 @@ every target of a scan.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, product
 
@@ -104,11 +105,13 @@ class HomSpace:
             yield Hom(self.source_n, self.target_n, im)
 
     def index(self, image) -> int:
-        try:
-            return self._index[tuple(image)]
-        except AttributeError:
-            self._index = {im: i for i, im in enumerate(self.images)}
-            return self._index[tuple(image)]
+        """The position of ``image`` in the sorted space, found by
+        bisection; KeyError when it is not a member."""
+        image = tuple(image)
+        i = bisect_left(self.images, image)
+        if i == len(self.images) or self.images[i] != image:
+            raise KeyError(image)
+        return i
 
 
 def _search_order(g: Graph) -> list[int]:

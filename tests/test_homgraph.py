@@ -688,8 +688,8 @@ def test_hom_index_neighbour_sets_match_search():
             images = index.space.images
             assert index.full == (1 << len(images)) - 1
             for i, im in enumerate(images):
-                assert index.position(im) == i
-                want = sum(1 << index.position(nb)
+                assert index.space.index(im) == i
+                want = sum(1 << index.space.index(nb)
                            for nb in homgraph._hom_neighbours(im, src, h))
                 assert index.neighbours(i) == want, (g.rows, h.rows, im)
                 checked += 1

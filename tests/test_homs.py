@@ -52,6 +52,29 @@ def test_enumeration_is_sorted_and_indexable():
         assert space.index(space.hom(i).image) == i
 
 
+def test_hom_space_index_bisects_and_rejects_non_members():
+    """Every member is found at its position, from a tuple or any other
+    iterable; a non-member raises KeyError, whether it sorts before, between
+    or after the members, in a one-map space or in an empty one."""
+    space = enumerate_homs(cycle_graph(5), complete_graph(3))
+    for i, im in enumerate(space.images):
+        assert space.index(im) == i
+        assert space.index(iter(im)) == i
+    for image in [(0, 0, 0, 0, 0), (0, 1, 0, 1, 0), (2, 2, 2, 2, 2), (0, 1), ()]:
+        assert image not in space.images
+        with pytest.raises(KeyError):
+            space.index(image)
+    single = enumerate_homs(Graph(0), complete_graph(2))
+    assert single.images == [()] and single.index(()) == 0
+    with pytest.raises(KeyError):
+        single.index((0,))
+    empty = enumerate_homs(complete_graph(3), complete_graph(2))
+    assert empty.count == 0
+    for image in [(0, 1, 0), ()]:
+        with pytest.raises(KeyError):
+            empty.index(image)
+
+
 def test_first_hom_is_least_and_respects_pins():
     g = cycle_graph(5)
     h = complete_graph(3)
