@@ -41,10 +41,11 @@ def _parse_frac(text: str) -> tuple[int, int]:
 
 
 def _parse_pin(text: str) -> tuple[int, int]:
-    v, eq, c = text.partition("=")
-    if not eq:
-        raise ValueError(f"bad pin {text!r}, want v=c")
-    return int(v), int(c)
+    v, _, c = text.partition("=")
+    try:
+        return int(v), int(c)  # with no "=", c is "" and int("") raises
+    except ValueError:
+        raise ValueError(f"bad pin {text!r}, want v=c") from None
 
 
 def _emit(payload: dict, args, text_lines) -> None:
@@ -179,7 +180,10 @@ def _cmd_structure(args) -> int:
 def _cmd_sigma(args) -> int:
     g = args.graph
     k, q = _parse_frac(args.frac)
-    cycle = [int(t) for t in args.cycle.split(",")]
+    try:
+        cycle = [int(t) for t in args.cycle.split(",")]
+    except ValueError:
+        raise ValueError(f"bad cycle {args.cycle!r}, want v0,v1,...") from None
     f = Hom(g.n, k, parse_image(args.colouring))
     trace = cycle_trace(f, cycle, g, k, q)
     reflected = reflect_colouring(f, k)

@@ -37,10 +37,7 @@ that quotient, so the work is about 1/r of a join over all boxes.
 Homotopy paths walk the homomorphism graph with ``graphs._bfs`` and never
 enumerate the space, finding each map's neighbours by one search over its
 neighbour box; the source side of those searches is prepared once per walk
-(``homs._Source``).  A homotopy path stops one layer before its goal: the
-goal's own neighbours name the map it is reached from, and the expansion of
-that last layer is skipped when the neighbour boxes of the layer show it
-could not pass the cap.
+(``homs._Source``).
 
 Radii enumerate the space instead and walk it on bitsets (``homindex``),
 as does the layered check of ``extension``.  The target's shifts and
@@ -563,12 +560,6 @@ def homotopy_path(f: Hom, g: Hom, source: Graph, target: Graph,
     neighbours in lexicographic order, so the returned path is
     deterministic.  None if g is unreachable from f.  Raises
     CapExceededError once it reaches more than ``cap`` maps.
-
-    The search stops one layer early.  Adjacency is symmetric, so g is
-    first reached from the first map of a layer that is one of g's own
-    neighbours, found once.  Expanding that layer reaches at most the sum
-    of its maps' neighbour-box sizes, so when that sum and the maps
-    reached fit in the cap, the expansion could not raise and is skipped.
     """
     for x in (f, g):
         if not is_hom(source, target, x.image):
@@ -582,31 +573,11 @@ def homotopy_path(f: Hom, g: Hom, source: Graph, target: Graph,
         # reached, so no neighbour search needs to go further
         return _hom_neighbours(im, src, target, cap + 1)
 
-    near = None
-    for layer, parent in _bfs([f.image], neighbours, cap,
-                              "maps reached by the homotopy search"):
+    for _, parent in _bfs([f.image], neighbours, cap,
+                          "maps reached by the homotopy search"):
         if goal in parent:
             return [Hom(source.n, target.n, im) for im in _path(parent, goal)]
-        if near is None:
-            near = set(neighbours(goal))
-            if len(near) > cap:  # maybe not all of them: expand every layer
-                near = set()
-        last = next((im for im in layer if im in near), None)
-        if last is not None and _boxes_fit(layer, source, target, cap - len(parent)):
-            return [Hom(source.n, target.n, im) for im in _path(parent, last) + [goal]]
     return None
-
-
-def _boxes_fit(images, source: Graph, target: Graph, room: int) -> bool:
-    """Do the neighbour boxes of ``images`` hold at most ``room`` maps in all?"""
-    for im in images:
-        size = 1
-        for m in _avail_masks(im, source, target):
-            size *= m.bit_count()
-        room -= size
-        if room < 0:
-            return False
-    return True
 
 
 def homotopy_distance(f: Hom, g: Hom, source: Graph, target: Graph,

@@ -40,6 +40,8 @@ class _HomIndex:
         self._near = [[self.full] * target.n for _ in range(source.n)]
         for v in range(source.n):
             around = source.neighbours(v)
+            if not around:  # an isolated vertex constrains no one
+                continue
             column = "".join([chr(im[v]) for im in reversed(images)])
             for c in range(target.n):
                 ones = target.neighbours(c)

@@ -92,6 +92,22 @@ def test_hom_and_frozen_schema(capsys):
     check("frozen", payload)
 
 
+def test_malformed_integers_name_the_input(capsys):
+    """A pin or a cycle that is not made of integers is a usage error that
+    names the bad input, as a bad fraction or colour list is."""
+    hom = ["hom", "--graph", "clique:3", "--target", "clique:3"]
+    extend = ["extend", "--graph", "clique:3", "--target", "clique:3"]
+    sigma = ["sigma", "--graph", "clique:3", "--colouring", "0,2,4",
+             "--frac", "7/2"]
+    for argv, err in ((hom + ["--pin", "a=1"], "bad pin 'a=1', want v=c"),
+                      (hom + ["--pin", "01"], "bad pin '01', want v=c"),
+                      (extend + ["--pin", "0=x"], "bad pin '0=x', want v=c"),
+                      (extend + ["--pin", "0=1=2"], "bad pin '0=1=2', want v=c"),
+                      (sigma + ["--cycle", "0,1,x"],
+                       "bad cycle '0,1,x', want v0,v1,...")):
+        assert run_cli(capsys, *argv) == (1, "", f"error: {err}\n"), argv
+
+
 def test_lower_parent_schema(capsys):
     code, payload = run_json(capsys, "lower-parent", "19", "7")
     assert code == 0

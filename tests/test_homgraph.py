@@ -602,9 +602,7 @@ def test_homotopy_distance_matches_naive_bfs():
 def test_homotopy_path_matches_naive_bfs_at_every_cap():
     """The same path, or the same CapExceededError, as a plain BFS over the
     naive adjacency, on every source of three or four vertices into small
-    looped targets, from drawn pairs of maps, uncapped and at small caps:
-    the early stop one layer before the goal must never answer where the
-    full expansion of that layer raises."""
+    looped targets, from drawn pairs of maps, uncapped and at small caps."""
     rng = random.Random(14)
     targets = (Graph(2, [(0, 0), (0, 1), (1, 1)]), Graph(2, [(0, 0), (1, 1)]),
                Graph(3, [(0, 0), (0, 1), (1, 2)]),
