@@ -303,21 +303,20 @@ def test_ring_extension_on_long_homotopy_paths():
     c7 = cycle_graph(7)
     bound = core_ext_radius_bound(ladder(15), c7)
     assert (bound.radius, bound.centre.image, bound.bound) == (7, (0, 1), 14)
-    for n in (15, 14):
-        host = ladder(n)
-        inst = PrecolouringInstance(host, c7,
+
+    def pinned(n):
+        return PrecolouringInstance(ladder(n), c7,
                                     ((0, 1), (n, 0), (n - 1, 1), (2 * n - 1, 0)),
                                     groups=((0, n), (n - 1, 2 * n - 1)))
-        if n == 14:
-            with pytest.raises(RingHypothesisError) as exc:
-                greedy_ring_extension(inst, bound.centre)
-            assert (exc.value.required, exc.value.actual) == (14, 13)
-            continue
-        res = greedy_ring_extension(inst, bound.centre)
-        assert [res.image[v] for v in (0, n, n - 1, 2 * n - 1)] == [1, 0, 1, 0]
-        # every host edge lands on an edge of C_7: colours one apart mod 7
-        assert all((res.image[u] - res.image[v]) % 7 in (1, 6)
-                   for u, v in host.edges())
+
+    res = greedy_ring_extension(pinned(15), bound.centre)
+    assert [res.image[v] for v in (0, 15, 14, 29)] == [1, 0, 1, 0]
+    # every host edge lands on an edge of C_7: colours one apart mod 7
+    assert all((res.image[u] - res.image[v]) % 7 in (1, 6)
+               for u, v in ladder(15).edges())
+    with pytest.raises(RingHypothesisError) as exc:
+        greedy_ring_extension(pinned(14), bound.centre)
+    assert (exc.value.required, exc.value.actual) == (14, 13)
 
 
 def test_ring_extension_validates():
