@@ -22,7 +22,8 @@ from .errors import CapExceededError, NoColouringsError
 from .graphs import (Graph, _bits, circular_clique, clique_number,
                      colouring_number, degrees, is_bipartite)
 from .homgraph import _avail_masks, _is_mixing, components
-from .homs import Hom, _box_source, _hom_count, compose, identity_hom, is_hom
+from .homs import (Hom, _box_source, _hom_count, _rotate, compose, identity_hom,
+                   is_hom)
 from .structure import FoldStep, apply_fold, is_retraction, make_fold
 
 
@@ -315,11 +316,17 @@ _CLIQUE_NAME = re.compile(r"G_\{(\d+),(\d+)\}\Z")
 
 
 def _clique_parameters(g: Graph) -> tuple[int, int] | None:
+    """(k, q) when g is named G_{k,q} and equals ``circular_clique(k, q)``,
+    checked row by row without building it: colour c is adjacent to
+    c + q, ..., c + k - q (mod k)."""
     m = _CLIQUE_NAME.match(g.name or "")
     if not m:
         return None
     k, q = int(m.group(1)), int(m.group(2))
-    if k >= 2 * q >= 2 and g == circular_clique(k, q):
+    if not k >= 2 * q >= 2 or g.n != k:
+        return None
+    row = ((1 << (k - 2 * q + 1)) - 1) << q
+    if all(r == _rotate(row, c, k) for c, r in enumerate(g.rows)):
         return (k, q)
     return None
 

@@ -34,6 +34,14 @@ whole space is a root and a residue of the shift modulo the gcd of r and
 the root's cycle voltages.  Sizes, flags and least members are read off
 that quotient, so the work is about 1/r of a join over all boxes.
 
+One family of spaces skips the boxes.  When the source is a cycle C_n
+and the target is G_{k,q}, named so (``circular._clique_parameters``),
+with k, q coprime and 2q < k < 4q, the classes are read off the winding
+total of ``winding.cycle_trace``: one class per total strictly between nq
+and n(k-q), plus the 2k frozen colourings when k divides n
+(``winding._cycle_classes``, which carries the proof).  Every other pair
+is joined on boxes.
+
 Homotopy paths walk the homomorphism graph with ``graphs._bfs`` and never
 enumerate the space, finding each map's neighbours by one search over its
 neighbour box; the source side of those searches is prepared once per walk
@@ -472,11 +480,22 @@ def components(source: Graph, target: Graph, kind: str = "colour",
     boxes' size; they share its non-surjective flag, since a shift moves
     the colours a member misses, and are frozen when its homomorphism class
     is one box of one member whose shifts are all apart (split r).
+
+    A cycle into a coprime G_{k,q} with 2q < k < 4q, both kinds alike,
+    takes its classes from ``winding._cycle_classes`` and builds no box.
     """
     if kind not in ("colour", "homomorphism"):
         raise ValueError(f"unknown kind {kind!r}")
+    # imported on first use, as homindex is
+    from .winding import _cycle_classes
+
+    cycle = _cycle_classes(source, target, cap)
+    if cycle is not None:
+        return ComponentReport(kind, *cycle)
     boxed, found, root, r = _boxes(_box_source(source, loops=False), target, cap)
     boxes = list(found)
+    if not boxes:
+        return ComponentReport(kind=kind, total=0, classes=())
     hom = join = _join(source, target, boxed, boxes, root, r, homotopy=True)
     if kind == "colour" and not source.is_loop_free:
         join = _join(source, target, boxed, boxes, root, r)
@@ -515,20 +534,32 @@ def is_mixing(source: Graph, target: Graph, cap: int | None = None) -> MixingVer
     Reads the classes off the orbit boxes of ``homs._boxes``, joined by
     ``_join``, building no member but the class representatives: a root
     with split s is s classes.  NotMixing verdicts carry the least members
-    of the two least classes.
+    of the two least classes.  A cycle into a coprime G_{k,q} with
+    2q < k < 4q takes its classes from ``winding._cycle_classes`` instead,
+    one per winding total, and builds no box.
     """
     return _is_mixing(_box_source(source), target, cap)
 
 
 def _is_mixing(src: _Source, target: Graph, cap: int | None = None) -> MixingVerdict:
     """``is_mixing`` for the ``homs._box_source`` of its source."""
+    from .winding import _cycle_classes
+
     source = src.graph
+    cycle = _cycle_classes(source, target, cap)
+    if cycle is not None:
+        total, classes = cycle
+        if len(classes) < 2:
+            status = "mixing" if classes else "no_colourings"
+            return MixingVerdict(status, total, len(classes), None)
+        return MixingVerdict("not_mixing", total, len(classes),
+                             (classes[0].rep, classes[1].rep))
     boxed, found, root, r = _boxes(src, target, cap)
     boxes = list(found)
+    if not boxes:
+        return MixingVerdict("no_colourings", 0, 0, None)
     join = _join(source, target, boxed, boxes, root, r)
     total = r * sum(size for _, _, size in boxes)
-    if total == 0:
-        return MixingVerdict("no_colourings", 0, 0, None)
     roots, _, splits = join
     count = sum(splits[x] for x in set(roots))
     if count == 1:

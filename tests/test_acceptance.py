@@ -99,7 +99,8 @@ def test_criterion_05():
 
 
 def test_criterion_06():
-    """Winding totals: fixture values, divisibility, constancy per class."""
+    """Winding totals: fixture values, divisibility, constancy per class,
+    and, on C_6 -> G_{7,2}, one class per total with none frozen."""
     g = cycle_graph(6)
     k, q = 7, 2
     target = circular_clique(k, q)
@@ -117,9 +118,11 @@ def test_criterion_06():
              for im in images}
     assert all(s % k == 0 for s in sigma.values())
     seen = set()
+    class_sigmas = []
     for start in sorted(images):
         if start in seen:
             continue
+        class_sigmas.append(sigma[start])
         frontier = [start]
         seen.add(start)
         while frontier:
@@ -129,6 +132,10 @@ def test_criterion_06():
                 if nb.image not in seen:
                     seen.add(nb.image)
                     frontier.append(nb.image)
+    assert sorted(class_sigmas) == [14, 21, 28]
+    report = components(g, target, cap=CAP)
+    assert report.class_count == 3
+    assert not any(c.contains_frozen for c in report.classes)
 
 
 def test_criterion_07():

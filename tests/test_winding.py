@@ -2,18 +2,21 @@
 
 import dataclasses
 import random
+from math import gcd
 
 import pytest
 
-from circmix.errors import NoColouringsError
-from circmix.graphs import (circular_clique, complete_graph, cycle_graph,
+from circmix import homgraph, winding
+from circmix.errors import CapExceededError, NoColouringsError
+from circmix.graphs import (Graph, circular_clique, complete_graph, cycle_graph,
                             path_graph)
+from circmix.homgraph import components, is_mixing
 from circmix.homs import Hom, first_hom, iter_homs
 from circmix.winding import (ConstrictingResult, check_certificate,
                              cycle_trace, is_constricting,
                              nonmixing_certificate, reflect_colouring)
 
-from helpers import colour_adjacent_naive
+from helpers import colour_adjacent_naive, components_naive, naive_homs
 
 
 def test_cycle_trace_frozen_values():
@@ -176,3 +179,114 @@ def test_reflection_is_involution_and_preserves_validity():
         assert r.image[0] == (k - image[0]) % k
     with pytest.raises(ValueError):
         reflect_colouring(Hom(3, 5, (0, 2, 4)), 7)
+
+
+def _relabelled_cycle(n: int, a: int) -> Graph:
+    """C_n with vertex i moved to a*i mod n, a prime to n."""
+    return Graph(n, [(a * i % n, a * (i + 1) % n) for i in range(n)])
+
+
+def _cycle_pairs(max_n: int, max_total: int):
+    """(C_n relabelled, G_{k,q}, total) for n = 3..max_n, every coprime
+    2 < k/q < 4 with q <= 6, and labellings v -> av mod n, a = 1, 2, 3."""
+    for n in range(3, max_n + 1):
+        for q in range(1, 7):
+            for k in range(2 * q + 1, 4 * q):
+                if gcd(k, q) != 1:
+                    continue
+                target = circular_clique(k, q)
+                total, _ = winding._cycle_classes(cycle_graph(n), target, cap=10**30)
+                if total > max_total:
+                    continue
+                for a in (1, 2, 3):
+                    if gcd(a, n) == 1:
+                        yield _relabelled_cycle(n, a), target, total
+
+
+def _answers(g, h):
+    return ([components(g, h, kind).to_json_dict() for kind in ("colour", "homomorphism")],
+            is_mixing(g, h))
+
+
+def test_cycle_classes_match_the_join(monkeypatch):
+    checked, frozen, empty = 0, set(), 0
+    for g, h, total in _cycle_pairs(16, 200_000):
+        with monkeypatch.context() as m:
+            m.setattr(winding, "_cycle_classes", lambda *a, **kw: None)
+            want = _answers(g, h)
+        got = _answers(g, h)
+        assert got == want, (g.n, h.name, g.rows)
+        checked += 1
+        empty += total == 0
+        if any(c["frozen"] for c in got[0][0]["classes"]):
+            frozen.add((g.n, h.name))
+    assert checked > 300 and empty > 0
+    assert {(6, "G_{3,1}"), (9, "G_{3,1}"), (10, "G_{5,2}")} <= frozen
+
+
+def test_cycle_classes_match_naive_on_small_cycles():
+    for g, h, _ in _cycle_pairs(5, 400):
+        if g != cycle_graph(g.n):  # relabellings are checked against the join
+            continue
+        images = naive_homs(g, h)
+        want = []
+        for members in sorted(components_naive(images, colour_adjacent_naive)):
+            lone = len(members) == 1
+            missing = any(len(set(im)) < h.n for im in members)
+            want.append((members[0], len(members), missing, lone))
+        report = components(g, h)
+        assert report.total == len(images)
+        assert [(c.rep.image, c.size, c.contains_non_surjective, c.contains_frozen)
+                for c in report.classes] == want
+
+
+def test_cycle_classes_skip_the_boxes(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("boxes enumerated")
+
+    monkeypatch.setattr(homgraph, "_boxes", refuse)
+    g, h = cycle_graph(7), circular_clique(10, 3)
+    verdict = is_mixing(g, h)
+    assert (verdict.status, verdict.class_count) == ("not_mixing", 2)
+    for kind in ("colour", "homomorphism"):
+        assert components(g, h, kind).total == verdict.hom_count
+
+
+def test_cycle_classes_leave_other_pairs_to_the_join(monkeypatch):
+    joins = []
+    join = homgraph._join
+    monkeypatch.setattr(homgraph, "_join", lambda *a, **kw: joins.append(1) or join(*a, **kw))
+    triangles = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    out_of_scope = [
+        (cycle_graph(5), circular_clique(9, 2)),  # k/q above 4
+        (cycle_graph(5), circular_clique(4, 1)),  # k/q = 4
+        (cycle_graph(6), circular_clique(6, 2)),  # k, q not coprime
+        (cycle_graph(6), complete_graph(3)),      # G_{3,1} by another name
+        (cycle_graph(7), cycle_graph(5)),         # G_{5,2} relabelled
+        (triangles, circular_clique(3, 1)),       # not connected
+    ]
+    for g, h in out_of_scope:
+        assert winding._cycle_classes(g, h) is None
+        joins.clear()
+        answers = _answers(g, h)
+        assert joins
+        if h == circular_clique(3, 1):
+            assert _answers(g, circular_clique(3, 1)) == answers
+
+
+def test_cycle_classes_raise_where_the_join_does(monkeypatch):
+    def outcome(g, h, cap):
+        try:
+            return components(g, h, cap=cap).to_json_dict()
+        except CapExceededError as exc:
+            return str(exc)
+
+    cases = [(g, h, cap) for g, h, total in _cycle_pairs(9, 20_000) if total
+             for cap in (total - 1, total)]
+    cases.append((cycle_graph(4095), circular_clique(7, 2), None))
+    for g, h, cap in cases:
+        got = outcome(g, h, cap)
+        with monkeypatch.context() as m:
+            m.setattr(winding, "_cycle_classes", lambda *a, **kw: None)
+            assert outcome(g, h, cap) == got
+    assert got == "budget of 10000000 exceeded (homomorphism count for n=4095)"
