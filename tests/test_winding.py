@@ -253,10 +253,12 @@ def test_cycle_classes_skip_the_boxes(monkeypatch):
 
 
 def test_cycle_classes_leave_other_pairs_to_the_join(monkeypatch):
-    joins = []
-    join = homgraph._join
-    monkeypatch.setattr(homgraph, "_join", lambda *a, **kw: joins.append(1) or join(*a, **kw))
+    searches = []
+    boxes = homgraph._boxes
+    monkeypatch.setattr(homgraph, "_boxes",
+                        lambda *a, **kw: searches.append(1) or boxes(*a, **kw))
     triangles = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    looped = Graph(3, [(0, 0), (0, 1), (1, 2), (2, 2)])
     out_of_scope = [
         (cycle_graph(5), circular_clique(9, 2)),  # k/q above 4
         (cycle_graph(5), circular_clique(4, 1)),  # k/q = 4
@@ -264,13 +266,14 @@ def test_cycle_classes_leave_other_pairs_to_the_join(monkeypatch):
         (cycle_graph(6), complete_graph(3)),      # G_{3,1} by another name
         (cycle_graph(7), cycle_graph(5)),         # G_{5,2} relabelled
         (triangles, circular_clique(3, 1)),       # not connected
+        (looped, circular_clique(3, 1)),          # 2 bits a row, with loops
     ]
     for g, h in out_of_scope:
         assert winding._cycle_classes(g, h) is None
-        joins.clear()
+        searches.clear()
         answers = _answers(g, h)
-        assert joins
-        if h == circular_clique(3, 1):
+        assert len(searches) == 3
+        if h.name == "K_3":
             assert _answers(g, circular_clique(3, 1)) == answers
 
 
