@@ -428,7 +428,7 @@ def mixing_scan(g: Graph, fracs, cap: int | None = None) -> MixingScanReport:
             if _theorem_mixing(k, q, col, dmax) and (count := _hom_count(src, target, cap)):
                 rows.append(MixingScanRow(k, q, value, "Mixing", count, 1, ()))
                 continue
-            v = _is_mixing(src, target, cap)
+            v = _is_mixing(g, target, cap, src)
         except CapExceededError:
             rows.append(MixingScanRow(k, q, value, "Skipped", None, None, ()))
             continue

@@ -3,7 +3,9 @@
 Every report is deterministic: identical inputs and limits produce
 byte-identical JSON regardless of the requested thread count.  Exit codes:
 0 success, 1 usage or domain error, 2 cap exceeded, 3 verdict mismatch
-against --expect.  ``main`` turns the ``--graph`` and ``--target`` specs
+against --expect.  ``main`` parses a request of exact ``--flag value``
+words in one pass and leaves every other request, help and usage errors
+included, to argparse; it turns the ``--graph`` and ``--target`` specs
 into graphs once the cap is checked, so every subcommand body gets graphs.
 """
 
@@ -271,15 +273,118 @@ def _cmd_fixtures(args) -> int:
 # --- parser -------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that can also build the Namespace of the plainest
+    requests itself, in one pass.
+
+    argparse matches every word of a request against every pattern that its
+    actions allow, which costs more than most requests' search.  A request
+    of exact ``--flag value`` words needs none of that, so each parser
+    keeps, as its arguments are declared, what ``parse_exact`` reads: its
+    flags by option string (``store`` and ``append`` flags of one value and
+    ``store_true`` switches; never the help flag), its defaults, those of
+    ``set_defaults`` included, its required flags, and whether it is plain:
+    no positional and no string default that ``type`` would convert.  A
+    parser made with ``parents`` starts from theirs, as argparse's own
+    tables do, and the top level keeps its subcommands.  Only the
+    documented ``Action`` attributes are read.
+    """
+
+    def __init__(self, *args, parents=(), **kwargs):
+        # set before argparse's __init__, which declares the help flag
+        self.flags: dict[str, tuple[argparse.Action, str]] = {}
+        self.defaults: dict = {}
+        self.required: list[argparse.Action] = []
+        self.plain = True
+        self.commands = None
+        for p in parents:
+            self.flags.update(p.flags)
+            self.defaults.update(p.defaults)
+            self.required += p.required
+            self.plain = self.plain and p.plain
+        super().__init__(*args, parents=parents, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        kind = kwargs.get("action", "store")
+        if action.default is not argparse.SUPPRESS:
+            self.defaults[action.dest] = action.default
+        if action.required:
+            self.required.append(action)
+        if not action.option_strings or (
+                isinstance(action.default, str) and action.type is not None):
+            self.plain = False
+        elif kind == "store_true" or (kind in ("store", "append")
+                                      and action.nargs is None):
+            self.flags.update(dict.fromkeys(action.option_strings, (action, kind)))
+        return action
+
+    def set_defaults(self, **kwargs):
+        super().set_defaults(**kwargs)
+        self.defaults.update(kwargs)
+
+    def add_subparsers(self, **kwargs):
+        self.commands = super().add_subparsers(**kwargs)
+        return self.commands
+
+    def parse_exact(self, argv: list[str]) -> argparse.Namespace | None:
+        """The Namespace ``parse_args(argv)`` returns, or None to leave argv
+        to ``parse_args``.
+
+        Takes an argv whose first word names a plain subcommand and whose
+        other words are that subcommand's kept flags, each but a switch
+        followed by one value that does not start with "-", converts by
+        the flag's ``type`` and lies in its ``choices``, with every required
+        flag present.  As in argparse, a repeated flag keeps its last value,
+        and an ``append`` flag appends to a fresh copy of its default, so
+        the shared default is never touched.  Everything else goes to
+        argparse: help, abbreviations, ``--flag=value``, positionals, values
+        that start with "-", and every usage error.
+        """
+        sub = self.commands.choices.get(argv[0]) if argv else None
+        if sub is None or not sub.plain:
+            return None
+        values = {**self.defaults, self.commands.dest: argv[0], **sub.defaults}
+        seen = set()
+        words = iter(argv[1:])
+        for word in words:
+            action, kind = sub.flags.get(word, (None, None))
+            if action is None:
+                return None
+            if kind == "store_true":
+                value = action.const
+            else:
+                text = next(words, "-")
+                if text.startswith("-"):
+                    return None
+                try:
+                    value = text if action.type is None else action.type(text)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+                if action.choices is not None and value not in action.choices:
+                    return None
+                if kind == "append":
+                    items = values.get(action.dest)
+                    if action not in seen:
+                        items = list(items or ())
+                    items.append(value)
+                    value = items
+            values[action.dest] = value
+            seen.add(action)
+        if not seen.issuperset(sub.required):
+            return None
+        return argparse.Namespace(**values)
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> _Parser:
     """The parser, built on first use and then shared by every main call.
 
-    Parsing leaves it unchanged: flags land on a fresh namespace, append
-    defaults are copied before use, and help width and the environment are
-    read when they are needed.
+    Parsing leaves it unchanged, by either path: flags land on a fresh
+    namespace, append defaults are copied before use, and help width and
+    the environment are read when they are needed.
     """
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--cap", type=int, default=None,
                         help="max homomorphisms to enumerate, and max partial "
                              "assignments of an early-exit search")
@@ -287,12 +392,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="accepted and ignored; output is identical for any value")
     common.add_argument("--output", choices=("json", "text"), default="json")
     # graph specs, resolved by main once the cap is checked
-    one_graph = argparse.ArgumentParser(add_help=False, parents=[common])
+    one_graph = _Parser(add_help=False, parents=[common])
     one_graph.add_argument("--graph", required=True)
-    two_graphs = argparse.ArgumentParser(add_help=False, parents=[one_graph])
+    two_graphs = _Parser(add_help=False, parents=[one_graph])
     two_graphs.add_argument("--target", required=True)
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="circmix",
         description="decide and certify mixing of graph colourings")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -374,8 +479,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_exact(argv)
+        if args is None:
+            args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     try:

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from .errors import GraphFormatError
-from .graphs import Graph, circular_clique, complete_graph, read_graph
+from .graphs import (Graph, _check_order, circular_clique, complete_graph,
+                     read_graph)
 
 
 def gadget_g62x() -> Graph:
@@ -14,9 +15,11 @@ def gadget_g62x() -> Graph:
     colours on the extra vertex's neighbourhood, so whether the pins extend
     depends on the colouring and not just on colourability.
     """
-    base = circular_clique(6, 2)
-    extra = [(6, 0), (6, 1), (6, 4), (6, 5)]
-    return Graph(7, list(base.edges()) + extra, name="g62x")
+    _check_order(7)
+    extra = 0b0110011  # vertex 6's row: 0, 1, 4 and 5
+    rows = [row | (extra >> v & 1) << 6
+            for v, row in enumerate(circular_clique(6, 2).rows)]
+    return Graph.from_rows(rows + [extra], name="g62x")
 
 
 REGISTRY = {

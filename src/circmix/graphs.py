@@ -35,8 +35,7 @@ class Graph:
     def __init__(self, n: int, edges=(), name: str | None = None):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        if n > max_vertices():
-            raise ValueError(f"vertex count {n} exceeds the configured limit {max_vertices()}")
+        _check_order(n)
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -158,6 +157,12 @@ class Graph:
         return f"<Graph{tag} n={self.n} edges={self.edge_count()}>"
 
 
+def _check_order(n: int) -> None:
+    """Raise before a graph on n vertices is built, if n is over the limit."""
+    if n > max_vertices():
+        raise ValueError(f"vertex count {n} exceeds the configured limit {max_vertices()}")
+
+
 def _bits(m: int) -> list[int]:
     out = []
     while m:
@@ -208,7 +213,9 @@ def _path(parent: dict, x) -> list:
 def complete_graph(r: int) -> Graph:
     if r < 1:
         raise ValueError("complete graph needs at least one vertex")
-    return Graph(r, ((i, j) for i in range(r) for j in range(i + 1, r)), name=f"K_{r}")
+    _check_order(r)
+    full = (1 << r) - 1
+    return Graph.from_rows([full ^ 1 << v for v in range(r)], name=f"K_{r}")
 
 
 def cycle_graph(r: int, reflexive: bool = False) -> Graph:
@@ -238,8 +245,12 @@ def circular_clique(k: int, q: int) -> Graph:
     """
     if q < 1 or k < 2 * q:
         raise ValueError(f"circular clique needs k >= 2q >= 2, got ({k}, {q})")
-    edges = ((i, j) for i in range(k) for j in range(i + q, min(k, i + k - q + 1)))
-    return Graph(k, edges, name=f"G_{{{k},{q}}}")
+    _check_order(k)
+    # row i holds i+q, ..., i+k-q mod k: row 0 rotated left by i
+    full = (1 << k) - 1
+    row = full >> (2 * q - 1) << q
+    return Graph.from_rows([(row << i | row >> (k - i)) & full for i in range(k)],
+                           name=f"G_{{{k},{q}}}")
 
 
 def frozen_regular_graph(d: int, q: int) -> Graph:

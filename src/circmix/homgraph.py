@@ -538,14 +538,16 @@ def is_mixing(source: Graph, target: Graph, cap: int | None = None) -> MixingVer
     2q < k < 4q takes its classes from ``winding._cycle_classes`` instead,
     one per winding total, and builds no box.
     """
-    return _is_mixing(_box_source(source), target, cap)
+    return _is_mixing(source, target, cap)
 
 
-def _is_mixing(src: _Source, target: Graph, cap: int | None = None) -> MixingVerdict:
-    """``is_mixing`` for the ``homs._box_source`` of its source."""
+def _is_mixing(source: Graph, target: Graph, cap: int | None = None,
+               src: _Source | None = None) -> MixingVerdict:
+    """``is_mixing`` on ``src``, the ``homs._box_source`` of ``source``
+    when the caller has one; else the source is prepared only once the
+    cycle rule is out of scope."""
     from .winding import _cycle_classes
 
-    source = src.graph
     cycle = _cycle_classes(source, target, cap)
     if cycle is not None:
         total, classes = cycle
@@ -554,7 +556,7 @@ def _is_mixing(src: _Source, target: Graph, cap: int | None = None) -> MixingVer
             return MixingVerdict(status, total, len(classes), None)
         return MixingVerdict("not_mixing", total, len(classes),
                              (classes[0].rep, classes[1].rep))
-    boxed, found, root, r = _boxes(src, target, cap)
+    boxed, found, root, r = _boxes(src or _box_source(source), target, cap)
     boxes = list(found)
     if not boxes:
         return MixingVerdict("no_colourings", 0, 0, None)

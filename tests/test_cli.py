@@ -1,22 +1,29 @@
 """Exit codes, JSON schemas, and determinism of the command line."""
 
+import argparse
+import importlib
 import json
 import os
 import pathlib
+import shlex
 import shutil
 import subprocess
 import sys
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import circmix
-from circmix.cli import _build_parser, main
+from circmix.cli import _build_parser, _Parser, main
 from circmix.config import DEFAULT_MAX_VERTICES
 from circmix.fixtures import gadget_g62x
 from circmix.graphs import (circular_clique, complete_graph,
                             frozen_regular_graph, path_graph, read_graph,
                             write_graph)
+
+from test_readme import EXAMPLES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCHEMAS = ROOT / "schemas"
@@ -288,6 +295,170 @@ def test_shared_parser_keeps_no_state(capsys, monkeypatch):
     assert shared == play(fresh_parser=True)
     assert [code for code, _, _ in shared] == [0, 0, 0, 1, 0, 0, 2, 0]
     assert shared[4][1] != shared[5][1]  # the help wraps at the new width
+
+
+TOP_USAGE = """\
+usage: circmix [-h]
+               {gen,hom,mixing,components,frozen,lower-parent,structure,sigma,certify-nonmixing,extend,scan,fixtures}
+               ...
+"""
+MIXING_USAGE = """\
+usage: circmix mixing [-h] [--cap CAP] [--threads THREADS]
+                      [--output {json,text}] --graph GRAPH --target TARGET
+                      [--expect EXPECT]
+"""
+TOP_HELP = TOP_USAGE + """
+decide and certify mixing of graph colourings
+
+positional arguments:
+  {gen,hom,mixing,components,frozen,lower-parent,structure,sigma,certify-nonmixing,extend,scan,fixtures}
+    gen                 write a generated graph
+    hom                 least homomorphism, optionally pinned
+    mixing              connectivity verdict for the colour graph
+    components          full class report for HOM(G, H)
+    frozen              is the given colouring frozen?
+    lower-parent        Farey predecessor of k/q
+    structure           structural reports on one graph
+    sigma               winding totals of a colouring around a cycle
+    certify-nonmixing   winding certificate that mixing fails
+    extend              extend pinned colours to a full homomorphism
+    scan                mixing verdicts over a fraction list, with bounds
+    fixtures            list the named gadgets
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+def test_usage_errors_and_help_are_argparse_s(capsys, monkeypatch):
+    """Exit code, stdout and stderr of requests the one-pass parse leaves
+    to argparse: usage errors, help, an abbreviation and ``--flag=value``
+    (argparse's text as Python 3.11 prints it at 80 columns)."""
+    monkeypatch.setenv("COLUMNS", "80")
+    mixing = ["mixing", "--graph", "clique:3", "--target", "circ:7/2"]
+    choices = ", ".join(repr(name) for name in (
+        "gen", "hom", "mixing", "components", "frozen", "lower-parent",
+        "structure", "sigma", "certify-nonmixing", "extend", "scan",
+        "fixtures"))
+    cases = [
+        (["extend", "--graph", "clique:3", "--target", "clique:3",
+          "--bogus", "x"],
+         (1, "", TOP_USAGE + "circmix: error: unrecognized arguments: --bogus x\n")),
+        (["mixing", "--graph", "clique:3"],
+         (1, "", MIXING_USAGE + "circmix mixing: error: the following "
+                                "arguments are required: --target\n")),
+        (mixing + ["--output", "xml"],
+         (1, "", MIXING_USAGE + "circmix mixing: error: argument --output: "
+                                "invalid choice: 'xml' (choose from 'json', 'text')\n")),
+        (mixing + ["--cap", "x"],
+         (1, "", MIXING_USAGE + "circmix mixing: error: argument --cap: "
+                                "invalid int value: 'x'\n")),
+        (mixing + ["--cap", "-5"], (1, "", "error: --cap must be positive, got -5\n")),
+        (["mixing", "--gra", "clique:3", "--target", "circ:7/2", "--output", "text"],
+         (0, "NotMixing (42 homs, 2 classes)\n", "")),
+        (mixing + ["--cap=5"],
+         (2, "", "cap exceeded: budget of 5 exceeded (homomorphism count for n=3)\n")),
+        ([], (1, "", TOP_USAGE + "circmix: error: the following arguments are "
+                                 "required: command\n")),
+        (["bogus"], (1, "", TOP_USAGE + "circmix: error: argument command: "
+                                        f"invalid choice: 'bogus' (choose from {choices})\n")),
+        (["--help"], (0, TOP_HELP, "")),
+    ]
+    for argv, want in cases:
+        assert run_cli(capsys, *argv) == want, argv
+
+
+def _argparse_namespace(argv):
+    """What argparse alone makes of argv on the shared parser."""
+    return argparse.ArgumentParser.parse_args(_build_parser(), argv)
+
+
+def test_benchmark_and_readme_requests_take_the_one_pass_parse(tmp_path,
+                                                               monkeypatch):
+    """Every CLI request of the two benchmark workloads takes the one-pass
+    parse, and so do the README's examples that give only flags; each gives
+    argparse's Namespace.  (Every other in-process request of the suite is
+    checked the same way by the autouse fixture in conftest.py.)"""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    plan = importlib.import_module("plan")
+    golden = plan.load_golden()
+    argvs = [req.argv for workload in ("space_sweep", "retract_extend")
+             for req in plan.build(workload, plan.DEFAULT_SEED, tmp_path, golden)
+             if req.argv is not None]
+    parser = _build_parser()
+    assert argvs
+    for argv in argvs:
+        args = parser.parse_exact(argv)
+        assert args is not None and args == _argparse_namespace(argv), argv
+    readme = [shlex.split(command)[1:] for command, _ in EXAMPLES]
+    taken = [parser.parse_exact(argv) for argv in readme]
+    assert [args is not None for args in taken] == [False, True, True, True]
+    for argv, args in zip(readme[1:], taken[1:]):
+        assert args == _argparse_namespace(argv), argv
+
+
+# values of every kind the flags take, good and bad, and stray words
+WORDS = ("3", "0", "-5", "x", "", "json", "text", "xml", "colour",
+         "homomorphism", "col", "core", "clique:3", "0=1", "7/2", "-h",
+         "--help", "--gra", "--cap=5", "--bogus", "--", "pos")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_pass_parse_is_argparse_s_or_none(data):
+    """On drawn words of a subcommand's flags and values (repeats, missing
+    required flags, values that start with "-", bad choices and ints), the
+    one-pass parse either leaves the request to argparse or gives
+    argparse's Namespace."""
+    parser = _build_parser()
+    command = data.draw(st.sampled_from(sorted(parser.commands.choices)))
+    sub = parser.commands.choices[command]
+    flags = st.sampled_from(sorted(sub.flags))
+    words = st.one_of(st.tuples(flags, st.sampled_from(WORDS)),
+                      st.tuples(flags), st.tuples(st.sampled_from(WORDS)))
+    # most draws give the required flags first, so that many are complete
+    argv = [command]
+    if data.draw(st.booleans()):
+        argv += [w for flag, (action, _) in sorted(sub.flags.items())
+                 if action.required for w in (flag, "clique:3")]
+    argv += [w for seg in data.draw(st.lists(words, max_size=6)) for w in seg]
+    args = parser.parse_exact(argv)
+    if args is not None:
+        try:
+            want = _argparse_namespace(argv)
+        except SystemExit:
+            pytest.fail(f"argparse rejects {argv}")
+        assert args == want, argv
+
+
+def test_one_pass_parse_on_every_kept_kind():
+    """A parser with a switch, an append flag with no default, a typed
+    required flag with choices, a flag of several values, a positional and
+    a typed string default: the one-pass parse takes what it keeps and
+    gives argparse's Namespace, and leaves the rest to argparse."""
+    parser = _Parser(prog="t")
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("run")
+    p.add_argument("--on", action="store_true")
+    p.add_argument("--item", action="append")
+    p.add_argument("--n", type=int, required=True, choices=range(5))
+    p.add_argument("--many", nargs="+")
+    p.set_defaults(func=len)
+    sub.add_parser("pos").add_argument("x")
+    sub.add_parser("typed").add_argument("--k", type=int, default="3")
+    for argv, taken in ((["run", "--n", "3"], True),
+                        (["run", "--on", "--n", "1", "--on"], True),
+                        (["run", "--item", "a", "--n", "0", "--item", "b"], True),
+                        (["run", "--n", "1", "--n", "4"], True),
+                        (["run", "--on", "x", "--n", "1"], False),
+                        (["run", "--n", "5"], False),
+                        (["run", "--many", "a", "--n", "1"], False),
+                        (["pos", "a"], False),
+                        (["typed"], False)):
+        args = parser.parse_exact(argv)
+        assert (args is not None) == taken, argv
+        if taken:
+            assert args == argparse.ArgumentParser.parse_args(parser, argv), argv
 
 
 def test_vertex_limit_runs(tmp_path, capsys):

@@ -13,6 +13,7 @@ from circmix import graphs
 from circmix.config import DEFAULT_MAX_VERTICES
 from circmix.errors import CapExceededError, GraphFormatError
 from circmix.extension import _distances_from
+from circmix.fixtures import gadget_g62x
 from circmix.graphs import (Graph, _bfs, are_isomorphic, canonical_key,
                             chromatic_number, circular_chromatic_number,
                             circular_clique, clique_number, colouring_number,
@@ -75,6 +76,26 @@ def test_circular_clique_adjacency_definition():
             for j in range(k):
                 want = i != j and q <= (i - j) % k <= k - q
                 assert g.has_edge(i, j) == want, (k, q, i, j)
+
+
+def test_row_builders_match_their_definitions():
+    """The named graphs are built from row masks; each equals the graph
+    built edge by edge from its definition, name included."""
+    for q in range(1, 7):
+        for k in range(2 * q, 41):
+            g = circular_clique(k, q)
+            want = Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)
+                             if q <= j - i <= k - q])
+            assert (g, g.name) == (want, f"G_{{{k},{q}}}"), (k, q)
+    for r in range(1, 41):
+        g = complete_graph(r)
+        want = Graph(r, itertools.combinations(range(r), 2))
+        assert (g, g.name) == (want, f"K_{r}"), r
+    # G_{6,2} plus vertex 6 joined to 0, 1, 4 and 5
+    g = gadget_g62x()
+    want = Graph(7, [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (1, 5), (2, 4),
+                     (2, 5), (3, 5), (6, 0), (6, 1), (6, 4), (6, 5)])
+    assert (g, g.name) == (want, "g62x")
 
 
 def test_special_graphs():
