@@ -354,7 +354,7 @@ class _Parser(argparse.ArgumentParser):
             if kind == "store_true":
                 value = action.const
             else:
-                text = next(words, "-")
+                text = next(words, "-")  # a missing value fails as "-" does
                 if text.startswith("-"):
                     return None
                 try:

@@ -163,6 +163,11 @@ def _check_order(n: int) -> None:
         raise ValueError(f"vertex count {n} exceeds the configured limit {max_vertices()}")
 
 
+def _rotate(m: int, k: int, n: int) -> int:
+    """The colour mask m shifted by c -> c + k (mod n), for 0 <= k < n."""
+    return (m << k | m >> (n - k)) & ((1 << n) - 1) if k else m
+
+
 def _bits(m: int) -> list[int]:
     out = []
     while m:
@@ -246,10 +251,8 @@ def circular_clique(k: int, q: int) -> Graph:
     if q < 1 or k < 2 * q:
         raise ValueError(f"circular clique needs k >= 2q >= 2, got ({k}, {q})")
     _check_order(k)
-    # row i holds i+q, ..., i+k-q mod k: row 0 rotated left by i
-    full = (1 << k) - 1
-    row = full >> (2 * q - 1) << q
-    return Graph.from_rows([(row << i | row >> (k - i)) & full for i in range(k)],
+    row = ((1 << (k - 2 * q + 1)) - 1) << q  # q, ..., k - q
+    return Graph.from_rows([_rotate(row, i, k) for i in range(k)],
                            name=f"G_{{{k},{q}}}")
 
 

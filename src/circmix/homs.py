@@ -23,7 +23,7 @@ from itertools import accumulate, product
 
 from .config import hom_cap, node_cap
 from .errors import CapExceededError
-from .graphs import Graph, _bfs, _bits
+from .graphs import Graph, _bfs, _bits, _rotate
 
 
 @dataclass(frozen=True)
@@ -312,11 +312,6 @@ def _search(src: _Source, h: Graph, img: list[int],
         for u in earlier[i]:
             m &= rows[img[u]]
         cand[i] = m
-
-
-def _rotate(m: int, k: int, n: int) -> int:
-    """The colour mask m shifted by c -> c + k (mod n), for 0 <= k < n."""
-    return (m << k | m >> (n - k)) & ((1 << n) - 1) if k else m
 
 
 def _shift_period(h: Graph) -> int:
