@@ -18,7 +18,11 @@ def one_pass_parse_equals_argparse(monkeypatch):
     def checked(parser, argv):
         args = parse_exact(parser, argv)
         if args is not None:
-            assert args == argparse.ArgumentParser.parse_args(parser, argv), argv
+            try:
+                want = argparse.ArgumentParser.parse_args(parser, argv)
+            except SystemExit:  # main would read this as a usage error
+                pytest.fail(f"argparse rejects {argv}")
+            assert args == want, argv
         return args
 
     monkeypatch.setattr(cli._Parser, "parse_exact", checked)
