@@ -9,6 +9,8 @@ A scan row at a coprime fraction that a mixing theorem covers (k/q at
 least twice the colouring number, the integer threshold col+1, or above
 twice the maximum degree) is certified by that theorem plus an exact count
 of the colourings; every other row by explicit component computation.
+``homgraph.is_mixing`` and ``components`` answer such spaces by the same
+rule, ``_theorem_covers``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import CapExceededError, NoColouringsError
 from .graphs import (Graph, _bits, circular_clique, clique_number,
                      colouring_number, degrees, is_bipartite)
 from .homgraph import _avail_masks, _is_mixing, components
-from .homs import (Hom, _box_source, _hom_count, _rotate, compose, identity_hom,
+from .homs import (Hom, _box_source, _boxes, _rotate, compose, identity_hom,
                    is_hom)
 from .structure import FoldStep, apply_fold, is_retraction, make_fold
 
@@ -343,6 +345,23 @@ def _theorem_mixing(k: int, q: int, col: int, dmax: int) -> bool:
                                or 0 < 2 * dmax * q < k)
 
 
+def _theorem_covers(g: Graph, params: tuple[int, int] | None,
+                    bounds: tuple[int, int] | None = None) -> bool:
+    """Does a mixing theorem make HOM(g, G_{k,q}) one colour class, for
+    ``params`` = (k, q), the ``_clique_parameters`` of the target (None
+    when it is not a G_{k,q} so named)?  It does when g is loop-free with a
+    vertex and ``_theorem_mixing`` covers k/q; ``bounds`` is (col(g), max
+    degree of g) when the caller has them.
+
+    Such a space is never empty, since each rule puts k/q at or above
+    chi(g): col >= chi, and 2 dmax >= dmax + 1 >= chi once g has an edge.
+    """
+    if params is None or not g.n or not g.is_loop_free:
+        return False
+    col, dmax = bounds or (colouring_number(g), degrees(g)[0])
+    return _theorem_mixing(*params, col, dmax)
+
+
 def _theorem_bounds(g: Graph, col: int, dmax: int) -> list[ScanBound]:
     has_edge = dmax > 0
     out = [
@@ -398,15 +417,17 @@ def _scan_evidence(rows) -> list[ScanBound]:
 def mixing_scan(g: Graph, fracs, cap: int | None = None) -> MixingScanReport:
     """Certified verdict per fraction plus labeled bound summary.
 
-    A coprime row that a mixing theorem covers (``_theorem_mixing``) is
-    Mixing with one class, certified by the theorem and an exact count of
-    its colourings; every other row, and a covered row whose count is 0,
-    comes from an exact class computation by ``is_mixing``.  Neither builds
-    the space: both count the colourings box by box (``homs._boxes``), and
-    ``is_mixing`` joins the boxes into classes.  G_{k,q} is fixed by the
-    shift c -> c + 1, so the boxes searched and joined are one per orbit of
-    its k shifts, about 1/k of all of them.  The search order and box
-    flags of g are worked out once for all rows.  Rows with more than
+    A row that a mixing theorem covers (``_theorem_covers``, which
+    ``is_mixing`` and ``components`` apply too) is Mixing with one class,
+    certified by the theorem and an exact count of its colourings; every
+    other row comes from an exact class computation by ``is_mixing``.
+    Neither builds the space: both count the colourings box by box
+    (``homs._boxes``), and ``is_mixing`` joins the boxes into classes.
+    G_{k,q} is fixed by the shift c -> c + 1, so the boxes searched and
+    joined are one per orbit of its k shifts, about 1/k of all of them.
+    The search order and box flags of g, and its colouring number and
+    maximum degree, are worked out once for all rows, and the theorems are
+    asked once per row.  Rows with more than
     ``cap`` colourings are recorded as Skipped and the scan continues.
     Fractions are scanned exactly as given, never reduced.  The summary
     lists theorem bounds beside scan evidence; the two kinds are tagged so
@@ -425,10 +446,12 @@ def mixing_scan(g: Graph, fracs, cap: int | None = None) -> MixingScanReport:
         value = Fraction(k, q)
         target = circular_clique(k, q)
         try:
-            if _theorem_mixing(k, q, col, dmax) and (count := _hom_count(src, target, cap)):
+            if _theorem_covers(g, (k, q), (col, dmax)):
+                _, boxes, _, r = _boxes(src, target, cap)
+                count = r * sum(size for _, _, size in boxes)
                 rows.append(MixingScanRow(k, q, value, "Mixing", count, 1, ()))
                 continue
-            v = _is_mixing(g, target, cap, src)
+            v = _is_mixing(g, target, cap, src, covered=False)
         except CapExceededError:
             rows.append(MixingScanRow(k, q, value, "Skipped", None, None, ()))
             continue

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import config
 from .circular import lower_parent, mixing_scan
@@ -50,9 +50,38 @@ def _parse_pin(text: str) -> tuple[int, int]:
         raise ValueError(f"bad pin {text!r}, want v=c") from None
 
 
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for the report
+    types: str, int, bool, None, and lists, tuples and str-keyed dicts of
+    them.  It keys on exact types, so a bool is never written as an int,
+    and spares the pure-Python encoder that ``indent`` selects."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return int.__repr__(value)
+    inner = indent + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            _quote(key) + ": " + _json(value[key], inner) for key in sorted(value)
+        ) + indent + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join(
+            _json(item, inner) for item in value) + indent + "]"
+    raise TypeError(f"{kind.__name__} is not a report type")
+
+
 def _emit(payload: dict, args, text_lines) -> None:
     if args.output == "json":
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_json(payload) + "\n")
     else:
         for line in text_lines:
             sys.stdout.write(line + "\n")

@@ -34,13 +34,17 @@ whole space is a root and a residue of the shift modulo the gcd of r and
 the root's cycle voltages.  Sizes, flags and least members are read off
 that quotient, so the work is about 1/r of a join over all boxes.
 
-One family of spaces skips the boxes.  When the source is a cycle C_n
-and the target is G_{k,q}, named so (``circular._clique_parameters``),
-with k, q coprime and 2q < k < 4q, the classes are read off the winding
-total of ``winding.cycle_trace``: one class per total strictly between nq
-and n(k-q), plus the 2k frozen colourings when k divides n
-(``winding._cycle_classes``, which carries the proof).  Every other pair
-is joined on boxes.
+Two families of spaces skip the join, both into a target named G_{k,q}
+(``circular._clique_parameters``) with k, q coprime.  When the source is
+a cycle C_n and 2q < k < 4q, the classes are read off the winding total
+of ``winding.cycle_trace``: one class per total strictly between nq and
+n(k-q), plus the 2k frozen colourings when k divides n
+(``winding._cycle_classes``, which carries the proof), and no box is
+built.  When a mixing theorem covers k/q for a loop-free source
+(``circular._theorem_covers``, the rule of ``circular.mixing_scan``), the
+space is one class: its boxes are still searched, for the count, the cap
+and the non-surjective flag, but not joined.  Every other pair is joined
+on boxes.
 
 Homotopy paths walk the homomorphism graph with ``graphs._bfs`` and never
 enumerate the space, finding each map's neighbours by one search over its
@@ -66,7 +70,7 @@ from .config import hom_cap
 from .errors import DisconnectedError, NoColouringsError
 from .graphs import Graph, _bfs, _path
 from .homs import (Hom, _box_source, _boxes, _rotate, _search, _search_order,
-                   _Source, _symmetries, format_image, is_hom)
+                   _Source, _symmetries, first_hom, format_image, is_hom)
 
 
 @dataclass(frozen=True)
@@ -483,10 +487,15 @@ def components(source: Graph, target: Graph, kind: str = "colour",
 
     A cycle into a coprime G_{k,q} with 2q < k < 4q, both kinds alike,
     takes its classes from ``winding._cycle_classes`` and builds no box.
+    A space that a mixing theorem makes one class
+    (``circular._theorem_covers``) is not joined: its one class is the
+    whole space, with ``first_hom`` as its least member, and is never
+    frozen, as it holds at least k >= 2 maps.
     """
     if kind not in ("colour", "homomorphism"):
         raise ValueError(f"unknown kind {kind!r}")
     # imported on first use, as homindex is
+    from .circular import _clique_parameters, _theorem_covers
     from .winding import _cycle_classes
 
     cycle = _cycle_classes(source, target, cap)
@@ -496,6 +505,13 @@ def components(source: Graph, target: Graph, kind: str = "colour",
     boxes = list(found)
     if not boxes:
         return ComponentReport(kind=kind, total=0, classes=())
+    free = set(range(source.n)).difference(boxed)
+    if _theorem_covers(source, _clique_parameters(target)):
+        total = r * sum(size for _, _, size in boxes)
+        one = ClassSummary(first_hom(source, target), total,
+                           any(_misses_a_colour(box, free, target.n) for box in boxes),
+                           False)
+        return ComponentReport(kind=kind, total=total, classes=(one,))
     hom = join = _join(source, target, boxed, boxes, root, r, homotopy=True)
     if kind == "colour" and not source.is_loop_free:
         join = _join(source, target, boxed, boxes, root, r)
@@ -505,27 +521,31 @@ def components(source: Graph, target: Graph, kind: str = "colour",
     hom_roots, _, hom_splits = hom
     frozen = {roots[h] for h, count in Counter(hom_roots).items()
               if count == 1 and boxes[h][2] == 1 and hom_splits[h] == r}
-    free = set(range(source.n)).difference(boxed)
-    full = (1 << target.n) - 1
     sizes: dict[int, int] = {}
     non_surj: set[int] = set()
-    for (im, masks, size), x in zip(boxes, roots):
-        sizes[x] = sizes.get(x, 0) + size
-        if x in non_surj:
-            continue
-        missing = full
-        for c in set(map(im.__getitem__, free)):
-            missing &= ~(1 << c)
-        for m in masks:
-            if m & (m - 1) == 0:
-                missing &= ~m
-        if missing:
+    for box, x in zip(boxes, roots):
+        sizes[x] = sizes.get(x, 0) + box[2]
+        if x not in non_surj and _misses_a_colour(box, free, target.n):
             non_surj.add(x)
     classes = tuple(
         ClassSummary(Hom(source.n, target.n, rep), sizes[x] * r // splits[x],
                      x in non_surj, x in frozen)
         for (x, _), rep in _class_reps(source, target, boxed, boxes, r, join).items())
     return ComponentReport(kind=kind, total=r * sum(sizes.values()), classes=classes)
+
+
+def _misses_a_colour(box, free, n: int) -> bool:
+    """Does the box ``(image, masks, size)`` hold a member that misses some
+    colour c of the n?  Exactly when its ``free`` vertices miss c and no
+    boxed vertex is held to c alone."""
+    im, masks, _ = box
+    missing = (1 << n) - 1
+    for v in free:
+        missing &= ~(1 << im[v])
+    for m in masks:
+        if m & (m - 1) == 0:
+            missing &= ~m
+    return missing != 0
 
 
 def is_mixing(source: Graph, target: Graph, cap: int | None = None) -> MixingVerdict:
@@ -536,16 +556,21 @@ def is_mixing(source: Graph, target: Graph, cap: int | None = None) -> MixingVer
     with split s is s classes.  NotMixing verdicts carry the least members
     of the two least classes.  A cycle into a coprime G_{k,q} with
     2q < k < 4q takes its classes from ``winding._cycle_classes`` instead,
-    one per winding total, and builds no box.
+    one per winding total, and builds no box.  A space that a mixing
+    theorem makes one class (``circular._theorem_covers``) is Mixing once
+    its boxes are counted, with no join.
     """
     return _is_mixing(source, target, cap)
 
 
 def _is_mixing(source: Graph, target: Graph, cap: int | None = None,
-               src: _Source | None = None) -> MixingVerdict:
-    """``is_mixing`` on ``src``, the ``homs._box_source`` of ``source``
-    when the caller has one; else the source is prepared only once the
-    cycle rule is out of scope."""
+               src: _Source | None = None,
+               covered: bool | None = None) -> MixingVerdict:
+    """``is_mixing`` on what the caller has worked out: ``src``, the
+    ``homs._box_source`` of ``source``, else the source is prepared only
+    once the cycle rule is out of scope, and ``covered``, the answer of
+    ``circular._theorem_covers``, else it is asked once there are boxes."""
+    from .circular import _clique_parameters, _theorem_covers
     from .winding import _cycle_classes
 
     cycle = _cycle_classes(source, target, cap)
@@ -560,8 +585,12 @@ def _is_mixing(source: Graph, target: Graph, cap: int | None = None,
     boxes = list(found)
     if not boxes:
         return MixingVerdict("no_colourings", 0, 0, None)
-    join = _join(source, target, boxed, boxes, root, r)
     total = r * sum(size for _, _, size in boxes)
+    if covered is None:
+        covered = _theorem_covers(source, _clique_parameters(target))
+    if covered:
+        return MixingVerdict("mixing", total, 1, None)
+    join = _join(source, target, boxed, boxes, root, r)
     roots, _, splits = join
     count = sum(splits[x] for x in set(roots))
     if count == 1:

@@ -428,12 +428,7 @@ def hom_count(g: Graph, h: Graph, cap: int | None = None) -> int:
     Raises CapExceededError exactly when enumerate_homs would: when more
     than ``cap`` homomorphisms exist.
     """
-    return _hom_count(_box_source(g), h, cap)
-
-
-def _hom_count(src: _Source, h: Graph, cap: int | None = None) -> int:
-    """``hom_count`` for the ``_box_source`` of its source."""
-    _, boxes, _, r = _boxes(src, h, cap)
+    _, boxes, _, r = _boxes(_box_source(g), h, cap)
     return r * sum(size for _, _, size in boxes)
 
 

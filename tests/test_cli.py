@@ -12,11 +12,12 @@ import sys
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import circmix
-from circmix.cli import _build_parser, _Parser, main
+from circmix import cli
+from circmix.cli import _build_parser, _json, _Parser, main
 from circmix.config import DEFAULT_MAX_VERTICES
 from circmix.fixtures import gadget_g62x
 from circmix.graphs import (circular_clique, complete_graph,
@@ -229,6 +230,69 @@ def test_byte_identical_output(capsys):
         assert code == 0
         outs.add(out)
     assert len(outs) == 1
+
+
+# a request of every subcommand that writes JSON, and of every structure op
+PAYLOAD_REQUESTS = [
+    ["hom", "--graph", "clique:3", "--target", "circ:7/2", "--pin", "0=1"],
+    ["hom", "--graph", "clique:4", "--target", "clique:3"],
+    ["mixing", "--graph", "clique:3", "--target", "circ:7/2"],
+    ["mixing", "--graph", "clique:3", "--target", "circ:9/2"],
+    ["components", "--graph", "clique:3", "--target", "circ:7/2"],
+    ["components", "--graph", "clique:4", "--target", "clique:3",
+     "--kind", "homomorphism"],
+    ["frozen", "--graph", "gadget:g62x", "--target", "gadget:g62x",
+     "--colouring", "0,1,2,3,4,5,6"],
+    ["lower-parent", "19", "7"],
+    *(["structure", "--graph", "circ:6/2", "--op", op]
+      for op in ("col", "omega", "stiff", "core", "dismantlable", "rigid",
+                 "self-mixing")),
+    ["sigma", "--graph", "clique:3", "--cycle", "0,1,2", "--colouring", "0,2,4",
+     "--frac", "7/2"],
+    ["certify-nonmixing", "--graph", "clique:3", "--frac", "7/2"],
+    ["extend", "--graph", "gadget:g62x", "--target", "clique:4",
+     *sum((["--pin", f"{v}={c}"] for v, c in enumerate((0, 1, 1, 2, 2, 3))), [])],
+    ["extend", "--graph", "clique:3", "--target", "clique:3", "--pin", "0=1"],
+    ["scan", "--graph", "clique:3", "--fracs", "3/1,7/2,4/1,9/2"],
+    ["fixtures"],
+]
+
+
+def test_report_writer_matches_json_dumps(capsys, monkeypatch, tmp_path):
+    """The report writer gives json.dumps's bytes on the payload of every
+    subcommand, and on every CLI request of the two benchmark workloads."""
+    payloads = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda payload, args, lines:
+                        payloads.append(payload) or emit(payload, args, lines))
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    plan = importlib.import_module("plan")
+    argvs = PAYLOAD_REQUESTS + [
+        req.argv for workload in ("space_sweep", "retract_extend")
+        for req in plan.build(workload, plan.DEFAULT_SEED, tmp_path, plan.load_golden())
+        if req.argv is not None]
+    for argv in argvs:
+        main(list(argv))
+        out = capsys.readouterr().out
+        assert out == json.dumps(payloads[-1], indent=2, sort_keys=True) + "\n", argv
+    assert len(payloads) == len(argvs)
+    writers = set(_build_parser().commands.choices) - {"gen"}
+    assert {argv[0] for argv in PAYLOAD_REQUESTS} == writers
+
+
+PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PAYLOADS)
+@example({"\u00e9t\u00e9": "\u2603 \"q\" \\ \n\t\x00\ud83d\ude00", "": [], "e": {},
+          "t": (True, False, None, 0, -1, 2 ** 70), "b": [[], {}, ()]})
+def test_report_writer_on_drawn_payloads(value):
+    assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 def test_text_output_mode(capsys):

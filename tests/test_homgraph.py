@@ -1,13 +1,14 @@
 """Colour graph and homomorphism graph connectivity against naive BFS."""
 
 import random
+from math import gcd
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circmix import homgraph, homindex, homs
+from circmix import circular, homgraph, homindex, homs
 from circmix.cli import main
 from circmix.config import DEFAULT_MAX_VERTICES
 from circmix.errors import (CapExceededError, DisconnectedError,
@@ -743,3 +744,68 @@ def test_component_report_json_keys():
     assert payload["total"] == 6 and payload["mixing"] is True
     assert set(payload["classes"][0]) == {"size", "rep", "non_surjective",
                                           "frozen"}
+
+
+# the criterion-12 fractions: every coprime k/q with q <= 5 and k <= 11
+FRACTIONS = [(k, q) for q in range(1, 6) for k in range(2 * q, 12) if gcd(k, q) == 1]
+
+
+def _three_answers(g, h, cap=None):
+    """is_mixing and both kinds of components, or the text of the cap error."""
+    out = []
+    for ask in (lambda: is_mixing(g, h, cap=cap),
+                lambda: components(g, h, "colour", cap).to_json_dict(),
+                lambda: components(g, h, "homomorphism", cap).to_json_dict()):
+        try:
+            out.append(ask())
+        except CapExceededError as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_theorem_path_matches_the_join(monkeypatch):
+    """Where a mixing theorem makes the space one class, is_mixing and
+    components answer without a join; every answer, and every cap error
+    at a cap of the total and one below it, is the join's."""
+    assert len(FRACTIONS) == 21
+    sources = iso_reps(5) + [cycle_graph(n) for n in range(6, 11)]
+    pairs = [(g, circular_clique(k, q)) for g in sources for k, q in FRACTIONS]
+    pairs += [(Graph(0), circular_clique(7, 2)), (Graph(3), circular_clique(7, 2))]
+    covered, capped = 0, 0
+    for g, h in pairs:
+        caps = [None]
+        while caps:
+            cap = caps.pop()
+            got = _three_answers(g, h, cap)
+            with monkeypatch.context() as m:
+                m.setattr(circular, "_theorem_covers", lambda *a, **kw: False)
+                assert _three_answers(g, h, cap) == got, (g.rows, h.name, cap)
+            params = circular._clique_parameters(h)
+            if cap is None and circular._theorem_covers(g, params):
+                covered += 1
+                if isinstance(got[0], str):  # past the default cap
+                    capped += 1
+                else:
+                    caps = [got[0].hom_count - 1, got[0].hom_count]
+    assert not circular._theorem_covers(Graph(0), (7, 2))
+    assert circular._theorem_covers(Graph(3), (7, 2))
+    # 592 pairs of iso_reps(5), as test_criterion_12 counts, 50 of the
+    # cycles and the edgeless source
+    assert (covered, capped) == (592 + 50 + 1, 18)
+
+
+def test_theorem_spaces_are_not_joined(monkeypatch):
+    def join(*a, **kw):
+        raise AssertionError("joined")
+
+    monkeypatch.setattr(homgraph, "_join", join)
+    for g, h in [(cycle_graph(5), circular_clique(13, 2)),
+                 (cycle_graph(6), circular_clique(9, 2))]:
+        verdict = is_mixing(g, h)
+        assert (verdict.name, verdict.class_count) == ("Mixing", 1)
+        for kind in ("colour", "homomorphism"):
+            report = components(g, h, kind)
+            assert report.class_count == 1 and report.total == verdict.hom_count
+            assert report.classes[0].rep == homs.first_hom(g, h)
+    with pytest.raises(AssertionError, match="joined"):
+        is_mixing(path_graph(3), circular_clique(5, 2))
