@@ -771,26 +771,29 @@ def test_theorem_path_matches_the_join(monkeypatch):
     sources = iso_reps(5) + [cycle_graph(n) for n in range(6, 11)]
     pairs = [(g, circular_clique(k, q)) for g in sources for k, q in FRACTIONS]
     pairs += [(Graph(0), circular_clique(7, 2)), (Graph(3), circular_clique(7, 2))]
+
+    def same_with_the_rule_off(g, h, cap=None):
+        got = _three_answers(g, h, cap)
+        with monkeypatch.context() as m:
+            m.setattr(circular, "_theorem_covers", lambda *a, **kw: False)
+            assert _three_answers(g, h, cap) == got, (g.rows, h.name, cap)
+        return got
+
     covered, capped = 0, 0
     for g, h in pairs:
-        caps = [None]
-        while caps:
-            cap = caps.pop()
-            got = _three_answers(g, h, cap)
-            with monkeypatch.context() as m:
-                m.setattr(circular, "_theorem_covers", lambda *a, **kw: False)
-                assert _three_answers(g, h, cap) == got, (g.rows, h.name, cap)
-            params = circular._clique_parameters(h)
-            if cap is None and circular._theorem_covers(g, params):
-                covered += 1
-                if isinstance(got[0], str):  # past the default cap
-                    capped += 1
-                else:
-                    caps = [got[0].hom_count - 1, got[0].hom_count]
+        verdict = same_with_the_rule_off(g, h)[0]
+        if not circular._theorem_covers(g, circular._clique_parameters(h)):
+            continue
+        covered += 1
+        if isinstance(verdict, str):  # past the default cap
+            capped += 1
+            continue
+        for cap in (verdict.hom_count - 1, verdict.hom_count):
+            same_with_the_rule_off(g, h, cap)
     assert not circular._theorem_covers(Graph(0), (7, 2))
     assert circular._theorem_covers(Graph(3), (7, 2))
-    # 592 pairs of iso_reps(5), as test_criterion_12 counts, 50 of the
-    # cycles and the edgeless source
+    # 592 pairs of iso_reps(5), as test_mixing_scan_rows_match_is_mixing
+    # counts, 50 of the cycles and the edgeless source
     assert (covered, capped) == (592 + 50 + 1, 18)
 
 
