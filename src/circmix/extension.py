@@ -16,7 +16,7 @@ from itertools import islice
 from .errors import DisconnectedError, RingHypothesisError
 from .graphs import Graph, _bfs, extension_product, path_graph
 from .homgraph import homotopy_path, radius_centre
-from .homs import Hom, _broken_pin_edge, first_hom, is_hom
+from .homs import Hom, _broken_pin_edge, _first_extension, first_hom, is_hom
 from .structure import CoreResult, core_of
 
 
@@ -105,9 +105,9 @@ def extend(instance: PrecolouringInstance, cap: int | None = None) -> ExtensionR
     """Lexicographically least extension of the pins, or NoExtension.
 
     NoExtension means the backtracking search exhausted every assignment.
+    The instance has checked its pins, so the search does not again.
     """
-    hom = first_hom(instance.host, instance.target,
-                    pins=instance.pin_map(), budget=cap)
+    hom = _first_extension(instance.host, instance.target, instance.pin_map(), cap)
     if hom is None:
         return ExtensionResult("NoExtension", None)
     # soundness is cheap to re-check, so always do it
@@ -127,19 +127,22 @@ def layered_extension_check(g: Graph, h: Graph, f_start: Hom, f_end: Hom,
     computed twice, by the extension search and as homotopy distance < n,
     and the two must agree (AssertionError otherwise).
 
-    The distance is read off HOM(g, h), enumerated under ``cap``: layers
-    of a breadth-first search from f_start on bitsets (``homindex``),
-    until f_end is reached, n layers are done or its class is used up.  So
-    this raises CapExceededError whenever HOM(g, h) has more than ``cap``
-    maps, even where ``homotopy_distance``, which does not enumerate,
-    would stay inside the cap.
+    The distance is read off HOM(g, h), numbered under ``cap`` one map per
+    orbit of the target's shifts (``homindex``): layers of a breadth-first
+    search from f_start on bitsets, until f_end is reached, n layers are
+    done or its class is used up.  So this raises CapExceededError
+    whenever HOM(g, h) has more than ``cap`` maps, even where
+    ``homotopy_distance``, which does not enumerate, would stay inside the
+    cap.
 
-    ``cap`` is also the node budget of the product search (``first_hom``),
-    1,000,000 partial assignments at ``cap=None``, and that budget can run
-    out first: with ends at homotopy distance 6 on C_5 into G_{7,2} and
-    n = 7, this raises CapExceededError at ``cap=None`` after about 0.6 s
-    on a 2-CPU machine and answers True at cap 10,000,000, while the
-    bitset layers take about 2 ms.
+    The pinned layers are tested for a broken edge once; the product
+    search is ``first_hom``'s, without its second test of the pins.
+    ``cap`` is also its node budget, 1,000,000 partial assignments at
+    ``cap=None``, and that budget can run out first: with ends at homotopy
+    distance 6 on C_5 into G_{7,2} and n = 7, this raises
+    CapExceededError at ``cap=None`` after about 0.6 s on a 2-CPU machine
+    and answers True at cap 10,000,000, while the bitset layers take about
+    2 ms.
     """
     if n < 1:
         raise ValueError("layer count must be at least 1")
@@ -155,15 +158,15 @@ def layered_extension_check(g: Graph, h: Graph, f_start: Hom, f_end: Hom,
         if _broken_pin_edge(host, h, pins) is not None:
             by_product = False  # the pinned layers already collide
         else:
-            by_product = first_hom(host, h, pins=pins, budget=cap) is not None
+            by_product = _first_extension(host, h, pins, cap) is not None
     # imported on first use: commands that walk no bitsets never load it
     from .homindex import _HomIndex
 
     index = _HomIndex(g, h, cap)
-    end = index.space.index(f_end.image)
+    end = index.number(f_end.image)
     # f_end lies within distance n - 1 when it is reached in the first n layers
     by_distance = any(reached >> end & 1 for _, reached in
-                      islice(index.layers(index.space.index(f_start.image)), n))
+                      islice(index.layers(index.number(f_start.image)), n))
     if by_product != by_distance:
         raise AssertionError("layered extension disagrees with homotopy distance")
     return by_product

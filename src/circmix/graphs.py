@@ -526,10 +526,11 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 
 
 def parse_graph(text: str) -> Graph:
+    """Read the text format straight into adjacency rows; a duplicate edge
+    is one whose bit is already set."""
     n = None
     name = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    rows: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -551,6 +552,7 @@ def parse_graph(text: str) -> Graph:
             if n > max_vertices():
                 raise GraphFormatError(f"line {lineno}: vertex count {n} exceeds "
                                        f"the configured limit {max_vertices()}")
+            rows = [0] * n
             continue
         if kind == "e":
             if n is None:
@@ -564,16 +566,15 @@ def parse_graph(text: str) -> Graph:
                 raise GraphFormatError(f"line {lineno}: bad edge {rest!r}") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError(f"line {lineno}: edge ({u}, {v}) out of range")
-            key = (min(u, v), max(u, v))
-            if key in seen:
+            if rows[u] >> v & 1:
                 raise GraphFormatError(f"line {lineno}: duplicate edge ({u}, {v})")
-            seen.add(key)
-            edges.append(key)
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
             continue
         raise GraphFormatError(f"line {lineno}: unknown line type {kind!r}")
     if n is None:
         raise GraphFormatError("missing p line")
-    return Graph(n, edges, name=name)
+    return Graph.from_rows(rows, name=name)
 
 
 def format_graph(g: Graph) -> str:

@@ -62,6 +62,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from heapq import nsmallest
 from itertools import islice
 from math import gcd
 from operator import itemgetter
@@ -385,16 +386,18 @@ def _local_classes(members, target: Graph | None) -> dict[int, int]:
 
 
 def _class_reps(source: Graph, target: Graph, boxed: list[int], boxes, r: int,
-                join) -> dict[tuple[int, int], tuple[int, ...]]:
+                join, keep: int | None = None) -> dict[tuple[int, int], tuple[int, ...]]:
     """Least member of each class ``(root, c)`` of ``_join``, in increasing
-    order of that member.
+    order of that member, or of the ``keep`` classes with the least ones.
 
     The candidates are the shifts of the root's boxes in the class; each
     vertex in index order keeps those whose least member takes the least
-    colour there, until one is left, so no other member is built.  At
-    vertex 0 that colour depends only on the box's colours there and on
-    which shifts the class holds, so it is found once per colour mask and
-    potential, not once per box.
+    colour there, so no other member is built.  At vertex 0 that colour
+    depends only on the box's colours there and on which shifts the class
+    holds, so it is found once per colour mask and potential, not once per
+    box.  All classes are narrowed together, vertex by vertex; with
+    ``keep`` set, a class whose least member's prefix so far is past the
+    ``keep``-th least prefix is dropped, as ``keep`` classes come before it.
     """
     roots, pots, splits = join
     n = target.n
@@ -426,7 +429,7 @@ def _class_reps(source: Graph, target: Graph, boxed: list[int], boxes, r: int,
     trees: dict[int, list] = {}
     for (x, m, p), members in alike.items():
         trees.setdefault(x, []).append((m, p, members))
-    reps = {}
+    reps, live = {}, {}
     for x, tree in trees.items():
         s = splits[x]
         for c in range(s):
@@ -441,14 +444,19 @@ def _class_reps(source: Graph, target: Graph, boxed: list[int], boxes, r: int,
                     best, cands = low, []
                 if low == best:
                     cands += [(i, t) for i in members for t in ts]
-            for v in range(1, source.n):  # keep the least, vertex by vertex
-                if len(cands) == 1:
-                    break
+            reps[x, c], live[x, c] = [best], cands
+    for v in range(source.n):
+        if v:  # keep the least colour at v, vertex 0 being done
+            for key, cands in live.items():
                 seen = colours(cands, v)
                 low = min(seen)
-                cands = [ic for ic, y in zip(cands, seen) if y == low]
-            reps[x, c] = tuple(colours(cands[:1], v)[0] for v in range(source.n))
-    return dict(sorted(reps.items(), key=itemgetter(1)))
+                reps[key].append(low)
+                if len(cands) > 1:
+                    live[key] = [ic for ic, y in zip(cands, seen) if y == low]
+        if keep is not None and len(live) > keep:
+            bound = nsmallest(keep, (reps[key] for key in live))[-1]
+            live = {key: cands for key, cands in live.items() if reps[key] <= bound}
+    return dict(sorted(((key, tuple(reps[key])) for key in live), key=itemgetter(1)))
 
 
 def _hom_neighbours(image, src: _Source, target: Graph,
@@ -595,7 +603,7 @@ def _is_mixing(source: Graph, target: Graph, cap: int | None = None,
     count = sum(splits[x] for x in set(roots))
     if count == 1:
         return MixingVerdict("mixing", total, 1, None)
-    reps = list(_class_reps(source, target, boxed, boxes, r, join).values())
+    reps = list(_class_reps(source, target, boxed, boxes, r, join, keep=2).values())
     witness = (Hom(source.n, target.n, reps[0]), Hom(source.n, target.n, reps[1]))
     return MixingVerdict("not_mixing", total, count, witness)
 
@@ -657,29 +665,33 @@ def radius_centre(source: Graph, target: Graph, cap: int | None = None) -> tuple
 
     An automorphism s of the target maps the homomorphism graph onto
     itself by f -> s.f, so eccentricity is constant on the orbits of
-    ``homs._symmetries``: one search per orbit, from its least member, the
-    first of the sorted space it holds.  The least centre is the first of
-    those of least eccentricity.  The searches run together, as one sweep
-    of ``homindex._HomIndex.eccentricities``.
+    ``homs._symmetries``: one search per orbit.  Every orbit holds a
+    representative of ``homindex._HomIndex``, as the shifts are among the
+    symmetries, so the searches start from the first representative of
+    each orbit, and the least centre is the least member of an orbit of
+    least eccentricity.  The searches run together, as one sweep of
+    ``homindex._HomIndex.eccentricities``.
     """
     # imported on first use: commands that walk no bitsets never load it
     from .homindex import _HomIndex
 
     index = _HomIndex(source, target, cap)
-    space = index.space
-    m = space.count
-    if m == 0:
+    size = len(index.reps)
+    if size == 0:
         raise NoColouringsError("no homomorphisms to measure")
     symmetries = _symmetries(target)
-    seen = bytearray(m)
-    starts = []
-    for i, im in enumerate(space.images):
+    seen = bytearray(size)
+    starts, least = [], []
+    for i, im in enumerate(index.reps):
         if not seen[i]:
             starts.append(i)
-            for s in symmetries:
-                seen[space.index(map(s.__getitem__, im))] = 1
+            orbit = [tuple(map(s.__getitem__, im)) for s in symmetries]
+            least.append(min(orbit))
+            for image in orbit:
+                seen[index.number(image) % size] = 1
     eccentricity = index.eccentricities(starts)
     if eccentricity is None:
         raise DisconnectedError("homomorphism graph is disconnected")
     best = min(eccentricity)
-    return (best, space.hom(starts[eccentricity.index(best)]))
+    return (best, Hom(source.n, target.n,
+                      min(x for x, e in zip(least, eccentricity) if e == best)))

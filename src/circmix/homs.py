@@ -48,15 +48,23 @@ class Hom:
 
 
 def is_hom(g: Graph, h: Graph, image) -> bool:
-    """Does the map send every edge of g (loops included) to an edge of h?"""
+    """Does the map send every edge of g (loops included) to an edge of h?
+
+    Tested on rows: each vertex u's row, from u up, against the target's
+    row of u's colour."""
     image = tuple(image)
     if len(image) != g.n:
         raise ValueError(f"image has {len(image)} entries for {g.n} vertices")
-    if any(not 0 <= c < h.n for c in image):
+    if image and not (0 <= min(image) and max(image) < h.n):
         raise ValueError("image colour out of range for the target")
-    for u, v in g.edges():
-        if not h.has_edge(image[u], image[v]):
-            return False
+    rows = h.rows
+    for u, (row, c) in enumerate(zip(g.rows, image)):
+        ok, m = rows[c], row >> u
+        while m:
+            b = m & -m
+            if not ok >> image[u + b.bit_length() - 1] & 1:
+                return False
+            m ^= b
     return True
 
 
@@ -393,6 +401,26 @@ def _boxes(src: _Source, h: Graph, cap: int | None = None):
     return boxed, sized(), root, r
 
 
+def _orbit_reps(g: Graph, h: Graph, cap: int | None = None):
+    """``(reps, root, r)``: the members of the boxes of ``_boxes``, one map
+    per orbit of the target's r cyclic shifts, sorted, and the free vertex
+    whose colour, held below n / r, picks each orbit's member.
+
+    Raises CapExceededError as ``_boxes`` does, before building the members
+    of the box that brings HOM(g, h) past ``cap``.
+    """
+    boxed, boxes, root, r = _boxes(_box_source(g), h, cap)
+    reps: list[tuple[int, ...]] = []
+    for im, masks, _ in boxes:
+        img = list(im)
+        for colours in product(*map(_bits, masks)):
+            for v, c in zip(boxed, colours):
+                img[v] = c
+            reps.append(tuple(img))
+    reps.sort()
+    return reps, root, r
+
+
 def enumerate_homs(g: Graph, h: Graph, cap: int | None = None) -> HomSpace:
     """Every homomorphism g -> h, sorted by image tuple.
 
@@ -400,17 +428,9 @@ def enumerate_homs(g: Graph, h: Graph, cap: int | None = None) -> HomSpace:
     building the members of the box that passes the cap; an empty result
     is an answer, not an error.
     """
-    boxed, boxes, _, r = _boxes(_box_source(g), h, cap)
-    out: list[tuple[int, ...]] = []
-    for im, masks, _ in boxes:
-        img = list(im)
-        for colours in product(*map(_bits, masks)):
-            for v, c in zip(boxed, colours):
-                img[v] = c
-            out.append(tuple(img))
+    out, _, r = _orbit_reps(g, h, cap)
     # a shift keeps most of a sorted list in order, so the final sort
     # merges long runs
-    out.sort()
     orbit = len(out)
     for t in range(1, r):
         shifted = [(c + t * h.n // r) % h.n for c in range(h.n)]
@@ -445,13 +465,23 @@ def _broken_pin_edge(g: Graph, h: Graph,
                      pins: dict[int, int]) -> tuple[int, int] | None:
     """First edge (u, v) of g, loops included, whose pinned ends have
     colours not adjacent in h, or None.  Pins go in dict order; each one's
-    loop comes first, then its other neighbours ascending."""
+    loop comes first, then its other neighbours ascending.
+
+    Tested on rows: the pinned neighbours of u are ``g.rows[u] & pinned``,
+    each against the target row of u's colour."""
+    pinned = 0
+    for v in pins:
+        pinned |= 1 << v
     for u, cu in pins.items():
-        if g.has_loop(u) and not h.has_edge(cu, cu):
+        m, ok = g.rows[u] & pinned, h.rows[cu]
+        if m >> u & 1 and not ok >> cu & 1:
             return (u, u)
-        for v in g.neighbours(u):
-            if v in pins and not h.has_edge(cu, pins[v]):
+        while m:
+            b = m & -m
+            v = b.bit_length() - 1
+            if not ok >> pins[v] & 1:
                 return (u, v)
+            m ^= b
     return None
 
 
@@ -463,7 +493,6 @@ def first_hom(g: Graph, h: Graph, pins: dict[int, int] | None = None,
     internal consistency first.  None certifies that the search space was
     exhausted.  Raises CapExceededError if the node budget runs out.
     """
-    budget = node_cap(budget)
     pins = dict(pins or {})
     for v, c in pins.items():
         if not (0 <= v < g.n and 0 <= c < h.n):
@@ -474,10 +503,16 @@ def first_hom(g: Graph, h: Graph, pins: dict[int, int] | None = None,
         if u == v:
             raise ValueError(f"pin {u}={pins[u]} breaks the loop at {u}")
         raise ValueError(f"pins {u}={pins[u]} and {v}={pins[v]} break an edge")
+    return _first_extension(g, h, pins, budget)
 
+
+def _first_extension(g: Graph, h: Graph, pins: dict[int, int],
+                     budget: int | None = None) -> Hom | None:
+    """``first_hom`` for pins already checked: in range, and with no edge
+    that ``_broken_pin_edge`` finds."""
     img = [pins.get(v, 0) for v in range(g.n)]
     free = [v for v in range(g.n) if v not in pins]
-    image = next(_search(_Source(g, free), h, img, budget=budget), None)
+    image = next(_search(_Source(g, free), h, img, budget=node_cap(budget)), None)
     return None if image is None else Hom(g.n, h.n, image)
 
 

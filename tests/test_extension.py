@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from circmix import homgraph, homs
+from circmix import extension, homgraph, homs
 from circmix.errors import (CapExceededError, DisconnectedError,
                             NoColouringsError, RingHypothesisError)
 from circmix.extension import (PrecolouringInstance, core_ext_radius_bound,
@@ -53,6 +53,27 @@ def test_instance_normalizes_and_validates():
         PrecolouringInstance(host, target, (), groups=((0, 1), (1, 2)))
     with pytest.raises(ValueError, match="group vertex out of range"):
         PrecolouringInstance(host, target, (), groups=((5,),))
+
+
+def test_pins_are_checked_once(monkeypatch):
+    """An instance checks its pins for broken edges and extend does not
+    again; the layered check tests its pinned layers once."""
+    calls, original = [], homs._broken_pin_edge
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(extension, "_broken_pin_edge", counted)
+    monkeypatch.setattr(homs, "_broken_pin_edge", counted)
+    host, target = gadget_g62x(), complete_graph(4)
+    result = extend(PrecolouringInstance(host, target, pin_all((0, 0, 1, 1, 2, 2))))
+    assert result.status == "Extended" and len(calls) == 1
+    g, h = cycle_graph(5), circular_clique(7, 2)
+    a, b = Hom(5, 7, (0, 2, 4, 6, 2)), Hom(5, 7, (0, 2, 4, 6, 3))
+    calls.clear()
+    assert layered_extension_check(g, h, a, b, 2)
+    assert len(calls) == 1
 
 
 def test_group_distances():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -295,6 +296,15 @@ def test_are_isomorphic_counts_small_classes():
 def test_format_parse_round_trip(n, seed, loops):
     g = random_graph(random.Random(seed), n, loops=loops)
     assert parse_graph(format_graph(g)) == g
+
+
+def test_parse_reads_rows_and_rejects_duplicates():
+    g = parse_graph("c tri\np 3\n\ne 0 1\ne 2 1\ne 2 2\n")
+    assert (g.name, g.rows) == ("tri", (0b010, 0b101, 0b110))
+    for text, line in (("p 3\ne 0 1\ne 1 0\n", "line 3: duplicate edge (1, 0)"),
+                       ("p 3\ne 2 2\nc x\ne 2 2\n", "line 4: duplicate edge (2, 2)")):
+        with pytest.raises(GraphFormatError, match=re.escape(line)):
+            parse_graph(text)
 
 
 def test_parse_rejects_garbage():

@@ -409,9 +409,8 @@ def test_cap_counts_every_shift(capsys):
 
 def test_box_answers_do_not_enumerate(monkeypatch):
     calls = []
-    for module in (homs, homindex):
-        monkeypatch.setattr(module, "enumerate_homs",
-                            lambda *a, **kw: calls.append(a) or enumerate_homs(*a, **kw))
+    monkeypatch.setattr(homs, "enumerate_homs",
+                        lambda *a, **kw: calls.append(a) or enumerate_homs(*a, **kw))
     g, h = cycle_graph(6), complete_graph(3)
     assert is_mixing(g, h).class_count == 7
     for kind in ("colour", "homomorphism"):
@@ -675,24 +674,51 @@ def test_radius_centre_values_and_errors():
 
 
 def test_hom_index_neighbour_sets_match_search():
-    """The bitset neighbour set of every map, for every source and target
-    on at most three vertices, loops included, is the set the neighbour-box
-    search finds."""
+    """Every bit of the index stands for one map and back, the bits cover
+    HOM(g, h) exactly, and the bitset neighbour set of every map is the set
+    the neighbour-box search finds: for every source and target on at most
+    three vertices, loops included, whose shift period is 1 or, with no
+    shift symmetry (r = 1), |V(H)|, for the 0-vertex source, and for two
+    targets of shift period 2, with r = 3 and r = 2 shifts."""
     reps = iso_reps(3, loops=True)
+    looped_even = Graph(6, [(v, (v + 1) % 6) for v in range(6)]
+                        + [(v, v) for v in (0, 2, 4)])
+    two_edges = Graph(4, [(0, 1), (2, 3)])
+    assert homs._shift_period(looped_even) == homs._shift_period(two_edges) == 2
+    assert homs._shift_period(path_graph(3)) == 3
     checked = 0
-    for g in reps:
+    for g in [Graph(0)] + reps:
         src = homs._Source(g, homs._search_order(g))
-        for h in reps:
+        for h in reps + [looped_even, two_edges]:
             index = homindex._HomIndex(g, h)
-            images = index.space.images
-            assert index.full == (1 << len(images)) - 1
-            for i, im in enumerate(images):
-                assert index.space.index(im) == i
-                want = sum(1 << index.space.index(nb)
+            assert index.full == (1 << index.count) - 1
+            images = [index.image(j) for j in range(index.count)]
+            assert sorted(images) == enumerate_homs(g, h).images
+            for j, im in enumerate(images):
+                assert index.number(im) == j
+                want = sum(1 << index.number(nb)
                            for nb in homgraph._hom_neighbours(im, src, h))
-                assert index.neighbours(i) == want, (g.rows, h.rows, im)
+                assert index.neighbours(j) == want, (g.rows, h.rows, im)
                 checked += 1
     assert checked > 4000
+
+
+def test_hom_index_holds_one_map_per_shift_orbit():
+    """P_2 into C_2000 has 4,000 maps in 2 orbits of the 2,000 shifts, and
+    the index builds and numbers only those 2 representatives."""
+    index = homindex._HomIndex(path_graph(2), cycle_graph(2000))
+    assert len(index.reps) == 2 and index.count == 4000
+    for im in [(5, 6), (0, 1999), (1999, 0), (1998, 1999)]:
+        j = index.number(im)
+        assert index.image(j) == im
+        near = index.neighbours(j)
+        # g is hom-adjacent to f when g(0) ~ f(1) and g(1) ~ f(0)
+        a, b = im
+        assert {index.image(i) for i in range(4000) if near >> i & 1} == {
+            (x % 2000, y % 2000) for x in (b - 1, b + 1) for y in (a - 1, a + 1)
+            if (x - y) % 2000 in (1, 1999)}
+    with pytest.raises(KeyError):
+        index.number((0, 2))
 
 
 def test_radius_centre_on_degenerate_sources():
@@ -795,6 +821,29 @@ def test_theorem_path_matches_the_join(monkeypatch):
     # 592 pairs of iso_reps(5), as test_mixing_scan_rows_match_is_mixing
     # counts, 50 of the cycles and the edgeless source
     assert (covered, capped) == (592 + 50 + 1, 18)
+
+
+def test_not_mixing_witnesses_are_the_two_least_class_members():
+    """is_mixing narrows only the two least classes to their least members;
+    its witnesses are the first two of every class's, as components lists
+    them."""
+    verdict = is_mixing(complete_graph(5), complete_graph(5))
+    assert [w.image for w in verdict.witness] == [(0, 1, 2, 3, 4), (0, 1, 2, 4, 3)]
+    checked = 0
+    for g in iso_reps(5):
+        src = homs._box_source(g)
+        for k, q in FRACTIONS:
+            h = circular_clique(k, q)
+            verdict = is_mixing(g, h)
+            if verdict.status != "not_mixing":
+                continue
+            boxed, found, root, r = homs._boxes(src, h)
+            boxes = list(found)
+            join = homgraph._join(g, h, boxed, boxes, root, r)
+            every = list(homgraph._class_reps(g, h, boxed, boxes, r, join).values())
+            assert [w.image for w in verdict.witness] == every[:2], (g.rows, k, q)
+            checked += 1
+    assert checked > 100
 
 
 def test_theorem_spaces_are_not_joined(monkeypatch):

@@ -34,6 +34,21 @@ def test_is_hom_matches_definition():
         assert is_hom(a, b, image) == (image in naive_homs(a, b))
 
 
+def test_row_is_hom_matches_edge_by_edge_on_every_map():
+    """is_hom tests rows; every vertex map of the graphs on at most four
+    vertices into those on at most three, loops included, gets the answer
+    of a test of each edge in turn."""
+    checked = 0
+    for g in iso_reps(4, loops=True):
+        edges = list(g.edges())
+        for h in iso_reps(3, loops=True):
+            for image in itertools.product(range(h.n), repeat=g.n):
+                want = all(h.has_edge(image[u], image[v]) for u, v in edges)
+                assert is_hom(g, h, image) == want, (g.rows, h.rows, image)
+                checked += want
+    assert checked > 10000
+
+
 def test_enumeration_matches_oracle_on_random_pairs():
     rng = random.Random(2024)
     for _ in range(40):
