@@ -24,8 +24,7 @@ from .extension import (ExtensionResult, PrecolouringInstance, RadiusBound,
                         core_ext_radius_bound, extend, greedy_ring_extension,
                         layered_extension_check)
 from .fixtures import REGISTRY, gadget_g62x, resolve_graph_spec
-from .graphs import (Graph, are_isomorphic, canonical_key, chromatic_number,
-                     circular_chromatic_number, circular_clique,
+from .graphs import (Graph, are_isomorphic, canonical_key, circular_clique,
                      clique_number, colouring_number, complete_graph,
                      cycle_graph, extension_product, format_graph,
                      frozen_regular_graph, is_bipartite, max_clique,
@@ -35,9 +34,10 @@ from .homgraph import (ClassSummary, ComponentReport, MixingVerdict,
                        colour_adjacent, components, hom_adjacent,
                        homotopy_distance, homotopy_path, is_frozen,
                        is_mixing, radius_centre, recolour_neighbours)
-from .homs import (Hom, HomSpace, compose, enumerate_homs, first_hom,
-                   format_image, hom_count, hom_exists, identity_hom, is_hom,
-                   iter_homs, parse_image)
+from .homs import (Hom, HomSpace, chromatic_number, circular_chromatic_number,
+                   compose, enumerate_homs, first_hom, format_image,
+                   hom_count, hom_exists, identity_hom, is_hom, iter_homs,
+                   parse_image)
 from .structure import (CoreResult, DismantleResult, FoldStep, SelfMixingResult,
                         StiffReduction, apply_fold, core_of, find_fold,
                         is_dismantlable, is_retraction, is_rigid, make_fold,

@@ -5,27 +5,25 @@ parent is the Farey predecessor k'/q' with kq'-k'q = 1.  Deleting any
 vertex from G_{k,q} (coprime case) dismantles onto the lower-parent
 clique, and deleting a full residue orbit from G_{kd,qd} dismantles onto
 G_{k(d-1),q(d-1)}; both facts drive the component-counting machinery.
-A scan row at a coprime fraction that a mixing theorem covers (k/q at
-least twice the colouring number, the integer threshold col+1, or above
-twice the maximum degree) is certified by that theorem plus an exact count
-of the colourings; every other row by explicit component computation.
-``homgraph.is_mixing`` and ``components`` answer such spaces by the same
-rule, ``_theorem_covers``.
+A scan decides every row as ``homgraph.is_mixing`` does, on a source
+prepared once.  A row at a coprime fraction that a mixing theorem covers
+(k/q at least twice the colouring number, the integer threshold col+1, or
+above twice the maximum degree) is certified by that theorem plus an
+exact count of the colourings; every other row by explicit component
+computation.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .errors import CapExceededError, NoColouringsError
-from .graphs import (Graph, _bits, circular_clique, clique_number,
-                     colouring_number, degrees, is_bipartite)
-from .homgraph import _avail_masks, _is_mixing, components
-from .homs import (Hom, _box_source, _boxes, _rotate, compose, identity_hom,
-                   is_hom)
+from .graphs import (Graph, _bits, _clique_parameters, circular_clique,
+                     clique_number, colouring_number, degrees, is_bipartite)
+from .homgraph import _avail_masks, _is_mixing, _theorem_covers, components
+from .homs import Hom, _box_source, is_hom
 from .structure import FoldStep, apply_fold, is_retraction, make_fold
 
 
@@ -314,54 +312,6 @@ def delete_vertex_dismantle(k: int, q: int, d: int, i: int) -> OrbitDismantle:
                           cur, tuple(relabel), target)
 
 
-_CLIQUE_NAME = re.compile(r"G_\{(\d+),(\d+)\}\Z")
-
-
-def _clique_parameters(g: Graph) -> tuple[int, int] | None:
-    """(k, q) when g is named G_{k,q} and equals ``circular_clique(k, q)``,
-    checked row by row without building it: colour c is adjacent to
-    c + q, ..., c + k - q (mod k)."""
-    m = _CLIQUE_NAME.match(g.name or "")
-    if not m:
-        return None
-    k, q = int(m.group(1)), int(m.group(2))
-    if not k >= 2 * q >= 2 or g.n != k:
-        return None
-    row = ((1 << (k - 2 * q + 1)) - 1) << q
-    if all(r == _rotate(row, c, k) for c, r in enumerate(g.rows)):
-        return (k, q)
-    return None
-
-
-def _theorem_mixing(k: int, q: int, col: int, dmax: int) -> bool:
-    """Does a mixing theorem cover the coprime fraction k/q?
-
-    The rules are the theorem bounds of ``_theorem_bounds``: k/q >= 2 col
-    (the paper's main theorem), q = 1 with k >= col+1 (Cereceda, van den
-    Heuvel and Johnson), and k/q > 2 dmax on a graph with an edge.  The
-    last is strict: K_2 does not mix at 2/1.
-    """
-    return gcd(k, q) == 1 and (k >= 2 * col * q or (q == 1 and k >= col + 1)
-                               or 0 < 2 * dmax * q < k)
-
-
-def _theorem_covers(g: Graph, params: tuple[int, int] | None,
-                    bounds: tuple[int, int] | None = None) -> bool:
-    """Does a mixing theorem make HOM(g, G_{k,q}) one colour class, for
-    ``params`` = (k, q), the ``_clique_parameters`` of the target (None
-    when it is not a G_{k,q} so named)?  It does when g is loop-free with a
-    vertex and ``_theorem_mixing`` covers k/q; ``bounds`` is (col(g), max
-    degree of g) when the caller has them.
-
-    Such a space is never empty, since each rule puts k/q at or above
-    chi(g): col >= chi, and 2 dmax >= dmax + 1 >= chi once g has an edge.
-    """
-    if params is None or not g.n or not g.is_loop_free:
-        return False
-    col, dmax = bounds or (colouring_number(g), degrees(g)[0])
-    return _theorem_mixing(*params, col, dmax)
-
-
 def _theorem_bounds(g: Graph, col: int, dmax: int) -> list[ScanBound]:
     has_edge = dmax > 0
     out = [
@@ -417,18 +367,18 @@ def _scan_evidence(rows) -> list[ScanBound]:
 def mixing_scan(g: Graph, fracs, cap: int | None = None) -> MixingScanReport:
     """Certified verdict per fraction plus labeled bound summary.
 
-    A row that a mixing theorem covers (``_theorem_covers``, which
-    ``is_mixing`` and ``components`` apply too) is Mixing with one class,
+    Every row is ``is_mixing``'s answer.  A row that a mixing theorem
+    covers (``homgraph._theorem_covers``) is Mixing with one class,
     certified by the theorem and an exact count of its colourings; every
-    other row comes from an exact class computation by ``is_mixing``.
-    Neither builds the space: both count the colourings box by box
-    (``homs._boxes``), and ``is_mixing`` joins the boxes into classes.
-    G_{k,q} is fixed by the shift c -> c + 1, so the boxes searched and
-    joined are one per orbit of its k shifts, about 1/k of all of them.
-    The search order and box flags of g, and its colouring number and
-    maximum degree, are worked out once for all rows, and the theorems are
-    asked once per row.  Rows with more than
-    ``cap`` colourings are recorded as Skipped and the scan continues.
+    other row comes from an exact class computation.  Neither builds the
+    space: both count the colourings box by box (``homs._boxes``), and
+    only the uncovered rows join the boxes into classes.  G_{k,q} is fixed
+    by the shift c -> c + 1, so the boxes searched and joined are one per
+    orbit of its k shifts, about 1/k of all of them.  The search order and
+    box flags of g, and its colouring number and maximum degree, are
+    worked out once for all rows, and the theorems are asked once per row.
+    Rows with more than ``cap`` colourings are recorded as Skipped and the
+    scan continues.
     Fractions are scanned exactly as given, never reduced.  The summary
     lists theorem bounds beside scan evidence; the two kinds are tagged so
     enumeration facts stay distinguishable from derived inequalities.
@@ -446,12 +396,8 @@ def mixing_scan(g: Graph, fracs, cap: int | None = None) -> MixingScanReport:
         value = Fraction(k, q)
         target = circular_clique(k, q)
         try:
-            if _theorem_covers(g, (k, q), (col, dmax)):
-                _, boxes, _, r = _boxes(src, target, cap)
-                count = r * sum(size for _, _, size in boxes)
-                rows.append(MixingScanRow(k, q, value, "Mixing", count, 1, ()))
-                continue
-            v = _is_mixing(g, target, cap, src, covered=False)
+            v = _is_mixing(g, target, cap, src,
+                           covered=_theorem_covers(g, (k, q), (col, dmax)))
         except CapExceededError:
             rows.append(MixingScanRow(k, q, value, "Skipped", None, None, ()))
             continue

@@ -13,8 +13,8 @@ homomorphism graph run on bitsets over its maps.
 
 from __future__ import annotations
 
+import re
 import sys
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain, islice, permutations
 
@@ -251,9 +251,33 @@ def circular_clique(k: int, q: int) -> Graph:
     if q < 1 or k < 2 * q:
         raise ValueError(f"circular clique needs k >= 2q >= 2, got ({k}, {q})")
     _check_order(k)
-    row = ((1 << (k - 2 * q + 1)) - 1) << q  # q, ..., k - q
+    row = _clique_row(k, q)
     return Graph.from_rows([_rotate(row, i, k) for i in range(k)],
                            name=f"G_{{{k},{q}}}")
+
+
+def _clique_row(k: int, q: int) -> int:
+    """Colour 0's row of G_{k,q}: the colours q, ..., k - q."""
+    return ((1 << (k - 2 * q + 1)) - 1) << q
+
+
+_CLIQUE_NAME = re.compile(r"G_\{(\d+),(\d+)\}\Z")
+
+
+def _clique_parameters(g: Graph) -> tuple[int, int] | None:
+    """(k, q) when g is named G_{k,q} and equals ``circular_clique(k, q)``,
+    checked row by row without building it: colour c's row is
+    ``_clique_row`` rotated by c."""
+    m = _CLIQUE_NAME.match(g.name or "")
+    if not m:
+        return None
+    k, q = int(m.group(1)), int(m.group(2))
+    if not k >= 2 * q >= 2 or g.n != k:
+        return None
+    row = _clique_row(k, q)
+    if all(r == _rotate(row, c, k) for c, r in enumerate(g.rows)):
+        return (k, q)
+    return None
 
 
 def frozen_regular_graph(d: int, q: int) -> Graph:
@@ -383,53 +407,6 @@ def max_clique(g: Graph, cap: int = 2_000_000) -> list[int]:
 
 def clique_number(g: Graph, cap: int = 2_000_000) -> int:
     return len(max_clique(g, cap))
-
-
-def chromatic_number(g: Graph, cap: int | None = None) -> int:
-    """Least k with a homomorphism into K_k.  Loop-free graphs only."""
-    from .homs import hom_exists
-
-    if not g.is_loop_free:
-        raise ValueError("chromatic number requires a loop-free graph")
-    if g.n == 0:
-        return 0
-    upper = colouring_number(g)
-    for k in range(1, upper + 1):
-        if hom_exists(g, complete_graph(k), budget=cap):
-            return k
-    raise AssertionError("greedy bound violated")  # unreachable
-
-
-def circular_chromatic_number(g: Graph, max_q: int | None = None, cap: int | None = None) -> Fraction:
-    """Least k/q with a homomorphism into G_{k,q}.
-
-    The minimum is attained with q <= |V(g)|, so the default max_q = |V(g)|
-    gives the exact value; smaller max_q gives an upper approximation.
-    Edgeless graphs return 1 by convention, matching the chromatic number.
-    """
-    from .homs import hom_exists
-
-    if not g.is_loop_free:
-        raise ValueError("circular chromatic number requires a loop-free graph")
-    if g.n == 0:
-        return Fraction(0)
-    if all(r == 0 for r in g.rows):
-        return Fraction(1)
-    if max_q is None:
-        max_q = g.n
-    chi = chromatic_number(g, cap)
-    lo = Fraction(chi - 1)
-    candidates = set()
-    for q in range(1, max_q + 1):
-        kmin = max(2 * q, int(lo * q) + 1)
-        for k in range(kmin, chi * q + 1):
-            frac = Fraction(k, q)
-            if lo < frac <= chi:
-                candidates.add(frac)
-    for frac in sorted(candidates):
-        if hom_exists(g, circular_clique(frac.numerator, frac.denominator), budget=cap):
-            return frac
-    raise AssertionError("chromatic bound violated")  # unreachable
 
 
 def is_bipartite(g: Graph) -> bool:

@@ -35,16 +35,16 @@ the root's cycle voltages.  Sizes, flags and least members are read off
 that quotient, so the work is about 1/r of a join over all boxes.
 
 Two families of spaces skip the join, both into a target named G_{k,q}
-(``circular._clique_parameters``) with k, q coprime.  When the source is
+(``graphs._clique_parameters``) with k, q coprime.  When the source is
 a cycle C_n and 2q < k < 4q, the classes are read off the winding total
 of ``winding.cycle_trace``: one class per total strictly between nq and
 n(k-q), plus the 2k frozen colourings when k divides n
-(``winding._cycle_classes``, which carries the proof), and no box is
-built.  When a mixing theorem covers k/q for a loop-free source
-(``circular._theorem_covers``, the rule of ``circular.mixing_scan``), the
-space is one class: its boxes are still searched, for the count, the cap
-and the non-surjective flag, but not joined.  Every other pair is joined
-on boxes.
+(``_cycle_classes``, which carries the proof), and no box is built.
+When a mixing theorem covers k/q for a loop-free source
+(``_theorem_covers``), the space is one class: its boxes are still
+searched, for the count, the cap and the non-surjective flag, but not
+joined.  The two never both apply, as on a cycle the theorems need
+k >= 4q.  Every other pair is joined on boxes.
 
 Homotopy paths walk the homomorphism graph with ``graphs._bfs`` and never
 enumerate the space, finding each map's neighbours by one search over its
@@ -60,16 +60,18 @@ multi-source sweep.
 
 from __future__ import annotations
 
+from bisect import bisect, insort
 from collections import Counter
 from dataclasses import dataclass
 from heapq import nsmallest
 from itertools import islice
-from math import gcd
+from math import comb, gcd
 from operator import itemgetter
 
 from .config import hom_cap
-from .errors import DisconnectedError, NoColouringsError
-from .graphs import Graph, _bfs, _path
+from .errors import CapExceededError, DisconnectedError, NoColouringsError
+from .graphs import (Graph, _bfs, _clique_parameters, _path, colouring_number,
+                     degrees)
 from .homs import (Hom, _box_source, _boxes, _rotate, _search, _search_order,
                    _Source, _symmetries, first_hom, format_image, is_hom)
 
@@ -474,6 +476,209 @@ def _hom_neighbours(image, src: _Source, target: Graph,
     return sorted(islice(_search(src, target, [0] * source.n, domains), limit))
 
 
+def _theorem_mixing(k: int, q: int, col: int, dmax: int) -> bool:
+    """Does a mixing theorem cover the coprime fraction k/q?
+
+    The rules are the theorem bounds of ``circular._theorem_bounds``:
+    k/q >= 2 col (the paper's main theorem), q = 1 with k >= col+1
+    (Cereceda, van den Heuvel and Johnson), and k/q > 2 dmax on a graph
+    with an edge.  The last is strict: K_2 does not mix at 2/1.
+    """
+    return gcd(k, q) == 1 and (k >= 2 * col * q or (q == 1 and k >= col + 1)
+                               or 0 < 2 * dmax * q < k)
+
+
+def _theorem_covers(g: Graph, params: tuple[int, int] | None,
+                    bounds: tuple[int, int] | None = None) -> bool:
+    """Does a mixing theorem make HOM(g, G_{k,q}) one colour class, for
+    ``params`` = (k, q), the ``graphs._clique_parameters`` of the target
+    (None when it is not a G_{k,q} so named)?  It does when g is loop-free
+    with a vertex and ``_theorem_mixing`` covers k/q; ``bounds`` is
+    (col(g), max degree of g) when the caller has them.
+
+    Such a space is never empty, since each rule puts k/q at or above
+    chi(g): col >= chi, and 2 dmax >= dmax + 1 >= chi once g has an edge.
+    """
+    if params is None or not g.n or not g.is_loop_free:
+        return False
+    col, dmax = bounds or (colouring_number(g), degrees(g)[0])
+    return _theorem_mixing(*params, col, dmax)
+
+
+def _cycle_walk(g: Graph) -> list[int] | None:
+    """The vertices of g in order around it from vertex 0, when g is one
+    cycle: connected and loop-free, every vertex of degree 2, n >= 3."""
+    rows = g.rows
+    if g.n < 3 or any(m.bit_count() != 2 or m >> v & 1 for v, m in enumerate(rows)):
+        return None
+    walk, prev, v = [0], 0, (rows[0] & -rows[0]).bit_length() - 1
+    while v:
+        walk.append(v)
+        m = rows[v] & ~(1 << prev)
+        prev, v = v, m.bit_length() - 1
+    return walk if len(walk) == g.n else None
+
+
+def _cycle_classes(source: Graph, target: Graph, cap: int | None = None
+                   ) -> tuple[int, tuple[ClassSummary, ...]] | None:
+    """HOM(C_n, G_{k,q})'s total and classes, in increasing order of least
+    member, read off the winding total; None unless the source is a cycle
+    (``_cycle_walk``) and ``graphs._clique_parameters`` names the target
+    G_{k,q} with k, q coprime and 2q < k < 4q.  Raises CapExceededError
+    exactly when the join would: when the total passes ``cap``, which is
+    known before any class is built.
+
+    The rule follows Cereceda, van den Heuvel and Johnson ("Finding paths
+    between 3-colourings", JGT 2011) and Brewster, McGuinness, Moore and
+    Noel ("A dichotomy theorem for circular colouring reconfiguration",
+    TCS 2016).  Let v_0, ..., v_{n-1} be the walk.
+
+    (i) A colouring f is its colour at v_0 plus its steps
+    tau_i = f(v_{i+1}) - f(v_i) mod k (indices mod n).  Each step lies in
+    [q, k-q], and sigma = sum tau is 0 mod k: ``winding.cycle_trace``'s
+    sigma.
+
+    (ii) Recolouring v_i changes tau_{i-1} and tau_i alone and keeps their
+    sum mod k.  Both sums lie in [2q, 2k-2q], which for k < 4q is narrower
+    than k, so the sum is kept as an integer, and so is sigma: it is
+    constant on a class.
+
+    (iii) v_i can be recoloured iff tau_{i-1} + tau_i is not 2q or 2k-2q,
+    the two sums that only one pair of steps in [q, k-q] makes: q + q and
+    (k-q) + (k-q).  So f is frozen iff every pair of consecutive steps sums
+    to 2q or 2k-2q, that is, iff its steps are all q or all k-q.  Then
+    sigma = nq or n(k-q), a multiple of k only when k divides n, as q is
+    prime to k; those are the 2k frozen colourings, one per colour of v_0
+    and direction, and the only members of the two extreme totals.
+
+    (iv) With v_0's colour fixed, recolouring v_i for 0 < i < n moves one
+    unit between tau_{i-1} and tau_i, and such moves join every sequence
+    of steps with one sum.  A total strictly between nq and n(k-q) admits
+    a sequence with tau_0 > q and tau_{n-1} < k-q, from which v_0 steps up
+    by one colour.  So all colourings of such a total are one class.
+
+    The classes are thus one per interior total sigma, a multiple of k with
+    nq < sigma < n(k-q), of k times the compositions of sigma into n parts
+    in [q, k-q] (one per colour of v_0), plus, when k divides n, the 2k
+    frozen colourings alone; those visit every colour.  A class of an
+    interior total holds every shift of its members, so it has a member
+    missing some colour iff it has one missing colour 0, a walk from
+    f(v_0) in 1..k-1 by steps in [q, k-q] that never lands on a multiple
+    of k.  Its least member takes, vertex by vertex in index order, the
+    least colour that leaves the colours chosen so far feasible (see
+    ``_least_member``).
+    """
+    walk = _cycle_walk(source)
+    params = None if walk is None else _clique_parameters(target)
+    if params is None:
+        return None
+    k, q = params
+    if gcd(k, q) != 1 or not 2 * q < k < 4 * q:
+        return None
+    n = source.n
+    cap = hom_cap(cap)
+    width = k - 2 * q + 1
+    lo, hi = n * q, n * (k - q)
+    sigmas = range(-(-lo // k) * k, hi + 1, k)
+    if sigmas:
+        # the colourings with a steps of k-q, one of q+b and the rest q, of
+        # the total nearest the middle, are fewer than the whole: a lower
+        # bound that spares long cycles the exact count below
+        a, b = divmod(min(sigmas, key=lambda s: abs(2 * s - lo - hi)) - lo, width - 1)
+        if k * comb(n, a) * (n - a if b else 1) > cap:
+            raise CapExceededError(cap, f"homomorphism count for n={n}")
+    # compositions of sigma - nq into n parts in [0, k-2q], by inclusion-exclusion
+    counts = [sum((-1) ** j * comb(n, j) * comb(s - lo - j * width + n - 1, n - 1)
+                  for j in range(min(n, (s - lo) // width) + 1)) for s in sigmas]
+    total = k * sum(counts)
+    if total > cap:
+        raise CapExceededError(cap, f"homomorphism count for n={n}")
+    interior = [(s, c) for s, c in zip(sigmas, counts) if lo < s < hi]
+    missing = _missing_zero(n, k, q, [s for s, _ in interior])
+    classes = [ClassSummary(Hom(n, k, _least_member(walk, k, q, s)), k * c,
+                            s in missing, False) for s, c in interior]
+    if n % k == 0:
+        for c in range(k):
+            for step in (q, k - q):
+                image = [0] * n
+                for i, v in enumerate(walk):
+                    image[v] = (c + i * step) % k
+                classes.append(ClassSummary(Hom(n, k, tuple(image)), 1, False, True))
+    return total, tuple(sorted(classes, key=lambda c: c.rep.image))
+
+
+def _missing_zero(n: int, k: int, q: int, sigmas) -> set[int]:
+    """The totals among ``sigmas`` of the colourings of C_n into G_{k,q}
+    that miss colour 0: walks of n steps in [q, k-q] from a start c in
+    1..k-1 to c + sigma that land on no multiple of k, found by one bitset
+    of reachable partial sums per start."""
+    top = n * (k - q) + k
+    allowed = sum(1 << x for x in range(top) if x % k)
+    found = set()
+    for c in range(1, k):
+        reach = 1 << c
+        for _ in range(n):
+            spread = 0
+            for t in range(q, k - q + 1):
+                spread |= reach << t
+            reach = spread & allowed
+        found.update(s for s in sigmas if reach >> (c + s) & 1)
+    return found
+
+
+def _arc(length: int, delta: int, k: int, q: int) -> tuple[int, int]:
+    """The least and greatest sum of ``length`` steps in [q, k-q] that is
+    delta mod k; the least exceeds the greatest when there is none."""
+    a, b = length * q, length * (k - q)
+    return a + (delta - a) % k, b - (b - delta) % k
+
+
+def _least_member(walk: list[int], k: int, q: int, sigma: int) -> tuple[int, ...]:
+    """The least colouring of the cycle ``walk`` into G_{k,q} with winding
+    total sigma, nq < sigma < n(k-q), pinning vertices in index order.
+
+    Vertex 0 takes colour 0, as the class holds every shift.  Between two
+    consecutive pinned positions a and b of the walk, an arc of L steps,
+    the step sums reaching b's colour from a's are the integers of
+    [Lq, L(k-q)] in one residue class mod k.  The pins are feasible iff
+    every arc has such a sum and sigma lies between the totals of the arcs'
+    least and greatest sums, since those sums step by k independently.
+    Pinning a vertex at offset L1 into an arc of L1 + L2 steps keeps that
+    iff the arc's sum t is one the others leave room for and the first L1
+    steps sum to some s with s in [L1 q, L1(k-q)] and t - s in
+    [L2 q, L2(k-q)]; the vertex's colour is then a's plus s, so its least
+    feasible colour is the least residue over those intervals of s.
+    """
+    n = len(walk)
+    pos = {v: i for i, v in enumerate(walk)}
+    pinned = [0, n]  # positions; n is position 0 again
+    colour = {0: 0, n: 0}
+    arcs = {0: _arc(n, 0, k, q)}  # each arc's (least, greatest) sum, by its start
+    least, most = arcs[0]
+    image = [0] * n
+    for v in range(1, n):
+        p = pos[v]
+        j = bisect(pinned, p)
+        a, b = pinned[j - 1], pinned[j]
+        lo1, hi1 = (p - a) * q, (p - a) * (k - q)
+        lo2, hi2 = (b - p) * q, (b - p) * (k - q)
+        m, big = arcs[a]
+        best = k
+        for t in range(max(m, sigma - most + big), min(big, sigma - least + m) + 1, k):
+            s, top = max(lo1, t - hi2), min(hi1, t - lo2)
+            if s <= top:
+                c = (colour[a] + s) % k
+                best = min(best, 0 if c + top - s >= k else c)
+        first = _arc(p - a, best - colour[a], k, q)
+        second = _arc(b - p, colour[b] - best, k, q)
+        least += first[0] + second[0] - m
+        most += first[1] + second[1] - big
+        arcs[a], arcs[p] = first, second
+        colour[p] = image[v] = best
+        insort(pinned, p)
+    return tuple(image)
+
+
 def components(source: Graph, target: Graph, kind: str = "colour",
                cap: int | None = None) -> ComponentReport:
     """Connectivity classes of HOM(source, target).
@@ -494,18 +699,14 @@ def components(source: Graph, target: Graph, kind: str = "colour",
     is one box of one member whose shifts are all apart (split r).
 
     A cycle into a coprime G_{k,q} with 2q < k < 4q, both kinds alike,
-    takes its classes from ``winding._cycle_classes`` and builds no box.
+    takes its classes from ``_cycle_classes`` and builds no box.
     A space that a mixing theorem makes one class
-    (``circular._theorem_covers``) is not joined: its one class is the
+    (``_theorem_covers``) is not joined: its one class is the
     whole space, with ``first_hom`` as its least member, and is never
     frozen, as it holds at least k >= 2 maps.
     """
     if kind not in ("colour", "homomorphism"):
         raise ValueError(f"unknown kind {kind!r}")
-    # imported on first use, as homindex is
-    from .circular import _clique_parameters, _theorem_covers
-    from .winding import _cycle_classes
-
     cycle = _cycle_classes(source, target, cap)
     if cycle is not None:
         return ComponentReport(kind, *cycle)
@@ -563,10 +764,10 @@ def is_mixing(source: Graph, target: Graph, cap: int | None = None) -> MixingVer
     ``_join``, building no member but the class representatives: a root
     with split s is s classes.  NotMixing verdicts carry the least members
     of the two least classes.  A cycle into a coprime G_{k,q} with
-    2q < k < 4q takes its classes from ``winding._cycle_classes`` instead,
-    one per winding total, and builds no box.  A space that a mixing
-    theorem makes one class (``circular._theorem_covers``) is Mixing once
-    its boxes are counted, with no join.
+    2q < k < 4q takes its classes from ``_cycle_classes`` instead, one per
+    winding total, and builds no box.  A space that a mixing theorem makes
+    one class (``_theorem_covers``) is Mixing once its boxes are counted,
+    with no join.
     """
     return _is_mixing(source, target, cap)
 
@@ -577,11 +778,9 @@ def _is_mixing(source: Graph, target: Graph, cap: int | None = None,
     """``is_mixing`` on what the caller has worked out: ``src``, the
     ``homs._box_source`` of ``source``, else the source is prepared only
     once the cycle rule is out of scope, and ``covered``, the answer of
-    ``circular._theorem_covers``, else it is asked once there are boxes."""
-    from .circular import _clique_parameters, _theorem_covers
-    from .winding import _cycle_classes
-
-    cycle = _cycle_classes(source, target, cap)
+    ``_theorem_covers``, else it is asked once there are boxes.  A space
+    known to be covered skips the cycle rule, which cannot apply to it."""
+    cycle = None if covered else _cycle_classes(source, target, cap)
     if cycle is not None:
         total, classes = cycle
         if len(classes) < 2:

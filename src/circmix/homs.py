@@ -2,7 +2,9 @@
 
 A homomorphism f: G -> H maps every edge of G (loops included) to an edge
 of H.  Images are tuples indexed by source vertex; the text form used by
-the CLI is the comma-separated colour list "c0,c1,...".
+the CLI is the comma-separated colour list "c0,c1,...".  The chromatic
+and circular chromatic numbers are existence questions: the least K_k and
+G_{k,q} that a graph maps to.
 
 One backtracking kernel, ``_search``, serves every search, and it yields
 boxes: the homomorphisms that agree off an independent set of G, each as
@@ -17,13 +19,14 @@ every target of a scan.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate, product
 
 from .config import hom_cap, node_cap
 from .errors import CapExceededError
-from .graphs import Graph, _bfs, _bits, _rotate
+from .graphs import (Graph, _bfs, _bits, _rotate, circular_clique,
+                     colouring_number, complete_graph)
 
 
 @dataclass(frozen=True)
@@ -111,15 +114,6 @@ class HomSpace:
     def homs(self):
         for im in self.images:
             yield Hom(self.source_n, self.target_n, im)
-
-    def index(self, image) -> int:
-        """The position of ``image`` in the sorted space, found by
-        bisection; KeyError when it is not a member."""
-        image = tuple(image)
-        i = bisect_left(self.images, image)
-        if i == len(self.images) or self.images[i] != image:
-            raise KeyError(image)
-        return i
 
 
 def _search_order(g: Graph) -> list[int]:
@@ -518,3 +512,46 @@ def _first_extension(g: Graph, h: Graph, pins: dict[int, int],
 
 def hom_exists(g: Graph, h: Graph, budget: int | None = None) -> bool:
     return first_hom(g, h, budget=budget) is not None
+
+
+def chromatic_number(g: Graph, cap: int | None = None) -> int:
+    """Least k with a homomorphism into K_k.  Loop-free graphs only."""
+    if not g.is_loop_free:
+        raise ValueError("chromatic number requires a loop-free graph")
+    if g.n == 0:
+        return 0
+    upper = colouring_number(g)
+    for k in range(1, upper + 1):
+        if hom_exists(g, complete_graph(k), budget=cap):
+            return k
+    raise AssertionError("greedy bound violated")  # unreachable
+
+
+def circular_chromatic_number(g: Graph, max_q: int | None = None, cap: int | None = None) -> Fraction:
+    """Least k/q with a homomorphism into G_{k,q}.
+
+    The minimum is attained with q <= |V(g)|, so the default max_q = |V(g)|
+    gives the exact value; smaller max_q gives an upper approximation.
+    Edgeless graphs return 1 by convention, matching the chromatic number.
+    """
+    if not g.is_loop_free:
+        raise ValueError("circular chromatic number requires a loop-free graph")
+    if g.n == 0:
+        return Fraction(0)
+    if all(r == 0 for r in g.rows):
+        return Fraction(1)
+    if max_q is None:
+        max_q = g.n
+    chi = chromatic_number(g, cap)
+    lo = Fraction(chi - 1)
+    candidates = set()
+    for q in range(1, max_q + 1):
+        kmin = max(2 * q, int(lo * q) + 1)
+        for k in range(kmin, chi * q + 1):
+            frac = Fraction(k, q)
+            if lo < frac <= chi:
+                candidates.add(frac)
+    for frac in sorted(candidates):
+        if hom_exists(g, circular_clique(frac.numerator, frac.denominator), budget=cap):
+            return frac
+    raise AssertionError("chromatic bound violated")  # unreachable

@@ -13,7 +13,7 @@ from unittest import mock
 
 import pytest
 
-from circmix import circular
+from circmix import homgraph
 from circmix.circular import (delete_vertex_dismantle, is_flexible,
                               lower_parent, lower_parent_bound,
                               scale_retraction)
@@ -41,9 +41,15 @@ CAP = 10 ** 7
 
 def verdict(g, k, q):
     """is_mixing's status with the mixing theorems off: the criteria below
-    check those theorems, so the boxes and their join decide."""
-    with mock.patch.object(circular, "_theorem_covers", return_value=False):
-        return is_mixing(g, circular_clique(k, q), cap=CAP).status
+    check those theorems, so the boxes and their join decide.  A pair the
+    theorems cover is then joined, which shows that the rule is off where
+    is_mixing looks it up."""
+    covered = homgraph._theorem_covers(g, (k, q))
+    with mock.patch.object(homgraph, "_theorem_covers", return_value=False), \
+            mock.patch.object(homgraph, "_join", wraps=homgraph._join) as join:
+        status = is_mixing(g, circular_clique(k, q), cap=CAP).status
+    assert join.called or not covered, (g.rows, k, q)
+    return status
 
 
 def test_criterion_01():

@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from circmix import circular
-from circmix.circular import (_theorem_mixing, available_colours,
-                              avoid_colour_normalize, delete_vertex_dismantle,
-                              is_flexible, lower_parent, lower_parent_bound,
-                              mixing_scan, scale_retraction)
+from circmix import circular, homgraph
+from circmix.circular import (available_colours, avoid_colour_normalize,
+                              delete_vertex_dismantle, is_flexible,
+                              lower_parent, lower_parent_bound, mixing_scan,
+                              scale_retraction)
 from circmix.errors import NoColouringsError
 from circmix.graphs import (Graph, circular_clique, colouring_number,
                             complete_graph, cycle_graph, degrees,
@@ -274,23 +274,30 @@ def test_mixing_scan_keeps_fractions_and_skips_on_cap():
 def test_mixing_scan_rows_match_is_mixing(monkeypatch):
     """Theorem rows count instead of enumerating; every row still reads as
     is_mixing would with the theorems off, by a join, and the non-coprime
-    rows still enumerate."""
+    rows still enumerate.  With the theorems off a theorem row is joined,
+    which shows that the rule is off where is_mixing looks it up."""
     fractions = [(k, q) for q in range(1, 6) for k in range(2 * q, 12)
                  if math.gcd(k, q) == 1]
     assert len(fractions) == 21
     fractions += [(6, 2), (8, 2), (9, 3)]
     theorem_rows = 0
+    join = homgraph._join
     for g in iso_reps(5):
         col, dmax = colouring_number(g), degrees(g)[0]
         for row in mixing_scan(g, fractions).rows:
+            joins = []
             with monkeypatch.context() as m:
-                m.setattr(circular, "_theorem_covers", lambda *a, **kw: False)
+                m.setattr(homgraph, "_theorem_covers", lambda *a, **kw: False)
+                m.setattr(homgraph, "_join",
+                          lambda *a, **kw: joins.append(1) or join(*a, **kw))
                 want = is_mixing(g, circular_clique(row.k, row.q))
             witnesses = () if want.witness is None else tuple(
                 w.image for w in want.witness)
             assert (row.verdict, row.hom_count, row.class_count, row.witnesses) \
                 == (want.name, want.hom_count, want.class_count, witnesses), (g, row)
-            theorem_rows += _theorem_mixing(row.k, row.q, col, dmax)
+            theorem_row = homgraph._theorem_mixing(row.k, row.q, col, dmax)
+            assert joins or not theorem_row, (g.rows, row)
+            theorem_rows += theorem_row
     assert theorem_rows == 592
 
 
@@ -306,14 +313,18 @@ def test_null_graph_scan_rows_match_is_mixing():
 
 
 def test_theorem_rows_do_not_enumerate(monkeypatch):
-    calls = []
-    # the scan decides its rows on one prepared source, by ``_is_mixing``
-    is_mixing_on = circular._is_mixing
-    monkeypatch.setattr(circular, "_is_mixing",
-                        lambda *a, **kw: calls.append(a) or is_mixing_on(*a, **kw))
+    calls, joins = [], []
+    # the scan decides every row on one prepared source, by ``_is_mixing``
+    is_mixing_on, join = circular._is_mixing, homgraph._join
+    monkeypatch.setattr(circular, "_is_mixing", lambda *a, **kw:
+                        calls.append(kw["covered"]) or is_mixing_on(*a, **kw))
+    monkeypatch.setattr(homgraph, "_join",
+                        lambda *a, **kw: joins.append(a[1]) or join(*a, **kw))
     rep = mixing_scan(complete_graph(3), [(4, 1), (9, 2), (8, 2), (7, 2)])
     assert [r.verdict for r in rep.rows] == ["Mixing"] * 3 + ["NotMixing"]
-    # 4/1 and 9/2 are covered by theorems; 8/2 is not coprime
-    assert [a[1] for a in calls] == [circular_clique(8, 2), circular_clique(7, 2)]
+    # 4/1 and 9/2 are covered by theorems and not joined; 8/2 is not
+    # coprime, and 7/2 takes the cycle rule, K_3 being C_3
+    assert calls == [True, True, False, False]
+    assert joins == [circular_clique(8, 2)]
     rep = mixing_scan(complete_graph(3), [(4, 1)], cap=23)
-    assert rep.rows[0].verdict == "Skipped" and len(calls) == 2
+    assert rep.rows[0].verdict == "Skipped" and calls[4:] == [True]

@@ -16,7 +16,6 @@ from circmix.errors import CapExceededError, GraphFormatError
 from circmix.extension import _distances_from
 from circmix.fixtures import gadget_g62x
 from circmix.graphs import (Graph, _bfs, are_isomorphic, canonical_key,
-                            chromatic_number, circular_chromatic_number,
                             circular_clique, clique_number, colouring_number,
                             complete_graph, cycle_graph, degeneracy_order,
                             extension_product, format_graph,
@@ -24,7 +23,8 @@ from circmix.graphs import (Graph, _bfs, are_isomorphic, canonical_key,
                             parse_graph, path_graph, shortest_odd_cycle,
                             tensor_product)
 
-from circmix.homs import _search_order
+from circmix.homs import (_search_order, chromatic_number,
+                          circular_chromatic_number)
 
 from helpers import (all_graphs, degeneracy_order_naive, distances_naive,
                      iso_reps, random_graph, search_order_naive,

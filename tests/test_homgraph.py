@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circmix import circular, homgraph, homindex, homs
+from circmix import graphs, homgraph, homindex, homs
 from circmix.cli import main
 from circmix.config import DEFAULT_MAX_VERTICES
 from circmix.errors import (CapExceededError, DisconnectedError,
@@ -792,32 +792,39 @@ def _three_answers(g, h, cap=None):
 def test_theorem_path_matches_the_join(monkeypatch):
     """Where a mixing theorem makes the space one class, is_mixing and
     components answer without a join; every answer, and every cap error
-    at a cap of the total and one below it, is the join's."""
+    at a cap of the total and one below it, is the join's.  With the rule
+    off a covered space is joined, which shows that the rule is off where
+    the two look it up."""
     assert len(FRACTIONS) == 21
     sources = iso_reps(5) + [cycle_graph(n) for n in range(6, 11)]
     pairs = [(g, circular_clique(k, q)) for g in sources for k, q in FRACTIONS]
     pairs += [(Graph(0), circular_clique(7, 2)), (Graph(3), circular_clique(7, 2))]
+    join = homgraph._join
 
     def same_with_the_rule_off(g, h, cap=None):
-        got = _three_answers(g, h, cap)
+        """The three answers, and how many joins they take with the rule off."""
+        got, joins = _three_answers(g, h, cap), []
         with monkeypatch.context() as m:
-            m.setattr(circular, "_theorem_covers", lambda *a, **kw: False)
+            m.setattr(homgraph, "_theorem_covers", lambda *a, **kw: False)
+            m.setattr(homgraph, "_join",
+                      lambda *a, **kw: joins.append(1) or join(*a, **kw))
             assert _three_answers(g, h, cap) == got, (g.rows, h.name, cap)
-        return got
+        return got, len(joins)
 
     covered, capped = 0, 0
     for g, h in pairs:
-        verdict = same_with_the_rule_off(g, h)[0]
-        if not circular._theorem_covers(g, circular._clique_parameters(h)):
+        (verdict, *_), joins = same_with_the_rule_off(g, h)
+        if not homgraph._theorem_covers(g, graphs._clique_parameters(h)):
             continue
         covered += 1
         if isinstance(verdict, str):  # past the default cap
             capped += 1
             continue
+        assert joins >= 3, (g.rows, h.name)
         for cap in (verdict.hom_count - 1, verdict.hom_count):
             same_with_the_rule_off(g, h, cap)
-    assert not circular._theorem_covers(Graph(0), (7, 2))
-    assert circular._theorem_covers(Graph(3), (7, 2))
+    assert not homgraph._theorem_covers(Graph(0), (7, 2))
+    assert homgraph._theorem_covers(Graph(3), (7, 2))
     # 592 pairs of iso_reps(5), as test_mixing_scan_rows_match_is_mixing
     # counts, 50 of the cycles and the edgeless source
     assert (covered, capped) == (592 + 50 + 1, 18)

@@ -13,7 +13,7 @@ from circmix.extension import PrecolouringInstance, extend
 from circmix.graphs import (Graph, _bits, complete_graph, cycle_graph,
                             circular_clique, path_graph)
 from circmix.homgraph import is_mixing
-from circmix.homs import (Hom, HomSpace, compose, enumerate_homs, first_hom,
+from circmix.homs import (Hom, compose, enumerate_homs, first_hom,
                           format_image, hom_count, hom_exists, identity_hom,
                           is_hom, iter_homs, parse_image, _box_source, _search,
                           _search_order, _shift_period, _Source, _symmetries)
@@ -64,30 +64,7 @@ def test_enumeration_is_sorted_and_indexable():
     assert images == sorted(images)
     assert space.count == 30
     for i in (0, 7, 29):
-        assert space.index(space.hom(i).image) == i
-
-
-def test_hom_space_index_bisects_and_rejects_non_members():
-    """Every member is found at its position, from a tuple or any other
-    iterable; a non-member raises KeyError, whether it sorts before, between
-    or after the members, in a one-map space or in an empty one."""
-    space = enumerate_homs(cycle_graph(5), complete_graph(3))
-    for i, im in enumerate(space.images):
-        assert space.index(im) == i
-        assert space.index(iter(im)) == i
-    for image in [(0, 0, 0, 0, 0), (0, 1, 0, 1, 0), (2, 2, 2, 2, 2), (0, 1), ()]:
-        assert image not in space.images
-        with pytest.raises(KeyError):
-            space.index(image)
-    single = enumerate_homs(Graph(0), complete_graph(2))
-    assert single.images == [()] and single.index(()) == 0
-    with pytest.raises(KeyError):
-        single.index((0,))
-    empty = enumerate_homs(complete_graph(3), complete_graph(2))
-    assert empty.count == 0
-    for image in [(0, 1, 0), ()]:
-        with pytest.raises(KeyError):
-            empty.index(image)
+        assert space.hom(i).image == images[i]
 
 
 def test_first_hom_is_least_and_respects_pins():

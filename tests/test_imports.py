@@ -1,0 +1,45 @@
+"""The package's import structure, read from its sources: every import
+between its modules points one way."""
+
+import ast
+import pathlib
+
+SOURCES = pathlib.Path(__file__).resolve().parent.parent / "src" / "circmix"
+LAZY = {"homindex"}  # loaded on first use, by the calls that walk bitsets
+
+
+def _relative_imports(node, module: str, in_function: bool, out: list) -> list:
+    """``(module, imported module, inside a function)`` for each relative
+    import under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ImportFrom) and child.level:
+            names = [child.module] if child.module else [a.name for a in child.names]
+            out += [(module, name.split(".")[0], in_function) for name in names]
+        _relative_imports(child, module, in_function or isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)), out)
+    return out
+
+
+def test_package_imports_point_one_way():
+    """The relative imports of the modules, ``__init__`` and ``__main__``
+    left out, form no cycle, and the only one inside a function is of a
+    lazily loaded module."""
+    imports = []
+    for path in sorted(SOURCES.glob("*.py")):
+        if path.stem not in ("__init__", "__main__"):
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            _relative_imports(tree, path.stem, False, imports)
+    modules = {module for module, _, _ in imports}
+    assert {"graphs", "homs", "homgraph", "circular", "winding"} <= modules
+    assert [(m, t) for m, t, inside in imports if inside and t not in LAZY] == []
+    # drop the modules that import none of those left, or that none of
+    # them imports, until none goes; every cycle stays
+    edges = {(m, t) for m, t, _ in imports}
+    left = modules | {t for _, t in edges}
+    while True:
+        inner = {(a, b) for a, b in edges if a in left and b in left}
+        kept = {a for a, _ in inner} & {b for _, b in inner}
+        if kept == left:
+            break
+        left = kept
+    assert sorted(inner) == []

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from circmix import circular, homgraph, winding
+from circmix import homgraph
 from circmix.errors import CapExceededError, NoColouringsError
 from circmix.graphs import (Graph, circular_clique, complete_graph, cycle_graph,
                             path_graph)
@@ -195,7 +195,7 @@ def _cycle_pairs(max_n: int, max_total: int):
                 if gcd(k, q) != 1:
                     continue
                 target = circular_clique(k, q)
-                total, _ = winding._cycle_classes(cycle_graph(n), target, cap=10**30)
+                total, _ = homgraph._cycle_classes(cycle_graph(n), target, cap=10**30)
                 if total > max_total:
                     continue
                 for a in (1, 2, 3):
@@ -208,12 +208,22 @@ def _answers(g, h):
             is_mixing(g, h))
 
 
+def _counted_boxes(m):
+    """Patch ``homgraph._boxes`` to count its calls, in the list returned."""
+    calls, boxes = [], homgraph._boxes
+    m.setattr(homgraph, "_boxes", lambda *a, **kw: calls.append(1) or boxes(*a, **kw))
+    return calls
+
+
 def test_cycle_classes_match_the_join(monkeypatch):
     checked, frozen, empty = 0, set(), 0
     for g, h, total in _cycle_pairs(16, 200_000):
         with monkeypatch.context() as m:
-            m.setattr(winding, "_cycle_classes", lambda *a, **kw: None)
+            m.setattr(homgraph, "_cycle_classes", lambda *a, **kw: None)
+            searches = _counted_boxes(m)
             want = _answers(g, h)
+        # with the rule off where the three look it up, each searches boxes
+        assert len(searches) == 3
         got = _answers(g, h)
         assert got == want, (g.n, h.name, g.rows)
         checked += 1
@@ -255,12 +265,12 @@ def test_cycle_classes_skip_the_boxes(monkeypatch):
 def test_cycle_classes_leave_other_pairs_to_the_join(monkeypatch):
     # C_5 -> G_{9,2} and G_{4,1} are one class by a mixing theorem, which
     # would answer them without a join; the rule is off here, so every
-    # pair below is joined
-    monkeypatch.setattr(circular, "_theorem_covers", lambda *a, **kw: False)
-    searches = []
-    boxes = homgraph._boxes
-    monkeypatch.setattr(homgraph, "_boxes",
-                        lambda *a, **kw: searches.append(1) or boxes(*a, **kw))
+    # pair below with a colouring is joined
+    monkeypatch.setattr(homgraph, "_theorem_covers", lambda *a, **kw: False)
+    searches = _counted_boxes(monkeypatch)
+    joins, join = [], homgraph._join
+    monkeypatch.setattr(homgraph, "_join",
+                        lambda *a, **kw: joins.append(1) or join(*a, **kw))
     triangles = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     looped = Graph(3, [(0, 0), (0, 1), (1, 2), (2, 2)])
     out_of_scope = [
@@ -273,10 +283,12 @@ def test_cycle_classes_leave_other_pairs_to_the_join(monkeypatch):
         (looped, circular_clique(3, 1)),          # 2 bits a row, with loops
     ]
     for g, h in out_of_scope:
-        assert winding._cycle_classes(g, h) is None
+        assert homgraph._cycle_classes(g, h) is None
         searches.clear()
+        joins.clear()
         answers = _answers(g, h)
         assert len(searches) == 3
+        assert len(joins) == (3 if answers[1].hom_count else 0)
         if h.name == "K_3":
             assert _answers(g, circular_clique(3, 1)) == answers
 
@@ -294,6 +306,8 @@ def test_cycle_classes_raise_where_the_join_does(monkeypatch):
     for g, h, cap in cases:
         got = outcome(g, h, cap)
         with monkeypatch.context() as m:
-            m.setattr(winding, "_cycle_classes", lambda *a, **kw: None)
+            m.setattr(homgraph, "_cycle_classes", lambda *a, **kw: None)
+            searches = _counted_boxes(m)
             assert outcome(g, h, cap) == got
+        assert searches == [1]  # the rule is off where components looks it up
     assert got == "budget of 10000000 exceeded (homomorphism count for n=4095)"
