@@ -371,12 +371,14 @@ def mixing_scan(g: Graph, fracs, cap: int | None = None) -> MixingScanReport:
     covers (``homgraph._theorem_covers``) is Mixing with one class,
     certified by the theorem and an exact count of its colourings; every
     other row comes from an exact class computation.  Neither builds the
-    space: both count the colourings box by box (``homs._boxes``), and
-    only the uncovered rows join the boxes into classes.  G_{k,q} is fixed
+    space: both count the colourings box by box (``homs._boxes``), or
+    from the winding totals when g is a cycle, and only the uncovered rows
+    join the boxes into classes.  G_{k,q} is fixed
     by the shift c -> c + 1, so the boxes searched and joined are one per
     orbit of its k shifts, about 1/k of all of them.  The search order and
     box flags of g, and its colouring number and maximum degree, are
-    worked out once for all rows, and the theorems are asked once per row.
+    worked out once for all rows, and the theorems are asked once per row,
+    with the row's (k, q) handed on so that no row reads it off the target.
     Rows with more than ``cap`` colourings are recorded as Skipped and the
     scan continues.
     Fractions are scanned exactly as given, never reduced.  The summary
@@ -397,7 +399,8 @@ def mixing_scan(g: Graph, fracs, cap: int | None = None) -> MixingScanReport:
         target = circular_clique(k, q)
         try:
             v = _is_mixing(g, target, cap, src,
-                           covered=_theorem_covers(g, (k, q), (col, dmax)))
+                           covered=_theorem_covers(g, (k, q), (col, dmax)),
+                           params=(k, q))
         except CapExceededError:
             rows.append(MixingScanRow(k, q, value, "Skipped", None, None, ()))
             continue

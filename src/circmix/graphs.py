@@ -5,10 +5,11 @@ a loop at v sets bit v of row v.  The neighbour set N(v) uses set semantics,
 so a loop contributes v itself to N(v) and adds exactly 1 to deg(v).
 
 Every traversal in the package is ``_bfs``, a breadth-first search over any
-hashable vertices given a neighbour function: components, bipartiteness and
-odd cycles here, search orders, host distances, and homotopy paths
-elsewhere.  The one exception is ``homindex``, whose walks of an enumerated
-homomorphism graph run on bitsets over its maps.
+hashable vertices given a neighbour function: components and odd cycles
+here, search orders, host distances, and homotopy paths elsewhere.  Two
+kinds of walk run on bitsets instead: the layers of ``_odd_layer``, which
+decide bipartiteness and pick where a shortest odd cycle starts, and
+``homindex``'s walks of an enumerated homomorphism graph.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import re
 import sys
 from heapq import heapify, heappop, heappush
-from itertools import chain, islice, permutations
+from itertools import chain, permutations
 
 from .config import max_vertices
 from .errors import CapExceededError, GraphFormatError
@@ -412,58 +413,88 @@ def clique_number(g: Graph, cap: int = 2_000_000) -> int:
 def is_bipartite(g: Graph) -> bool:
     """Two-colourability; any loop makes a graph non-bipartite.
 
-    Searched breadth-first from the least vertex of each component, a graph
-    is bipartite iff no edge joins two vertices at depths of equal parity.
+    A loop-free graph is bipartite iff no breadth-first layer from the
+    least vertex of each component holds an edge (``_odd_layer``).  An
+    edge joins vertices whose depths differ by at most one, so an edge
+    between two depths of one parity lies inside a layer, and it closes an
+    odd walk; with no such edge, the parity of the depth two-colours the
+    component.
     """
     if not g.is_loop_free:
         return False
-    seen = odd = 0
-    for s in range(g.n):
-        if seen >> s & 1:
-            continue
-        for depth, (layer, _) in enumerate(_bfs([s], g.neighbours)):
-            for v in layer:
-                seen |= 1 << v
-                if depth & 1:
-                    odd |= 1 << v
-    even = seen ^ odd
-    return not any(g.rows[v] & (odd if odd >> v & 1 else even) for v in range(g.n))
+    rest = (1 << g.n) - 1
+    while rest:
+        layer, seen = _odd_layer(g.rows, (rest & -rest).bit_length() - 1)
+        if layer is not None:
+            return False
+        rest &= ~seen
+    return True
+
+
+def _odd_layer(rows, s: int, depth: int | None = None) -> tuple[int | None, int]:
+    """``(t, seen)``: the least depth t, up to ``depth`` when given, at
+    which an edge joins two vertices at distance t from s, or None, and the
+    mask of the vertices reached by then.  The breadth-first layers are
+    masks over the loop-free rows ``rows``, one layer at a time."""
+    seen = layer = 1 << s
+    t = 0
+    while layer:
+        reach, m = 0, layer
+        while m:
+            b = m & -m
+            row = rows[b.bit_length() - 1]
+            if row & layer:
+                return t, seen
+            reach |= row
+            m ^= b
+        if t == depth:
+            break
+        layer = reach & ~seen
+        seen |= layer
+        t += 1
+    return None, seen
 
 
 def shortest_odd_cycle(g: Graph) -> list[int] | None:
     """A shortest odd cycle of a loop-free graph as a vertex list, or None.
 
-    From each vertex s, a breadth-first search over (vertex, parity) pairs
-    reaches (s, 1) first along a shortest odd closed walk through s.  Ties
-    break toward the least starting vertex, so the answer is deterministic,
-    and a search stops short of the depth of the best cycle so far, since
-    only a strictly shorter one can replace it.  A shortest odd closed walk
-    is always a simple cycle.
+    The cycle is the one that a breadth-first search over (vertex, parity)
+    pairs from (s, 0) first reaches (s, 1) along, for the least vertex s on
+    a shortest odd closed walk; ties among equal paths break as ``_bfs``
+    meets them, so the answer is deterministic.  A shortest odd closed walk
+    is a simple cycle, since a repeated vertex would split it into two
+    shorter closed walks, one of them odd.
+
+    Which s that is comes from searches on bitsets (``_odd_layer``).  The
+    shortest odd closed walk through s has length 2t + 1 for the least t at
+    which two adjacent vertices both lie at distance t from s.  Going out
+    to such an edge and back is such a walk; and along any odd closed walk
+    through s the distance from s changes by at most one a step and not
+    always by exactly one, as the steps are odd in number, so the walk
+    crosses an edge uv with d(u) = d(v) = t and is at least 2t + 1 long.
+    Starts are searched in increasing order, each only to the depth that
+    could beat the best so far, and a triangle ends the search; the one
+    search over pairs then runs from the start found.
     """
     if not g.is_loop_free:
         raise ValueError("odd cycle search requires a loop-free graph")
+    depth = start = None  # the least t so far, and the start it came from
+    for s in range(g.n):
+        if depth == 1:  # a triangle: no start can do better
+            break
+        t, _ = _odd_layer(g.rows, s, None if depth is None else depth - 1)
+        if t is not None:
+            depth, start = t, s
+    if start is None:
+        return None
 
     def flips(node):
         v, p = node
         return [(u, p ^ 1) for u in _bits(g.rows[v])]
 
-    best: list[int] | None = None
-    for s in range(g.n):
-        goal = (s, 1)
-        layers = _bfs([(s, 0)], flips)
-        if best is not None:
-            layers = islice(layers, len(best))  # depths below len(best)
-        parent = next((parent for _, parent in layers if goal in parent), None)
-        if parent is None:
-            continue
-        cycle = [v for v, _ in _path(parent, goal)[:-1]]
-        # a non-simple odd walk through s is strictly longer than the
-        # globally shortest odd cycle, so it can never be the answer
-        if len(set(cycle)) < len(cycle):
-            continue
-        if best is None or len(cycle) < len(best):
-            best = cycle
-    return best
+    goal = (start, 1)
+    parent = next(parent for _, parent in _bfs([(start, 0)], flips) if goal in parent)
+    return [v for v, _ in _path(parent, goal)[:-1]]
 
 
 # --- brute-force isomorphism (small graphs only) ------------------------------
@@ -565,8 +596,12 @@ def format_graph(g: Graph) -> str:
 
 
 def read_graph(path) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    """Read a graph file as bytes and decode it as UTF-8.  No newline
+    translation is needed: ``parse_graph`` splits lines with
+    ``str.splitlines``, which ends a line at "\\r\\n" or a lone "\\r" as
+    text mode would."""
+    with open(path, "rb") as fh:
+        return parse_graph(fh.read().decode("utf-8"))
 
 
 def write_graph(g: Graph, path) -> None:

@@ -35,16 +35,20 @@ the root's cycle voltages.  Sizes, flags and least members are read off
 that quotient, so the work is about 1/r of a join over all boxes.
 
 Two families of spaces skip the join, both into a target named G_{k,q}
-(``graphs._clique_parameters``) with k, q coprime.  When the source is
-a cycle C_n and 2q < k < 4q, the classes are read off the winding total
-of ``winding.cycle_trace``: one class per total strictly between nq and
-n(k-q), plus the 2k frozen colourings when k divides n
-(``_cycle_classes``, which carries the proof), and no box is built.
-When a mixing theorem covers k/q for a loop-free source
-(``_theorem_covers``), the space is one class: its boxes are still
-searched, for the count, the cap and the non-surjective flag, but not
-joined.  The two never both apply, as on a cycle the theorems need
-k >= 4q.  Every other pair is joined on boxes.
+(``graphs._clique_parameters``, read once per call) with k, q coprime.
+When the source is a cycle C_n and 2q < k < 4q, the classes are read off
+the winding total of ``winding.cycle_trace``: one class per total
+strictly between nq and n(k-q), plus the 2k frozen colourings when k
+divides n (``_cycle_classes``, which carries the proof), and no box is
+built.  When a mixing theorem covers k/q for a loop-free source
+(``_theorem_covers``), the space is one class and is not joined.  A
+cycle is then counted from its winding totals too, since every k >= 4q
+is covered on a cycle (``_covered_cycle_count``); any other source has
+its boxes searched, for the count, the cap and the non-surjective flag.
+The two rules never both apply, as on a cycle the theorems need
+k >= 4q.  Both take the number of step sequences of each winding total
+from one integer power (``_winding_counts``).  Every other pair is
+joined on boxes.
 
 Homotopy paths walk the homomorphism graph with ``graphs._bfs`` and never
 enumerate the space, finding each map's neighbours by one search over its
@@ -519,14 +523,17 @@ def _cycle_walk(g: Graph) -> list[int] | None:
     return walk if len(walk) == g.n else None
 
 
-def _cycle_classes(source: Graph, target: Graph, cap: int | None = None
+def _cycle_classes(source: Graph, target: Graph, cap: int | None = None,
+                   params: tuple[int, int] | None = None, flags: bool = True
                    ) -> tuple[int, tuple[ClassSummary, ...]] | None:
     """HOM(C_n, G_{k,q})'s total and classes, in increasing order of least
     member, read off the winding total; None unless the source is a cycle
     (``_cycle_walk``) and ``graphs._clique_parameters`` names the target
-    G_{k,q} with k, q coprime and 2q < k < 4q.  Raises CapExceededError
-    exactly when the join would: when the total passes ``cap``, which is
-    known before any class is built.
+    G_{k,q} with k, q coprime and 2q < k < 4q.  ``params`` is that (k, q)
+    when the caller has read it.  Raises CapExceededError exactly when the
+    join would: when the total passes ``cap``, which is known before any
+    class is built (``_winding_counts``).  With ``flags`` false no class's
+    non-surjective flag is worked out, and each reads False.
 
     The rule follows Cereceda, van den Heuvel and Johnson ("Finding paths
     between 3-colourings", JGT 2011) and Brewster, McGuinness, Moore and
@@ -562,39 +569,26 @@ def _cycle_classes(source: Graph, target: Graph, cap: int | None = None
     in [q, k-q] (one per colour of v_0), plus, when k divides n, the 2k
     frozen colourings alone; those visit every colour.  A class of an
     interior total holds every shift of its members, so it has a member
-    missing some colour iff it has one missing colour 0, a walk from
-    f(v_0) in 1..k-1 by steps in [q, k-q] that never lands on a multiple
-    of k.  Its least member takes, vertex by vertex in index order, the
-    least colour that leaves the colours chosen so far feasible (see
+    missing some colour iff it has one missing colour 0 (``_missing_zero``).
+    Its least member takes, vertex by vertex in index order, the least
+    colour that leaves the colours chosen so far feasible (see
     ``_least_member``).
     """
-    walk = _cycle_walk(source)
-    params = None if walk is None else _clique_parameters(target)
+    if params is None and _cycle_walk(source) is not None:
+        params = _clique_parameters(target)
     if params is None:
         return None
     k, q = params
     if gcd(k, q) != 1 or not 2 * q < k < 4 * q:
         return None
+    walk = _cycle_walk(source)
+    if walk is None:
+        return None
     n = source.n
-    cap = hom_cap(cap)
-    width = k - 2 * q + 1
+    sigmas, counts = _winding_counts(n, k, q, cap)
     lo, hi = n * q, n * (k - q)
-    sigmas = range(-(-lo // k) * k, hi + 1, k)
-    if sigmas:
-        # the colourings with a steps of k-q, one of q+b and the rest q, of
-        # the total nearest the middle, are fewer than the whole: a lower
-        # bound that spares long cycles the exact count below
-        a, b = divmod(min(sigmas, key=lambda s: abs(2 * s - lo - hi)) - lo, width - 1)
-        if k * comb(n, a) * (n - a if b else 1) > cap:
-            raise CapExceededError(cap, f"homomorphism count for n={n}")
-    # compositions of sigma - nq into n parts in [0, k-2q], by inclusion-exclusion
-    counts = [sum((-1) ** j * comb(n, j) * comb(s - lo - j * width + n - 1, n - 1)
-                  for j in range(min(n, (s - lo) // width) + 1)) for s in sigmas]
-    total = k * sum(counts)
-    if total > cap:
-        raise CapExceededError(cap, f"homomorphism count for n={n}")
     interior = [(s, c) for s, c in zip(sigmas, counts) if lo < s < hi]
-    missing = _missing_zero(n, k, q, [s for s, _ in interior])
+    missing = _missing_zero(n, k, q, [s for s, _ in interior]) if flags else ()
     classes = [ClassSummary(Hom(n, k, _least_member(walk, k, q, s)), k * c,
                             s in missing, False) for s, c in interior]
     if n % k == 0:
@@ -604,26 +598,96 @@ def _cycle_classes(source: Graph, target: Graph, cap: int | None = None
                 for i, v in enumerate(walk):
                     image[v] = (c + i * step) % k
                 classes.append(ClassSummary(Hom(n, k, tuple(image)), 1, False, True))
-    return total, tuple(sorted(classes, key=lambda c: c.rep.image))
+    return k * sum(counts), tuple(sorted(classes, key=lambda c: c.rep.image))
+
+
+def _covered_cycle_count(source: Graph, params: tuple[int, int],
+                         cap: int | None = None) -> int | None:
+    """|HOM(C_n, G_{k,q})| for a cycle source into a coprime G_{k,q} with
+    k >= 4q, ``params`` = (k, q), from its winding totals
+    (``_winding_counts``); None unless the source is a cycle
+    (``_cycle_walk``) and k >= 4q.  Raises CapExceededError exactly when
+    the count passes ``cap``, with the text of ``homs._boxes``.
+
+    A mixing theorem covers every such pair (``_theorem_covers``: q = 1
+    and k >= 4 = col + 1, or k > 4q = 2 dmax q), so the space is one class.
+    That class holds a member missing colour 0 for every n >= 3: colours
+    1, 1+q and 1+2q lie in 1..k-1 and are pairwise q or 2q apart, both in
+    [q, k-q] once k >= 4q, so they span a triangle of G_{k,q} - 0, and the
+    triangle holds a closed walk of every length n >= 2 (round the
+    triangle once when n is odd, then to and fro along one edge).
+    """
+    k, q = params
+    if k < 4 * q or _cycle_walk(source) is None:
+        return None
+    return k * sum(_winding_counts(source.n, k, q, cap)[1])
+
+
+def _winding_counts(n: int, k: int, q: int, cap: int | None = None
+                    ) -> tuple[range, list[int]]:
+    """The winding totals sigma of C_n into G_{k,q}, k > 2q, the multiples
+    of k in [nq, n(k-q)], each with the number of its step sequences: the
+    compositions of sigma into n parts in [q, k-q].  Raises
+    CapExceededError(cap, the text of ``homs._boxes``) when k times their
+    sum, the number of colourings, passes ``cap``.
+
+    The compositions of sigma - nq into n parts in [0, k-2q] are the
+    coefficients of (1 + x + ... + x^(k-2q))^n.  Each is below
+    (k-2q+1)^n, so with x = 2^b, b bits a field, one integer power holds
+    them all (Kronecker substitution), read a field at a time.  A lower
+    bound comes first, so that a long cycle is refused before that power
+    is built.
+    """
+    cap = hom_cap(cap)
+    spread = k - 2 * q
+    lo, hi = n * q, n * (k - q)
+    sigmas = range(-(-lo // k) * k, hi + 1, k)
+    if sigmas:
+        # the sequences with a steps of k-q, one of q+b and the rest q, of
+        # the total nearest the middle, are fewer than the whole
+        a, b = divmod(min(sigmas, key=lambda s: abs(2 * s - lo - hi)) - lo, spread)
+        if k * comb(n, a) * (n - a if b else 1) > cap:
+            raise CapExceededError(cap, f"homomorphism count for n={n}")
+    size = -(-n * (spread + 1).bit_length() // 8)  # bytes a field
+    base = 1 << 8 * size
+    power = ((base ** (spread + 1) - 1) // (base - 1)) ** n
+    data = power.to_bytes(size * (n * spread + 1), "little")
+    counts = [int.from_bytes(data[(s - lo) * size:(s - lo + 1) * size], "little")
+              for s in sigmas]
+    if k * sum(counts) > cap:
+        raise CapExceededError(cap, f"homomorphism count for n={n}")
+    return sigmas, counts
 
 
 def _missing_zero(n: int, k: int, q: int, sigmas) -> set[int]:
     """The totals among ``sigmas`` of the colourings of C_n into G_{k,q}
     that miss colour 0: walks of n steps in [q, k-q] from a start c in
-    1..k-1 to c + sigma that land on no multiple of k, found by one bitset
-    of reachable partial sums per start."""
+    1..k-1 to c + sigma that land on no multiple of k.
+
+    One integer holds the reachable partial sums of every start, a field of
+    n(k-q) + 2k bits per start with the start c at bit c of field c - 1,
+    and one step spreads them all.  A partial sum stays below
+    n(k-q) + k before the step and k-q more after it, inside its field.
+    """
     top = n * (k - q) + k
+    width = top + k
     allowed = sum(1 << x for x in range(top) if x % k)
-    found = set()
+    fields = ((1 << (k - 1) * width) - 1) // ((1 << width) - 1)  # bit 0 of each
+    allowed *= fields
+    reach = sum(1 << (c - 1) * width + c for c in range(1, k))
+    span = k - 2 * q + 1
+    for _ in range(n):
+        reach <<= q  # then spread it over the shifts q, ..., k-q
+        done = 1
+        while done < span:
+            step = min(done, span - done)
+            reach |= reach << step
+            done += step
+        reach &= allowed
+    ends = 0  # each start's field shifted down to its start
     for c in range(1, k):
-        reach = 1 << c
-        for _ in range(n):
-            spread = 0
-            for t in range(q, k - q + 1):
-                spread |= reach << t
-            reach = spread & allowed
-        found.update(s for s in sigmas if reach >> (c + s) & 1)
-    return found
+        ends |= reach >> (c - 1) * width + c
+    return {s for s in sigmas if ends >> s & 1}
 
 
 def _arc(length: int, delta: int, k: int, q: int) -> tuple[int, int]:
@@ -698,24 +762,35 @@ def components(source: Graph, target: Graph, kind: str = "colour",
     the colours a member misses, and are frozen when its homomorphism class
     is one box of one member whose shifts are all apart (split r).
 
-    A cycle into a coprime G_{k,q} with 2q < k < 4q, both kinds alike,
-    takes its classes from ``_cycle_classes`` and builds no box.
-    A space that a mixing theorem makes one class
-    (``_theorem_covers``) is not joined: its one class is the
-    whole space, with ``first_hom`` as its least member, and is never
-    frozen, as it holds at least k >= 2 maps.
+    The target's ``graphs._clique_parameters`` are read once, for the two
+    rules that answer a space without a join.  A cycle into a coprime
+    G_{k,q} with 2q < k < 4q, both kinds alike, takes its classes from
+    ``_cycle_classes`` and builds no box.  A space that a mixing theorem
+    makes one class (``_theorem_covers``) is not joined: its one class is
+    the whole space, with ``first_hom`` as its least member, and is never
+    frozen, as it holds at least k >= 2 maps.  On a cycle source it is
+    counted from its winding totals (``_covered_cycle_count``, which shows
+    that it misses colour 0), otherwise box by box.
     """
     if kind not in ("colour", "homomorphism"):
         raise ValueError(f"unknown kind {kind!r}")
-    cycle = _cycle_classes(source, target, cap)
-    if cycle is not None:
-        return ComponentReport(kind, *cycle)
+    params = _clique_parameters(target)
+    covered = False
+    if params is not None:
+        cycle = _cycle_classes(source, target, cap, params)
+        if cycle is not None:
+            return ComponentReport(kind, *cycle)
+        covered = _theorem_covers(source, params)
+        total = _covered_cycle_count(source, params, cap) if covered else None
+        if total is not None:
+            one = ClassSummary(first_hom(source, target), total, True, False)
+            return ComponentReport(kind=kind, total=total, classes=(one,))
     boxed, found, root, r = _boxes(_box_source(source, loops=False), target, cap)
     boxes = list(found)
     if not boxes:
         return ComponentReport(kind=kind, total=0, classes=())
     free = set(range(source.n)).difference(boxed)
-    if _theorem_covers(source, _clique_parameters(target)):
+    if covered:
         total = r * sum(size for _, _, size in boxes)
         one = ClassSummary(first_hom(source, target), total,
                            any(_misses_a_colour(box, free, target.n) for box in boxes),
@@ -763,38 +838,50 @@ def is_mixing(source: Graph, target: Graph, cap: int | None = None) -> MixingVer
     Reads the classes off the orbit boxes of ``homs._boxes``, joined by
     ``_join``, building no member but the class representatives: a root
     with split s is s classes.  NotMixing verdicts carry the least members
-    of the two least classes.  A cycle into a coprime G_{k,q} with
-    2q < k < 4q takes its classes from ``_cycle_classes`` instead, one per
-    winding total, and builds no box.  A space that a mixing theorem makes
-    one class (``_theorem_covers``) is Mixing once its boxes are counted,
-    with no join.
+    of the two least classes.  The target's ``graphs._clique_parameters``
+    are read once.  A cycle into a coprime G_{k,q} with 2q < k < 4q takes
+    its classes from ``_cycle_classes`` instead, one per winding total,
+    and builds no box; their non-surjective flags are not worked out, as
+    no verdict reports them.  A space that a mixing theorem makes one class
+    (``_theorem_covers``) is Mixing once counted, with no join: from its
+    winding totals on a cycle source (``_covered_cycle_count``), box by
+    box otherwise.
     """
     return _is_mixing(source, target, cap)
 
 
 def _is_mixing(source: Graph, target: Graph, cap: int | None = None,
-               src: _Source | None = None,
-               covered: bool | None = None) -> MixingVerdict:
+               src: _Source | None = None, covered: bool | None = None,
+               params: tuple[int, int] | None = None) -> MixingVerdict:
     """``is_mixing`` on what the caller has worked out: ``src``, the
     ``homs._box_source`` of ``source``, else the source is prepared only
-    once the cycle rule is out of scope, and ``covered``, the answer of
-    ``_theorem_covers``, else it is asked once there are boxes.  A space
-    known to be covered skips the cycle rule, which cannot apply to it."""
-    cycle = None if covered else _cycle_classes(source, target, cap)
-    if cycle is not None:
-        total, classes = cycle
-        if len(classes) < 2:
-            status = "mixing" if classes else "no_colourings"
-            return MixingVerdict(status, total, len(classes), None)
-        return MixingVerdict("not_mixing", total, len(classes),
-                             (classes[0].rep, classes[1].rep))
+    once both rules are out of scope; ``covered``, the answer of
+    ``_theorem_covers``, else it is asked here; and ``params``, the
+    target's ``graphs._clique_parameters``, else they are read here.  A
+    space known to be covered skips the cycle rule, which cannot apply to
+    it."""
+    if params is None:
+        params = _clique_parameters(target)
+    if params is not None:
+        cycle = None if covered else _cycle_classes(source, target, cap, params,
+                                                    flags=False)
+        if cycle is not None:
+            total, classes = cycle
+            if len(classes) < 2:
+                status = "mixing" if classes else "no_colourings"
+                return MixingVerdict(status, total, len(classes), None)
+            return MixingVerdict("not_mixing", total, len(classes),
+                                 (classes[0].rep, classes[1].rep))
+        if covered is None:
+            covered = _theorem_covers(source, params)
+        total = _covered_cycle_count(source, params, cap) if covered else None
+        if total is not None:
+            return MixingVerdict("mixing", total, 1, None)
     boxed, found, root, r = _boxes(src or _box_source(source), target, cap)
     boxes = list(found)
     if not boxes:
         return MixingVerdict("no_colourings", 0, 0, None)
     total = r * sum(size for _, _, size in boxes)
-    if covered is None:
-        covered = _theorem_covers(source, _clique_parameters(target))
     if covered:
         return MixingVerdict("mixing", total, 1, None)
     join = _join(source, target, boxed, boxes, root, r)

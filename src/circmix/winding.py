@@ -131,6 +131,8 @@ def nonmixing_certificate(g: Graph, k: int, q: int,
     into k - tau, so on L vertices the totals are sigma and Lk - sigma.
     They always differ: sigma is a multiple of k and L is odd on an odd
     cycle, and the colour-sorted clique cycle winds once, sigma = k != (L-1)k.
+    Both totals are worked out that way here; ``check_certificate`` then
+    traces both colourings from scratch (``cycle_trace``).
     """
     _require_frac(k, q)
     if not g.is_loop_free:
@@ -155,10 +157,10 @@ def nonmixing_certificate(g: Graph, k: int, q: int,
         kind = "odd_cycle"
         subgraph = tuple(shortest_odd_cycle(g))
         cycle = subgraph
-    t1 = cycle_trace(colouring, cycle, g, k, q)
-    t2 = cycle_trace(reflection, cycle, g, k, q)
-    cert = NonMixingCertificate(k, q, kind, subgraph, cycle,
-                                colouring, reflection, t1.sigma, t2.sigma)
+    image = colouring.image
+    sigma = sum((image[b] - image[a]) % k for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+    cert = NonMixingCertificate(k, q, kind, subgraph, cycle, colouring, reflection,
+                                sigma, len(cycle) * k - sigma)
     assert check_certificate(g, cert)
     return cert
 

@@ -557,6 +557,17 @@ def test_vertex_limit_runs(tmp_path, capsys):
     assert code == 0 and payload["value"] == 1100
 
 
+def test_graph_file_that_is_not_utf8_exits_1(tmp_path, capsys):
+    path = tmp_path / "latin1.graph"
+    path.write_bytes("c caf\u00e9\np 2\ne 0 1\n".encode("latin-1"))
+    for argv in (["mixing", "--graph", f"file:{path}", "--target", "clique:3"],
+                 ["certify-nonmixing", "--graph", str(path), "--frac", "5/2"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xe9")
+        assert err.count("\n") == 1
+
+
 def test_null_graph_runs(tmp_path, capsys):
     path = tmp_path / "null.graph"
     path.write_text("p 0\n")

@@ -20,8 +20,8 @@ from circmix.graphs import (Graph, _bfs, are_isomorphic, canonical_key,
                             complete_graph, cycle_graph, degeneracy_order,
                             extension_product, format_graph,
                             frozen_regular_graph, is_bipartite, max_clique,
-                            parse_graph, path_graph, shortest_odd_cycle,
-                            tensor_product)
+                            parse_graph, path_graph, read_graph,
+                            shortest_odd_cycle, tensor_product)
 
 from circmix.homs import (_search_order, chromatic_number,
                           circular_chromatic_number)
@@ -257,11 +257,40 @@ def test_bfs_layers_parents_and_cap():
     assert len(list(_bfs([5, 0], adjacency.__getitem__, 6))) == 3
 
 
+def _tied_odd_cycles(rng):
+    """Graphs holding several shortest odd cycles of one length, as given
+    and randomly relabelled, so that the tie-break decides the answer."""
+    petersen = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                     + [(i, i + 5) for i in range(5)])
+    prism = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                  + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+                  + [(i, i + 5) for i in range(5)])
+    bowtie = Graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
+    two_pentagons = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                          + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
+    wheel = Graph(8, [(i, (i + 1) % 7) for i in range(7)] + [(7, i) for i in range(7)])
+    theta = Graph(7, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 3), (0, 5), (5, 6), (6, 3)])
+    out = []
+    for g in (petersen, prism, bowtie, two_pentagons, wheel, theta,
+              complete_graph(4), complete_graph(5), circular_clique(7, 2)):
+        out.append(g)
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            out.append(g.relabel(perm))
+    return out
+
+
 def test_traversals_match_naive():
     rng = random.Random(9)
     graphs = iso_reps(5) + iso_reps(4, loops=True) + [
         random_graph(rng, rng.randint(1, 12), p=rng.random(), loops=True)
         for _ in range(500)]
+    # long odd and even cycles relabelled v -> 3v, and tied shortest cycles
+    graphs += [Graph(n, [(3 * i % n, 3 * (i + 1) % n) for i in range(n)])
+               for n in range(3, 42) if n % 3]
+    graphs += _tied_odd_cycles(rng)
     for g in graphs:
         assert g.components() == vertex_components_naive(g)
         assert _search_order(g) == search_order_naive(g)
@@ -296,6 +325,21 @@ def test_are_isomorphic_counts_small_classes():
 def test_format_parse_round_trip(n, seed, loops):
     g = random_graph(random.Random(seed), n, loops=loops)
     assert parse_graph(format_graph(g)) == g
+
+
+def test_read_graph_takes_every_line_ending(tmp_path):
+    text = "c tri angle\np 4\n\ne 0 1\ne 2 1\n  e 2 0  \ne 3 3\n"
+    want = parse_graph(text)
+    assert want.name == "tri angle"
+    for i, ending in enumerate(("\n", "\r\n", "\r")):
+        path = tmp_path / f"g{i}.graph"
+        path.write_bytes(text.replace("\n", ending).encode())
+        got = read_graph(path)
+        assert (got, got.name) == (want, want.name), repr(ending)
+    bad = tmp_path / "mixed.graph"
+    bad.write_bytes(b"p 2\r\ne 0 1\re 1 0\n")
+    with pytest.raises(GraphFormatError, match="line 3: duplicate edge"):
+        read_graph(bad)
 
 
 def test_parse_reads_rows_and_rejects_duplicates():

@@ -799,6 +799,10 @@ def test_theorem_path_matches_the_join(monkeypatch):
     sources = iso_reps(5) + [cycle_graph(n) for n in range(6, 11)]
     pairs = [(g, circular_clique(k, q)) for g in sources for k, q in FRACTIONS]
     pairs += [(Graph(0), circular_clique(7, 2)), (Graph(3), circular_clique(7, 2))]
+    # cycles into covered targets past k = 11, counted from winding totals
+    pairs += [(cycle_graph(n), circular_clique(k, q)) for n in range(3, 6)
+              for k, q in ((13, 2), (13, 3), (14, 3), (17, 4))]
+    pairs.append((cycle_graph(4095), circular_clique(13, 2)))
     join = homgraph._join
 
     def same_with_the_rule_off(g, h, cap=None):
@@ -826,8 +830,9 @@ def test_theorem_path_matches_the_join(monkeypatch):
     assert not homgraph._theorem_covers(Graph(0), (7, 2))
     assert homgraph._theorem_covers(Graph(3), (7, 2))
     # 592 pairs of iso_reps(5), as test_mixing_scan_rows_match_is_mixing
-    # counts, 50 of the cycles and the edgeless source
-    assert (covered, capped) == (592 + 50 + 1, 18)
+    # counts, 50 of the cycles, the edgeless source and the 13 cycles into
+    # targets past k = 11, of which C_4095 is capped
+    assert (covered, capped) == (592 + 50 + 1 + 13, 18 + 1)
 
 
 def test_not_mixing_witnesses_are_the_two_least_class_members():
@@ -853,18 +858,88 @@ def test_not_mixing_witnesses_are_the_two_least_class_members():
     assert checked > 100
 
 
-def test_theorem_spaces_are_not_joined(monkeypatch):
-    def join(*a, **kw):
-        raise AssertionError("joined")
+def _refuse(what):
+    def refuse(*a, **kw):
+        raise AssertionError(what)
+    return refuse
 
-    monkeypatch.setattr(homgraph, "_join", join)
-    for g, h in [(cycle_graph(5), circular_clique(13, 2)),
-                 (cycle_graph(6), circular_clique(9, 2))]:
-        verdict = is_mixing(g, h)
-        assert (verdict.name, verdict.class_count) == ("Mixing", 1)
-        for kind in ("colour", "homomorphism"):
-            report = components(g, h, kind)
-            assert report.class_count == 1 and report.total == verdict.hom_count
-            assert report.classes[0].rep == homs.first_hom(g, h)
+
+def test_theorem_spaces_are_not_joined(monkeypatch):
+    """A covered space is not joined; a covered cycle is not even boxed,
+    its count coming from the winding totals."""
+    monkeypatch.setattr(homgraph, "_join", _refuse("joined"))
+    with monkeypatch.context() as m:
+        m.setattr(homgraph, "_boxes", _refuse("boxed"))
+        for g, h in [(cycle_graph(5), circular_clique(13, 2)),
+                     (cycle_graph(6), circular_clique(9, 2))]:
+            verdict = is_mixing(g, h)
+            assert (verdict.name, verdict.class_count) == ("Mixing", 1)
+            for kind in ("colour", "homomorphism"):
+                report = components(g, h, kind)
+                assert report.class_count == 1 and report.total == verdict.hom_count
+                assert report.classes[0].rep == homs.first_hom(g, h)
     with pytest.raises(AssertionError, match="joined"):
         is_mixing(path_graph(3), circular_clique(5, 2))
+
+
+def _closed_walks(h, lengths):
+    """trace(A^n) of h's adjacency matrix A for each n in ``lengths``, by
+    integer matrix powers."""
+    a = [[h.rows[i] >> j & 1 for j in range(h.n)] for i in range(h.n)]
+    power, out = a, {}
+    for n in range(1, max(lengths) + 1):
+        if n in lengths:
+            out[n] = sum(power[i][i] for i in range(h.n))
+        power = [[sum(x * y for x, y in zip(row, col)) for col in zip(*a)]
+                 for row in power]
+    return out
+
+
+def test_covered_cycles_count_closed_walks(monkeypatch):
+    """C_n into a coprime G_{k,q} with k >= 4q is one class counted from
+    its winding totals: the count is trace(A^n), the class misses a colour
+    and is not frozen, and a count past the cap raises the boxes' error.
+    No box is searched."""
+    monkeypatch.setattr(homgraph, "_boxes", _refuse("boxed"))
+    targets = [circular_clique(k, q) for q in range(1, 6)
+               for k in range(4 * q, 4 * q + 7) if gcd(k, q) == 1]
+    lengths = range(3, 31)
+    checked = capped = 0
+    for h in targets:
+        walks = _closed_walks(h, lengths)
+        for n in lengths:
+            g = cycle_graph(n)
+            if walks[n] > 10 ** 7:
+                for ask in (lambda: is_mixing(g, h), lambda: components(g, h)):
+                    with pytest.raises(CapExceededError) as err:
+                        ask()
+                    assert str(err.value) == (f"budget of 10000000 exceeded "
+                                              f"(homomorphism count for n={n})")
+                capped += 1
+                continue
+            verdict = is_mixing(g, h)
+            assert (verdict.name, verdict.hom_count, verdict.class_count) == \
+                ("Mixing", walks[n], 1), (n, h.name)
+            rep = homs.first_hom(g, h)
+            for kind in ("colour", "homomorphism"):
+                report = components(g, h, kind)
+                assert (report.total, report.classes) == (walks[n], (
+                    homgraph.ClassSummary(rep, walks[n], True, False),)), (n, h.name)
+            checked += 1
+    assert (len(targets), checked, capped) == (22, 116, 500)
+
+
+def test_clique_parameters_read_once_per_call(monkeypatch):
+    """components and is_mixing read the target's G_{k,q} parameters once,
+    for both rules, on a covered cycle and on a cycle-rule pair."""
+    calls, read = [], graphs._clique_parameters
+    monkeypatch.setattr(homgraph, "_clique_parameters",
+                        lambda h: calls.append(h) or read(h))
+    monkeypatch.setattr(homgraph, "_boxes", _refuse("boxed"))
+    for g, h in [(cycle_graph(5), circular_clique(13, 2)),
+                 (cycle_graph(7), circular_clique(10, 3))]:
+        for ask in (lambda: is_mixing(g, h), lambda: components(g, h, "colour"),
+                    lambda: components(g, h, "homomorphism")):
+            calls.clear()
+            ask()
+            assert calls == [h], h.name
