@@ -41,14 +41,13 @@ the winding total of ``winding.cycle_trace``: one class per total
 strictly between nq and n(k-q), plus the 2k frozen colourings when k
 divides n (``_cycle_classes``, which carries the proof), and no box is
 built.  When a mixing theorem covers k/q for a loop-free source
-(``_theorem_covers``), the space is one class and is not joined.  A
-cycle is then counted from its winding totals too, since every k >= 4q
-is covered on a cycle (``_covered_cycle_count``); any other source has
-its boxes searched, for the count, the cap and the non-surjective flag.
-The two rules never both apply, as on a cycle the theorems need
-k >= 4q.  Both take the number of step sequences of each winding total
-from one integer power (``_winding_counts``).  Every other pair is
-joined on boxes.
+(``_theorem_covers``), the space is one class and is not joined.  On a
+cycle the theorems cover exactly the coprime k >= 4q, so the two rules
+never both apply, and a covered cycle is counted from its winding totals
+too (``_covered_cycle_count``); any other covered source has its boxes
+searched, for the count, the cap and the non-surjective flag.  Both
+cycle counts come from one integer power (``_winding_counts``).  Every
+other pair is joined on boxes.
 
 Homotopy paths walk the homomorphism graph with ``graphs._bfs`` and never
 enumerate the space, finding each map's neighbours by one search over its
@@ -603,23 +602,23 @@ def _cycle_classes(source: Graph, target: Graph, cap: int | None = None,
 
 def _covered_cycle_count(source: Graph, params: tuple[int, int],
                          cap: int | None = None) -> int | None:
-    """|HOM(C_n, G_{k,q})| for a cycle source into a coprime G_{k,q} with
-    k >= 4q, ``params`` = (k, q), from its winding totals
-    (``_winding_counts``); None unless the source is a cycle
-    (``_cycle_walk``) and k >= 4q.  Raises CapExceededError exactly when
-    the count passes ``cap``, with the text of ``homs._boxes``.
+    """|HOM(C_n, G_{k,q})| from the winding totals (``_winding_counts``),
+    for a source that is a cycle (``_cycle_walk``, else None) and
+    ``params`` = (k, q) that ``_theorem_covers`` covers.  Raises
+    CapExceededError exactly when the count passes ``cap``, with the text
+    of ``homs._boxes``.
 
-    A mixing theorem covers every such pair (``_theorem_covers``: q = 1
-    and k >= 4 = col + 1, or k > 4q = 2 dmax q), so the space is one class.
-    That class holds a member missing colour 0 for every n >= 3: colours
-    1, 1+q and 1+2q lie in 1..k-1 and are pairwise q or 2q apart, both in
-    [q, k-q] once k >= 4q, so they span a triangle of G_{k,q} - 0, and the
-    triangle holds a closed walk of every length n >= 2 (round the
+    On a cycle (col 3, max degree 2) the theorems cover exactly the
+    coprime k >= 4q: q = 1 with k >= 4, or k > 4q.  The space is then one
+    class, and it holds a member missing colour 0 for every n >= 3:
+    colours 1, 1+q and 1+2q lie in 1..k-1 and are pairwise q or 2q apart,
+    both in [q, k-q] once k >= 4q, so they span a triangle of G_{k,q} - 0,
+    and the triangle holds a closed walk of every length n >= 2 (round the
     triangle once when n is odd, then to and fro along one edge).
     """
-    k, q = params
-    if k < 4 * q or _cycle_walk(source) is None:
+    if _cycle_walk(source) is None:
         return None
+    k, q = params
     return k * sum(_winding_counts(source.n, k, q, cap)[1])
 
 
@@ -633,10 +632,10 @@ def _winding_counts(n: int, k: int, q: int, cap: int | None = None
 
     The compositions of sigma - nq into n parts in [0, k-2q] are the
     coefficients of (1 + x + ... + x^(k-2q))^n.  Each is below
-    (k-2q+1)^n, so with x = 2^b, b bits a field, one integer power holds
-    them all (Kronecker substitution), read a field at a time.  A lower
-    bound comes first, so that a long cycle is refused before that power
-    is built.
+    (k-2q+1)^n < 2^b for b = n bit_length(k-2q+1), so with x = 2^b, b
+    rounded up to whole bytes, one integer power holds them all
+    (Kronecker substitution), a field of b bits each.  A lower bound comes
+    first, so that a long cycle is refused before that power is built.
     """
     cap = hom_cap(cap)
     spread = k - 2 * q
@@ -666,8 +665,9 @@ def _missing_zero(n: int, k: int, q: int, sigmas) -> set[int]:
 
     One integer holds the reachable partial sums of every start, a field of
     n(k-q) + 2k bits per start with the start c at bit c of field c - 1,
-    and one step spreads them all.  A partial sum stays below
-    n(k-q) + k before the step and k-q more after it, inside its field.
+    and one step spreads them all.  A kept partial sum is below
+    n(k-q) + k, so a step takes it at most k-q further, still inside its
+    field.
     """
     top = n * (k - q) + k
     width = top + k
