@@ -5,12 +5,11 @@ parent is the Farey predecessor k'/q' with kq'-k'q = 1.  Deleting any
 vertex from G_{k,q} (coprime case) dismantles onto the lower-parent
 clique, and deleting a full residue orbit from G_{kd,qd} dismantles onto
 G_{k(d-1),q(d-1)}; both facts drive the component-counting machinery.
-A scan decides every row as ``homgraph.is_mixing`` does, on a source
-prepared once.  A row at a coprime fraction that a mixing theorem covers
-(k/q at least twice the colouring number, the integer threshold col+1, or
-above twice the maximum degree) is certified by that theorem plus an
-exact count of the colourings; every other row by explicit component
-computation.
+A scan decides every row as ``homgraph.is_mixing`` does.  A row at a
+coprime fraction that a mixing theorem covers (k/q at least twice the
+colouring number, the integer threshold col+1, or above twice the maximum
+degree) is certified by that theorem plus an exact count of the
+colourings; every other row by explicit component computation.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from .errors import CapExceededError, NoColouringsError
 from .graphs import (Graph, _bits, _clique_parameters, circular_clique,
                      clique_number, colouring_number, degrees, is_bipartite)
 from .homgraph import _avail_masks, _is_mixing, _theorem_covers, components
-from .homs import Hom, _box_source, is_hom
+from .homs import Hom, is_hom
 from .structure import FoldStep, apply_fold, is_retraction, make_fold
 
 
@@ -376,8 +375,9 @@ def mixing_scan(g: Graph, fracs, cap: int | None = None) -> MixingScanReport:
     join the boxes into classes.  G_{k,q} is fixed
     by the shift c -> c + 1, so the boxes searched and joined are one per
     orbit of its k shifts, about 1/k of all of them.  The search order and
-    box flags of g, and its colouring number and maximum degree, are
-    worked out once for all rows, and the theorems are asked once per row,
+    box flags of g are kept on it (``homs._box_source``), its colouring
+    number and maximum degree are worked out once for all rows, each row's
+    G_{k,q} is the shared instance, and the theorems are asked once per row,
     with the row's (k, q) handed on so that no row reads it off the target.
     Rows with more than ``cap`` colourings are recorded as Skipped and the
     scan continues.
@@ -392,13 +392,12 @@ def mixing_scan(g: Graph, fracs, cap: int | None = None) -> MixingScanReport:
         _require_frac(k, q)
     col = colouring_number(g)
     dmax = degrees(g)[0]
-    src = _box_source(g)
     rows = []
     for k, q in fracs:
         value = Fraction(k, q)
         target = circular_clique(k, q)
         try:
-            v = _is_mixing(g, target, cap, src,
+            v = _is_mixing(g, target, cap,
                            covered=_theorem_covers(g, (k, q), (col, dmax)),
                            params=(k, q))
         except CapExceededError:

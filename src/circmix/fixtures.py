@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from .errors import GraphFormatError
-from .graphs import (Graph, _check_order, circular_clique, complete_graph,
-                     read_graph)
+from .graphs import (Graph, _check_order, _shared, circular_clique,
+                     complete_graph, read_graph)
 
 
 def gadget_g62x() -> Graph:
@@ -13,9 +13,14 @@ def gadget_g62x() -> Graph:
 
     Pinning a proper four-colouring on the clique part can use all four
     colours on the extra vertex's neighbourhood, so whether the pins extend
-    depends on the colouring and not just on colourability.
+    depends on the colouring and not just on colourability.  One instance
+    is shared (``graphs._shared``).
     """
     _check_order(7)
+    return _shared(_g62x)
+
+
+def _g62x() -> Graph:
     extra = 0b0110011  # vertex 6's row: 0, 1, 4 and 5
     rows = [row | (extra >> v & 1) << 6
             for v, row in enumerate(circular_clique(6, 2).rows)]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 import sys
+from functools import lru_cache, wraps
 from heapq import heapify, heappop, heappush
 from itertools import chain, permutations
 
@@ -29,9 +30,10 @@ class Graph:
     Adjacency is one packed integer per vertex: bit u of ``rows[v]`` means
     uv is an edge.  Instances are treated as immutable; all editing helpers
     return new graphs.  Equality compares n and adjacency, never the name.
+    ``_facts`` keeps what ``_kept`` functions work out from the rows.
     """
 
-    __slots__ = ("n", "rows", "name")
+    __slots__ = ("n", "rows", "name", "_facts")
 
     def __init__(self, n: int, edges=(), name: str | None = None):
         if n < 0:
@@ -46,6 +48,7 @@ class Graph:
         self.n = n
         self.rows = tuple(rows)
         self.name = name
+        self._facts = None
 
     @classmethod
     def from_rows(cls, rows, name: str | None = None) -> "Graph":
@@ -53,6 +56,7 @@ class Graph:
         g.n = len(rows)
         g.rows = tuple(rows)
         g.name = name
+        g._facts = None
         return g
 
     # --- basic queries ---------------------------------------------------
@@ -164,6 +168,33 @@ def _check_order(n: int) -> None:
         raise ValueError(f"vertex count {n} exceeds the configured limit {max_vertices()}")
 
 
+def _kept(build):
+    """``build(g)`` for a fact that depends only on g's rows, worked out on
+    g's first call and kept in ``g._facts`` for g's lifetime;
+    ``__wrapped__`` works it out afresh.  Threads that race on a graph's
+    first call each build the fact, and one is kept."""
+    @wraps(build)
+    def kept(g):
+        facts = g._facts
+        if facts is None:
+            facts = g._facts = {}
+        try:
+            return facts[build]
+        except KeyError:
+            fact = facts[build] = build(g)
+            return fact
+    return kept
+
+
+@lru_cache(maxsize=32, typed=True)
+def _shared(build, *args) -> "Graph":
+    """``build(*args)``, one instance per argument tuple, from a cache of
+    the 32 graphs last asked for: the named graphs that requests ask of
+    again and again keep their ``_kept`` facts between calls.  Callers
+    check the arguments and the order limit first, on every call."""
+    return build(*args)
+
+
 def _rotate(m: int, k: int, n: int) -> int:
     """The colour mask m shifted by c -> c + k (mod n), for 0 <= k < n."""
     return (m << k | m >> (n - k)) & ((1 << n) - 1) if k else m
@@ -217,9 +248,14 @@ def _path(parent: dict, x) -> list:
 
 
 def complete_graph(r: int) -> Graph:
+    """K_r, one shared instance per r (``_shared``)."""
     if r < 1:
         raise ValueError("complete graph needs at least one vertex")
     _check_order(r)
+    return _shared(_complete, r)
+
+
+def _complete(r: int) -> Graph:
     full = (1 << r) - 1
     return Graph.from_rows([full ^ 1 << v for v in range(r)], name=f"K_{r}")
 
@@ -248,10 +284,15 @@ def circular_clique(k: int, q: int) -> Graph:
 
     Requires k >= 2q >= 2; no coprimality is assumed, and (k, q) is never
     reduced behind the caller's back.  G_{k,1} is the complete graph K_k.
+    One instance is shared per (k, q) (``_shared``).
     """
     if q < 1 or k < 2 * q:
         raise ValueError(f"circular clique needs k >= 2q >= 2, got ({k}, {q})")
     _check_order(k)
+    return _shared(_circular, k, q)
+
+
+def _circular(k: int, q: int) -> Graph:
     row = _clique_row(k, q)
     return Graph.from_rows([_rotate(row, i, k) for i in range(k)],
                            name=f"G_{{{k},{q}}}")

@@ -51,8 +51,8 @@ other pair is joined on boxes.
 
 Homotopy paths walk the homomorphism graph with ``graphs._bfs`` and never
 enumerate the space, finding each map's neighbours by one search over its
-neighbour box; the source side of those searches is prepared once per walk
-(``homs._Source``).
+neighbour box; the source side of those searches is prepared once per
+graph (``homs._search_source``).
 
 Radii enumerate the space instead and walk it on bitsets (``homindex``),
 as does the layered check of ``extension``.  The target's shifts and
@@ -75,7 +75,7 @@ from .config import hom_cap
 from .errors import CapExceededError, DisconnectedError, NoColouringsError
 from .graphs import (Graph, _bfs, _clique_parameters, _path, colouring_number,
                      degrees)
-from .homs import (Hom, _box_source, _boxes, _rotate, _search, _search_order,
+from .homs import (Hom, _box_source, _boxes, _rotate, _search, _search_source,
                    _Source, _symmetries, first_hom, format_image, is_hom)
 
 
@@ -201,14 +201,17 @@ def _avail_masks(image, source: Graph, target: Graph) -> list[int]:
     """Per-vertex masks A[v] with: g hom-adjacent to f  iff  g[v] in A[v] for all v.
 
     A[v] intersects the target neighbourhoods of f over all source
-    neighbours of v, the vertex itself included when it carries a loop.
+    neighbours of v, the vertex itself included when it carries a loop,
+    read off the bits of v's row.
     """
-    full = (1 << target.n) - 1
+    full, rows = (1 << target.n) - 1, target.rows
     out = []
-    for v in range(source.n):
+    for row in source.rows:
         m = full
-        for u in source.neighbours(v):
-            m &= target.rows[image[u]]
+        while row:
+            b = row & -row
+            m &= rows[image[b.bit_length() - 1]]
+            row ^= b
         out.append(m)
     return out
 
@@ -497,13 +500,16 @@ def _theorem_covers(g: Graph, params: tuple[int, int] | None,
     ``params`` = (k, q), the ``graphs._clique_parameters`` of the target
     (None when it is not a G_{k,q} so named)?  It does when g is loop-free
     with a vertex and ``_theorem_mixing`` covers k/q; ``bounds`` is
-    (col(g), max degree of g) when the caller has them.
+    (col(g), max degree of g) when the caller has them, and (3, 2) when g
+    is a cycle (``_cycle_walk``).
 
     Such a space is never empty, since each rule puts k/q at or above
     chi(g): col >= chi, and 2 dmax >= dmax + 1 >= chi once g has an edge.
     """
     if params is None or not g.n or not g.is_loop_free:
         return False
+    if bounds is None and _cycle_walk(g) is not None:
+        bounds = (3, 2)
     col, dmax = bounds or (colouring_number(g), degrees(g)[0])
     return _theorem_mixing(*params, col, dmax)
 
@@ -785,7 +791,7 @@ def components(source: Graph, target: Graph, kind: str = "colour",
         if total is not None:
             one = ClassSummary(first_hom(source, target), total, True, False)
             return ComponentReport(kind=kind, total=total, classes=(one,))
-    boxed, found, root, r = _boxes(_box_source(source, loops=False), target, cap)
+    boxed, found, root, r = _boxes(_box_source(source, False), target, cap)
     boxes = list(found)
     if not boxes:
         return ComponentReport(kind=kind, total=0, classes=())
@@ -851,15 +857,13 @@ def is_mixing(source: Graph, target: Graph, cap: int | None = None) -> MixingVer
 
 
 def _is_mixing(source: Graph, target: Graph, cap: int | None = None,
-               src: _Source | None = None, covered: bool | None = None,
+               covered: bool | None = None,
                params: tuple[int, int] | None = None) -> MixingVerdict:
-    """``is_mixing`` on what the caller has worked out: ``src``, the
-    ``homs._box_source`` of ``source``, else the source is prepared only
-    once both rules are out of scope; ``covered``, the answer of
-    ``_theorem_covers``, else it is asked here; and ``params``, the
-    target's ``graphs._clique_parameters``, else they are read here.  A
-    space known to be covered skips the cycle rule, which cannot apply to
-    it."""
+    """``is_mixing`` on what the caller has worked out: ``covered``, the
+    answer of ``_theorem_covers``, else it is asked here; and ``params``,
+    the target's ``graphs._clique_parameters``, else they are read here.
+    A space known to be covered skips the cycle rule, which cannot apply
+    to it."""
     if params is None:
         params = _clique_parameters(target)
     if params is not None:
@@ -877,7 +881,7 @@ def _is_mixing(source: Graph, target: Graph, cap: int | None = None,
         total = _covered_cycle_count(source, params, cap) if covered else None
         if total is not None:
             return MixingVerdict("mixing", total, 1, None)
-    boxed, found, root, r = _boxes(src or _box_source(source), target, cap)
+    boxed, found, root, r = _boxes(_box_source(source), target, cap)
     boxes = list(found)
     if not boxes:
         return MixingVerdict("no_colourings", 0, 0, None)
@@ -921,7 +925,7 @@ def homotopy_path(f: Hom, g: Hom, source: Graph, target: Graph,
         if not is_hom(source, target, x.image):
             raise ValueError("not a homomorphism")
     cap = hom_cap(cap)
-    src = _Source(source, _search_order(source))
+    src = _search_source(source)
     goal = g.image
 
     def neighbours(im):

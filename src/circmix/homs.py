@@ -11,9 +11,9 @@ boxes: the homomorphisms that agree off an independent set of G, each as
 its least member followed by one candidate mask per vertex of the set.
 Counting and enumeration box the largest such set; early-exit questions
 box none, so their boxes are single images.  What it needs of the source,
-a ``_Source``, is built once by a caller that searches the same source
-many times: every neighbour box of a walk in the homomorphism graph,
-every target of a scan.
+a ``_Source``, is built once per graph and kept on it
+(``graphs._kept``): the box sources, the search source of early-exit
+questions and walks, and the shift symmetries of a target.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from itertools import accumulate, product
 
 from .config import hom_cap, node_cap
 from .errors import CapExceededError
-from .graphs import (Graph, _bfs, _bits, _rotate, circular_clique,
+from .graphs import (Graph, _bfs, _bits, _kept, _rotate, circular_clique,
                      colouring_number, complete_graph)
 
 
@@ -196,32 +196,49 @@ class _Source:
         self.looped = looped = []
         self.earlier = earlier = []
         self.fixed = fixed = []
-        level = {w: i for i, w in enumerate(order)}
+        inside = placed = 0  # the vertices of order, and of its first i levels
+        for w in order:
+            inside |= 1 << w
         for i, w in enumerate(order):
-            if g.has_loop(w):
+            row = g.rows[w]
+            if row >> w & 1:
                 looped.append(i)
-            prior: list[int] = []
-            outside: list[int] = []
-            for u in g.neighbours(w):
-                j = level.get(u)
-                if j is None:
-                    outside.append(u)
-                elif j < i:
-                    prior.append(u)
-            earlier.append(prior)
-            if outside:
-                fixed.append((i, outside))
+            earlier.append(_bits(row & placed))
+            if row & ~inside:
+                fixed.append((i, _bits(row & ~inside)))
+            placed |= 1 << w
 
 
 def _box_source(g: Graph, loops: bool = True) -> _Source:
     """The source of a box search of g: ``_box_order`` with every level
     ``_closed`` flagged, except looped ones when ``loops`` is false, the
-    masks of the flagged levels following the image in level order."""
+    masks of the flagged levels following the image in level order.
+    Both kinds are kept on g (``_box_sources``)."""
+    return _box_sources(g)[not loops]
+
+
+@_kept
+def _box_sources(g: Graph) -> tuple[_Source, _Source]:
+    """``_box_source(g, loops)`` for loops true and false, one source
+    when g is loop-free."""
     order = _box_order(g)
-    flags = [c and (loops or not g.has_loop(w))
-             for w, c in zip(order, _closed(g, order))]
-    return _Source(g, order, [k if c else 0
-                              for c, k in zip(flags, accumulate(flags, initial=g.n))])
+    closed = _closed(g, order)
+
+    def source(flags):
+        return _Source(g, order, [k if c else 0
+                                  for c, k in zip(flags, accumulate(flags, initial=g.n))])
+
+    looped = source(closed)
+    if g.is_loop_free:
+        return looped, looped
+    return looped, source([c and not g.has_loop(w) for w, c in zip(order, closed)])
+
+
+@_kept
+def _search_source(g: Graph) -> _Source:
+    """The ``_Source`` over ``_search_order(g)``, which early-exit
+    questions and walks of the homomorphism graph search."""
+    return _Source(g, _search_order(g))
 
 
 def _search(src: _Source, h: Graph, img: list[int],
@@ -316,6 +333,7 @@ def _search(src: _Source, h: Graph, img: list[int],
         cand[i] = m
 
 
+@_kept
 def _shift_period(h: Graph) -> int:
     """The least d dividing n = h.n such that c -> c + d (mod n) is an
     automorphism of h: for every c, ``rows[(c + d) % n]`` is ``rows[c]``
@@ -334,22 +352,33 @@ def _shift_period(h: Graph) -> int:
 def _symmetries(h: Graph) -> list[tuple[int, ...]]:
     """Automorphisms of h read off its rows, as colour permutations, the
     identity first: the r shifts c -> c + t*d of ``_shift_period`` and,
-    when c -> a - c is an automorphism for some a below d (the least is
-    taken), the r reflections c -> a + t*d - c as well.  They form a
-    group: a reflection composed with a shift or a reflection is one of
-    these maps again.
+    when h has a ``_reflection`` c -> a - c, the r reflections
+    c -> a + t*d - c as well.  They form a group: a reflection composed
+    with a shift or a reflection is one of these maps again.  Built on
+    each call: on K_n they are 2n permutations of n colours.
     """
-    n, rows = h.n, h.rows
+    n = h.n
     d = _shift_period(h) or 1  # 0 on the empty graph
     shifts = [tuple((c + t) % n for c in range(n)) for t in range(0, n or 1, d)]
-    for a in range(d):
+    a = _reflection(h)
+    if a is None:
+        return shifts
+    flip = [(a - c) % n for c in range(n)]
+    # on one or two colours a reflection may be a shift
+    return list(dict.fromkeys(shifts + [tuple(shift[x] for x in flip) for shift in shifts]))
+
+
+@_kept
+def _reflection(h: Graph) -> int | None:
+    """The least a below ``_shift_period(h)`` such that c -> a - c is an
+    automorphism of h, or None."""
+    n, rows = h.n, h.rows
+    for a in range(_shift_period(h) or 1):
         flip = [(a - c) % n for c in range(n)]
         if all(rows[flip[c]] == sum(1 << flip[x] for x in _bits(rows[c]))
                for c in range(n)):
-            # on one or two colours a reflection may be a shift
-            return list(dict.fromkeys(
-                shifts + [tuple(shift[x] for x in flip) for shift in shifts]))
-    return shifts
+            return a
+    return None
 
 
 def _boxes(src: _Source, h: Graph, cap: int | None = None):
@@ -452,7 +481,7 @@ def iter_homs(g: Graph, h: Graph, budget: int | None = None):
     For early-exit questions (is there a second endomorphism?); the order is
     the backtracking order, not lexicographic.
     """
-    return _search(_Source(g, _search_order(g)), h, [0] * g.n, budget=node_cap(budget))
+    return _search(_search_source(g), h, [0] * g.n, budget=node_cap(budget))
 
 
 def _broken_pin_edge(g: Graph, h: Graph,

@@ -13,7 +13,7 @@ import random
 from hypothesis import strategies as st
 
 from circmix.errors import CapExceededError
-from circmix.graphs import Graph, _bits, canonical_key
+from circmix.graphs import Graph, _bits
 from circmix.homs import Hom, enumerate_homs
 from circmix.structure import FoldStep, apply_fold
 
@@ -356,12 +356,18 @@ def all_graphs(n: int, loops: bool = False):
 
 
 def iso_reps(max_n: int, loops: bool = False, min_n: int = 1) -> list[Graph]:
-    """One representative per isomorphism class, up to max_n vertices."""
-    reps = {}
+    """One representative per isomorphism class, up to max_n vertices: the
+    first graph of each class in ``all_graphs`` order.  Each new one marks
+    every relabelling of itself as seen."""
+    reps = []
     for n in range(min_n, max_n + 1):
+        perms = list(itertools.permutations(range(n)))
+        seen = set()
         for g in all_graphs(n, loops=loops):
-            reps.setdefault(canonical_key(g), g)
-    return list(reps.values())
+            if g.rows not in seen:
+                reps.append(g)
+                seen.update(g.relabel(perm).rows for perm in perms)
+    return reps
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5,

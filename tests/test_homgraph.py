@@ -943,3 +943,20 @@ def test_clique_parameters_read_once_per_call(monkeypatch):
             calls.clear()
             ask()
             assert calls == [h], h.name
+
+
+def test_cycles_skip_the_colouring_number(monkeypatch):
+    """A cycle's colouring number is 3 and its maximum degree 2, so the
+    theorem rule works neither out on a cycle source; C_4095 into a covered
+    G_{13,2} is refused with the same text."""
+    calls, col = [], graphs.colouring_number
+    monkeypatch.setattr(homgraph, "colouring_number",
+                        lambda g: calls.append(g) or col(g))
+    assert is_mixing(cycle_graph(5), circular_clique(13, 2)).is_mixing
+    assert components(cycle_graph(6), circular_clique(9, 2)).mixing
+    with pytest.raises(CapExceededError) as err:
+        is_mixing(cycle_graph(4095), circular_clique(13, 2))
+    assert str(err.value) == "budget of 10000000 exceeded (homomorphism count for n=4095)"
+    assert calls == []
+    assert is_mixing(path_graph(5), circular_clique(13, 2)).is_mixing
+    assert len(calls) == 1

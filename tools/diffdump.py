@@ -1,0 +1,263 @@
+#!/usr/bin/env python3
+"""Differential dump: one line per library call, to compare two checkouts.
+
+Runs a fixed list of calls of the public ``circmix`` library and writes one
+line for each: a label, a tab, and the repr of the answer, or ``!`` and the
+type and text of the error it raised.  A refactor that keeps every answer
+keeps the dump byte for byte, so dump each checkout and compare the files:
+
+    python3 tools/diffdump.py --src OLD/src --out old.txt
+    python3 tools/diffdump.py --src NEW/src --out new.txt
+    cmp old.txt new.txt
+
+Standard library only.  The families, each in its own function below:
+
+- ``spaces``: ``is_mixing`` and both kinds of ``components`` on every graph
+  of at most 5 vertices, the 0-vertex graph and an edgeless one, into the
+  21 coprime k/q with q <= 5 and k <= 11 plus 6/2, 8/2 and 9/3; scans of
+  those sources; both chromatic numbers; C_3-C_14, also relabelled
+  v -> 2v and v -> 3v, into every coprime G_{k,q} with q <= 5 and
+  k <= max(11, 4q + 4); the graphs of at most 4 vertices into K_3, K_4,
+  C_5 and unnamed and renamed copies of G_{7,2}; scans of named circular
+  cliques and of unnamed copies of them.
+- ``cycles``: C_3-C_30 into every coprime G_{k,q} with q <= 5 and
+  k <= max(11, 4q + 6), and C_4095 into G_{13,2}, G_{9,2}, G_{7,2} and
+  G_{4,1}.
+- ``certificates``: ``nonmixing_certificate`` on every graph of at most 6
+  vertices at each coprime k/q with q <= 5 below max(4, omega + 1), and at
+  that threshold; C_3-C_101 at 5/2 and 7/3 (certificate, ``is_mixing``,
+  both kinds of ``components`` and a scan).
+- ``prepared``: counts, enumerations, least maps, components, walks and
+  radii on the graphs of at most 3 vertices, loops allowed, and the
+  loop-free ones on 4, into those of at most 3 with loops allowed, counts
+  and verdicts asked again of the same graph objects; and graph specs,
+  good and bad, with the vertex limit lowered between two calls.
+
+Every call that answers with a count is asked again at a cap equal to that
+count and at one below it (a scan at each row's count and one below).
+Takes about ten seconds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+from itertools import permutations
+from math import gcd
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def iso_reps(max_n: int, loops: bool = False) -> list:
+    """One graph per isomorphism class on 1..max_n vertices: the first of
+    each class in order of its edge set as a binary number."""
+    from circmix import Graph
+
+    reps = []
+    for n in range(1, max_n + 1):
+        slots = [(u, v) for u in range(n) for v in range(u if loops else u + 1, n)]
+        perms = list(permutations(range(n)))
+        seen = set()
+        for bits in range(1 << len(slots)):
+            g = Graph(n, [e for i, e in enumerate(slots) if bits >> i & 1])
+            if g.rows not in seen:
+                reps.append(g)
+                seen.update(g.relabel(p).rows for p in perms)
+    return reps
+
+
+def coprime(max_q: int, top) -> list[tuple[int, int]]:
+    """Every coprime k/q with q <= max_q and 2q <= k <= top(q)."""
+    return [(k, q) for q in range(1, max_q + 1) for k in range(2 * q, top(q) + 1)
+            if gcd(k, q) == 1]
+
+
+FRACTIONS = coprime(5, lambda q: 11) + [(6, 2), (8, 2), (9, 3)]
+
+
+class Dump:
+    def __init__(self, out):
+        self.out = out
+        self.calls = 0
+
+    def call(self, label: str, ask):
+        """Write ``ask()``'s answer or error under ``label``; the answer, or
+        None after an error."""
+        self.calls += 1
+        try:
+            answer = ask()
+        except Exception as exc:  # an error is an answer to compare
+            self.out.write(f"{label}\t!{type(exc).__name__}: {exc}\n")
+            return None
+        self.out.write(f"{label}\t{answer!r}\n")
+        return answer
+
+    def capped(self, label: str, ask, total):
+        """``ask(None)``, then ``ask`` at each count ``total`` reads off
+        the answer and at one below it."""
+        answer = self.call(label, lambda: ask(None))
+        for count in ([] if answer is None else total(answer)):
+            for cap in (count, count - 1):
+                self.call(f"{label} cap={cap}", lambda cap=cap: ask(cap))
+        return answer
+
+
+def name(g) -> str:
+    return f"{g.name or '-'}:{g.n}:{','.join(map(str, g.rows))}"
+
+
+def spaces_of(d: Dump, g, h) -> None:
+    import circmix as cm
+
+    label = f"{name(g)} -> {name(h)}"
+    d.capped(f"is_mixing {label}", lambda cap: cm.is_mixing(g, h, cap),
+             lambda v: [v.hom_count])
+    for kind in ("colour", "homomorphism"):
+        d.capped(f"components {kind} {label}",
+                 lambda cap, kind=kind: cm.components(g, h, kind, cap),
+                 lambda r: [r.total])
+
+
+def scan_of(d: Dump, g, fracs) -> None:
+    import circmix as cm
+
+    d.capped(f"scan {name(g)} {fracs}", lambda cap: cm.mixing_scan(g, fracs, cap),
+             lambda s: sorted({r.hom_count for r in s.rows if r.hom_count is not None}))
+
+
+def relabelled_cycles(top: int):
+    import circmix as cm
+
+    for n in range(3, top + 1):
+        c = cm.cycle_graph(n)
+        yield c
+        for m in (2, 3):
+            if gcd(m, n) == 1:
+                yield c.relabel([m * v % n for v in range(n)])
+
+
+def spaces(d: Dump) -> None:
+    import circmix as cm
+
+    sources = iso_reps(5) + [cm.Graph(0), cm.Graph(3)]
+    for g in sources:
+        for k, q in FRACTIONS:
+            spaces_of(d, g, cm.circular_clique(k, q))
+        scan_of(d, g, FRACTIONS)
+        d.call(f"chromatic {name(g)}", lambda: cm.chromatic_number(g))
+        d.call(f"circular chromatic {name(g)}", lambda: cm.circular_chromatic_number(g))
+    for c in relabelled_cycles(14):
+        for k, q in coprime(5, lambda q: max(11, 4 * q + 4)):
+            spaces_of(d, c, cm.circular_clique(k, q))
+    g72 = cm.circular_clique(7, 2)
+    targets = [cm.complete_graph(3), cm.complete_graph(4), cm.cycle_graph(5),
+               cm.Graph.from_rows(g72.rows), cm.Graph.from_rows(g72.rows, "G_{7,3}"),
+               cm.Graph.from_rows(cm.circular_clique(7, 3).rows, "G_{7,2}")]
+    for g in iso_reps(4):
+        for h in targets:
+            spaces_of(d, g, h)
+    for k, q in ((5, 2), (7, 2), (7, 3), (8, 3), (9, 4), (4, 1)):
+        h = cm.circular_clique(k, q)
+        for g in (h, cm.Graph.from_rows(h.rows)):
+            scan_of(d, g, FRACTIONS)
+
+
+def cycles(d: Dump) -> None:
+    import circmix as cm
+
+    for n in range(3, 31):
+        for k, q in coprime(5, lambda q: max(11, 4 * q + 6)):
+            spaces_of(d, cm.cycle_graph(n), cm.circular_clique(k, q))
+    for k, q in ((13, 2), (9, 2), (7, 2), (4, 1)):
+        spaces_of(d, cm.cycle_graph(4095), cm.circular_clique(k, q))
+
+
+def certificates(d: Dump) -> None:
+    import circmix as cm
+
+    for g in iso_reps(6):
+        top = max(4, cm.clique_number(g) + 1)
+        for k, q in coprime(5, lambda q: top * q - 1) + [(top, 1)]:
+            d.call(f"certificate {name(g)} {k}/{q}",
+                   lambda k=k, q=q: cm.nonmixing_certificate(g, k, q))
+    for n in range(3, 102):
+        c = cm.cycle_graph(n)
+        for k, q in ((5, 2), (7, 3)):
+            d.call(f"certificate {name(c)} {k}/{q}",
+                   lambda k=k, q=q: cm.nonmixing_certificate(c, k, q))
+            spaces_of(d, c, cm.circular_clique(k, q))
+            scan_of(d, c, [(k, q)])
+
+
+def prepared(d: Dump) -> None:
+    import circmix as cm
+
+    targets = iso_reps(3, loops=True)
+    for g in iso_reps(3, loops=True) + [g for g in iso_reps(4) if g.n == 4]:
+        for h in targets:
+            label = f"{name(g)} -> {name(h)}"
+            d.capped(f"hom_count {label}", lambda cap: cm.hom_count(g, h, cap),
+                     lambda count: [count])
+            space = d.call(f"enumerate {label}", lambda: cm.enumerate_homs(g, h))
+            d.call(f"first_hom {label}", lambda: cm.first_hom(g, h))
+            d.call(f"iter_homs {label}", lambda: list(cm.iter_homs(g, h)))
+            spaces_of(d, g, h)
+            if space and space.count and g.n <= 3:
+                a, b = space.hom(0), space.hom(space.count - 1)
+                d.call(f"homotopy_path {label}", lambda: cm.homotopy_path(a, b, g, h))
+                d.call(f"radius_centre {label}", lambda: cm.radius_centre(g, h))
+            # again, on the facts the graphs now keep
+            d.call(f"hom_count again {label}", lambda: cm.hom_count(g, h))
+            d.call(f"is_mixing again {label}", lambda: cm.is_mixing(g, h))
+    specs = ["clique:1", "clique:5", "clique:0", "clique:-1", "clique:x", "circ:7/2",
+             "circ:7", "circ:5/3", "circ:6/0", "circ:a/b", "gadget:g62x", "gadget:none"]
+    limit = os.environ.get("CIRCMIX_MAX_N")
+    try:
+        for value in (None, "6", None):
+            if value is None:
+                os.environ.pop("CIRCMIX_MAX_N", None)
+            else:
+                os.environ["CIRCMIX_MAX_N"] = value
+            for spec in specs:
+                d.call(f"spec {spec} limit={value}",
+                       lambda spec=spec: name(cm.resolve_graph_spec(spec)))
+    finally:
+        if limit is None:
+            os.environ.pop("CIRCMIX_MAX_N", None)
+        else:
+            os.environ["CIRCMIX_MAX_N"] = limit
+
+
+FAMILIES = {"spaces": spaces, "cycles": cycles, "certificates": certificates,
+            "prepared": prepared}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="the src directory of the checkout to dump")
+    parser.add_argument("--out", default="-", help="output file (default stdout)")
+    parser.add_argument("--family", choices=sorted(FAMILIES), action="append",
+                        help="dump only these families (default all)")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+    os.environ.pop("CIRCMIX_CAP", None)
+    os.environ.pop("CIRCMIX_MAX_N", None)
+    out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
+    try:
+        d = Dump(out)
+        for family in args.family or FAMILIES:
+            before = d.calls
+            FAMILIES[family](d)
+            print(f"{family}: {d.calls - before} calls", file=sys.stderr)
+    finally:
+        if out is not sys.stdout:
+            out.close()
+    print(f"total: {d.calls} calls", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
