@@ -12,6 +12,8 @@ Everything runs on exact integer arithmetic and is deterministic: repeated
 runs produce identical reports, including tie-breaks.
 """
 
+from types import ModuleType as _ModuleType
+
 from .circular import (AvailableColours, FlexibilityResult, LowerParent,
                        LowerParentBound, MixingScanReport, MixingScanRow,
                        OrbitDismantle, ScaleRetraction, ScanBound,
@@ -48,4 +50,6 @@ from .winding import (ConstrictingResult, CycleTrace, NonMixingCertificate,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are bound here too, by the imports above; they are not exported
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

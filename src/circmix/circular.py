@@ -14,9 +14,9 @@ colourings; every other row by explicit component computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .errors import CapExceededError, NoColouringsError
 from .graphs import (Graph, _bits, _clique_parameters, circular_clique,
@@ -26,8 +26,7 @@ from .homs import Hom, is_hom
 from .structure import FoldStep, apply_fold, is_retraction, make_fold
 
 
-@dataclass(frozen=True)
-class LowerParent:
+class LowerParent(NamedTuple):
     """The unique (k',q') with kq'-k'q = 1 and q >= q' >= 1."""
 
     k: int
@@ -40,8 +39,7 @@ class LowerParent:
         return Fraction(self.parent_k, self.parent_q)
 
 
-@dataclass(frozen=True)
-class LowerParentBound:
+class LowerParentBound(NamedTuple):
     """Exact rational lower bound on k'/q' relative to a fraction j/p.
 
     ``case`` records which side of j/p the bound lands on: "q'=p" gives
@@ -56,8 +54,7 @@ class LowerParentBound:
     case: str
 
 
-@dataclass(frozen=True)
-class AvailableColours:
+class AvailableColours(NamedTuple):
     """Colours a vertex may take with all neighbours held fixed.
 
     The current colour is always a member.  ``is_interval`` means the set
@@ -70,14 +67,12 @@ class AvailableColours:
     is_interval: bool
 
 
-@dataclass(frozen=True)
-class FlexibilityResult:
+class FlexibilityResult(NamedTuple):
     flexible: bool
     witness: Hom | None  # representative of a class with no non-surjective member
 
 
-@dataclass(frozen=True)
-class ScaleRetraction:
+class ScaleRetraction(NamedTuple):
     """The floor map G_{kd,qd} -> G_{k,q} with its multiplication section."""
 
     k: int
@@ -87,8 +82,7 @@ class ScaleRetraction:
     section: Hom
 
 
-@dataclass(frozen=True)
-class OrbitDismantle:
+class OrbitDismantle(NamedTuple):
     """Fold-by-fold dismantling of G_{kd,qd}-i onto G_{k(d-1),q(d-1)}.
 
     ``steps`` use the labels current at the time of each fold (matching
@@ -108,8 +102,7 @@ class OrbitDismantle:
     target: Graph
 
 
-@dataclass(frozen=True)
-class MixingScanRow:
+class MixingScanRow(NamedTuple):
     """One certified verdict.  k and q are kept exactly as given; only
     ``value`` reduces the fraction."""
 
@@ -122,8 +115,7 @@ class MixingScanRow:
     witnesses: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class ScanBound:
+class ScanBound(NamedTuple):
     quantity: str  # "m" | "M" | "m_c" | "M_c"
     relation: str  # "<=" | ">=" | ">"
     value: Fraction
@@ -131,8 +123,7 @@ class ScanBound:
     certified: str  # "theorem" | "scan"
 
 
-@dataclass(frozen=True)
-class MixingScanReport:
+class MixingScanReport(NamedTuple):
     graph_name: str
     rows: tuple[MixingScanRow, ...]
     bounds: tuple[ScanBound, ...]

@@ -10,8 +10,8 @@ a common centre assembles an extension ring by ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from .errors import DisconnectedError, RingHypothesisError
 from .graphs import Graph, _bfs, extension_product, path_graph
@@ -20,8 +20,14 @@ from .homs import Hom, _broken_pin_edge, _first_extension, first_hom, is_hom
 from .structure import CoreResult, core_of
 
 
-@dataclass(frozen=True)
-class PrecolouringInstance:
+class _InstanceFields(NamedTuple):
+    host: Graph
+    target: Graph
+    pins: tuple[tuple[int, int], ...]
+    groups: tuple[tuple[int, ...], ...] = ()
+
+
+class PrecolouringInstance(_InstanceFields):
     """A host graph, a target, pinned colours, and optional pin groups.
 
     Pins are normalized to a sorted tuple of (vertex, colour) pairs and must
@@ -30,38 +36,39 @@ class PrecolouringInstance:
     host vertices; they only constrain the ring construction, not extend().
     """
 
-    host: Graph
-    target: Graph
-    pins: tuple[tuple[int, int], ...]
-    groups: tuple[tuple[int, ...], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, host: Graph, target: Graph, pins: tuple[tuple[int, int], ...],
+                groups: tuple[tuple[int, ...], ...] = ()):
         seen: dict[int, int] = {}
-        for v, c in self.pins:
-            if not 0 <= v < self.host.n:
+        for v, c in pins:
+            if not 0 <= v < host.n:
                 raise ValueError(f"pinned vertex {v} out of range")
-            if not 0 <= c < self.target.n:
+            if not 0 <= c < target.n:
                 raise ValueError(f"pinned colour {c} out of range")
             if seen.get(v, c) != c:
                 raise ValueError(f"vertex {v} pinned to two colours")
             seen[v] = c
-        broken = _broken_pin_edge(self.host, self.target, seen)
+        broken = _broken_pin_edge(host, target, seen)
         if broken is not None:
             u, v = broken
             raise ValueError(
                 f"pins {u}->{seen[u]}, {v}->{seen[v]} break host edge ({u},{v})")
-        object.__setattr__(self, "pins", tuple(sorted(seen.items())))
-        groups = tuple(tuple(sorted(set(group))) for group in self.groups)
+        groups = tuple(tuple(sorted(set(group))) for group in groups)
         covered: set[int] = set()
         for group in groups:
             if not group:
                 raise ValueError("empty pin group")
-            if group[0] < 0 or group[-1] >= self.host.n:
+            if group[0] < 0 or group[-1] >= host.n:
                 raise ValueError("group vertex out of range")
             if covered & set(group):
                 raise ValueError("pin groups overlap")
             covered.update(group)
-        object.__setattr__(self, "groups", groups)
+        return super().__new__(cls, host, target, tuple(sorted(seen.items())), groups)
+
+    @classmethod
+    def _make(cls, fields):  # what _replace builds with: check there too
+        return cls(*fields)
 
     def pin_map(self) -> dict[int, int]:
         return dict(self.pins)
@@ -93,8 +100,7 @@ def _distances_from(g: Graph, sources) -> list[int | None]:
     return dist
 
 
-@dataclass(frozen=True)
-class ExtensionResult:
+class ExtensionResult(NamedTuple):
     """Outcome of an extension search: a least extension or a certified no."""
 
     status: str  # "Extended" | "NoExtension"
@@ -172,8 +178,7 @@ def layered_extension_check(g: Graph, h: Graph, f_start: Hom, f_end: Hom,
     return by_product
 
 
-@dataclass(frozen=True)
-class RadiusBound:
+class RadiusBound(NamedTuple):
     """Separation distance that guarantees extendability of core pins.
 
     Pinning vertex-disjoint copies of the host's core, any two at host

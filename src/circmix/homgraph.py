@@ -65,22 +65,22 @@ from __future__ import annotations
 
 from bisect import bisect, insort
 from collections import Counter
-from dataclasses import dataclass
 from heapq import nsmallest
 from itertools import islice
 from math import comb, gcd
 from operator import itemgetter
+from typing import NamedTuple
 
 from .config import hom_cap
 from .errors import CapExceededError, DisconnectedError, NoColouringsError
 from .graphs import (Graph, _bfs, _clique_parameters, _path, colouring_number,
                      degrees)
-from .homs import (Hom, _box_source, _boxes, _rotate, _search, _search_source,
-                   _Source, _symmetries, first_hom, format_image, is_hom)
+from .homs import (Hom, _box_source, _boxes, _reflection, _rotate, _search,
+                   _search_source, _shift_period, _Source, first_hom,
+                   format_image, is_hom)
 
 
-@dataclass(frozen=True)
-class ClassSummary:
+class ClassSummary(NamedTuple):
     """One connectivity class: lexicographically least member, size, flags."""
 
     rep: Hom
@@ -89,8 +89,7 @@ class ClassSummary:
     contains_frozen: bool
 
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(NamedTuple):
     """Connectivity classes of HOM(G, H) under the requested adjacency."""
 
     kind: str  # "colour" or "homomorphism"
@@ -125,8 +124,7 @@ class ComponentReport:
         }
 
 
-@dataclass(frozen=True)
-class MixingVerdict:
+class MixingVerdict(NamedTuple):
     status: str  # "mixing" | "not_mixing" | "no_colourings"
     hom_count: int
     class_count: int
@@ -960,7 +958,10 @@ def radius_centre(source: Graph, target: Graph, cap: int | None = None) -> tuple
     symmetries, so the searches start from the first representative of
     each orbit, and the least centre is the least member of an orbit of
     least eccentricity.  The searches run together, as one sweep of
-    ``homindex._HomIndex.eccentricities``.
+    ``homindex._HomIndex.eccentricities``.  An orbit is built from its
+    first representative and that map's reflection, each shifted by every
+    multiple of ``homs._shift_period``, so no permutation of the colours
+    is ever built.
     """
     # imported on first use: commands that walk no bitsets never load it
     from .homindex import _HomIndex
@@ -969,13 +970,15 @@ def radius_centre(source: Graph, target: Graph, cap: int | None = None) -> tuple
     size = len(index.reps)
     if size == 0:
         raise NoColouringsError("no homomorphisms to measure")
-    symmetries = _symmetries(target)
+    n, a = target.n, _reflection(target)
+    shifts = range(0, n or 1, _shift_period(target) or 1)  # 0 on the empty graph
     seen = bytearray(size)
     starts, least = [], []
     for i, im in enumerate(index.reps):
         if not seen[i]:
             starts.append(i)
-            orbit = [tuple(map(s.__getitem__, im)) for s in symmetries]
+            images = (im,) if a is None else (im, tuple([(a - c) % n for c in im]))
+            orbit = [tuple([(c + t) % n for c in x]) for x in images for t in shifts]
             least.append(min(orbit))
             for image in orbit:
                 seen[index.number(image) % size] = 1

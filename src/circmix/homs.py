@@ -19,9 +19,9 @@ questions and walks, and the shift symmetries of a target.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
+from typing import NamedTuple
 
 from .config import hom_cap, node_cap
 from .errors import CapExceededError
@@ -29,22 +29,30 @@ from .graphs import (Graph, _bfs, _bits, _kept, _rotate, circular_clique,
                      colouring_number, complete_graph)
 
 
-@dataclass(frozen=True)
-class Hom:
+class _HomFields(NamedTuple):
+    source_n: int
+    target_n: int
+    image: tuple[int, ...]
+
+
+class Hom(_HomFields):
     """A vertex map between graphs of the recorded sizes.
 
     Plain data: validity against particular graphs is checked by is_hom.
     """
 
-    source_n: int
-    target_n: int
-    image: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.image) != self.source_n:
+    def __new__(cls, source_n: int, target_n: int, image: tuple[int, ...]):
+        if len(image) != source_n:
             raise ValueError("image length does not match source size")
-        if any(not 0 <= c < self.target_n for c in self.image):
+        if any(not 0 <= c < target_n for c in image):
             raise ValueError("image colour out of range")
+        return super().__new__(cls, source_n, target_n, image)
+
+    @classmethod
+    def _make(cls, fields):  # what _replace builds with: check there too
+        return cls(*fields)
 
     def __call__(self, v: int) -> int:
         return self.image[v]
@@ -96,8 +104,7 @@ def parse_image(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad colour list {text!r}") from None
 
 
-@dataclass
-class HomSpace:
+class HomSpace(NamedTuple):
     """All homomorphisms from a source to a target, lexicographically sorted."""
 
     source_n: int

@@ -15,7 +15,7 @@ puts back only the folded vertex's live neighbours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapExceededError
 from .graphs import Graph, _bits, clique_number
@@ -23,30 +23,26 @@ from .homgraph import components
 from .homs import Hom, compose, identity_hom, is_hom, iter_homs
 
 
-@dataclass(frozen=True)
-class FoldStep:
+class FoldStep(NamedTuple):
     """One fold in the labels current at the time of the fold."""
 
     removed: int
     absorber: int
 
 
-@dataclass(frozen=True)
-class StiffReduction:
+class StiffReduction(NamedTuple):
     steps: tuple[FoldStep, ...]
     terminal: Graph
     terminal_is_rigid: bool | None
 
 
-@dataclass(frozen=True)
-class DismantleResult:
+class DismantleResult(NamedTuple):
     dismantlable: bool
     reduction: StiffReduction
     witness_endo: Hom | None  # a non-identity endomorphism of the terminal
 
 
-@dataclass(frozen=True)
-class CoreResult:
+class CoreResult(NamedTuple):
     """A retract with no proper retracts, plus the maps certifying it.
 
     ``vertices`` lists the core in the original labels; ``retraction`` maps
@@ -60,8 +56,7 @@ class CoreResult:
     section: Hom
 
 
-@dataclass(frozen=True)
-class SelfMixingResult:
+class SelfMixingResult(NamedTuple):
     mixing: bool
     method: str
 

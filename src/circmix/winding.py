@@ -10,8 +10,8 @@ the colouring space is disconnected without any component search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .circular import _check_colouring, _is_cyclic_interval, _require_frac
 from .errors import NoColouringsError
@@ -21,8 +21,7 @@ from .homgraph import _avail_masks
 from .homs import Hom, first_hom
 
 
-@dataclass(frozen=True)
-class CycleTrace:
+class CycleTrace(NamedTuple):
     """tau values of one colouring around one closed walk."""
 
     cycle: tuple[int, ...]
@@ -36,14 +35,12 @@ class CycleTrace:
         return tuple(i for i, t in enumerate(self.taus) if t == step)
 
 
-@dataclass(frozen=True)
-class ConstrictingResult:
+class ConstrictingResult(NamedTuple):
     constricting: bool
     violator: int | None  # vertex whose available set is not an interval
 
 
-@dataclass(frozen=True)
-class NonMixingCertificate:
+class NonMixingCertificate(NamedTuple):
     """Everything needed to re-check a sigma-based disconnection proof.
 
     ``subgraph`` is a clique (kind "clique") or an odd cycle in cycle

@@ -1,6 +1,7 @@
 """Colour graph and homomorphism graph connectivity against naive BFS."""
 
 import random
+import tracemalloc
 from math import gcd
 from unittest import mock
 
@@ -671,6 +672,24 @@ def test_radius_centre_values_and_errors():
         assert (radius, centre.image) == want, (g.rows, h.rows)
         outcomes.add("connected")
     assert outcomes == {"empty", "disconnected", "connected"}
+
+
+def test_radius_centre_builds_no_colour_permutations():
+    """Orbits are marked from the shift period and the reflection, never
+    from the list of ``homs._symmetries``: on a looped vertex into the
+    reflexive 1024-cycle that list alone would hold 2048 permutations of
+    1024 colours, about 40 MB."""
+    n = 1024
+    looped = Graph(n, [(v, (v + 1) % n) for v in range(n)] + [(v, v) for v in range(n)])
+    homs._reflection(looped)  # kept facts, built before the peak is read
+    tracemalloc.start()
+    try:
+        radius, centre = radius_centre(Graph(1, [(0, 0)]), looped)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (radius, centre.image) == (n // 2, (0,))
+    assert peak < 10_000_000
 
 
 def test_hom_index_neighbour_sets_match_search():

@@ -1,8 +1,11 @@
 """The package's import structure, read from its sources: every import
-between its modules points one way."""
+between its modules points one way, and the CLI starts without the
+standard library's code generators."""
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 SOURCES = pathlib.Path(__file__).resolve().parent.parent / "src" / "circmix"
 LAZY = {"homindex"}  # loaded on first use, by the calls that walk bitsets
@@ -43,3 +46,15 @@ def test_package_imports_point_one_way():
             break
         left = kept
     assert sorted(inner) == []
+
+
+def test_cli_starts_without_dataclasses_or_inspect():
+    """The result records are named tuples, so a CLI process generates no
+    dataclass code: after a command has run, neither ``dataclasses`` nor
+    the ``inspect`` it imports has been loaded."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import circmix.cli; "
+            "assert circmix.cli.main(['fixtures']) == 0; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(SOURCES.parent)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
