@@ -80,10 +80,12 @@ def _json(value, indent: str = "\n") -> str:
 
 
 def _emit(payload: dict, args, text_lines) -> None:
+    """Write the report: ``payload`` as JSON, or the lines that
+    ``text_lines()`` builds, which only ``--output text`` calls for."""
     if args.output == "json":
         sys.stdout.write(_json(payload) + "\n")
     else:
-        for line in text_lines:
+        for line in text_lines():
             sys.stdout.write(line + "\n")
 
 
@@ -131,7 +133,7 @@ def _cmd_hom(args) -> int:
     hom = first_hom(args.graph, args.target, pins=pins or None, budget=args.cap)
     payload = {"exists": hom is not None,
                "hom": None if hom is None else format_image(hom.image)}
-    _emit(payload, args, [payload["hom"] if hom else "none"])
+    _emit(payload, args, lambda: [payload["hom"] if hom else "none"])
     return 0
 
 
@@ -145,18 +147,16 @@ def _cmd_mixing(args) -> int:
         "witnesses": (None if verdict.witness is None else
                       [format_image(w.image) for w in verdict.witness]),
     }
-    _emit(payload, args,
-          [f"{name} ({verdict.hom_count} homs, {verdict.class_count} classes)"])
+    _emit(payload, args, lambda: [
+        f"{name} ({verdict.hom_count} homs, {verdict.class_count} classes)"])
     return _check_expect(args.expect, name)
 
 
 def _cmd_components(args) -> int:
     report = components(args.graph, args.target, kind=args.kind, cap=args.cap)
-    payload = report.to_json_dict()
-    lines = [f"{report.kind}: {report.total} homs, {report.class_count} classes"]
-    lines += [f"  size {c.size} rep {format_image(c.rep.image)}"
-              for c in report.classes]
-    _emit(payload, args, lines)
+    _emit(report.to_json_dict(), args, lambda: [
+        f"{report.kind}: {report.total} homs, {report.class_count} classes",
+        *(f"  size {c.size} rep {format_image(c.rep.image)}" for c in report.classes)])
     return 0
 
 
@@ -164,14 +164,14 @@ def _cmd_frozen(args) -> int:
     g, h = args.graph, args.target
     f = Hom(g.n, h.n, parse_image(args.colouring))
     value = is_frozen(f, g, h)
-    _emit({"frozen": value}, args, ["frozen" if value else "not frozen"])
+    _emit({"frozen": value}, args, lambda: ["frozen" if value else "not frozen"])
     return 0
 
 
 def _cmd_lower_parent(args) -> int:
     parent = lower_parent(args.k, args.q)
     payload = {"k'": parent.parent_k, "q'": parent.parent_q}
-    _emit(payload, args, [f"{parent.parent_k}/{parent.parent_q}"])
+    _emit(payload, args, lambda: [f"{parent.parent_k}/{parent.parent_q}"])
     return 0
 
 
@@ -203,8 +203,7 @@ def _cmd_structure(args) -> int:
         result = self_mixing(g, cap=args.cap)
         payload = {"op": op, "value": result.mixing, "method": result.method}
     value = payload.get("value")
-    line = f"{op}: {value}" if value is not None else f"{op}: done"
-    _emit(payload, args, [line])
+    _emit(payload, args, lambda: [f"{op}: {'done' if value is None else value}"])
     return _check_expect(args.expect, str(value))
 
 
@@ -226,7 +225,7 @@ def _cmd_sigma(args) -> int:
         "sigma_reflection": back.sigma,
         "constricting": is_constricting(f, g, k, q).constricting,
     }
-    _emit(payload, args, [f"sigma {trace.sigma} taus {list(trace.taus)}"])
+    _emit(payload, args, lambda: [f"sigma {trace.sigma} taus {list(trace.taus)}"])
     return 0
 
 
@@ -243,8 +242,8 @@ def _cmd_certify(args) -> int:
         "sigma": cert.sigma,
         "sigma_reflection": cert.sigma_reflection,
     }
-    _emit(payload, args,
-          [f"NotMixing: {cert.kind} sigma {cert.sigma} vs {cert.sigma_reflection}"])
+    _emit(payload, args, lambda: [
+        f"NotMixing: {cert.kind} sigma {cert.sigma} vs {cert.sigma_reflection}"])
     return _check_expect(args.expect, "Certified")
 
 
@@ -259,7 +258,7 @@ def _cmd_extend(args) -> int:
         "certificate": ("exhausted backtracking over all completions"
                         if result.extension is None else None),
     }
-    _emit(payload, args, [f"{result.status}: {payload['extension']}"])
+    _emit(payload, args, lambda: [f"{result.status}: {payload['extension']}"])
     return _check_expect(args.expect, result.status)
 
 
@@ -286,16 +285,17 @@ def _cmd_scan(args) -> int:
             for b in report.bounds
         ],
     }
-    lines = [f"{r.k}/{r.q}: {r.verdict}" for r in report.rows]
-    lines += [f"{b.quantity} {b.relation} {b.value} [{b.certified}: {b.source}]"
-              for b in report.bounds]
-    _emit(payload, args, lines)
+    _emit(payload, args, lambda: [
+        *(f"{r.k}/{r.q}: {r.verdict}" for r in report.rows),
+        *(f"{b.quantity} {b.relation} {b.value} [{b.certified}: {b.source}]"
+          for b in report.bounds)])
     return 0
 
 
 def _cmd_fixtures(args) -> int:
     rows = [{"name": name, "n": REGISTRY[name]().n} for name in sorted(REGISTRY)]
-    _emit({"fixtures": rows}, args, [f"{r['name']} ({r['n']} vertices)" for r in rows])
+    _emit({"fixtures": rows}, args,
+          lambda: [f"{r['name']} ({r['n']} vertices)" for r in rows])
     return 0
 
 

@@ -30,7 +30,8 @@ class Graph:
     Adjacency is one packed integer per vertex: bit u of ``rows[v]`` means
     uv is an edge.  Instances are treated as immutable; all editing helpers
     return new graphs.  Equality compares n and adjacency, never the name.
-    ``_facts`` keeps what ``_kept`` functions work out from the rows.
+    ``_facts`` keeps what ``_kept`` functions work out from the rows; a
+    pickle or copy of a graph holds its rows and name, not its facts.
     """
 
     __slots__ = ("n", "rows", "name", "_facts")
@@ -156,6 +157,14 @@ class Graph:
 
     def __hash__(self):
         return hash((self.n, self.rows))
+
+    def __getstate__(self):
+        # the kept facts are keyed on functions and are rebuilt on use
+        return self.n, self.rows, self.name
+
+    def __setstate__(self, state):
+        self.n, self.rows, self.name = state
+        self._facts = None
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""

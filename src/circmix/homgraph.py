@@ -22,7 +22,8 @@ vertex is connected in the homomorphism graph too.  Joining boxes is
 local: whether two boxes that differ at one unboxed vertex w are linked by
 a step depends only on the colours of the unboxed vertices adjacent to w or
 to a boxed neighbour of w, so ``_join`` decides it once per colouring of
-those vertices, not once per pair of boxes.
+those vertices, not once per pair of boxes.  Which vertices those are is
+worked out once per source and kept on it (``_join_plans``).
 
 The target's cyclic shifts act on all of this.  When c -> c + d (mod n)
 is an automorphism of H (``homs._shift_period``), so is f -> f + d on
@@ -65,7 +66,6 @@ from __future__ import annotations
 
 from bisect import bisect, insort
 from collections import Counter
-from heapq import nsmallest
 from itertools import islice
 from math import comb, gcd
 from operator import itemgetter
@@ -73,10 +73,10 @@ from typing import NamedTuple
 
 from .config import hom_cap
 from .errors import CapExceededError, DisconnectedError, NoColouringsError
-from .graphs import (Graph, _bfs, _clique_parameters, _path, colouring_number,
-                     degrees)
-from .homs import (Hom, _box_source, _boxes, _reflection, _rotate, _search,
-                   _search_source, _shift_period, _Source, first_hom,
+from .graphs import (Graph, _bfs, _clique_parameters, _kept, _path,
+                     colouring_number, degrees)
+from .homs import (Hom, _box_source, _box_sources, _boxes, _reflection,
+                   _search, _search_source, _shift_period, _Source, first_hom,
                    format_image, is_hom)
 
 
@@ -216,52 +216,46 @@ def _avail_masks(image, source: Graph, target: Graph) -> list[int]:
 
 class _UnionFind:
     """Union-find over boxes whose shifts carry a potential in Z_r: shift
-    t of box x lies in the class of shift t + pot[x] of parent[x].  A root
-    also keeps ``split``, the gcd of r and of the voltages of the cycles
-    its unions closed, so its shifts t and t + split share a class."""
+    t of box x lies in the class of shift t + pot[x] of its root root[x].
+    A root also keeps ``split``, the gcd of r and of the voltages of the
+    cycles its unions closed, so its shifts t and t + split share a class.
+
+    Each box points at its root directly, so a find is one lookup, and a
+    union that changes nothing (one root, equal potentials) can be told
+    by two; a union moves the boxes of the smaller tree, which ``members``
+    lists for each root of more than one box."""
 
     def __init__(self, n: int, r: int):
-        self.parent = list(range(n))
+        self.root = list(range(n))
         self.pot = [0] * n
         self.split = [r] * n
+        self.members: dict[int, list[int]] = {}
         self.r = r
 
     def find(self, x: int) -> int:
-        """x's root, leaving pot[x] the potential from x to it."""
-        p = self.parent
-        y = p[x]
-        if p[y] == y:  # x is a root or a child of one
-            return y
-        pot, root = self.pot, p[y]
-        if p[root] == root:  # a grandchild, the commonest deeper case
-            pot[x] = (pot[x] + pot[y]) % self.r
-            p[x] = root
-            return root
-        root, total = y, pot[x]
-        while p[root] != root:
-            total += pot[root]
-            root = p[root]
-        while y != root:  # point the path at the root
-            pot[x], total = total % self.r, total - pot[x]
-            p[x] = root
-            x, y = y, p[y]
-        return root
+        return self.root[x]
 
     def union(self, a: int, b: int, delta: int = 0) -> None:
-        """Join shift t of a with shift t + delta of b, for every t.  b's
-        root goes under a's: the group loops pass one box as a again and
-        again, and it stays next to its root."""
-        ra, rb = self.find(a), self.find(b)
-        pot, r = self.pot, self.r
-        gap = (delta + pot[b] - pot[a]) % r  # a root's potential is 0
+        """Join shift t of a with shift t + delta of b, for every t."""
+        root, pot, r = self.root, self.pot, self.r
+        ra, rb = root[a], root[b]
+        gap = (delta + pot[b] - pot[a]) % r  # shift u of rb is u - gap of ra
         if ra == rb:
             if gap:
                 self.split[ra] = gcd(self.split[ra], gap)
             return
-        self.parent[rb] = ra
-        pot[rb] = -gap % r
-        if self.split[rb] < r:
-            self.split[ra] = gcd(self.split[ra], self.split[rb])
+        members = self.members
+        big, small = members.pop(ra, None) or [ra], members.pop(rb, None) or [rb]
+        if len(big) < len(small):
+            big, small, ra, rb, gap = small, big, rb, ra, -gap
+        for x in small:
+            root[x] = ra
+            pot[x] = (pot[x] - gap) % r
+        big += small
+        members[ra] = big
+        split = self.split
+        if split[rb] < r:
+            split[ra] = gcd(split[ra], split[rb])
 
 
 def _join(source: Graph, target: Graph, boxed: list[int], boxes, root, r: int,
@@ -271,7 +265,8 @@ def _join(source: Graph, target: Graph, boxed: list[int], boxes, root, r: int,
     s = splits[roots[i]], one of the s classes of that root.  These are the
     colour classes or, with ``homotopy`` set and no looped vertex boxed,
     the homomorphism classes; ``boxes``, ``root`` and r are those of
-    ``homs._boxes``.
+    ``homs._boxes``.  What the join needs of the source and ``boxed``
+    whatever the target is kept on the source (``_join_plans``).
 
     A box is connected, and a step at a boxed vertex stays in its box.  Two
     boxes that differ at one other vertex w, a group off w, are joined by a
@@ -305,54 +300,62 @@ def _join(source: Graph, target: Graph, boxed: list[int], boxes, root, r: int,
     (t + potential of i) mod s.
     """
     uf = _UnionFind(len(boxes), r)
+    roots, pots, splits = uf.root, uf.pot, uf.split
+    if not boxes:
+        return roots, pots, splits
     n = target.n
     d = n // r
-    slot = {v: j for j, v in enumerate(boxed)}
-    # a box's free colours as one integer, a bit field per free vertex, so
-    # its group off w is the code with w's field cleared, and the key of
-    # that group is the code masked to w's free neighbourhood
-    width = (n - 1).bit_length()
-    free = [v for v in range(source.n) if v not in slot]
-    offset = {w: width * p for p, w in enumerate(free)}
-    codes = [sum(im[w] << s for w, s in offset.items()) for im, _, _ in boxes]
-    for w, s in offset.items():
-        near = [slot[u] for u in source.neighbours(w) if u in slot]
-        around = {x for u in source.neighbours(w)
-                  for x in (source.neighbours(u) if u in slot else (u,))}
-        around = sorted(around.intersection(offset) - {w})
-        context = sum(((1 << width) - 1) << offset[x] for x in around)
-        step = homotopy and source.has_loop(w)
+    plan = _join_plans(source)[tuple(boxed)]
+    full = (1 << n) - 1
+    colour_at = list(zip(*[im for im, _, _ in boxes]))  # per vertex, per box
+    mask_at = list(zip(*[masks for _, masks, _ in boxes]))  # per slot, per box
+    for w, near, around, others in zip(plan.free, plan.near, plan.around, plan.others):
+        step = target if homotopy and source.has_loop(w) else None
         # the entries of this pass: the boxes, or off the root the shift
         # lifts[e] of box owner[e], framed as described above
         owner = lifts = None
-        lift_codes, colours = codes, [im[w] for im, _, _ in boxes]
+        at, colours = colour_at, colour_at[w]
         if w == root and r > 1:
-            frame = (around or [x for x in free if x != w] or [None])[0]
+            frame = (others or [None])[0]  # of w's free neighbourhood if it has one
             if frame is None:
                 owner = [i for i in range(len(boxes)) for _ in range(r)]
                 lifts = list(range(r)) * len(boxes)
             else:
                 owner = range(len(boxes))
-                lifts = [-(im[frame] // d) % r for im, _, _ in boxes]
-            lift_codes = [sum((boxes[i][0][x] + t * d) % n << sx
-                              for x, sx in offset.items()) if t else codes[i]
-                          for i, t in zip(owner, lifts)]
-            colours = [(boxes[i][0][w] + t * d) % n for i, t in zip(owner, lifts)]
+                lifts = [-(c // d) % r for c in colour_at[frame]]
+            shifts = [t * d for t in lifts]
+            at = {x: [(colour_at[x][i] + k) % n for i, k in zip(owner, shifts)]
+                  for x in others}
+            colours = [(colour_at[w][i] + k) % n for i, k in zip(owner, shifts)]
+        # the masks of w's boxed neighbours, per entry, as one integer of a
+        # field of n + 1 bits each: all of two entries' masks meet when
+        # adding ``ones`` to their AND carries into every bit of ``tops``
+        packs = [0] * len(colours)
+        ones = tops = 0
+        for q, j in enumerate(near):
+            o = (n + 1) * q
+            ones |= full << o
+            tops |= 1 << o + n
+            masks = mask_at[j]
+            if owner is not None:
+                masks = [(m << k | m >> n - k) & full if k else m
+                         for m, k in zip(map(masks.__getitem__, owner), shifts)]
+            packs = [x | m << o for x, m in zip(packs, masks)] if q else masks
+        # an entry's group is its colours off w, those of w's free
+        # neighbourhood first, and the group's key is that first part
         groups: dict = {}
-        for e, (code, c) in enumerate(zip(lift_codes, colours)):
-            groups.setdefault(code ^ c << s, []).append(e)
+        for e, code in enumerate(zip(*[at[x] for x in others]) if others
+                                 else [()] * len(colours)):
+            groups.setdefault(code, []).append(e)
         known: dict = {}
         for code, group in groups.items():
             if len(group) < 2:  # one box, as in every group with its key
                 continue
-            key = code & context
-            if key not in known:
-                known[key] = _local_classes(
-                    [(colours[e], [boxes[e][1][j] for j in near] if lifts is None else
-                      [_rotate(boxes[owner[e]][1][j], lifts[e] * d, n) for j in near])
-                     for e in group],
-                    target if step else None)
-            classes = known[key]
+            key = code[:len(around)]
+            classes = known.get(key)
+            if classes is None:
+                classes = known[key] = _local_classes(group, colours, packs,
+                                                      ones, tops, step)
             if not classes:
                 continue
             first: dict = {}
@@ -361,33 +364,92 @@ def _join(source: Graph, target: Graph, boxed: list[int], boxes, root, r: int,
                 if f == e:
                     continue
                 if lifts is None:
-                    uf.union(f, e)
+                    a, b, delta = f, e, 0
                 else:
-                    uf.union(owner[f], owner[e], lifts[e] - lifts[f])
-    roots = [uf.find(i) for i in range(len(boxes))]
-    return roots, uf.pot, uf.split
+                    a, b, delta = owner[f], owner[e], lifts[e] - lifts[f]
+                x = roots[a]
+                # a union inside one tree whose voltage the split divides
+                # changes nothing
+                if x != roots[b] or (delta + pots[b] - pots[a]) % splits[x]:
+                    uf.union(a, b, delta)
+    return roots, pots, splits
 
 
-def _local_classes(members, target: Graph | None) -> dict[int, int]:
+class _JoinPlan(NamedTuple):
+    """What ``_join`` and ``_class_reps`` need of a source and its boxed
+    vertices, whatever the target: ``slot`` maps each boxed vertex to the
+    index of its mask, ``free`` lists the other vertices in index order,
+    and for the free vertex w = ``free[p]``, ``near[p]`` holds the slots of
+    w's boxed neighbours, ``around[p]`` w's free neighbourhood, sorted (the
+    free vertices adjacent to w or to a boxed neighbour of w, w excluded),
+    and ``others[p]`` the free vertices but w, those of ``around[p]``
+    first, then the rest in index order."""
+
+    slot: dict[int, int]
+    free: list[int]
+    near: list[list[int]]
+    around: list[list[int]]
+    others: list[list[int]]
+
+
+def _join_plan(g: Graph, boxed) -> _JoinPlan:
+    """The ``_JoinPlan`` of g with ``boxed`` boxed."""
+    slot = {v: j for j, v in enumerate(boxed)}
+    free = [v for v in range(g.n) if v not in slot]
+    near, around = [], []
+    for w in free:
+        near.append([slot[u] for u in g.neighbours(w) if u in slot])
+        seen = {x for u in g.neighbours(w)
+                for x in (g.neighbours(u) if u in slot else (u,))}
+        around.append([x for x in free if x in seen and x != w])
+    others = [a + [x for x in free if x != w and x not in a]
+              for w, a in zip(free, around)]
+    return _JoinPlan(slot, free, near, around, others)
+
+
+@_kept
+def _join_plans(g: Graph) -> dict[tuple[int, ...], _JoinPlan]:
+    """The ``_JoinPlan`` of each of g's box sources (``homs._box_sources``),
+    by its boxed vertices: one plan when g is loop-free, so every row of a
+    scan joins on one."""
+    plans = {}
+    for src in _box_sources(g):
+        boxed = tuple(w for w, c in zip(src.order, src.boxes) if c)
+        if boxed not in plans:
+            plans[boxed] = _join_plan(g, boxed)
+    return plans
+
+
+def _local_classes(group, colours, packs, ones: int, tops: int,
+                   target: Graph | None) -> dict[int, int]:
     """The classes of one group off w, as a map from each colour of w to
     the least colour of its class, or empty when every class is one colour.
 
-    ``members`` pairs each colour of w in the group with the masks of w's
-    boxed neighbours; two colours join when those masks meet and, with
-    ``target`` given (a homotopy step at a looped w), the colours are
-    adjacent in it.
+    ``group`` lists the group's entries: entry e has colour ``colours[e]``
+    at w, and ``packs[e]`` holds the masks of w's boxed neighbours, packed
+    as ``_join`` packs them.  Two colours join when each of their masks
+    meets its fellow, that is when adding ``ones`` to the AND of their
+    packs carries into every bit of ``tops``, and, with ``target`` given
+    (a homotopy step at a looped w), the colours are adjacent in it.
     """
-    label = {c: c for c, _ in members}
+    label: dict[int, int] = {}
+    seen = []  # the entries before e, as (colour, pack)
     joined = False
-    for a, (c, mc) in enumerate(members):
-        for d, md in members[a + 1:]:
-            if label[c] != label[d] and all(map(int.__and__, mc, md)) and (
-                    target is None or target.has_edge(c, d)):
-                keep, drop = sorted((label[c], label[d]))
-                joined = True
-                for x, y in label.items():
-                    if y == drop:
-                        label[x] = keep
+    for e in group:
+        c, mc = colours[e], packs[e]
+        label[c] = c
+        for d, md in seen:
+            if (mc & md) + ones & tops == tops and (
+                    target is None or target.rows[c] >> d & 1):
+                keep, drop = label[c], label[d]
+                if keep != drop:
+                    if keep > drop:
+                        keep, drop = drop, keep
+                    joined = True
+                    for x, y in label.items():
+                        if y == drop:
+                            label[x] = keep
+        seen.append((c, mc))
     return label if joined else {}
 
 
@@ -396,73 +458,118 @@ def _class_reps(source: Graph, target: Graph, boxed: list[int], boxes, r: int,
     """Least member of each class ``(root, c)`` of ``_join``, in increasing
     order of that member, or of the ``keep`` classes with the least ones.
 
-    The candidates are the shifts of the root's boxes in the class; each
-    vertex in index order keeps those whose least member takes the least
-    colour there, so no other member is built.  At vertex 0 that colour
-    depends only on the box's colours there and on which shifts the class
-    holds, so it is found once per colour mask and potential, not once per
-    box.  All classes are narrowed together, vertex by vertex; with
-    ``keep`` set, a class whose least member's prefix so far is past the
-    ``keep``-th least prefix is dropped, as ``keep`` classes come before it.
+    A least member is that of one shift t of one box, the box's free
+    colours shifted by t*d and each boxed vertex at the least colour of its
+    mask so rotated.  The candidates are boxes, each with a set of its
+    shifts held as the colours -t*d mod n, so that the colour a shift gives
+    a vertex is its colour in the box less the shift's: at a free vertex of
+    colour c the least is c less the greatest held colour at most c (or the
+    greatest held one), and at a boxed vertex of mask m it is the least y
+    with m meeting the held colours moved up by y.  Each vertex in index
+    order keeps the candidates, and their shifts, that take the least
+    colour there, so no member but the least is built.
+
+    Without ``keep``, each class is narrowed from the shifts of its root's
+    boxes that it holds.  With ``keep`` set, no class is set up: the least
+    member of the space is narrowed from every box and shift, then the
+    least outside its class, and so on ``keep`` times.
     """
     roots, pots, splits = join
     n = target.n
     d = n // r
     if not source.n:  # the one box of the empty map
         return {(x, 0): () for x in set(roots)}
+    slot = _join_plans(source)[tuple(boxed)].slot
+    order = [(v, slot.get(v)) for v in range(source.n)]
 
-    slot = {v: j for j, v in enumerate(boxed)}
+    def narrow(cands, member, fronts):
+        """Narrow ``cands``, pairs of a box and its shifts held, from vertex
+        ``len(member)`` on, appending the least colours to ``member`` and
+        the candidates left after each vertex to ``fronts``."""
+        for v, j in order[len(member):]:
+            best, kept = n, []
+            if j is None:
+                for i, held in cands:
+                    c = boxes[i][0][v]
+                    p = ((held & (2 << c) - 1) or held).bit_length() - 1
+                    y = (c - p) % n
+                    if y <= best:
+                        if y < best:
+                            best, kept = y, []
+                        kept.append((i, 1 << p))
+            else:
+                for i, held in cands:
+                    m, y = boxes[i][1][j], 0
+                    while y <= best and not m & (held << y | held >> n - y):
+                        y += 1
+                    if y <= best:
+                        if y < best:
+                            best, kept = y, []
+                        kept.append((i, held & (m >> y | m << n - y)))
+            member.append(best)
+            fronts.append(kept)
+            cands = kept
 
-    def colours(cands, v):  # the least member's colour at v, per candidate
-        if v not in slot:
-            return [(boxes[i][0][v] + t * d) % n for i, t in cands]
+    held_by: dict[tuple[int, int], int] = {}
+
+    def shifts(i, c):  # box i's shifts in the class (roots[i], c), held as above
+        s = splits[roots[i]]
+        key = s, (c - pots[i]) % s
+        held = held_by.get(key)
+        if held is None:
+            held = held_by[key] = sum(1 << (-t) % r * d for t in range(key[1], r, s))
+        return held
+
+    found = {}
+    if keep is None:
+        trees: dict[int, list[int]] = {}
+        for i, x in enumerate(roots):
+            trees.setdefault(x, []).append(i)
+        for x, members in trees.items():
+            for c in range(splits[x]):
+                member: list[int] = []
+                narrow([(i, shifts(i, c)) for i in members], member, [])
+                found[x, c] = tuple(member)
+        return dict(sorted(found.items(), key=itemgetter(1)))
+    # the least member M of what is left has the least prefix, so the
+    # deepest front holding a candidate outside every class found holds
+    # the next class's least member too, with M's prefix up to there
+    taken: dict[int, list[int]] = {}  # the classes found, by root
+
+    def left(cands):  # the candidates' shifts outside every class found
         out = []
-        for i, t in cands:
-            if t:
-                m = _rotate(boxes[i][1][slot[v]], t * d, n)
-                out.append((m & -m).bit_length() - 1)
-            else:  # a box's image holds its least member
-                out.append(boxes[i][0][v])
+        for i, held in cands:
+            gone = taken.get(roots[i])
+            if gone is not None:
+                for c in gone:
+                    held &= ~shifts(i, c)
+                if not held:
+                    continue
+            out.append((i, held))
         return out
 
-    # boxes of one root alike in their colours at vertex 0 and in their
-    # potential mod its split take the same least colour there in each class
-    head = slot.get(0)
-    alike: dict[tuple[int, int, int], list[int]] = {}
-    for i, (x, p, (im, masks, _)) in enumerate(zip(roots, pots, boxes)):
-        m = 1 << im[0] if head is None else masks[head]
-        alike.setdefault((x, m, p % splits[x]), []).append(i)
-    trees: dict[int, list] = {}
-    for (x, m, p), members in alike.items():
-        trees.setdefault(x, []).append((m, p, members))
-    reps, live = {}, {}
-    for x, tree in trees.items():
-        s = splits[x]
-        for c in range(s):
-            best, cands = n, []
-            for m, p, members in tree:
-                lows: dict[int, list[int]] = {}
-                for t in range((c - p) % s, r, s):  # the class's shifts
-                    y = _rotate(m, t * d, n)
-                    lows.setdefault((y & -y).bit_length() - 1, []).append(t)
-                low, ts = min(lows.items())
-                if low < best:
-                    best, cands = low, []
-                if low == best:
-                    cands += [(i, t) for i in members for t in ts]
-            reps[x, c], live[x, c] = [best], cands
-    for v in range(source.n):
-        if v:  # keep the least colour at v, vertex 0 being done
-            for key, cands in live.items():
-                seen = colours(cands, v)
-                low = min(seen)
-                reps[key].append(low)
-                if len(cands) > 1:
-                    live[key] = [ic for ic, y in zip(cands, seen) if y == low]
-        if keep is not None and len(live) > keep:
-            bound = nsmallest(keep, (reps[key] for key in live))[-1]
-            live = {key: cands for key, cands in live.items() if reps[key] <= bound}
-    return dict(sorted(((key, tuple(reps[key])) for key in live), key=itemgetter(1)))
+    every = sum(1 << t * d for t in range(r))
+    cands, member, fronts = [(i, every) for i in range(len(boxes))], [], []
+    for _ in range(keep):
+        narrow(cands, member, fronts)
+        i, held = fronts[-1][0]
+        x = roots[i]
+        c = (pots[i] - (held.bit_length() - 1) // d) % splits[x]
+        taken.setdefault(x, []).append(c)
+        found[x, c] = tuple(member)
+        if len(found) == keep:
+            break
+        while fronts:
+            cands = left(fronts.pop())
+            if cands:
+                fronts.append(cands)
+                break
+            member.pop()
+        else:
+            cands = left([(i, every) for i in range(len(boxes))])
+            if not cands:
+                break
+    return found
 
 
 def _hom_neighbours(image, src: _Source, target: Graph,

@@ -2,6 +2,7 @@
 
 import argparse
 import importlib
+import itertools
 import json
 import os
 import pathlib
@@ -300,6 +301,59 @@ def test_text_output_mode(capsys):
                            "--target", "circ:7/2", "--output", "text")
     assert code == 0
     assert out == "NotMixing (42 homs, 2 classes)\n"
+
+
+SCAN_K3_TEXT = """\
+2/1: NoColourings
+3/1: NotMixing
+5/2: NoColourings
+7/2: NotMixing
+M_c <= 6 [theorem: twice the colouring number]
+M_c <= 4 [theorem: twice the maximum degree]
+M <= 4 [theorem: colouring number plus one]
+M_c <= 4 [theorem: max of (|V|+1)/2 and the integer threshold]
+m_c >= 4 [theorem: non-bipartite clique lower bound]
+M_c >= 7/2 [scan: largest fraction certified NotMixing]
+m_c > 5/2 [scan: no colourings exist at this fraction]
+M >= 4 [scan: integer count certified NotMixing]
+"""
+
+
+def test_text_output_of_every_report(capsys, tmp_path):
+    """The text lines of each subcommand, as the JSON-only line building
+    left them."""
+    write_graph(path_graph(3), tmp_path / "p3.graph")
+    p3 = f"file:{tmp_path / 'p3.graph'}"
+    k4_classes = "".join(f"  size 1 rep {','.join(map(str, image))}\n"
+                         for image in sorted(itertools.permutations(range(4))))
+    cases = [
+        (["scan", "--graph", "clique:3", "--fracs", "2/1,3/1,5/2,7/2"], SCAN_K3_TEXT),
+        (["components", "--graph", "clique:3", "--target", "circ:7/2"],
+         "colour: 42 homs, 2 classes\n  size 21 rep 0,2,4\n  size 21 rep 0,4,2\n"),
+        (["components", "--graph", "clique:4", "--target", "clique:4",
+          "--kind", "homomorphism"], "homomorphism: 24 homs, 24 classes\n" + k4_classes),
+        (["certify-nonmixing", "--graph", "clique:3", "--frac", "7/2"],
+         "NotMixing: odd_cycle sigma 7 vs 14\n"),
+        (["structure", "--graph", "clique:3", "--op", "col"], "col: 3\n"),
+        (["structure", "--graph", "clique:3", "--op", "rigid"], "rigid: False\n"),
+        (["structure", "--graph", "gadget:g62x", "--op", "stiff"], "stiff: done\n"),
+        (["structure", "--graph", "clique:4", "--op", "core"], "core: done\n"),
+        (["structure", "--graph", "gadget:g62x", "--op", "self-mixing"],
+         "self-mixing: False\n"),
+        (["extend", "--graph", p3, "--target", "clique:2", "--pin", "0=0",
+          "--pin", "2=0"], "Extended: 0,1,0\n"),
+        (["extend", "--graph", p3, "--target", "clique:2", "--pin", "0=0",
+          "--pin", "2=1"], "NoExtension: None\n"),
+        (["hom", "--graph", "clique:3", "--target", "circ:7/2"], "0,2,4\n"),
+        (["frozen", "--graph", "clique:3", "--target", "clique:3",
+          "--colouring", "0,1,2"], "frozen\n"),
+        (["lower-parent", "7", "2"], "3/1\n"),
+        (["sigma", "--graph", "clique:3", "--frac", "7/2", "--cycle", "0,1,2",
+          "--colouring", "0,2,4"], "sigma 7 taus [2, 2, 3]\n"),
+        (["fixtures"], "g62x (7 vertices)\n"),
+    ]
+    for argv, text in cases:
+        assert run_cli(capsys, *argv, "--output", "text") == (0, text, ""), argv
 
 
 def test_env_cap(capsys, monkeypatch):

@@ -2,7 +2,7 @@
 
 import random
 import tracemalloc
-from math import gcd
+from math import factorial, gcd
 from unittest import mock
 
 import pytest
@@ -857,7 +857,7 @@ def test_theorem_path_matches_the_join(monkeypatch):
 def test_not_mixing_witnesses_are_the_two_least_class_members():
     """is_mixing narrows only the two least classes to their least members;
     its witnesses are the first two of every class's, as components lists
-    them."""
+    them, and any number of least classes are the first of those."""
     verdict = is_mixing(complete_graph(5), complete_graph(5))
     assert [w.image for w in verdict.witness] == [(0, 1, 2, 3, 4), (0, 1, 2, 4, 3)]
     checked = 0
@@ -871,10 +871,46 @@ def test_not_mixing_witnesses_are_the_two_least_class_members():
             boxed, found, root, r = homs._boxes(src, h)
             boxes = list(found)
             join = homgraph._join(g, h, boxed, boxes, root, r)
-            every = list(homgraph._class_reps(g, h, boxed, boxes, r, join).values())
-            assert [w.image for w in verdict.witness] == every[:2], (g.rows, k, q)
+            every = homgraph._class_reps(g, h, boxed, boxes, r, join)
+            assert [w.image for w in verdict.witness] == list(every.values())[:2], \
+                (g.rows, k, q)
+            # and the least ``keep`` of them, for any keep
+            for keep in (1, 3, 4, 7):
+                assert homgraph._class_reps(g, h, boxed, boxes, r, join, keep) == \
+                    dict(list(every.items())[:keep]), (g.rows, k, q, keep)
             checked += 1
     assert checked > 100
+
+
+def _assert_verdict_matches_naive_classes(g, h, classes):
+    verdict = is_mixing(g, h)
+    assert verdict.hom_count == sum(map(len, classes)), (g.rows, h.name)
+    assert verdict.class_count == len(classes), (g.rows, h.name)
+    if len(classes) < 2:
+        assert verdict.witness is None
+    else:
+        assert [w.image for w in verdict.witness] == [classes[0][0], classes[1][0]], \
+            (g.rows, h.name)
+    return len(classes)
+
+
+def test_not_mixing_witnesses_on_spaces_of_many_classes():
+    """is_mixing's class count and both witnesses against the two least
+    classes of a naive BFS: K_n into K_n, where every map is frozen, and
+    every graph on at most five vertices at 3/1 and 7/2.  Spaces of more
+    than 500 maps take the linear BFS of ``colour_components_by_steps``."""
+    for n in range(1, 6):
+        k = complete_graph(n)
+        classes = components_naive(naive_homs(k, k), colour_adjacent_naive)
+        assert _assert_verdict_matches_naive_classes(k, k, classes) == factorial(n)
+    many = 0
+    for h in (circular_clique(3, 1), circular_clique(7, 2)):
+        for g in iso_reps(5):
+            images = naive_homs(g, h)
+            classes = (components_naive(images, colour_adjacent_naive)
+                       if len(images) <= 500 else colour_components_by_steps(images, h.n))
+            many += _assert_verdict_matches_naive_classes(g, h, classes) > 2
+    assert many == 20
 
 
 def _refuse(what):

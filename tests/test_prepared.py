@@ -1,11 +1,13 @@
 """Named graphs shared from one bounded cache, and the facts each graph
 keeps about its rows: both must give exactly what a fresh build gives."""
 
+from math import gcd
 from unittest import mock
 
 import pytest
 
-from circmix import graphs, homs
+from circmix import graphs, homgraph, homs
+from circmix.circular import mixing_scan
 from circmix.cli import main
 from circmix.fixtures import gadget_g62x
 from circmix.graphs import (Graph, _bits, circular_clique, complete_graph,
@@ -114,6 +116,48 @@ def test_kept_sources_equal_fresh_builds():
         kept = homs._search_source(g)
         assert homs._search_source(g) is kept
         assert _fields(kept) == _fields(homs._Source(g, homs._search_order(g)))
+
+
+def _join_plan_afresh(g, boxed):
+    """The plan ``homgraph._join`` worked out on each call before it was
+    kept: slots, free vertices, and per free vertex w its boxed
+    neighbours' slots, its sorted free neighbourhood, and the other free
+    vertices, those of its free neighbourhood first."""
+    slot = {v: j for j, v in enumerate(boxed)}
+    free = [v for v in range(g.n) if v not in slot]
+    near = [[slot[u] for u in g.neighbours(w) if u in slot] for w in free]
+    around = [sorted({x for u in g.neighbours(w)
+                      for x in (g.neighbours(u) if u in slot else (u,))}
+                     .intersection(free) - {w}) for w in free]
+    others = [a + [x for x in free if x != w and x not in a] for w, a in zip(free, around)]
+    return slot, free, near, around, others
+
+
+def test_kept_join_plans_equal_fresh_builds():
+    h = complete_graph(2)
+    for g in iso_reps(5, loops=True):
+        plans = homgraph._join_plans(g)
+        assert homgraph._join_plans(g) is plans
+        want = {}
+        for loops in (True, False):
+            boxed = homs._boxes(homs._box_source(g, loops), h)[0]
+            want[tuple(boxed)] = _join_plan_afresh(g, boxed)
+        assert {boxed: tuple(plan) for boxed, plan in plans.items()} == want
+        assert len(plans) == (1 if g.is_loop_free else len(want))
+
+
+def test_a_scan_builds_one_join_plan():
+    fracs = [(k, q) for q in range(1, 4) for k in range(2 * q, 8) if gcd(k, q) == 1]
+    g = Graph(5, [(0, 4), (1, 2), (1, 3), (2, 3)])
+    with mock.patch.object(homgraph, "_join_plan", wraps=homgraph._join_plan) as built, \
+            mock.patch.object(homgraph, "_join", wraps=homgraph._join) as joined:
+        report = mixing_scan(g, fracs)
+        assert built.call_count == 1 and joined.call_count == 2
+        assert [r.verdict for r in report.rows if r.class_count and r.class_count > 1] == \
+            ["NotMixing", "NotMixing"]
+        mixing_scan(g, fracs)
+        components(g, circular_clique(7, 2), kind="homomorphism")
+        assert built.call_count == 1 and joined.call_count == 5
 
 
 def _symmetries_afresh(h):

@@ -8,11 +8,11 @@ import types
 import pytest
 
 import circmix
-from circmix.extension import PrecolouringInstance
+from circmix.extension import PrecolouringInstance, extend
 from circmix.graphs import (Graph, circular_clique, complete_graph, cycle_graph,
                             path_graph)
 from circmix.homgraph import is_mixing
-from circmix.homs import Hom, enumerate_homs
+from circmix.homs import Hom, enumerate_homs, hom_count
 from circmix.structure import FoldStep
 from circmix.winding import nonmixing_certificate
 
@@ -97,6 +97,32 @@ def test_instance_checks_and_normalizes_on_construction_and_replace():
                                         change.get("groups", ())))
     with pytest.raises(ValueError, match="break host edge"):
         inst._replace(host=Graph(3, [(0, 2), (1, 2)]), pins=((0, 1), (2, 1)))
+
+
+def _round_trip(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+def test_searched_graphs_pickle_without_their_facts():
+    """A searched graph keeps facts keyed on functions; its pickle holds the
+    rows and the name only, and the copy answers as the original does."""
+    g, k3 = path_graph(3), complete_graph(3)
+    assert hom_count(g, k3) == 12 and g._facts
+    diamond = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)], name="diamond")
+    verdict = is_mixing(diamond, circular_clique(7, 2))
+    assert verdict.class_count == 2 and diamond._facts
+    for graph in (g, k3, diamond, circular_clique(7, 2)):
+        copied = _round_trip(graph)
+        assert copied == graph and copied.name == graph.name
+        assert copied._facts is None and graph._facts
+        assert copy.deepcopy(graph) == graph
+    assert hom_count(_round_trip(g), k3) == 12
+    assert is_mixing(_round_trip(diamond), circular_clique(7, 2)) == verdict
+    inst = PrecolouringInstance(g, k3, [(0, 0), (2, 1)])
+    result = extend(inst)
+    copied = _round_trip(inst)
+    assert copied == inst and copied.pins == inst.pins
+    assert copied.host._facts is None and extend(copied) == result
 
 
 def test_all_names_no_module():
