@@ -163,6 +163,8 @@ class Graph:
         return self.n, self.rows, self.name
 
     def __setstate__(self, state):
+        if state[0] is None:  # the slots state that pickles once held
+            state = state[1]["n"], state[1]["rows"], state[1].get("name")
         self.n, self.rows, self.name = state
         self._facts = None
 

@@ -232,9 +232,6 @@ class _UnionFind:
         self.members: dict[int, list[int]] = {}
         self.r = r
 
-    def find(self, x: int) -> int:
-        return self.root[x]
-
     def union(self, a: int, b: int, delta: int = 0) -> None:
         """Join shift t of a with shift t + delta of b, for every t."""
         root, pot, r = self.root, self.pot, self.r
@@ -309,7 +306,7 @@ def _join(source: Graph, target: Graph, boxed: list[int], boxes, root, r: int,
     full = (1 << n) - 1
     colour_at = list(zip(*[im for im, _, _ in boxes]))  # per vertex, per box
     mask_at = list(zip(*[masks for _, masks, _ in boxes]))  # per slot, per box
-    for w, near, around, others in zip(plan.free, plan.near, plan.around, plan.others):
+    for w, near, width, others in zip(plan.free, plan.near, plan.width, plan.others):
         step = target if homotopy and source.has_loop(w) else None
         # the entries of this pass: the boxes, or off the root the shift
         # lifts[e] of box owner[e], framed as described above
@@ -351,7 +348,7 @@ def _join(source: Graph, target: Graph, boxed: list[int], boxes, root, r: int,
         for code, group in groups.items():
             if len(group) < 2:  # one box, as in every group with its key
                 continue
-            key = code[:len(around)]
+            key = code[:width]
             classes = known.get(key)
             if classes is None:
                 classes = known[key] = _local_classes(group, colours, packs,
@@ -380,15 +377,15 @@ class _JoinPlan(NamedTuple):
     vertices, whatever the target: ``slot`` maps each boxed vertex to the
     index of its mask, ``free`` lists the other vertices in index order,
     and for the free vertex w = ``free[p]``, ``near[p]`` holds the slots of
-    w's boxed neighbours, ``around[p]`` w's free neighbourhood, sorted (the
-    free vertices adjacent to w or to a boxed neighbour of w, w excluded),
-    and ``others[p]`` the free vertices but w, those of ``around[p]``
-    first, then the rest in index order."""
+    w's boxed neighbours, ``others[p]`` the free vertices but w, those of
+    w's free neighbourhood (the free vertices adjacent to w or to a boxed
+    neighbour of w, w excluded) first, each part in index order, and
+    ``width[p]`` the size of that neighbourhood."""
 
     slot: dict[int, int]
     free: list[int]
     near: list[list[int]]
-    around: list[list[int]]
+    width: list[int]
     others: list[list[int]]
 
 
@@ -396,15 +393,15 @@ def _join_plan(g: Graph, boxed) -> _JoinPlan:
     """The ``_JoinPlan`` of g with ``boxed`` boxed."""
     slot = {v: j for j, v in enumerate(boxed)}
     free = [v for v in range(g.n) if v not in slot]
-    near, around = [], []
+    near, width, others = [], [], []
     for w in free:
         near.append([slot[u] for u in g.neighbours(w) if u in slot])
         seen = {x for u in g.neighbours(w)
                 for x in (g.neighbours(u) if u in slot else (u,))}
-        around.append([x for x in free if x in seen and x != w])
-    others = [a + [x for x in free if x != w and x not in a]
-              for w, a in zip(free, around)]
-    return _JoinPlan(slot, free, near, around, others)
+        around = [x for x in free if x in seen and x != w]
+        width.append(len(around))
+        others.append(around + [x for x in free if x != w and x not in seen])
+    return _JoinPlan(slot, free, near, width, others)
 
 
 @_kept

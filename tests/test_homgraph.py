@@ -254,14 +254,14 @@ def test_union_find_matches_brute_force_unions():
 
         for _ in range(rng.randint(1, 2 * n)):
             a, b, delta = rng.randrange(n), rng.randrange(n), rng.randint(-r, 2 * r)
-            ra, rb = uf.find(a), uf.find(b)
+            ra, rb = uf.root[a], uf.root[b]
             split_merges += ra != rb and uf.split[rb] < r
             uf.union(a, b, delta)
             for t in range(r):
                 parent[find((a, t))] = find((b, (t + delta) % r))
         labels = {}
         for x in range(n):
-            root = uf.find(x)
+            root = uf.root[x]
             for t in range(r):
                 labels[x, t] = (root, (t + uf.pot[x]) % uf.split[root])
         want = {frozenset(e for e in parent if find(e) == c)

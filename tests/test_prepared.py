@@ -121,8 +121,8 @@ def test_kept_sources_equal_fresh_builds():
 def _join_plan_afresh(g, boxed):
     """The plan ``homgraph._join`` worked out on each call before it was
     kept: slots, free vertices, and per free vertex w its boxed
-    neighbours' slots, its sorted free neighbourhood, and the other free
-    vertices, those of its free neighbourhood first."""
+    neighbours' slots, the size of its free neighbourhood, and the other
+    free vertices, those of its free neighbourhood first."""
     slot = {v: j for j, v in enumerate(boxed)}
     free = [v for v in range(g.n) if v not in slot]
     near = [[slot[u] for u in g.neighbours(w) if u in slot] for w in free]
@@ -130,7 +130,7 @@ def _join_plan_afresh(g, boxed):
                       for x in (g.neighbours(u) if u in slot else (u,))}
                      .intersection(free) - {w}) for w in free]
     others = [a + [x for x in free if x != w and x not in a] for w, a in zip(free, around)]
-    return slot, free, near, around, others
+    return slot, free, near, [len(a) for a in around], others
 
 
 def test_kept_join_plans_equal_fresh_builds():

@@ -123,6 +123,14 @@ def test_searched_graphs_pickle_without_their_facts():
     copied = _round_trip(inst)
     assert copied == inst and copied.pins == inst.pins
     assert copied.host._facts is None and extend(copied) == result
+    # a graph pickled as its slots, as unsearched graphs once were
+    old = pickle.loads(
+        b"\x80\x04\x95R\x00\x00\x00\x00\x00\x00\x00\x8c\x0ecircmix.graphs\x94"
+        b"\x8c\x05Graph\x94\x93\x94)\x81\x94N}\x94(\x8c\x01n\x94K\x03\x8c\x04rows"
+        b"\x94K\x02K\x05K\x02\x87\x94\x8c\x04name\x94\x8c\x02P3\x94\x8c\x06_facts"
+        b"\x94Nu\x86\x94b.")
+    assert old == path_graph(3) and old.name == "P3" and old._facts is None
+    assert hom_count(old, k3) == 12 and _round_trip(old) == old
 
 
 def test_all_names_no_module():

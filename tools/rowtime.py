@@ -4,19 +4,18 @@
 For each row of the scan population, the 52 graphs of at most five
 vertices in ``perfbench/graphs5.json`` (named S00-S51 in file order) at
 each coprime k/q with q <= 4 and 2q <= k < 8, this times the three steps
-that ``homgraph.is_mixing`` takes on a row that no rule answers without a
-join: the box search (``homs._boxes``), the join (``homgraph._join``) and,
-on a NotMixing row, the two least classes (``homgraph._class_reps`` with
-``keep=2``).  Rows answered by a rule, or with no colouring, are not
-listed.  Each step is timed warm, in-process, as the best of ``--repeat``
-runs, after one run that builds what the graphs keep.  To compare two
-checkouts:
+of a row that ``circular.mixing_scan`` joins: the box search
+(``homs._boxes``), the join (``homgraph._join``) and, on a NotMixing row,
+the two least classes (``homgraph._class_reps`` with ``keep=2``).  Which
+rows join is the scan's own choice: one scan of each graph runs with the
+three steps wrapped to record their arguments, and each step is then
+timed on those arguments, warm, in-process, as the best of 20 runs.  The
+result is one JSON object.  To compare two checkouts:
 
-    python3 tools/rowtime.py --src OLD/src > old.txt
-    python3 tools/rowtime.py --src NEW/src > new.txt
+    python3 tools/rowtime.py --src OLD/src > old.json
+    python3 tools/rowtime.py --src NEW/src > new.json
 
-``--rows S39:7/2,S51:5/1`` times only those rows; ``--json`` prints one
-JSON object instead of the table.  Standard library only.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -24,99 +23,89 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import ExitStack
 from math import gcd
 from pathlib import Path
 from time import perf_counter_ns
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 FRACS = [(k, q) for q in range(1, 5) for k in range(2 * q, 8) if gcd(k, q) == 1]
+REPEAT = 20
+STEPS = ("_boxes", "_join", "_class_reps")
 
 
 def population():
-    """(name, graph) for the 52 graphs of ``perfbench/graphs5.json``."""
+    """The 52 graphs of ``perfbench/graphs5.json``, named S00-S51."""
     from circmix import Graph
 
     with open(ROOT / "perfbench" / "graphs5.json", encoding="utf-8") as fh:
         data = json.load(fh)
-    return [(f"S{i:02d}", Graph(n, [tuple(e) for e in edges], name=f"S{i:02d}"))
+    return [Graph(n, [tuple(e) for e in edges], name=f"S{i:02d}")
             for i, (n, edges) in enumerate(data)]
 
 
-def best(repeat: int, run) -> float:
-    """The least time of ``repeat`` calls of ``run``, in microseconds."""
+def best(run) -> float:
+    """The least time of ``REPEAT`` calls of ``run``, in microseconds."""
     times = []
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         start = perf_counter_ns()
         run()
         times.append(perf_counter_ns() - start)
     return min(times) / 1000
 
 
-def time_row(g, k: int, q: int, repeat: int):
-    """``(verdict, boxes, join, reps)`` in microseconds for a row that
-    joins (reps None on a Mixing row), or None for one that does not."""
-    from circmix import graphs, homgraph, homs
+def recorded_rows(g):
+    """``(k, q, boxes call, join call, reps call or None)`` for each row of
+    ``mixing_scan(g, FRACS)`` that joins, each call as ``(args, kwargs)``."""
+    from circmix import homgraph
+    from circmix.circular import mixing_scan
+    from circmix.graphs import _clique_parameters
 
-    h = graphs.circular_clique(k, q)
-    col, dmax = graphs.colouring_number(g), graphs.degrees(g)[0]
-    if homgraph._theorem_covers(g, (k, q), (col, dmax)):
-        return None
-    if homgraph._cycle_classes(g, h, None, (k, q), flags=False) is not None:
-        return None
-    src = homs._box_source(g)
-    boxed, found, root, r = homs._boxes(src, h)
-    boxes = list(found)
-    if not boxes:
-        return None
-    join = homgraph._join(g, h, boxed, boxes, root, r)
-    roots, _, splits = join
-    mixing = sum(splits[x] for x in set(roots)) == 1
-    t_boxes = best(repeat, lambda: list(homs._boxes(src, h)[1]))
-    t_join = best(repeat, lambda: homgraph._join(g, h, boxed, boxes, root, r))
-    t_reps = None
-    if not mixing:
-        homgraph._class_reps(g, h, boxed, boxes, r, join, keep=2)
-        t_reps = best(repeat, lambda: homgraph._class_reps(
-            g, h, boxed, boxes, r, join, keep=2))
-    return ("Mixing" if mixing else "NotMixing"), t_boxes, t_join, t_reps
+    calls = []
+
+    def recorder(name, step):
+        def run(*args, **kwargs):
+            calls.append((name, args, kwargs))
+            return step(*args, **kwargs)
+        return run
+
+    with ExitStack() as stack:
+        for name in STEPS:
+            step = getattr(homgraph, name)
+            stack.enter_context(mock.patch.object(homgraph, name, recorder(name, step)))
+        mixing_scan(g, FRACS)
+    rows, boxes = [], None
+    for p, (name, args, kwargs) in enumerate(calls):
+        if name == "_boxes":
+            boxes = args, kwargs
+        elif name == "_join":
+            after = calls[p + 1] if p + 1 < len(calls) else None
+            reps = after[1:] if after and after[0] == "_class_reps" else None
+            rows.append((*_clique_parameters(args[1]), boxes, (args, kwargs), reps))
+    return rows
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="the src directory of the checkout to time")
-    parser.add_argument("--repeat", type=int, default=20,
-                        help="runs per step; the least is reported (default 20)")
-    parser.add_argument("--rows", default="",
-                        help="comma-separated NAME:K/Q rows to time (default all)")
-    parser.add_argument("--json", action="store_true", help="print JSON")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
-    wanted = set(filter(None, args.rows.split(",")))
-    out = []
-    for name, g in population():
-        for k, q in FRACS:
-            label = f"{name}:{k}/{q}"
-            if wanted and label not in wanted:
-                continue
-            timed = time_row(g, k, q, args.repeat)
-            if timed is not None:
-                out.append((label, *timed))
-    totals = {key: round(sum(row[i] or 0 for row in out), 1)
-              for i, key in ((2, "boxes_us"), (3, "join_us"), (4, "reps_us"))}
-    if args.json:
-        print(json.dumps({
-            "rows": {label: {"verdict": v, "boxes_us": round(b, 1), "join_us": round(j, 1),
-                             "reps_us": None if p is None else round(p, 1)}
-                     for label, v, b, j, p in out},
-            "totals": totals}, indent=1))
-        return 0
-    print(f"{'row':<10} {'verdict':<10} {'boxes':>8} {'join':>8} {'reps':>8}  (us)")
-    for label, v, b, j, p in out:
-        reps = "-" if p is None else f"{p:.1f}"
-        print(f"{label:<10} {v:<10} {b:>8.1f} {j:>8.1f} {reps:>8}")
-    print(f"{len(out)} rows join; totals: boxes {totals['boxes_us']} us, "
-          f"join {totals['join_us']} us, reps {totals['reps_us']} us")
+    from circmix import homgraph
+
+    out = {}
+    for g in population():
+        for k, q, boxes, join, reps in recorded_rows(g):
+            out[f"{g.name}:{k}/{q}"] = {
+                "verdict": "Mixing" if reps is None else "NotMixing",
+                "boxes_us": round(best(lambda: list(homgraph._boxes(*boxes[0], **boxes[1])[1])), 1),
+                "join_us": round(best(lambda: homgraph._join(*join[0], **join[1])), 1),
+                "reps_us": None if reps is None else round(
+                    best(lambda: homgraph._class_reps(*reps[0], **reps[1])), 1)}
+    totals = {key: round(sum(row[key] or 0 for row in out.values()), 1)
+              for key in ("boxes_us", "join_us", "reps_us")}
+    print(json.dumps({"rows": out, "totals": totals}, indent=1))
     return 0
 
 
