@@ -14,7 +14,8 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from json.encoder import encode_basestring_ascii as _quote
+from itertools import chain
+from json.encoder import c_make_encoder, encode_basestring_ascii as _quote
 
 from . import config
 from .circular import lower_parent, mixing_scan
@@ -50,11 +51,26 @@ def _parse_pin(text: str) -> tuple[int, int]:
         raise ValueError(f"bad pin {text!r}, want v=c") from None
 
 
+_SCALARS = frozenset((str, int, bool, type(None)))
+_LONG = 16  # items; a shorter list is written faster item by item from a cold cache
+
+
+@functools.cache
+def _flat_writer(inner: str):
+    """The C encoder that splits items by ``"," + inner``, if there is one."""
+    return c_make_encoder and c_make_encoder(None, None, _quote, None, ": ",
+                                             "," + inner, True, False, False)
+
+
 def _json(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` for the report
     types: str, int, bool, None, and lists, tuples and str-keyed dicts of
     them.  It keys on exact types, so a bool is never written as an int,
-    and spares the pure-Python encoder that ``indent`` selects."""
+    and spares the pure-Python encoder that ``indent`` selects.  A list of
+    ``_LONG`` or more non-empty dicts of scalars is written in one C call,
+    which puts one separator between the items at both depths; as no
+    written string holds a raw newline, "}", that separator and "{" mark
+    where one dict ends and the next begins."""
     kind = type(value)
     if kind is str:
         return _quote(value)
@@ -74,6 +90,11 @@ def _json(value, indent: str = "\n") -> str:
     if kind is list or kind is tuple:
         if not value:
             return "[]"
+        if (len(value) >= _LONG and {*map(type, value)} == {dict} and all(value)
+                and _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, value))))
+                and (flat := _flat_writer(deeper := inner + "  "))):
+            return "[" + inner + "{" + deeper + "".join(flat(value, 0))[2:-2].replace(
+                "}," + deeper + "{", inner + "}," + inner + "{" + deeper) + inner + "}" + indent + "]"
         return "[" + inner + ("," + inner).join(
             _json(item, inner) for item in value) + indent + "]"
     raise TypeError(f"{kind.__name__} is not a report type")

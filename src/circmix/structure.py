@@ -15,6 +15,7 @@ puts back only the folded vertex's live neighbours.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import CapExceededError
@@ -61,29 +62,10 @@ class SelfMixingResult(NamedTuple):
     method: str
 
 
-def _absorbers(rows, alive: int, v: int) -> int:
-    """Mask of the live vertices other than v that v folds into.
-
-    N(v) lies within N(u) exactly when u is adjacent to every neighbour of
-    v, so v's absorbers are the other live vertices in the rows of all of
-    v's live neighbours.  The intersection stops once it is empty, which
-    keeps a high-degree vertex that folds nowhere cheap to pass over.
-    """
-    cand = alive & ~(1 << v)
-    nbrs = rows[v] & alive
-    while nbrs and cand:
-        cand &= rows[(nbrs & -nbrs).bit_length() - 1]
-        nbrs &= nbrs - 1
-    return cand
-
-
 def find_fold(g: Graph) -> FoldStep | None:
-    """Lexicographically least (removed, absorber) pair, or None if stiff."""
-    alive = (1 << g.n) - 1
-    for v in range(g.n):
-        if cand := _absorbers(g.rows, alive, v):
-            return FoldStep(v, (cand & -cand).bit_length() - 1)
-    return None
+    """Lexicographically least (removed, absorber) pair, or None if stiff:
+    the first fold of ``stiff_reduction``, whose labels are still g's."""
+    return next(iter(stiff_reduction(g).steps), None)
 
 
 def make_fold(g: Graph, removed: int, absorber: int) -> FoldStep:
@@ -111,25 +93,35 @@ def stiff_reduction(g: Graph) -> StiffReduction:
     when one of its neighbours is folded away.  The least vertex of
     ``todo`` with an absorber is thus the least foldable live vertex, the
     pair a rescan from vertex 0 would take, and the reduction makes
-    O(n + m) absorber tests.  A vertex's label at the time of a fold is the number of live
-    vertices below it; the terminal is induced once at the end, and a stiff
-    g is its own terminal.
+    O(n + m) absorber tests.  N(v) lies within N(u) exactly when u is
+    adjacent to every neighbour of v, so a test intersects the rows of v's
+    live neighbours, and stops once the intersection is empty.  A vertex's
+    label at the time of a fold is the number of live vertices below it,
+    and each FoldStep is made from its pair of labels without a call of
+    FoldStep's Python ``__new__``.  The terminal is induced once at the
+    end, and a stiff g is its own terminal.
     """
     rows = g.rows
     alive = todo = (1 << g.n) - 1
-    steps = []
+    pairs = []
     while todo:
-        v = (todo & -todo).bit_length() - 1
-        todo ^= 1 << v
-        if cand := _absorbers(rows, alive, v):
-            u = (cand & -cand).bit_length() - 1
-            steps.append(FoldStep((alive & ((1 << v) - 1)).bit_count(),
-                                  (alive & ((1 << u) - 1)).bit_count()))
-            alive ^= 1 << v
+        b = todo & -todo
+        todo ^= b
+        v = b.bit_length() - 1
+        cand = alive ^ b
+        nbrs = rows[v] & alive
+        while nbrs and cand:
+            low = nbrs & -nbrs
+            cand &= rows[low.bit_length() - 1]
+            nbrs ^= low
+        if cand:
+            pairs.append(((alive & b - 1).bit_count(), (alive & (cand & -cand) - 1).bit_count()))
+            alive ^= b
             todo |= rows[v] & alive
-    if not steps:
+    if not pairs:
         return StiffReduction((), g, None)
-    return StiffReduction(tuple(steps), g.induced(_bits(alive)), None)
+    steps = tuple(map(tuple.__new__, repeat(FoldStep), pairs))
+    return StiffReduction(steps, g.induced(_bits(alive)), None)
 
 
 def _other_endo(g: Graph, cap: int | None) -> tuple[int, ...] | None:

@@ -12,8 +12,9 @@ import random
 
 from hypothesis import strategies as st
 
-from circmix.errors import CapExceededError
-from circmix.graphs import Graph, _bits
+from circmix.config import max_vertices
+from circmix.errors import CapExceededError, GraphFormatError
+from circmix.graphs import Graph, _bits, format_graph
 from circmix.homs import Hom, enumerate_homs
 from circmix.structure import FoldStep, apply_fold
 
@@ -444,3 +445,131 @@ def is_rigid_naive(g: Graph) -> bool:
         return False
 
     return not other_endo_below()
+
+
+def parse_graph_naive(text: str) -> Graph:
+    """The graph text format read line by line, as ``graphs.parse_graph``
+    read every text before it read the form ``format_graph`` writes in
+    bulk; its error texts are the ones ``parse_graph`` must give."""
+    n = None
+    name = None
+    rows: list[int] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        kind, _, rest = line.partition(" ")
+        if kind == "c":
+            if name is None and rest.strip():
+                name = rest.strip()
+            continue
+        if kind == "p":
+            if n is not None:
+                raise GraphFormatError(f"line {lineno}: repeated p line")
+            try:
+                n = int(rest)
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: bad vertex count {rest!r}") from None
+            if n < 0:
+                raise GraphFormatError(f"line {lineno}: negative vertex count")
+            if n > max_vertices():
+                raise GraphFormatError(f"line {lineno}: vertex count {n} exceeds "
+                                       f"the configured limit {max_vertices()}")
+            rows = [0] * n
+            continue
+        if kind == "e":
+            if n is None:
+                raise GraphFormatError(f"line {lineno}: edge before p line")
+            parts = rest.split()
+            if len(parts) != 2:
+                raise GraphFormatError(f"line {lineno}: edge needs two endpoints")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: bad edge {rest!r}") from None
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphFormatError(f"line {lineno}: edge ({u}, {v}) out of range")
+            if rows[u] >> v & 1:
+                raise GraphFormatError(f"line {lineno}: duplicate edge ({u}, {v})")
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            continue
+        raise GraphFormatError(f"line {lineno}: unknown line type {kind!r}")
+    if n is None:
+        raise GraphFormatError("missing p line")
+    return Graph.from_rows(rows, name=name)
+
+
+def _renumber(token: str, how: str) -> str:
+    """A numeral of the same value that only the line reader reads."""
+    if how == "+":
+        return "+" + token
+    if how == "0":
+        return "0" + token
+    if how == "arabic":
+        return "".join(chr(0x660 + int(d)) for d in token)
+    return token[0] + "_" + token[1:] if len(token) > 1 else "0_" + token
+
+
+@st.composite
+def graph_texts(draw):
+    """``(text, limit)``: ``format_graph`` of a drawn graph, loops allowed
+    and maybe named, then mutated, and a vertex limit to read it under
+    (None for the default).  The mutations cover line endings, spacing,
+    comments, numerals the bulk reader leaves to the line reader,
+    repeated and out-of-range edges, and the p line."""
+    if draw(st.booleans()):
+        g = draw(graphs_with_loops(max_n=8))
+    else:  # long enough for the bulk read
+        g = random_graph(random.Random(draw(st.integers(0, 10**6))), draw(st.integers(12, 40)),
+                         p=draw(st.sampled_from([0.1, 0.3, 0.6])), loops=draw(st.booleans()))
+    name = draw(st.none() | st.text(st.sampled_from("ab x\t\u00e9"), max_size=5))
+    lines = format_graph(Graph.from_rows(g.rows, name)).splitlines()
+    p_at = lines.index(f"p {g.n}")
+    edges = [tuple(map(int, line.split()[1:])) for line in lines[p_at + 1:]]
+    mutations = draw(st.lists(st.sampled_from(MUTATIONS), max_size=3))
+    ending, final = "\n", True
+    for how in mutations:
+        at = draw(st.integers(0, len(lines)))
+        if how in ("crlf", "cr"):
+            ending = "\r\n" if how == "crlf" else "\r"
+        elif how == "no final newline":
+            final = False
+        elif how == "blank line":
+            lines.insert(at, draw(st.sampled_from(["", " ", "\t"])))
+        elif how in ("tab", "extra space") and lines:
+            i = draw(st.integers(0, len(lines) - 1))
+            pad = "\t" if how == "tab" else " "
+            if " " in lines[i] and draw(st.booleans()):
+                lines[i] = lines[i].replace(" ", pad + " ", 1)
+            else:
+                lines[i] = draw(st.sampled_from([pad + lines[i], lines[i] + pad]))
+        elif how == "comment":
+            lines.insert(at, draw(st.sampled_from(["c", "c ", "c note", "c two words"])))
+        elif how == "numeral" and lines:
+            i = draw(st.integers(0, len(lines) - 1))
+            words = lines[i].split(" ")
+            spots = [j for j, w in enumerate(words) if w.isdigit()]
+            if spots:
+                j = draw(st.sampled_from(spots))
+                words[j] = _renumber(words[j], draw(st.sampled_from(["+", "0", "arabic", "_"])))
+                lines[i] = " ".join(words)
+        elif how == "repeated edge" and edges:
+            u, v = draw(st.sampled_from(edges))
+            lines.insert(max(at, p_at + 1), f"e {u} {v}" if draw(st.booleans()) else f"e {v} {u}")
+        elif how == "edge out of range":
+            u = draw(st.integers(0, g.n + 2))
+            lines.append(f"e {u} {g.n + draw(st.integers(0, 2))}")
+        elif how == "repeated p line":
+            lines.insert(at, f"p {draw(st.integers(0, 9))}")
+        elif how == "p line after an edge" and edges:
+            lines.append(lines.pop(lines.index(f"p {g.n}")) if f"p {g.n}" in lines else "p 1")
+        elif how == "no p line":
+            lines = [line for line in lines if not line.startswith("p ")]
+    limit = draw(st.none() | st.integers(1, 9))
+    return ending.join(lines) + (ending if final else ""), limit
+
+
+MUTATIONS = ("crlf", "cr", "no final newline", "blank line", "tab", "extra space",
+             "comment", "numeral", "repeated edge", "edge out of range",
+             "repeated p line", "p line after an edge", "no p line")

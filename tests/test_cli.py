@@ -296,6 +296,42 @@ def test_report_writer_on_drawn_payloads(value):
     assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+SCALARS = st.none() | st.booleans() | st.integers() | st.text("\n{}[],: \"\\ax\u00e9")
+DICT_LISTS = st.lists(st.dictionaries(st.text(), SCALARS, min_size=1), min_size=1)
+LONG = cli._LONG
+
+
+@settings(max_examples=200, deadline=None)
+@given(DICT_LISTS | st.lists(st.dictionaries(st.text(), SCALARS) | st.lists(SCALARS), min_size=1),
+       st.sampled_from([1, LONG]), st.booleans())
+@example([{"a": "},\n  {"}, {"b": "}, {"}], 1, True)
+@example([{"a": 1, "b": [2]}, {"a": 1}], 1, True)
+@example([{"a": 1}, {}], 1, True)
+def test_report_writer_on_lists_of_dicts(value, long, c_encoder):
+    """A long list of non-empty dicts of scalars is written in one C call
+    where there is a C encoder, and item by item where there is none or
+    the list is short; each way gives json.dumps's bytes."""
+    try:
+        cli._LONG = long
+        if not c_encoder:
+            cli.c_make_encoder = None
+        cli._flat_writer.cache_clear()
+        for payload in (value, {"k": [value]}):
+            assert _json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    finally:
+        cli._LONG, cli.c_make_encoder = LONG, json.encoder.c_make_encoder
+        cli._flat_writer.cache_clear()
+
+
+@pytest.mark.parametrize("value", [1.5, [1.5], (1, 0.5), {"a": 1.5}, [{"a": 1.5}],
+                                   [[1.5]], [{"a": 1}, {"b": 2.5}], {"a": {1, 2}}])
+def test_report_writer_rejects_other_types(value, monkeypatch):
+    for long in (1, LONG):
+        monkeypatch.setattr(cli, "_LONG", long)
+        with pytest.raises(TypeError):
+            _json(value)
+
+
 def test_text_output_mode(capsys):
     code, out, _ = run_cli(capsys, "mixing", "--graph", "clique:3",
                            "--target", "circ:7/2", "--output", "text")

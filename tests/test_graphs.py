@@ -7,7 +7,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circmix import graphs
@@ -27,8 +27,9 @@ from circmix.homs import (_search_order, chromatic_number,
                           circular_chromatic_number)
 
 from helpers import (all_graphs, degeneracy_order_naive, distances_naive,
-                     iso_reps, random_graph, search_order_naive,
-                     shortest_odd_cycle_naive, vertex_components_naive)
+                     graph_texts, iso_reps, parse_graph_naive, random_graph,
+                     search_order_naive, shortest_odd_cycle_naive,
+                     vertex_components_naive)
 
 
 def test_graph_basics():
@@ -349,6 +350,43 @@ def test_parse_reads_rows_and_rejects_duplicates():
                        ("p 3\ne 2 2\nc x\ne 2 2\n", "line 4: duplicate edge (2, 2)")):
         with pytest.raises(GraphFormatError, match=re.escape(line)):
             parse_graph(text)
+
+
+def read_outcome(parse, text, limit, bulk=graphs._BULK):
+    """``(n, rows, name)`` of the graph ``parse`` reads, or the error text,
+    under the vertex limit ``limit`` (None for the default), reading texts
+    of ``bulk`` or more characters in bulk."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_BULK", bulk)
+        if limit is not None:
+            mp.setenv("CIRCMIX_MAX_N", str(limit))
+        try:
+            g = parse(text)
+        except GraphFormatError as e:
+            return str(e)
+    return g.n, g.rows, g.name
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph_texts())
+@example(("c a b\np 3\ne 0 1\ne 1 1\n", None))
+@example(("c x\np 3\ne 0 1\ne 1 0\n", None))
+@example(("p 3\ne 0 3\n", None))
+@example(("p 03\ne 0 1\n", None))
+@example(("p 3\ne 1 02\n", None))
+@example(("p 3\ne 0 1\ne 1 2", None))
+@example(("p 3\ne 0 1\n", 2))
+@example(("c  \np 2\ne 0 1\n", None))
+@example(("p 1\n" + "e 0 " + "9" * 5000 + "\n", None))
+@example(("p " + "9" * 5000 + "\n", None))
+def test_bulk_reader_matches_the_line_reader(drawn):
+    """The bulk read of ``format_graph``'s form gives the line reader's
+    rows and name, or its error text, on drawn texts and mutations, also
+    where the texts are too short for it to be tried."""
+    text, limit = drawn
+    want = read_outcome(parse_graph_naive, text, limit)
+    assert read_outcome(parse_graph, text, limit) == want
+    assert read_outcome(parse_graph, text, limit, bulk=0) == want
 
 
 def test_parse_rejects_garbage():

@@ -32,6 +32,17 @@ Standard library only.  The families, each in its own function below:
   loop-free ones on 4, into those of at most 3 with loops allowed, counts
   and verdicts asked again of the same graph objects; and graph specs,
   good and bad, with the vertex limit lowered between two calls.
+- ``reader``: ``parse_graph`` (the rows and name, or the error text) of
+  ``format_graph``'s text of the graphs of at most 3 vertices, loops
+  allowed, and of C_5 and G_{7,2}, under four names, as written and
+  mutated: line endings, blank lines, tabs and spaces, comments, numerals
+  such as +3, 03, Arabic-Indic digits and 1_0, repeated and out-of-range
+  edges, and a repeated, late, missing or over-limit p line.
+- ``writer``: the stdout and exit code of every ``structure`` op on the
+  graphs of at most 4 vertices, loops allowed, and of ``--op stiff``,
+  ``dismantlable``, ``col`` and ``omega`` on random trees, reflexive
+  cop-win graphs and reflexive 8-cycles with pendant trees of 40-60
+  vertices; each report is ``cli._json`` of its payload.
 
 Every call that answers with a count is asked again at a cap equal to that
 count and at one below it (a scan at each row's count and one below).
@@ -230,8 +241,127 @@ def prepared(d: Dump) -> None:
             os.environ["CIRCMIX_MAX_N"] = limit
 
 
+def numeral(token: str, how: str) -> str:
+    """A numeral of the same value that only the line reader reads."""
+    if how == "+":
+        return "+" + token
+    if how == "0":
+        return "0" + token
+    if how == "arabic":
+        return "".join(chr(0x660 + int(c)) for c in token)
+    return token[0] + "_" + token[1:] if len(token) > 1 else "0_" + token
+
+
+def mutants(lines: list[str], n: int):
+    """``(label, text, vertex limit or None)`` for the text of ``lines``
+    as written and under each mutation."""
+    p = next(i for i, line in enumerate(lines) if line.startswith("p "))
+    edges = lines[p + 1:]
+    yield "written", "\n".join(lines) + "\n", None
+    for ending in ("\r\n", "\r"):
+        yield f"ending {ending!r}", ending.join(lines) + ending, None
+    yield "no final newline", "\n".join(lines), None
+    for at in (0, p, p + 1, len(lines)):
+        for blank in ("", " ", "\t"):
+            yield f"blank {blank!r} at {at}", "\n".join(lines[:at] + [blank] + lines[at:]) + "\n", None
+        for comment in ("c", "c ", "c note", "c two words"):
+            yield f"{comment!r} at {at}", "\n".join(lines[:at] + [comment] + lines[at:]) + "\n", None
+    for i in range(len(lines)):
+        for label, line in (("tab", lines[i].replace(" ", "\t", 1)),
+                            ("double space", lines[i].replace(" ", "  ")),
+                            ("leading space", " " + lines[i]), ("trailing tab", lines[i] + "\t")):
+            yield f"{label} in line {i}", "\n".join(lines[:i] + [line] + lines[i + 1:]) + "\n", None
+        words = lines[i].split(" ")
+        for j in (j for j, w in enumerate(words) if w.isdigit()):
+            for how in ("+", "0", "arabic", "_"):
+                line = " ".join(words[:j] + [numeral(words[j], how)] + words[j + 1:])
+                yield f"numeral {how} in line {i}", "\n".join(lines[:i] + [line] + lines[i + 1:]) + "\n", None
+    for line in edges[:2]:
+        _, u, v = line.split()
+        for again in (f"e {u} {v}", f"e {v} {u}"):
+            yield f"again {again}", "\n".join(lines + [again]) + "\n", None
+    for u, v in ((0, n), (n, 0), (n + 1, n + 2)):
+        yield f"edge {u} {v}", "\n".join(lines + [f"e {u} {v}"]) + "\n", None
+    yield "p again", "\n".join(lines + [lines[p]]) + "\n", None
+    yield "p last", "\n".join(lines[:p] + edges + [lines[p]]) + "\n", None
+    yield "no p", "\n".join(lines[:p] + edges) + "\n", None
+    for limit in (1, max(n - 1, 1), n):
+        yield f"limit {limit}", "\n".join(lines) + "\n", limit
+
+
+def reader(d: Dump) -> None:
+    import circmix as cm
+
+    def read(text: str, limit):
+        if limit is None:
+            os.environ.pop("CIRCMIX_MAX_N", None)
+        else:
+            os.environ["CIRCMIX_MAX_N"] = str(limit)
+        try:
+            g = cm.parse_graph(text)
+        finally:
+            os.environ.pop("CIRCMIX_MAX_N", None)
+        return g.n, g.rows, g.name
+
+    bases = iso_reps(3, loops=True) + [cm.cycle_graph(5), cm.circular_clique(7, 2)]
+    for g in bases:
+        for title in (None, "tri angle", "  pad  ", "\u00e9t\u00e9"):
+            lines = cm.format_graph(cm.Graph.from_rows(g.rows, title)).splitlines()
+            for label, text, limit in mutants(lines, g.n):
+                d.call(f"read {title!r} {name(g)} {label}", lambda: read(text, limit))
+
+
+def fold_graphs(rng, n: int) -> list:
+    """A random tree, a reflexive cop-win graph and a reflexive 8-cycle
+    with pendant trees on n vertices, as the benchmark's fold requests
+    build them."""
+    import circmix as cm
+
+    tree = [(rng.randrange(v), v) for v in range(1, n)]
+    adj = [{0}]
+    for v in range(1, n):
+        u = rng.randrange(v)
+        near = sorted(adj[u])
+        picks = {u} | set(rng.sample(near, min(len(near), rng.randint(0, 2))))
+        adj.append({v} | picks)
+        for w in picks:
+            adj[w].add(v)
+    copwin = {(min(u, v), max(u, v)) for v in range(n) for u in adj[v]}
+    cycle = [(v, (v + 1) % 8) for v in range(8)] + [(rng.randrange(v), v) for v in range(8, n)]
+    return [cm.Graph(n, edges, name=f"{kind}{n}") for kind, edges in
+            (("tree", tree), ("copwin", copwin), ("cyc", cycle + [(v, v) for v in range(n)]))]
+
+
+def writer(d: Dump) -> None:
+    import contextlib
+    import io
+    import random
+    import tempfile
+
+    import circmix as cm
+    from circmix import cli
+
+    def request(path: str, op: str):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["structure", "--graph", f"file:{path}", "--op", op])
+        return code, out.getvalue(), err.getvalue()
+
+    ops = ("col", "omega", "stiff", "core", "dismantlable", "rigid", "self-mixing")
+    rng = random.Random(30)
+    cases = [(g, ops) for g in iso_reps(4, loops=True)]
+    cases += [(g, ("stiff", "dismantlable", "col", "omega"))
+              for _ in range(4) for g in fold_graphs(rng, rng.randint(40, 60))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.graph")
+        for g, asked in cases:
+            cm.write_graph(g, path)
+            for op in asked:
+                d.call(f"structure {op} {name(g)}", lambda op=op: request(path, op))
+
+
 FAMILIES = {"spaces": spaces, "cycles": cycles, "certificates": certificates,
-            "prepared": prepared}
+            "prepared": prepared, "reader": reader, "writer": writer}
 
 
 def main(argv=None) -> int:
