@@ -84,19 +84,20 @@ def _json(value, indent: str = "\n") -> str:
     if kind is dict:
         if not value:
             return "{}"
-        return "{" + inner + ("," + inner).join(
+        return "{" + inner + ("," + inner).join([
             _quote(key) + ": " + _json(value[key], inner) for key in sorted(value)
-        ) + indent + "}"
+        ]) + indent + "}"
     if kind is list or kind is tuple:
         if not value:
             return "[]"
         if (len(value) >= _LONG and {*map(type, value)} == {dict} and all(value)
+                and {*map(type, chain.from_iterable(value))} == {str}
                 and _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, value))))
                 and (flat := _flat_writer(deeper := inner + "  "))):
             return "[" + inner + "{" + deeper + "".join(flat(value, 0))[2:-2].replace(
                 "}," + deeper + "{", inner + "}," + inner + "{" + deeper) + inner + "}" + indent + "]"
         return "[" + inner + ("," + inner).join(
-            _json(item, inner) for item in value) + indent + "]"
+            [_json(item, inner) for item in value]) + indent + "]"
     raise TypeError(f"{kind.__name__} is not a report type")
 
 

@@ -586,26 +586,29 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 #   e <u> <v>        (0-based; a loop is "e v v"; duplicates are rejected)
 
 _BULK = 256  # characters; shorter text reads faster line by line from a cold cache
-
-
-@lru_cache(maxsize=1)
-def _written_form():
-    """``format_graph``'s form with numbers as JSON integers of up to nine
-    digits, compiled on first use."""
-    number = r"(?:0|[1-9][0-9]{0,8}+)"
-    return re.compile(rf"(?:c ([ -~]*)\n)?p ({number})\n((?:e {number} {number}\n)*+)")
+_HEAD = r"(?:c ([ -~]*)\n)?p ([0-9]{1,9})\n"  # format_graph's lines before the edges
 
 
 def parse_graph(text: str) -> Graph:
     """Read the text format straight into adjacency rows; a duplicate edge
     is one whose bit is already set.  Text of ``_BULK`` or more characters
-    as ``format_graph`` writes it is read in bulk, its numbers as one JSON
-    array; other text, and an edge out of range or repeated, goes to the
-    line reader, which alone words the errors."""
-    if (len(text) >= _BULK and (m := _written_form().fullmatch(text))
+    as ``format_graph`` writes it is read in bulk: without their ASCII
+    digits its edge lines are all "e  ", and with a comma for each "\\ne "
+    and space they are one JSON array of integers.  Other text, and an
+    edge out of range or repeated, goes to the line reader, which alone
+    words the errors."""
+    if (len(text) >= _BULK and (m := re.match(_HEAD, text))
             and (n := int(m[2])) <= max_vertices()):
         rows = [0] * n
-        nums = json.loads("[" + m[3][2:-1].replace("\ne ", ",").replace(" ", ",") + "]")
+        edges = text[m.end():]
+        shape = edges.encode().translate(None, b"0123456789")
+        nums = [n]  # out of range, so the line reader reads the text
+        if shape == b"e  \n" * shape.count(b"\n"):
+            try:
+                nums = json.loads(
+                    "[" + ("\n" + edges[:-1]).replace("\ne ", ",").replace(" ", ",")[1:] + "]")
+            except ValueError:  # a leading zero, or an "e" before a digit
+                pass
         if not nums or max(nums) < n:
             it = iter(nums)
             for u, v in zip(it, it):
@@ -623,6 +626,23 @@ def parse_graph(text: str) -> Graph:
         if not line:
             continue
         kind, _, rest = line.partition(" ")
+        if kind == "e":
+            if n is None:
+                raise GraphFormatError(f"line {lineno}: edge before p line")
+            parts = rest.split()
+            if len(parts) != 2:
+                raise GraphFormatError(f"line {lineno}: edge needs two endpoints")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: bad edge {rest!r}") from None
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphFormatError(f"line {lineno}: edge ({u}, {v}) out of range")
+            if rows[u] >> v & 1:
+                raise GraphFormatError(f"line {lineno}: duplicate edge ({u}, {v})")
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            continue
         if kind == "c":
             if name is None and rest.strip():
                 name = rest.strip()
@@ -640,23 +660,6 @@ def parse_graph(text: str) -> Graph:
                 raise GraphFormatError(f"line {lineno}: vertex count {n} exceeds "
                                        f"the configured limit {max_vertices()}")
             rows = [0] * n
-            continue
-        if kind == "e":
-            if n is None:
-                raise GraphFormatError(f"line {lineno}: edge before p line")
-            parts = rest.split()
-            if len(parts) != 2:
-                raise GraphFormatError(f"line {lineno}: edge needs two endpoints")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: bad edge {rest!r}") from None
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"line {lineno}: edge ({u}, {v}) out of range")
-            if rows[u] >> v & 1:
-                raise GraphFormatError(f"line {lineno}: duplicate edge ({u}, {v})")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
             continue
         raise GraphFormatError(f"line {lineno}: unknown line type {kind!r}")
     if n is None:

@@ -63,9 +63,17 @@ class SelfMixingResult(NamedTuple):
 
 
 def find_fold(g: Graph) -> FoldStep | None:
-    """Lexicographically least (removed, absorber) pair, or None if stiff:
-    the first fold of ``stiff_reduction``, whose labels are still g's."""
-    return next(iter(stiff_reduction(g).steps), None)
+    """Lexicographically least (removed, absorber) pair, or None if stiff;
+    the absorber test is ``stiff_reduction``'s with every vertex live."""
+    rows = g.rows
+    for v in range(g.n):
+        cand, nbrs = (1 << g.n) - 1 ^ 1 << v, rows[v]
+        while nbrs and cand:
+            cand &= rows[(nbrs & -nbrs).bit_length() - 1]
+            nbrs &= nbrs - 1
+        if cand:
+            return FoldStep(v, (cand & -cand).bit_length() - 1)
+    return None
 
 
 def make_fold(g: Graph, removed: int, absorber: int) -> FoldStep:
@@ -95,11 +103,10 @@ def stiff_reduction(g: Graph) -> StiffReduction:
     pair a rescan from vertex 0 would take, and the reduction makes
     O(n + m) absorber tests.  N(v) lies within N(u) exactly when u is
     adjacent to every neighbour of v, so a test intersects the rows of v's
-    live neighbours, and stops once the intersection is empty.  A vertex's
-    label at the time of a fold is the number of live vertices below it,
-    and each FoldStep is made from its pair of labels without a call of
-    FoldStep's Python ``__new__``.  The terminal is induced once at the
-    end, and a stiff g is its own terminal.
+    live neighbours until the intersection is empty.  A vertex's label at
+    the time of a fold is the number of live vertices below it; FoldSteps
+    are made by ``tuple.__new__``, past FoldStep's Python ``__new__``.  The
+    terminal is induced once at the end; a stiff g is its own terminal.
     """
     rows = g.rows
     alive = todo = (1 << g.n) - 1

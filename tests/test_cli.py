@@ -324,7 +324,8 @@ def test_report_writer_on_lists_of_dicts(value, long, c_encoder):
 
 
 @pytest.mark.parametrize("value", [1.5, [1.5], (1, 0.5), {"a": 1.5}, [{"a": 1.5}],
-                                   [[1.5]], [{"a": 1}, {"b": 2.5}], {"a": {1, 2}}])
+                                   [[1.5]], [{"a": 1}, {"b": 2.5}], {"a": {1, 2}},
+                                   {1: "a"}, [{"a": 1}, {1: "b"}], [{None: 1}]])
 def test_report_writer_rejects_other_types(value, monkeypatch):
     for long in (1, LONG):
         monkeypatch.setattr(cli, "_LONG", long)

@@ -375,6 +375,10 @@ def read_outcome(parse, text, limit, bulk=graphs._BULK):
 @example(("p 03\ne 0 1\n", None))
 @example(("p 3\ne 1 02\n", None))
 @example(("p 3\ne 0 1\ne 1 2", None))
+@example(("p 30\ne21 0 1\n", None))
+@example(("p 30\ne 1 2\ne21 0 1\n", None))
+@example(("p 30\ne 1 2\ne 1 23", None))
+@example(("p 3000\ne 1 2e3\n", None))
 @example(("p 3\ne 0 1\n", 2))
 @example(("c  \np 2\ne 0 1\n", None))
 @example(("p 1\n" + "e 0 " + "9" * 5000 + "\n", None))

@@ -34,10 +34,11 @@ Standard library only.  The families, each in its own function below:
   good and bad, with the vertex limit lowered between two calls.
 - ``reader``: ``parse_graph`` (the rows and name, or the error text) of
   ``format_graph``'s text of the graphs of at most 3 vertices, loops
-  allowed, and of C_5 and G_{7,2}, under four names, as written and
-  mutated: line endings, blank lines, tabs and spaces, comments, numerals
-  such as +3, 03, Arabic-Indic digits and 1_0, repeated and out-of-range
-  edges, and a repeated, late, missing or over-limit p line.
+  allowed, and of C_5, G_{7,2} and C_40 (whose texts are long enough for
+  the bulk read), under four names, as written and mutated: line endings,
+  blank lines, tabs and spaces, comments, numerals such as +3, 03,
+  Arabic-Indic digits and 1_0, repeated and out-of-range edges, and a
+  repeated, late, missing or over-limit p line.
 - ``writer``: the stdout and exit code of every ``structure`` op on the
   graphs of at most 4 vertices, loops allowed, and of ``--op stiff``,
   ``dismantlable``, ``col`` and ``omega`` on random trees, reflexive
@@ -303,7 +304,8 @@ def reader(d: Dump) -> None:
             os.environ.pop("CIRCMIX_MAX_N", None)
         return g.n, g.rows, g.name
 
-    bases = iso_reps(3, loops=True) + [cm.cycle_graph(5), cm.circular_clique(7, 2)]
+    bases = iso_reps(3, loops=True) + [cm.cycle_graph(5), cm.circular_clique(7, 2),
+                                       cm.cycle_graph(40)]
     for g in bases:
         for title in (None, "tri angle", "  pad  ", "\u00e9t\u00e9"):
             lines = cm.format_graph(cm.Graph.from_rows(g.rows, title)).splitlines()
