@@ -5,11 +5,11 @@ parent is the Farey predecessor k'/q' with kq'-k'q = 1.  Deleting any
 vertex from G_{k,q} (coprime case) dismantles onto the lower-parent
 clique, and deleting a full residue orbit from G_{kd,qd} dismantles onto
 G_{k(d-1),q(d-1)}; both facts drive the component-counting machinery.
-A scan decides every row as ``homgraph.is_mixing`` does.  A row at a
-coprime fraction that a mixing theorem covers (k/q at least twice the
+A scan's rows are ``homgraph.is_mixing``'s verdicts: a row that a rule
+answers without a join, such as a mixing theorem (k/q at least twice the
 colouring number, the integer threshold col+1, or above twice the maximum
-degree) is certified by that theorem plus an exact count of the
-colourings; every other row by explicit component computation.
+degree), is certified by that rule plus an exact count of the colourings;
+every other row by explicit component computation.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 from .errors import CapExceededError, NoColouringsError
 from .graphs import (Graph, _bits, _clique_parameters, circular_clique,
-                     clique_number, colouring_number, degrees, is_bipartite)
-from .homgraph import _avail_masks, _is_mixing, _theorem_covers, components
+                     clique_number, is_bipartite)
+from .homgraph import _avail_masks, _col_dmax, components, is_mixing
 from .homs import Hom, is_hom
 from .structure import FoldStep, apply_fold, is_retraction, make_fold
 
@@ -302,7 +302,8 @@ def delete_vertex_dismantle(k: int, q: int, d: int, i: int) -> OrbitDismantle:
                           cur, tuple(relabel), target)
 
 
-def _theorem_bounds(g: Graph, col: int, dmax: int) -> list[ScanBound]:
+def _theorem_bounds(g: Graph) -> list[ScanBound]:
+    col, dmax = _col_dmax(g)
     has_edge = dmax > 0
     out = [
         ScanBound("M_c", "<=", Fraction(2 * col), "twice the colouring number", "theorem"),
@@ -357,19 +358,14 @@ def _scan_evidence(rows) -> list[ScanBound]:
 def mixing_scan(g: Graph, fracs, cap: int | None = None) -> MixingScanReport:
     """Certified verdict per fraction plus labeled bound summary.
 
-    Every row is ``is_mixing``'s answer.  A row that a mixing theorem
-    covers (``homgraph._theorem_covers``) is Mixing with one class,
-    certified by the theorem and an exact count of its colourings; every
-    other row comes from an exact class computation.  Neither builds the
-    space: both count the colourings box by box (``homs._boxes``), or
-    from the winding totals when g is a cycle, and only the uncovered rows
-    join the boxes into classes.  G_{k,q} is fixed
-    by the shift c -> c + 1, so the boxes searched and joined are one per
-    orbit of its k shifts, about 1/k of all of them.  The search order and
-    box flags of g are kept on it (``homs._box_source``), its colouring
-    number and maximum degree are worked out once for all rows, each row's
-    G_{k,q} is the shared instance, and the theorems are asked once per row,
-    with the row's (k, q) handed on so that no row reads it off the target.
+    Every row is ``is_mixing``'s verdict on the shared G_{k,q}: a row that
+    a rule answers without a join (``homgraph._ruled``), such as a mixing
+    theorem, is certified by that rule and an exact count of its
+    colourings, and every other row by an exact class computation.  What
+    the rows read of g and of each G_{k,q} (box sources, g's cycle walk,
+    colouring number and maximum degree, the target's parameters) is kept
+    on the graph objects (``graphs._kept``), so it is worked out once for
+    all rows and later scans.
     Rows with more than ``cap`` colourings are recorded as Skipped and the
     scan continues.
     Fractions are scanned exactly as given, never reduced.  The summary
@@ -379,23 +375,18 @@ def mixing_scan(g: Graph, fracs, cap: int | None = None) -> MixingScanReport:
     if not g.is_loop_free:
         raise ValueError("mixing scans are defined for loop-free graphs")
     fracs = list(fracs)
-    for k, q in fracs:  # before colouring_number, which rejects an empty graph
+    for k, q in fracs:
         _require_frac(k, q)
-    col = colouring_number(g)
-    dmax = degrees(g)[0]
     rows = []
     for k, q in fracs:
         value = Fraction(k, q)
-        target = circular_clique(k, q)
         try:
-            v = _is_mixing(g, target, cap,
-                           covered=_theorem_covers(g, (k, q), (col, dmax)),
-                           params=(k, q))
+            v = is_mixing(g, circular_clique(k, q), cap)
         except CapExceededError:
             rows.append(MixingScanRow(k, q, value, "Skipped", None, None, ()))
             continue
         witnesses = () if v.witness is None else tuple(w.image for w in v.witness)
         rows.append(MixingScanRow(k, q, value, v.name, v.hom_count,
                                   v.class_count, witnesses))
-    bounds = _theorem_bounds(g, col, dmax) + _scan_evidence(rows)
+    bounds = _theorem_bounds(g) + _scan_evidence(rows)
     return MixingScanReport(g.name or "", tuple(rows), tuple(bounds))

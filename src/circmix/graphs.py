@@ -31,8 +31,9 @@ class Graph:
     Adjacency is one packed integer per vertex: bit u of ``rows[v]`` means
     uv is an edge.  Instances are treated as immutable; all editing helpers
     return new graphs.  Equality compares n and adjacency, never the name.
-    ``_facts`` keeps what ``_kept`` functions work out from the rows; a
-    pickle or copy of a graph holds its rows and name, not its facts.
+    ``_facts`` keeps what ``_kept`` functions work out from the rows and
+    name; a pickle or copy of a graph holds its rows and name, not its
+    facts.
     """
 
     __slots__ = ("n", "rows", "name", "_facts")
@@ -181,8 +182,9 @@ def _check_order(n: int) -> None:
 
 
 def _kept(build):
-    """``build(g)`` for a fact that depends only on g's rows, worked out on
-    g's first call and kept in ``g._facts`` for g's lifetime;
+    """``build(g)`` for a fact that depends only on g's rows and name,
+    which are fixed at construction, worked out on g's first call and kept
+    in ``g._facts`` for g's lifetime;
     ``__wrapped__`` works it out afresh.  Threads that race on a graph's
     first call each build the fact, and one is kept."""
     @wraps(build)
@@ -318,6 +320,7 @@ def _clique_row(k: int, q: int) -> int:
 _CLIQUE_NAME = re.compile(r"G_\{(\d+),(\d+)\}\Z")
 
 
+@_kept
 def _clique_parameters(g: Graph) -> tuple[int, int] | None:
     """(k, q) when g is named G_{k,q} and equals ``circular_clique(k, q)``,
     checked row by row without building it: colour c's row is

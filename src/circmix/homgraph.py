@@ -35,20 +35,8 @@ whole space is a root and a residue of the shift modulo the gcd of r and
 the root's cycle voltages.  Sizes, flags and least members are read off
 that quotient, so the work is about 1/r of a join over all boxes.
 
-Two families of spaces skip the join, both into a target named G_{k,q}
-(``graphs._clique_parameters``, read once per call) with k, q coprime.
-When the source is a cycle C_n and 2q < k < 4q, the classes are read off
-the winding total of ``winding.cycle_trace``: one class per total
-strictly between nq and n(k-q), plus the 2k frozen colourings when k
-divides n (``_cycle_classes``, which carries the proof), and no box is
-built.  When a mixing theorem covers k/q for a loop-free source
-(``_theorem_covers``), the space is one class and is not joined.  On a
-cycle the theorems cover exactly the coprime k >= 4q, so the two rules
-never both apply, and a covered cycle is counted from its winding totals
-too (``_covered_cycle_count``); any other covered source has its boxes
-searched, for the count, the cap and the non-surjective flag.  Both
-cycle counts come from one integer power (``_winding_counts``).  Every
-other pair is joined on boxes.
+Some spaces are answered without a join, by the first rule of
+``_ruled`` that applies; every other pair is joined on boxes.
 
 Homotopy paths walk the homomorphism graph with ``graphs._bfs`` and never
 enumerate the space, finding each map's neighbours by one search over its
@@ -596,26 +584,35 @@ def _theorem_mixing(k: int, q: int, col: int, dmax: int) -> bool:
                                or 0 < 2 * dmax * q < k)
 
 
-def _theorem_covers(g: Graph, params: tuple[int, int] | None,
-                    bounds: tuple[int, int] | None = None) -> bool:
+def _theorem_covers(g: Graph, params: tuple[int, int] | None) -> bool:
     """Does a mixing theorem make HOM(g, G_{k,q}) one colour class, for
     ``params`` = (k, q), the ``graphs._clique_parameters`` of the target
     (None when it is not a G_{k,q} so named)?  It does when g is loop-free
-    with a vertex and ``_theorem_mixing`` covers k/q; ``bounds`` is
-    (col(g), max degree of g) when the caller has them, and (3, 2) when g
-    is a cycle (``_cycle_walk``).
+    with a vertex and ``_theorem_mixing`` covers k/q at g's ``_col_dmax``.
 
     Such a space is never empty, since each rule puts k/q at or above
     chi(g): col >= chi, and 2 dmax >= dmax + 1 >= chi once g has an edge.
     """
-    if params is None or not g.n or not g.is_loop_free:
+    if params is None or not g.n:
         return False
-    if bounds is None and _cycle_walk(g) is not None:
-        bounds = (3, 2)
-    col, dmax = bounds or (colouring_number(g), degrees(g)[0])
-    return _theorem_mixing(*params, col, dmax)
+    bounds = _col_dmax(g)
+    return bounds is not None and _theorem_mixing(*params, *bounds)
 
 
+@_kept
+def _col_dmax(g: Graph) -> tuple[int, int] | None:
+    """(col(g), max degree of g) when g is loop-free, else None: what the
+    theorem rule and the bounds of ``circular.mixing_scan`` read.  It is
+    (3, 2) when g is a cycle (``_cycle_walk``), with no degeneracy order
+    worked out."""
+    if _cycle_walk(g) is not None:
+        return (3, 2)
+    if not g.is_loop_free:
+        return None
+    return colouring_number(g), degrees(g)[0]
+
+
+@_kept
 def _cycle_walk(g: Graph) -> list[int] | None:
     """The vertices of g in order around it from vertex 0, when g is one
     cycle: connected and loop-free, every vertex of degree 2, n >= 3."""
@@ -681,8 +678,7 @@ def _cycle_classes(source: Graph, target: Graph, cap: int | None = None,
     colour that leaves the colours chosen so far feasible (see
     ``_least_member``).
     """
-    if params is None and _cycle_walk(source) is not None:
-        params = _clique_parameters(target)
+    params = params or _clique_parameters(target)
     if params is None:
         return None
     k, q = params
@@ -706,28 +702,6 @@ def _cycle_classes(source: Graph, target: Graph, cap: int | None = None,
                     image[v] = (c + i * step) % k
                 classes.append(ClassSummary(Hom(n, k, tuple(image)), 1, False, True))
     return k * sum(counts), tuple(sorted(classes, key=lambda c: c.rep.image))
-
-
-def _covered_cycle_count(source: Graph, params: tuple[int, int],
-                         cap: int | None = None) -> int | None:
-    """|HOM(C_n, G_{k,q})| from the winding totals (``_winding_counts``),
-    for a source that is a cycle (``_cycle_walk``, else None) and
-    ``params`` = (k, q) that ``_theorem_covers`` covers.  Raises
-    CapExceededError exactly when the count passes ``cap``, with the text
-    of ``homs._boxes``.
-
-    On a cycle (col 3, max degree 2) the theorems cover exactly the
-    coprime k >= 4q: q = 1 with k >= 4, or k > 4q.  The space is then one
-    class, and it holds a member missing colour 0 for every n >= 3:
-    colours 1, 1+q and 1+2q lie in 1..k-1 and are pairwise q or 2q apart,
-    both in [q, k-q] once k >= 4q, so they span a triangle of G_{k,q} - 0,
-    and the triangle holds a closed walk of every length n >= 2 (round the
-    triangle once when n is odd, then to and fro along one edge).
-    """
-    if _cycle_walk(source) is None:
-        return None
-    k, q = params
-    return k * sum(_winding_counts(source.n, k, q, cap)[1])
 
 
 def _winding_counts(n: int, k: int, q: int, cap: int | None = None
@@ -851,59 +825,90 @@ def _least_member(walk: list[int], k: int, q: int, sigma: int) -> tuple[int, ...
     return tuple(image)
 
 
+def _ruled(source: Graph, target: Graph, cap: int | None = None,
+           flags: bool = True) -> tuple[int, tuple[ClassSummary, ...]] | None:
+    """HOM(source, target)'s total and classes, as ``components`` lists
+    them, from the first rule that answers the space without a join; None
+    when none does, and the boxes are to be joined.  Each rule needs a
+    target named G_{k,q} with k, q coprime (``graphs._clique_parameters``,
+    read once here).  The rules, in the order asked:
+
+    1. A cycle into G_{k,q} with 2q < k < 4q: ``_cycle_classes``, one
+       class per winding total, and no box is built.
+    2. A space that a mixing theorem makes one class (``_theorem_covers``):
+       that class is the whole space, with ``first_hom`` as its least
+       member, and is never frozen, as it holds at least k >= 2 maps.  A
+       cycle is counted from its winding totals (``_winding_counts``), any
+       other source box by box (``homs._boxes``), whose boxes show whether
+       a member misses a colour.
+
+    With ``flags`` false, as ``is_mixing`` asks, no non-surjective flag is
+    worked out, each reading False, and no ``first_hom`` is called: the
+    covered class's member is None.  Raises CapExceededError exactly when
+    the join would.
+
+    On a cycle (col 3, max degree 2) the theorems cover exactly the
+    coprime k >= 4q: q = 1 with k >= 4, or k > 4q, so the two rules never
+    both apply.  The space then holds a member missing colour 0 for every
+    n >= 3: colours 1, 1+q and 1+2q lie in 1..k-1 and are pairwise q or 2q
+    apart, both in [q, k-q] once k >= 4q, so they span a triangle of
+    G_{k,q} - 0, and the triangle holds a closed walk of every length
+    n >= 2 (round the triangle once when n is odd, then to and fro along
+    one edge).
+    """
+    params = _clique_parameters(target)
+    if params is None:
+        return None
+    cycle = _cycle_classes(source, target, cap, params, flags)
+    if cycle is not None or not _theorem_covers(source, params):
+        return cycle
+    if _cycle_walk(source) is not None:
+        k, q = params
+        total = k * sum(_winding_counts(source.n, k, q, cap)[1])
+        missing = flags
+    else:
+        boxed, found, _, r = _boxes(_box_source(source), target, cap)
+        boxes = list(found)
+        total = r * sum(size for _, _, size in boxes)
+        missing = False
+        if flags:
+            free = set(range(source.n)).difference(boxed)
+            missing = any(_misses_a_colour(box, free, target.n) for box in boxes)
+    rep = first_hom(source, target) if flags else None
+    return total, (ClassSummary(rep, total, missing, False),)
+
+
 def components(source: Graph, target: Graph, kind: str = "colour",
                cap: int | None = None) -> ComponentReport:
     """Connectivity classes of HOM(source, target).
 
     kind="colour" uses single-vertex recolouring steps; kind="homomorphism"
     uses the cross condition.  For loop-free sources the partitions agree.
-    Both kinds read the classes off boxes that box no looped vertex, joined
-    by ``_join``, and build no member but the representatives.  A class is
-    frozen when it has a member with no neighbour but itself in the
-    homomorphism graph, that is, when it holds a homomorphism class of one
-    member.  A box has a member that misses some colour c exactly when its
-    other vertices miss c and no boxed vertex is held to c alone.
+    A space that a rule answers without a join (``_ruled``) takes that
+    rule's classes, both kinds alike.  Every other reads the classes off
+    boxes that box no looped vertex, joined by ``_join``, and builds no
+    member but the representatives.  A class is frozen when it has a
+    member with no neighbour but itself in the homomorphism graph, that
+    is, when it holds a homomorphism class of one member.  A box has a
+    member that misses some colour c exactly when its other vertices miss
+    c and no boxed vertex is held to c alone.
 
     The boxes are one per orbit of the target's r cyclic shifts.  A root
     of ``_join`` with split s stands for s classes, each of r/s times its
     boxes' size; they share its non-surjective flag, since a shift moves
     the colours a member misses, and are frozen when its homomorphism class
     is one box of one member whose shifts are all apart (split r).
-
-    The target's ``graphs._clique_parameters`` are read once, for the two
-    rules that answer a space without a join.  A cycle into a coprime
-    G_{k,q} with 2q < k < 4q, both kinds alike, takes its classes from
-    ``_cycle_classes`` and builds no box.  A space that a mixing theorem
-    makes one class (``_theorem_covers``) is not joined: its one class is
-    the whole space, with ``first_hom`` as its least member, and is never
-    frozen, as it holds at least k >= 2 maps.  On a cycle source it is
-    counted from its winding totals (``_covered_cycle_count``, which shows
-    that it misses colour 0), otherwise box by box.
     """
     if kind not in ("colour", "homomorphism"):
         raise ValueError(f"unknown kind {kind!r}")
-    params = _clique_parameters(target)
-    covered = False
-    if params is not None:
-        cycle = _cycle_classes(source, target, cap, params)
-        if cycle is not None:
-            return ComponentReport(kind, *cycle)
-        covered = _theorem_covers(source, params)
-        total = _covered_cycle_count(source, params, cap) if covered else None
-        if total is not None:
-            one = ClassSummary(first_hom(source, target), total, True, False)
-            return ComponentReport(kind=kind, total=total, classes=(one,))
+    ruled = _ruled(source, target, cap)
+    if ruled is not None:
+        return ComponentReport(kind, *ruled)
     boxed, found, root, r = _boxes(_box_source(source, False), target, cap)
     boxes = list(found)
     if not boxes:
         return ComponentReport(kind=kind, total=0, classes=())
     free = set(range(source.n)).difference(boxed)
-    if covered:
-        total = r * sum(size for _, _, size in boxes)
-        one = ClassSummary(first_hom(source, target), total,
-                           any(_misses_a_colour(box, free, target.n) for box in boxes),
-                           False)
-        return ComponentReport(kind=kind, total=total, classes=(one,))
     hom = join = _join(source, target, boxed, boxes, root, r, homotopy=True)
     if kind == "colour" and not source.is_loop_free:
         join = _join(source, target, boxed, boxes, root, r)
@@ -943,53 +948,26 @@ def _misses_a_colour(box, free, n: int) -> bool:
 def is_mixing(source: Graph, target: Graph, cap: int | None = None) -> MixingVerdict:
     """Is the colour graph of HOM(source, target) connected?
 
-    Reads the classes off the orbit boxes of ``homs._boxes``, joined by
-    ``_join``, building no member but the class representatives: a root
-    with split s is s classes.  NotMixing verdicts carry the least members
-    of the two least classes.  The target's ``graphs._clique_parameters``
-    are read once.  A cycle into a coprime G_{k,q} with 2q < k < 4q takes
-    its classes from ``_cycle_classes`` instead, one per winding total,
-    and builds no box; their non-surjective flags are not worked out, as
-    no verdict reports them.  A space that a mixing theorem makes one class
-    (``_theorem_covers``) is Mixing once counted, with no join: from its
-    winding totals on a cycle source (``_covered_cycle_count``), box by
-    box otherwise.
+    A space that a rule answers without a join (``_ruled``, which works
+    out no non-surjective flag here, as no verdict reports one) takes its
+    verdict from that rule's classes.  Every other is read off the orbit
+    boxes of ``homs._boxes``, joined by ``_join``, building no member but
+    the class representatives: a root with split s is s classes.
+    NotMixing verdicts carry the least members of the two least classes.
     """
-    return _is_mixing(source, target, cap)
-
-
-def _is_mixing(source: Graph, target: Graph, cap: int | None = None,
-               covered: bool | None = None,
-               params: tuple[int, int] | None = None) -> MixingVerdict:
-    """``is_mixing`` on what the caller has worked out: ``covered``, the
-    answer of ``_theorem_covers``, else it is asked here; and ``params``,
-    the target's ``graphs._clique_parameters``, else they are read here.
-    A space known to be covered skips the cycle rule, which cannot apply
-    to it."""
-    if params is None:
-        params = _clique_parameters(target)
-    if params is not None:
-        cycle = None if covered else _cycle_classes(source, target, cap, params,
-                                                    flags=False)
-        if cycle is not None:
-            total, classes = cycle
-            if len(classes) < 2:
-                status = "mixing" if classes else "no_colourings"
-                return MixingVerdict(status, total, len(classes), None)
-            return MixingVerdict("not_mixing", total, len(classes),
-                                 (classes[0].rep, classes[1].rep))
-        if covered is None:
-            covered = _theorem_covers(source, params)
-        total = _covered_cycle_count(source, params, cap) if covered else None
-        if total is not None:
-            return MixingVerdict("mixing", total, 1, None)
+    ruled = _ruled(source, target, cap, flags=False)
+    if ruled is not None:
+        total, classes = ruled
+        if len(classes) < 2:
+            status = "mixing" if classes else "no_colourings"
+            return MixingVerdict(status, total, len(classes), None)
+        return MixingVerdict("not_mixing", total, len(classes),
+                             (classes[0].rep, classes[1].rep))
     boxed, found, root, r = _boxes(_box_source(source), target, cap)
     boxes = list(found)
     if not boxes:
         return MixingVerdict("no_colourings", 0, 0, None)
     total = r * sum(size for _, _, size in boxes)
-    if covered:
-        return MixingVerdict("mixing", total, 1, None)
     join = _join(source, target, boxed, boxes, root, r)
     roots, _, splits = join
     count = sum(splits[x] for x in set(roots))

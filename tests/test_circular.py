@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from circmix import circular, homgraph
+from circmix import homgraph
 from circmix.circular import (available_colours, avoid_colour_normalize,
                               delete_vertex_dismantle, is_flexible,
                               lower_parent, lower_parent_bound, mixing_scan,
@@ -313,18 +313,18 @@ def test_null_graph_scan_rows_match_is_mixing():
 
 
 def test_theorem_rows_do_not_enumerate(monkeypatch):
-    calls, joins = [], []
-    # the scan decides every row on one prepared source, by ``_is_mixing``
-    is_mixing_on, join = circular._is_mixing, homgraph._join
-    monkeypatch.setattr(circular, "_is_mixing", lambda *a, **kw:
-                        calls.append(kw["covered"]) or is_mixing_on(*a, **kw))
+    answers, joins = [], []
+    covers, join = homgraph._theorem_covers, homgraph._join
+    monkeypatch.setattr(homgraph, "_theorem_covers",
+                        lambda *a: answers.append(covers(*a)) or answers[-1])
     monkeypatch.setattr(homgraph, "_join",
                         lambda *a, **kw: joins.append(a[1]) or join(*a, **kw))
     rep = mixing_scan(complete_graph(3), [(4, 1), (9, 2), (8, 2), (7, 2)])
     assert [r.verdict for r in rep.rows] == ["Mixing"] * 3 + ["NotMixing"]
     # 4/1 and 9/2 are covered by theorems and not joined; 8/2 is not
-    # coprime, and 7/2 takes the cycle rule, K_3 being C_3
-    assert calls == [True, True, False, False]
+    # coprime, and 7/2 is answered by the cycle rule, K_3 being C_3, which
+    # is asked before the theorems
+    assert answers == [True, True, False]
     assert joins == [circular_clique(8, 2)]
     rep = mixing_scan(complete_graph(3), [(4, 1)], cap=23)
-    assert rep.rows[0].verdict == "Skipped" and calls[4:] == [True]
+    assert rep.rows[0].verdict == "Skipped" and answers[3:] == [True]

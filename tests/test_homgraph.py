@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from collections import Counter
 from math import factorial, gcd
 from unittest import mock
 
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circmix import graphs, homgraph, homindex, homs
+from circmix import circular, graphs, homgraph, homindex, homs
+from circmix.circular import mixing_scan
 from circmix.cli import main
 from circmix.config import DEFAULT_MAX_VERTICES
 from circmix.errors import (CapExceededError, DisconnectedError,
@@ -998,6 +1000,104 @@ def test_clique_parameters_read_once_per_call(monkeypatch):
             calls.clear()
             ask()
             assert calls == [h], h.name
+
+
+def test_kept_facts_built_once_per_graph(monkeypatch):
+    """Two scans each of two source objects at the sweep's 9 fractions read
+    the row's G_{k,q} parameters once per row, and build each fact they
+    keep once per graph object: the parameters of the source and of each
+    shared target, and the source's cycle walk and (col, dmax).  A copy of
+    G_{7,2} unnamed or misnamed keeps None for its parameters and is
+    joined."""
+    built = []
+    for name in ("_clique_parameters", "_cycle_walk", "_col_dmax"):
+        build = getattr(homgraph, name).__wrapped__
+        fact = graphs._kept(lambda g, name=name, build=build:
+                            built.append((name, g)) or build(g))
+        for module in (homgraph, circular):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fact)
+    reads, read = [], homgraph._clique_parameters
+    monkeypatch.setattr(homgraph, "_clique_parameters",
+                        lambda h: reads.append(h) or read(h))
+    sweep = [(k, q) for q in range(1, 5) for k in range(2 * q, 8) if gcd(k, q) == 1]
+    targets = [circular_clique(k, q) for k, q in sweep]
+    sources = [cycle_graph(5), Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])]
+    for g in sources:
+        reads.clear()
+        first = mixing_scan(g, sweep)
+        assert mixing_scan(g, sweep) == first
+        assert list(map(id, reads)) == list(map(id, targets)) * 2
+    facts = Counter((name, id(g)) for name, g in built)
+    assert set(facts.values()) == {1}
+    assert sorted(facts) == sorted(
+        [("_clique_parameters", id(h)) for h in sources + targets]
+        + [(name, id(g)) for g in sources for name in ("_cycle_walk", "_col_dmax")])
+    g72, c5 = circular_clique(7, 2), cycle_graph(5)
+    want = is_mixing(c5, g72)
+    joins, join = [], homgraph._join
+    monkeypatch.setattr(homgraph, "_join",
+                        lambda *a, **kw: joins.append(a[1]) or join(*a, **kw))
+    for h in (Graph.from_rows(g72.rows), Graph.from_rows(g72.rows, "G_{7,3}")):
+        built.clear()
+        for _ in range(2):
+            joins.clear()
+            assert homgraph._clique_parameters(h) is None
+            assert is_mixing(c5, h) == want and joins == [h]
+        assert built == [("_clique_parameters", h)]
+
+
+def test_rule_ladder_order(monkeypatch):
+    """``_ruled`` asks the cycle rule, then the theorems, and the first
+    rule that answers a space decides it with no join; a pair that no rule
+    answers is joined on boxes.  One pair per outcome, with the calls each
+    takes, alike from ``is_mixing``, ``components`` and a scan row.  On a
+    covered space ``components`` calls ``first_hom`` once, for the least
+    member, and neither ``is_mixing`` nor a scan calls it."""
+    log = []
+    for name, tag in (("_cycle_classes", "cycle"), ("_theorem_covers", "theorem"),
+                      ("_winding_counts", "winding"), ("_boxes", "boxes"),
+                      ("_join", "join"), ("first_hom", "first_hom")):
+        monkeypatch.setattr(homgraph, name, lambda *a, real=getattr(homgraph, name),
+                            tag=tag, **kw: log.append(tag) or real(*a, **kw))
+    ruled = homgraph._ruled
+
+    def marked(*a, **kw):
+        out = ruled(*a, **kw)
+        log.append("join boxes" if out is None else "ruled")
+        return out
+
+    monkeypatch.setattr(homgraph, "_ruled", marked)
+    g72 = circular_clique(7, 2)
+    cases = [
+        # a cycle below 4: its classes from the winding totals, no box
+        (cycle_graph(7), circular_clique(10, 3), ["cycle", "winding", "ruled"]),
+        # covered cycle: counted from the winding totals, no box
+        (cycle_graph(5), circular_clique(13, 2),
+         ["cycle", "theorem", "winding", "ruled"]),
+        # covered non-cycle: counted box by box, not joined
+        (complete_graph(4), circular_clique(9, 1), ["cycle", "theorem", "boxes", "ruled"]),
+        # not coprime: joined
+        (cycle_graph(5), circular_clique(8, 2),
+         ["cycle", "theorem", "join boxes", "boxes", "join"]),
+        # looped source: boxed, and its space is empty, so nothing is joined
+        (Graph(2, [(0, 0), (0, 1)]), g72, ["cycle", "theorem", "join boxes", "boxes"]),
+        # a target not named G_{k,q}: no rule is asked
+        (complete_graph(3), Graph.from_rows(g72.rows), ["join boxes", "boxes", "join"]),
+    ]
+    for g, h, want in cases:
+        covered = "theorem" in want and want[-1] == "ruled"
+        log.clear()
+        is_mixing(g, h)
+        assert log == want, h.name
+        log.clear()
+        components(g, h)
+        assert log == (want[:-1] + ["first_hom", "ruled"] if covered else want), h.name
+        params = graphs._clique_parameters(h)
+        if g.is_loop_free and params is not None:
+            log.clear()
+            mixing_scan(g, [params])
+            assert log == want, h.name
 
 
 def test_cycles_skip_the_colouring_number(monkeypatch):

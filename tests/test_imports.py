@@ -1,14 +1,20 @@
 """The package's import structure, read from its sources: every import
-between its modules points one way, and the CLI starts without the
-standard library's code generators."""
+between its modules points one way, the CLI starts without the standard
+library's code generators, and the sources keep to Python 3.10."""
 
 import ast
 import pathlib
+import re
 import subprocess
 import sys
 
-SOURCES = pathlib.Path(__file__).resolve().parent.parent / "src" / "circmix"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SOURCES = ROOT / "src" / "circmix"
 LAZY = {"homindex"}  # loaded on first use, by the calls that walk bitsets
+# what Python 3.11 added that a 3.10 parse lets through: possessive
+# quantifiers and atomic groups in regular expressions, and these names
+LATER_REGEX = re.compile(r"[*+?}]\+|\(\?>")
+LATER_NAMES = {"tomllib", "Self", "ExceptionGroup", "BaseExceptionGroup"}
 
 
 def _relative_imports(node, module: str, in_function: bool, out: list) -> list:
@@ -58,3 +64,28 @@ def test_cli_starts_without_dataclasses_or_inspect():
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(SOURCES.parent)],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_sources_keep_to_python_3_10():
+    """Every file of the package and of ``tools`` parses as Python 3.10,
+    the floor that pyproject.toml and the README state, and no string
+    constant holds a 3.11 regular expression form, nor does any name,
+    import or ``except*`` use what 3.11 added."""
+    paths = sorted(SOURCES.glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
+    assert len(paths) > 10
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path),
+                         feature_version=(3, 10))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                hit = LATER_REGEX.search(node.value)
+            elif isinstance(node, ast.alias):
+                hit = {node.name, node.name.split(".")[0]} & LATER_NAMES
+            elif isinstance(node, (ast.Name, ast.Attribute, ast.ImportFrom)):
+                hit = {getattr(node, key, None) for key in ("id", "attr", "module")} & LATER_NAMES
+            else:
+                hit = type(node).__name__ == "TryStar"
+            if hit:
+                found.append((path.name, getattr(node, "lineno", None), ast.dump(node)))
+    assert found == []

@@ -30,8 +30,10 @@ Standard library only.  The families, each in its own function below:
 - ``prepared``: counts, enumerations, least maps, components, walks and
   radii on the graphs of at most 3 vertices, loops allowed, and the
   loop-free ones on 4, into those of at most 3 with loops allowed, counts
-  and verdicts asked again of the same graph objects; and graph specs,
-  good and bad, with the vertex limit lowered between two calls.
+  and verdicts asked again of the same graph objects; scans of each of
+  those sources, before and after its other calls, on one graph object;
+  and graph specs, good and bad, with the vertex limit lowered between two
+  calls.
 - ``reader``: ``parse_graph`` (the rows and name, or the error text) of
   ``format_graph``'s text of the graphs of at most 3 vertices, loops
   allowed, and of C_5, G_{7,2} and C_40 (whose texts are long enough for
@@ -208,6 +210,7 @@ def prepared(d: Dump) -> None:
 
     targets = iso_reps(3, loops=True)
     for g in iso_reps(3, loops=True) + [g for g in iso_reps(4) if g.n == 4]:
+        d.call(f"scan {name(g)}", lambda: cm.mixing_scan(g, FRACTIONS))
         for h in targets:
             label = f"{name(g)} -> {name(h)}"
             d.capped(f"hom_count {label}", lambda cap: cm.hom_count(g, h, cap),
@@ -223,6 +226,7 @@ def prepared(d: Dump) -> None:
             # again, on the facts the graphs now keep
             d.call(f"hom_count again {label}", lambda: cm.hom_count(g, h))
             d.call(f"is_mixing again {label}", lambda: cm.is_mixing(g, h))
+        d.call(f"scan again {name(g)}", lambda: cm.mixing_scan(g, FRACTIONS))
     specs = ["clique:1", "clique:5", "clique:0", "clique:-1", "clique:x", "circ:7/2",
              "circ:7", "circ:5/3", "circ:6/0", "circ:a/b", "gadget:g62x", "gadget:none"]
     limit = os.environ.get("CIRCMIX_MAX_N")
