@@ -6,10 +6,10 @@ vertex from G_{k,q} (coprime case) dismantles onto the lower-parent
 clique, and deleting a full residue orbit from G_{kd,qd} dismantles onto
 G_{k(d-1),q(d-1)}; both facts drive the component-counting machinery.
 A scan's rows are ``homgraph.is_mixing``'s verdicts: a row that a rule
-answers without a join, such as a mixing theorem (k/q at least twice the
-colouring number, the integer threshold col+1, or above twice the maximum
-degree), is certified by that rule plus an exact count of the colourings;
-every other row by explicit component computation.
+answers without a join, such as a mixing theorem (k > (2q-1) col, which
+implies the bounds 2 col and col+1 that a report prints, or k/q above
+twice the maximum degree), is certified by that rule plus an exact count
+of the colourings; every other row by explicit component computation.
 """
 
 from __future__ import annotations
@@ -303,6 +303,8 @@ def delete_vertex_dismantle(k: int, q: int, d: int, i: int) -> OrbitDismantle:
 
 
 def _theorem_bounds(g: Graph) -> list[ScanBound]:
+    """The bounds a scan report prints, as the literature states them; the
+    scan's rule, k > (2q-1) col, implies the 2 col and col + 1 ones."""
     col, dmax = _col_dmax(g)
     has_edge = dmax > 0
     out = [

@@ -93,14 +93,10 @@ class Graph:
 
     @property
     def is_loop_free(self) -> bool:
-        return not any(self.rows[v] >> v & 1 for v in range(self.n))
+        return not _loop_mask(self)
 
     def reflexive_mask(self) -> int:
-        m = 0
-        for v in range(self.n):
-            if self.rows[v] >> v & 1:
-                m |= 1 << v
-        return m
+        return _loop_mask(self)
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, ordered by least vertex."""
@@ -198,6 +194,12 @@ def _kept(build):
             fact = facts[build] = build(g)
             return fact
     return kept
+
+
+@_kept
+def _loop_mask(g: Graph) -> int:
+    """The mask of g's looped vertices."""
+    return sum(1 << v for v, m in enumerate(g.rows) if m >> v & 1)
 
 
 @lru_cache(maxsize=32, typed=True)

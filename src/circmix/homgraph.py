@@ -45,7 +45,7 @@ graph (``homs._search_source``).
 
 Radii enumerate the space instead and walk it on bitsets (``homindex``),
 as does the layered check of ``extension``.  The target's shifts and
-reflections (``homs._symmetries``) act on the homomorphism graph too, so a
+reflections (``homs._reflection``) act on the homomorphism graph too, so a
 radius takes one search per orbit, and those searches run together as one
 multi-source sweep.
 """
@@ -575,13 +575,24 @@ def _hom_neighbours(image, src: _Source, target: Graph,
 def _theorem_mixing(k: int, q: int, col: int, dmax: int) -> bool:
     """Does a mixing theorem cover the coprime fraction k/q?
 
-    The rules are the theorem bounds of ``circular._theorem_bounds``:
-    k/q >= 2 col (the paper's main theorem), q = 1 with k >= col+1
-    (Cereceda, van den Heuvel and Johnson), and k/q > 2 dmax on a graph
-    with an edge.  The last is strict: K_2 does not mix at 2/1.
+    Two rules: k > (2q-1) col, and k/q > 2 dmax on a graph with an edge
+    (strict: K_2 does not mix at 2/1).  The first holds by induction on a
+    degeneracy order of G:
+
+    1. Take v last, with d <= col-1 neighbours.  When a neighbour must
+       move from colour a to b, v first moves to a colour that clashes
+       with no neighbour's colour and not with b.  A colour of G_{k,q}
+       clashes with the 2q-1 colours less than q from it, itself included,
+       so these rule out at most (d+1)(2q-1) <= col (2q-1) < k colours:
+       such a colour exists, and every recolouring walk of G - v lifts.
+    2. Colourings that differ only at v are adjacent, so the colour
+       classes of G follow from those of G - v by induction.
+    3. For col >= 1 it implies the paper's k/q >= 2 col and, at q = 1, the
+       integer threshold col + 1 of Cereceda, van den Heuvel and Johnson,
+       tight there as K_{d+1} has a frozen (d+1)-colouring.  It does not
+       imply the 2 dmax rule, which covers 9/2 on a cycle.
     """
-    return gcd(k, q) == 1 and (k >= 2 * col * q or (q == 1 and k >= col + 1)
-                               or 0 < 2 * dmax * q < k)
+    return gcd(k, q) == 1 and (k > (2 * q - 1) * col or 0 < 2 * dmax * q < k)
 
 
 def _theorem_covers(g: Graph, params: tuple[int, int] | None) -> bool:
@@ -591,7 +602,8 @@ def _theorem_covers(g: Graph, params: tuple[int, int] | None) -> bool:
     with a vertex and ``_theorem_mixing`` covers k/q at g's ``_col_dmax``.
 
     Such a space is never empty, since each rule puts k/q at or above
-    chi(g): col >= chi, and 2 dmax >= dmax + 1 >= chi once g has an edge.
+    chi(g): k >= (2q-1) col + 1 >= q col, so k/q >= col >= chi, and
+    2 dmax >= dmax + 1 >= chi once g has an edge.
     """
     if params is None or not g.n:
         return False
@@ -848,8 +860,9 @@ def _ruled(source: Graph, target: Graph, cap: int | None = None,
     the join would.
 
     On a cycle (col 3, max degree 2) the theorems cover exactly the
-    coprime k >= 4q: q = 1 with k >= 4, or k > 4q, so the two rules never
-    both apply.  The space then holds a member missing colour 0 for every
+    coprime k >= 4q: k > (2q-1) col reads k > 6q - 3, which is k >= 4 at
+    q = 1 and lies inside k > 4q for q >= 2, so the two rules never both
+    apply.  The space then holds a member missing colour 0 for every
     n >= 3: colours 1, 1+q and 1+2q lie in 1..k-1 and are pairwise q or 2q
     apart, both in [q, k-q] once k >= 4q, so they span a triangle of
     G_{k,q} - 0, and the triangle holds a closed walk of every length
@@ -1034,16 +1047,17 @@ def radius_centre(source: Graph, target: Graph, cap: int | None = None) -> tuple
     some pair is unreachable.
 
     An automorphism s of the target maps the homomorphism graph onto
-    itself by f -> s.f, so eccentricity is constant on the orbits of
-    ``homs._symmetries``: one search per orbit.  Every orbit holds a
-    representative of ``homindex._HomIndex``, as the shifts are among the
-    symmetries, so the searches start from the first representative of
-    each orbit, and the least centre is the least member of an orbit of
-    least eccentricity.  The searches run together, as one sweep of
+    itself by f -> s.f, so eccentricity is constant on the orbits of the
+    target's shifts c -> c + t d, d = ``homs._shift_period``, and, when it
+    has a ``homs._reflection`` c -> a - c, the reflections c -> a + t d - c:
+    one search per orbit.  Every orbit holds a representative of
+    ``homindex._HomIndex``, as the shifts are among those maps, so the
+    searches start from the first representative of each orbit, and the
+    least centre is the least member of an orbit of least eccentricity.
+    The searches run together, as one sweep of
     ``homindex._HomIndex.eccentricities``.  An orbit is built from its
     first representative and that map's reflection, each shifted by every
-    multiple of ``homs._shift_period``, so no permutation of the colours
-    is ever built.
+    multiple of d, so no permutation of the colours is ever built.
     """
     # imported on first use: commands that walk no bitsets never load it
     from .homindex import _HomIndex

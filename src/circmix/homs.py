@@ -356,25 +356,6 @@ def _shift_period(h: Graph) -> int:
     return n
 
 
-def _symmetries(h: Graph) -> list[tuple[int, ...]]:
-    """Automorphisms of h read off its rows, as colour permutations, the
-    identity first: the r shifts c -> c + t*d of ``_shift_period`` and,
-    when h has a ``_reflection`` c -> a - c, the r reflections
-    c -> a + t*d - c as well.  They form a group: a reflection composed
-    with a shift or a reflection is one of these maps again.  Built on
-    each call: on K_n they are 2n permutations of n colours.
-    """
-    n = h.n
-    d = _shift_period(h) or 1  # 0 on the empty graph
-    shifts = [tuple((c + t) % n for c in range(n)) for t in range(0, n or 1, d)]
-    a = _reflection(h)
-    if a is None:
-        return shifts
-    flip = [(a - c) % n for c in range(n)]
-    # on one or two colours a reflection may be a shift
-    return list(dict.fromkeys(shifts + [tuple(shift[x] for x in flip) for shift in shifts]))
-
-
 @_kept
 def _reflection(h: Graph) -> int | None:
     """The least a below ``_shift_period(h)`` such that c -> a - c is an

@@ -298,7 +298,7 @@ def test_mixing_scan_rows_match_is_mixing(monkeypatch):
             theorem_row = homgraph._theorem_mixing(row.k, row.q, col, dmax)
             assert joins or not theorem_row, (g.rows, row)
             theorem_rows += theorem_row
-    assert theorem_rows == 592
+    assert theorem_rows == 630
 
 
 def test_null_graph_scan_rows_match_is_mixing():

@@ -653,7 +653,7 @@ def test_radius_centre_values_and_errors():
         radius_centre(complete_graph(3), complete_graph(3))
     for h in _shifted_targets():
         d = homs._shift_period(h)
-        assert 1 < d < h.n and len(homs._symmetries(h)) == h.n // d
+        assert 1 < d < h.n and homs._reflection(h) is None
     pairs = [(g, h) for g in iso_reps(4, loops=True) for h in iso_reps(3, loops=True)]
     pairs += [(g, h) for g in iso_reps(3, loops=True) for h in _shifted_targets()]
     outcomes = set()
@@ -678,7 +678,7 @@ def test_radius_centre_values_and_errors():
 
 def test_radius_centre_builds_no_colour_permutations():
     """Orbits are marked from the shift period and the reflection, never
-    from the list of ``homs._symmetries``: on a looped vertex into the
+    from a list of the target's symmetries: on a looped vertex into the
     reflexive 1024-cycle that list alone would hold 2048 permutations of
     1024 colours, about 40 MB."""
     n = 1024
@@ -850,10 +850,73 @@ def test_theorem_path_matches_the_join(monkeypatch):
             same_with_the_rule_off(g, h, cap)
     assert not homgraph._theorem_covers(Graph(0), (7, 2))
     assert homgraph._theorem_covers(Graph(3), (7, 2))
-    # 592 pairs of iso_reps(5), as test_mixing_scan_rows_match_is_mixing
+    # 630 pairs of iso_reps(5), as test_mixing_scan_rows_match_is_mixing
     # counts, 50 of the cycles, the edgeless source and the 13 cycles into
     # targets past k = 11, of which C_4095 is capped
-    assert (covered, capped) == (592 + 50 + 1 + 13, 18 + 1)
+    assert (covered, capped) == (630 + 50 + 1 + 13, 18 + 1)
+
+
+def _lift_rows(sources, fractions):
+    """The rows (g, k, q) that the theorem rule covers and that the
+    paper's k/q >= 2 col, the integer threshold k >= col + 1 at q = 1 and
+    k/q > 2 dmax do not: those that only k > (2q-1) col covers."""
+    rows = []
+    for g in sources:
+        col, dmax = homgraph._col_dmax(g)
+        for k, q in fractions:
+            if homgraph._theorem_covers(g, (k, q)) and not (
+                    k >= 2 * col * q or (q == 1 and k >= col + 1) or 0 < 2 * dmax * q < k):
+                rows.append((g, k, q))
+    return rows
+
+
+def test_lift_rows_match_the_join(monkeypatch):
+    """Each row that only the lift k > (2q-1) col covers answers as its
+    join does: ``is_mixing`` on the graphs of at most 6 vertices into
+    every coprime G_{k,q} with k <= 14 and q <= 4, at the default cap and
+    at caps of its count and one below, and both kinds of ``components``
+    on the graphs of at most 5 vertices at the 21 fractions."""
+    def answer(g, h, cap=None, rule=True):
+        with monkeypatch.context() as m:
+            if not rule:
+                m.setattr(homgraph, "_theorem_covers", lambda *a, **kw: False)
+            try:
+                return is_mixing(g, h, cap)
+            except CapExceededError as exc:
+                return str(exc)
+
+    fractions = [(k, q) for q in range(1, 5) for k in range(2 * q, 15) if gcd(k, q) == 1]
+    rows = _lift_rows(iso_reps(6), fractions)
+    assert len(rows) == 190
+    assert {(k, q) for _, k, q in rows} == {(7, 2), (11, 2), (11, 3), (13, 2)}
+    for g, k, q in rows:
+        h = circular_clique(k, q)
+        verdict = answer(g, h)
+        assert verdict == answer(g, h, rule=False) and verdict.status == "mixing", (g.rows, k, q)
+        for cap in (verdict.hom_count, verdict.hom_count - 1):
+            assert answer(g, h, cap) == answer(g, h, cap, rule=False), (g.rows, k, q, cap)
+    small = _lift_rows(iso_reps(5), FRACTIONS)
+    assert len(small) == 38
+    for g, k, q in small:
+        h = circular_clique(k, q)
+        got = _three_answers(g, h)
+        with monkeypatch.context() as m:
+            m.setattr(homgraph, "_theorem_covers", lambda *a, **kw: False)
+            assert _three_answers(g, h) == got, (g.rows, k, q)
+
+
+def test_lift_bound_is_sharp_on_frozen_graphs():
+    """The d-regular F_{d,q}, of colouring number d + 1, has a frozen
+    colouring into G_{k,q} at k = (2q-1)d + 1, so no rule covers that
+    fraction.  F_{d,1} is K_{d+1}, and k = d + 2 is covered: at q = 1 the
+    bound k > col is tight, as the integer threshold col + 1 is."""
+    for d in range(2, 7):
+        for q in range(1, 5):
+            g, k = frozen_regular_graph(d, q), (2 * q - 1) * d + 1
+            assert graphs.colouring_number(g) == d + 1
+            assert is_frozen(Hom(k, k, tuple(range(k))), g, circular_clique(k, q))
+            assert not homgraph._theorem_covers(g, (k, q)), (d, q)
+        assert homgraph._theorem_covers(frozen_regular_graph(d, 1), (d + 2, 1))
 
 
 def test_not_mixing_witnesses_are_the_two_least_class_members():

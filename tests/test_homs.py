@@ -16,7 +16,7 @@ from circmix.homgraph import is_mixing
 from circmix.homs import (Hom, compose, enumerate_homs, first_hom,
                           format_image, hom_count, hom_exists, identity_hom,
                           is_hom, iter_homs, parse_image, _box_source, _search,
-                          _search_order, _shift_period, _Source, _symmetries)
+                          _reflection, _search_order, _shift_period, _Source)
 
 from helpers import graphs_with_loops, iso_reps, naive_homs, random_graph
 
@@ -213,8 +213,23 @@ def test_shift_period_values():
     assert [_shift_period(Graph(n, [])) for n in (0, 1, 2, 5)] == [0, 1, 1, 1]
 
 
+def _symmetries(h):
+    """The colour maps that ``homgraph.radius_centre`` builds its orbits
+    from, the identity first: the shifts by multiples of ``_shift_period``
+    and, when ``_reflection`` gives an axis a, c -> a - c after each."""
+    n = h.n
+    steps = range(0, n or 1, _shift_period(h) or 1)  # 0 on the empty graph
+    maps = [tuple((c + t) % n for c in range(n)) for t in steps]
+    a = _reflection(h)
+    if a is not None:
+        # on one or two colours a reflection may be a shift
+        maps += [tuple((a + t - c) % n for c in range(n)) for t in steps]
+    return list(dict.fromkeys(maps))
+
+
 def test_symmetries_are_automorphisms():
-    """Every map of ``_symmetries`` is a bijection keeping every edge and
+    """Every shift by a multiple of ``_shift_period`` and every reflection
+    through ``_reflection``'s axis is a bijection keeping every edge and
     non-edge, loops included; the identity comes first, the maps form a
     group, and there are n/d of them, or 2n/d with the reflections."""
     targets = [circular_clique(7, 2), circular_clique(9, 2), complete_graph(4),

@@ -1,6 +1,7 @@
 """The package's import structure, read from its sources: every import
-between its modules points one way, the CLI starts without the standard
-library's code generators, and the sources keep to Python 3.10."""
+between its modules points one way, every private name has a reader, the
+CLI starts without the standard library's code generators, and the
+sources keep to Python 3.10."""
 
 import ast
 import pathlib
@@ -52,6 +53,32 @@ def test_package_imports_point_one_way():
             break
         left = kept
     assert sorted(inner) == []
+
+
+def test_every_private_name_is_read():
+    """Every private function, class and name that a module of the package
+    defines at its top level is read somewhere in the package, as a name
+    or an attribute; a docstring that names it is not a reader."""
+    defined, read = set(), set()
+    for path in sorted(SOURCES.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined.update((path.name, name) for name in names
+                           if name.startswith("_") and not name.endswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert len(defined) > 50
+    assert sorted((file, name) for file, name in defined if name not in read) == []
 
 
 def test_cli_starts_without_dataclasses_or_inspect():

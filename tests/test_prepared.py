@@ -109,6 +109,10 @@ def _box_source_afresh(g, loops):
 
 def test_kept_sources_equal_fresh_builds():
     for g in iso_reps(5, loops=True):
+        mask = sum(1 << v for v in range(g.n) if g.rows[v] >> v & 1)
+        for _ in range(2):
+            assert graphs._loop_mask(g) == graphs._loop_mask.__wrapped__(g) == mask
+            assert (g.reflexive_mask(), g.is_loop_free) == (mask, not mask)
         for loops in (True, False):
             kept = homs._box_source(g, loops)
             assert homs._box_source(g, loops) is kept
@@ -161,17 +165,15 @@ def test_a_scan_builds_one_join_plan():
 
 
 def _symmetries_afresh(h):
-    """The shifts and reflections of h, worked out as before they were kept."""
+    """The axis a of h's reflection c -> a - c, or None, worked out as
+    before the symmetries were kept."""
     n, rows = h.n, h.rows
-    d = homs._shift_period.__wrapped__(h) or 1
-    shifts = [tuple((c + t) % n for c in range(n)) for t in range(0, n or 1, d)]
-    for a in range(d):
+    for a in range(homs._shift_period.__wrapped__(h) or 1):
         flip = [(a - c) % n for c in range(n)]
         if all(rows[flip[c]] == sum(1 << flip[x] for x in _bits(rows[c]))
                for c in range(n)):
-            return list(dict.fromkeys(
-                shifts + [tuple(shift[x] for x in flip) for shift in shifts]))
-    return shifts
+            return a
+    return None
 
 
 def test_kept_symmetries_equal_a_recomputation():
@@ -179,7 +181,8 @@ def test_kept_symmetries_equal_a_recomputation():
     for h in targets:
         for _ in range(2):
             assert homs._shift_period(h) == homs._shift_period.__wrapped__(h)
-            assert homs._symmetries(h) == _symmetries_afresh(h)
+            assert homs._reflection(h) == homs._reflection.__wrapped__(h) \
+                == _symmetries_afresh(h)
 
 
 def test_an_equal_graph_under_another_name_reports_alike(capsys, tmp_path):

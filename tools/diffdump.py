@@ -34,6 +34,11 @@ Standard library only.  The families, each in its own function below:
   those sources, before and after its other calls, on one graph object;
   and graph specs, good and bad, with the vertex limit lowered between two
   calls.
+- ``lift``: ``is_mixing`` and both kinds of ``components`` on 60 random
+  graphs of 6-8 vertices (``random``, seed 33) into every coprime G_{k,q}
+  with 2 <= q <= 4, k <= 14 and (2q-1) col < k < 2q col, the rows that
+  k > (2q-1) col covers and k/q >= 2 col does not; col is read with
+  ``colouring_number``, so every checkout dumps the same calls.
 - ``reader``: ``parse_graph`` (the rows and name, or the error text) of
   ``format_graph``'s text of the graphs of at most 3 vertices, loops
   allowed, and of C_5, G_{7,2} and C_40 (whose texts are long enough for
@@ -49,7 +54,7 @@ Standard library only.  The families, each in its own function below:
 
 Every call that answers with a count is asked again at a cap equal to that
 count and at one below it (a scan at each row's count and one below).
-Takes about ten seconds.
+Takes about fifteen seconds.
 """
 
 from __future__ import annotations
@@ -246,6 +251,22 @@ def prepared(d: Dump) -> None:
             os.environ["CIRCMIX_MAX_N"] = limit
 
 
+def lift(d: Dump) -> None:
+    import random
+
+    import circmix as cm
+
+    rng = random.Random(33)
+    for i in range(60):
+        n, p = 6 + i % 3, rng.choice((0.2, 0.35, 0.5, 0.7))
+        g = cm.Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                         if rng.random() < p])
+        col = cm.colouring_number(g)
+        for k, q in coprime(4, lambda q: 14):
+            if q >= 2 and (2 * q - 1) * col < k < 2 * q * col:
+                spaces_of(d, g, cm.circular_clique(k, q))
+
+
 def numeral(token: str, how: str) -> str:
     """A numeral of the same value that only the line reader reads."""
     if how == "+":
@@ -367,7 +388,7 @@ def writer(d: Dump) -> None:
 
 
 FAMILIES = {"spaces": spaces, "cycles": cycles, "certificates": certificates,
-            "prepared": prepared, "reader": reader, "writer": writer}
+            "lift": lift, "prepared": prepared, "reader": reader, "writer": writer}
 
 
 def main(argv=None) -> int:
