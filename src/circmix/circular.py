@@ -1,10 +1,12 @@
 """Circular-colouring arithmetic and certified (k,q)-mixing scans.
 
 The fraction k/q is the resolution of a circular colouring; its lower
-parent is the Farey predecessor k'/q' with kq'-k'q = 1.  Deleting any
-vertex from G_{k,q} (coprime case) dismantles onto the lower-parent
-clique, and deleting a full residue orbit from G_{kd,qd} dismantles onto
-G_{k(d-1),q(d-1)}; both facts drive the component-counting machinery.
+parent is the Farey predecessor k'/q' with kq'-k'q = 1 (computed by
+``graphs._lower_parent``).  Deleting any vertex from G_{k,q} (coprime
+case) dismantles onto the lower-parent clique, which tells the cycle rule
+which winding classes hold a colouring that misses a colour
+(``homgraph._cycle_classes``), and deleting a full residue orbit from
+G_{kd,qd} dismantles onto G_{k(d-1),q(d-1)}.
 A scan's rows are ``homgraph.is_mixing``'s verdicts: a row that a rule
 answers without a join, such as a mixing theorem (k > (2q-1) col, which
 implies the bounds 2 col and col+1 that a report prints, or k/q above
@@ -19,8 +21,8 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import CapExceededError, NoColouringsError
-from .graphs import (Graph, _bits, _clique_parameters, circular_clique,
-                     clique_number, is_bipartite)
+from .graphs import (Graph, _bits, _clique_parameters, _lower_parent,
+                     circular_clique, clique_number, is_bipartite)
 from .homgraph import _avail_masks, _col_dmax, components, is_mixing
 from .homs import Hom, is_hom
 from .structure import FoldStep, apply_fold, is_retraction, make_fold
@@ -143,8 +145,7 @@ def lower_parent(k: int, q: int) -> LowerParent:
     """Farey predecessor: kq'-k'q = 1 with q >= q' >= 1, unique."""
     _require_frac(k, q)
     _require_coprime(k, q)
-    qp = 1 if q == 1 else pow(k, -1, q)
-    kp = (k * qp - 1) // q
+    kp, qp = _lower_parent(k, q)
     assert k * qp - kp * q == 1 and 1 <= qp <= q
     return LowerParent(k, q, kp, qp)
 

@@ -319,6 +319,13 @@ def _clique_row(k: int, q: int) -> int:
     return ((1 << (k - 2 * q + 1)) - 1) << q
 
 
+def _lower_parent(k: int, q: int) -> tuple[int, int]:
+    """The lower parent (k', q') of the coprime k/q, k >= 2q: its Farey
+    predecessor, kq' - k'q = 1 with 1 <= q' <= q."""
+    qp = 1 if q == 1 else pow(k, -1, q)
+    return (k * qp - 1) // q, qp
+
+
 _CLIQUE_NAME = re.compile(r"G_\{(\d+),(\d+)\}\Z")
 
 

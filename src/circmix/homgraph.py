@@ -61,11 +61,11 @@ from typing import NamedTuple
 
 from .config import hom_cap
 from .errors import CapExceededError, DisconnectedError, NoColouringsError
-from .graphs import (Graph, _bfs, _clique_parameters, _kept, _path,
-                     colouring_number, degrees)
+from .graphs import (Graph, _bfs, _clique_parameters, _kept, _lower_parent,
+                     _path, colouring_number, degrees)
 from .homs import (Hom, _box_source, _box_sources, _boxes, _reflection,
                    _search, _search_source, _shift_period, _Source, first_hom,
-                   format_image, is_hom)
+                   format_image, hom_count, is_hom)
 
 
 class ClassSummary(NamedTuple):
@@ -640,7 +640,7 @@ def _cycle_walk(g: Graph) -> list[int] | None:
 
 
 def _cycle_classes(source: Graph, target: Graph, cap: int | None = None,
-                   params: tuple[int, int] | None = None, flags: bool = True
+                   params: tuple[int, int] | None = None
                    ) -> tuple[int, tuple[ClassSummary, ...]] | None:
     """HOM(C_n, G_{k,q})'s total and classes, in increasing order of least
     member, read off the winding total; None unless the source is a cycle
@@ -648,8 +648,7 @@ def _cycle_classes(source: Graph, target: Graph, cap: int | None = None,
     G_{k,q} with k, q coprime and 2q < k < 4q.  ``params`` is that (k, q)
     when the caller has read it.  Raises CapExceededError exactly when the
     join would: when the total passes ``cap``, which is known before any
-    class is built (``_winding_counts``).  With ``flags`` false no class's
-    non-surjective flag is worked out, and each reads False.
+    class is built (``_winding_counts``).
 
     The rule follows Cereceda, van den Heuvel and Johnson ("Finding paths
     between 3-colourings", JGT 2011) and Brewster, McGuinness, Moore and
@@ -683,12 +682,32 @@ def _cycle_classes(source: Graph, target: Graph, cap: int | None = None,
     The classes are thus one per interior total sigma, a multiple of k with
     nq < sigma < n(k-q), of k times the compositions of sigma into n parts
     in [q, k-q] (one per colour of v_0), plus, when k divides n, the 2k
-    frozen colourings alone; those visit every colour.  A class of an
-    interior total holds every shift of its members, so it has a member
-    missing some colour iff it has one missing colour 0 (``_missing_zero``).
-    Its least member takes, vertex by vertex in index order, the least
-    colour that leaves the colours chosen so far feasible (see
-    ``_least_member``).
+    frozen colourings alone; those visit every colour.  A class's least
+    member takes, vertex by vertex in index order, the least colour that
+    leaves the colours chosen so far feasible (see ``_least_member``).
+
+    (v) Let (k', q') be the lower parent of k/q (``graphs._lower_parent``),
+    so kq' - k'q = 1 and k' < k.  The class of an interior total
+    sigma = wk holds a colouring that misses a colour iff
+    nq' <= wk' <= n(k'-q'), that is, iff C_n has a colouring into
+    G_{k',q'} of total wk'.  The class holds every shift of its members,
+    so it may as well miss colour 0, and two maps, written on the integer
+    lifts of the colours, carry the colourings of C_n into G_{k,q} - 0 to
+    those into G_{k',q'} and back:
+
+    - phi(c) = floor(ck/k') + 1, with phi(c + k') = phi(c) + k, maps
+      G_{k',q'} into G_{k,q} - 0 (Bondy and Hell, "A note on the star
+      chromatic number", JGT 1990).  A step in [q', k'-q'] goes to one in
+      [q, k-q], as q'k/k' = q + 1/k' and (k'-q')k/k' = k - q - 1/k', and 0
+      is missed, as k > k'.
+    - psi(c) = ceil(ck'/k) - 1 on the non-multiples of k, with
+      psi(c + k) = psi(c) + k', maps G_{k,q} - 0 into G_{k',q'}.  A step in
+      [q, k-q] goes to one in [q', k'-q'], as qk'/k = q' - 1/k and
+      (k-q)k'/k = k' - q' + 1/k; the one step that would give q' - 1, by q
+      from a colour a with ak' = 1 mod k, lands on a multiple of k.
+
+    Both keep the winding number w: a colouring's lift ends n steps on at
+    its start plus wk, and each map moves that end by w times its period.
     """
     params = params or _clique_parameters(target)
     if params is None:
@@ -702,10 +721,10 @@ def _cycle_classes(source: Graph, target: Graph, cap: int | None = None,
     n = source.n
     sigmas, counts = _winding_counts(n, k, q, cap)
     lo, hi = n * q, n * (k - q)
-    interior = [(s, c) for s, c in zip(sigmas, counts) if lo < s < hi]
-    missing = _missing_zero(n, k, q, [s for s, _ in interior]) if flags else ()
+    kp, qp = _lower_parent(k, q)
     classes = [ClassSummary(Hom(n, k, _least_member(walk, k, q, s)), k * c,
-                            s in missing, False) for s, c in interior]
+                            n * qp <= s // k * kp <= n * (kp - qp), False)
+               for s, c in zip(sigmas, counts) if lo < s < hi]
     if n % k == 0:
         for c in range(k):
             for step in (q, k - q):
@@ -750,38 +769,6 @@ def _winding_counts(n: int, k: int, q: int, cap: int | None = None
     if k * sum(counts) > cap:
         raise CapExceededError(cap, f"homomorphism count for n={n}")
     return sigmas, counts
-
-
-def _missing_zero(n: int, k: int, q: int, sigmas) -> set[int]:
-    """The totals among ``sigmas`` of the colourings of C_n into G_{k,q}
-    that miss colour 0: walks of n steps in [q, k-q] from a start c in
-    1..k-1 to c + sigma that land on no multiple of k.
-
-    One integer holds the reachable partial sums of every start, a field of
-    n(k-q) + 2k bits per start with the start c at bit c of field c - 1,
-    and one step spreads them all.  A kept partial sum is below
-    n(k-q) + k, so a step takes it at most k-q further, still inside its
-    field.
-    """
-    top = n * (k - q) + k
-    width = top + k
-    allowed = sum(1 << x for x in range(top) if x % k)
-    fields = ((1 << (k - 1) * width) - 1) // ((1 << width) - 1)  # bit 0 of each
-    allowed *= fields
-    reach = sum(1 << (c - 1) * width + c for c in range(1, k))
-    span = k - 2 * q + 1
-    for _ in range(n):
-        reach <<= q  # then spread it over the shifts q, ..., k-q
-        done = 1
-        while done < span:
-            step = min(done, span - done)
-            reach |= reach << step
-            done += step
-        reach &= allowed
-    ends = 0  # each start's field shifted down to its start
-    for c in range(1, k):
-        ends |= reach >> (c - 1) * width + c
-    return {s for s in sigmas if ends >> s & 1}
 
 
 def _arc(length: int, delta: int, k: int, q: int) -> tuple[int, int]:
@@ -838,7 +825,7 @@ def _least_member(walk: list[int], k: int, q: int, sigma: int) -> tuple[int, ...
 
 
 def _ruled(source: Graph, target: Graph, cap: int | None = None,
-           flags: bool = True) -> tuple[int, tuple[ClassSummary, ...]] | None:
+           least: bool = True) -> tuple[int, tuple[ClassSummary, ...]] | None:
     """HOM(source, target)'s total and classes, as ``components`` lists
     them, from the first rule that answers the space without a join; None
     when none does, and the boxes are to be joined.  Each rule needs a
@@ -851,44 +838,34 @@ def _ruled(source: Graph, target: Graph, cap: int | None = None,
        that class is the whole space, with ``first_hom`` as its least
        member, and is never frozen, as it holds at least k >= 2 maps.  A
        cycle is counted from its winding totals (``_winding_counts``), any
-       other source box by box (``homs._boxes``), whose boxes show whether
-       a member misses a colour.
+       other source by ``homs.hom_count``.  The class holds a member that
+       misses a colour: take G -> K_chi -> G_{k,q}, the second map
+       i -> iq, which is one as chi <= k/q.  Under the rule
+       k > (2q-1) col, chi <= col < k/q; under k/q > 2 dmax,
+       chi <= dmax + 1 <= 2 dmax < k/q.  So the map uses chi < k colours.
 
-    With ``flags`` false, as ``is_mixing`` asks, no non-surjective flag is
-    worked out, each reading False, and no ``first_hom`` is called: the
-    covered class's member is None.  Raises CapExceededError exactly when
-    the join would.
+    With ``least`` false, as ``is_mixing`` asks, no ``first_hom`` is
+    called: the covered class's member is None.  Raises CapExceededError
+    exactly when the join would.
 
     On a cycle (col 3, max degree 2) the theorems cover exactly the
     coprime k >= 4q: k > (2q-1) col reads k > 6q - 3, which is k >= 4 at
     q = 1 and lies inside k > 4q for q >= 2, so the two rules never both
-    apply.  The space then holds a member missing colour 0 for every
-    n >= 3: colours 1, 1+q and 1+2q lie in 1..k-1 and are pairwise q or 2q
-    apart, both in [q, k-q] once k >= 4q, so they span a triangle of
-    G_{k,q} - 0, and the triangle holds a closed walk of every length
-    n >= 2 (round the triangle once when n is odd, then to and fro along
-    one edge).
+    apply.
     """
     params = _clique_parameters(target)
     if params is None:
         return None
-    cycle = _cycle_classes(source, target, cap, params, flags)
+    cycle = _cycle_classes(source, target, cap, params)
     if cycle is not None or not _theorem_covers(source, params):
         return cycle
     if _cycle_walk(source) is not None:
         k, q = params
         total = k * sum(_winding_counts(source.n, k, q, cap)[1])
-        missing = flags
     else:
-        boxed, found, _, r = _boxes(_box_source(source), target, cap)
-        boxes = list(found)
-        total = r * sum(size for _, _, size in boxes)
-        missing = False
-        if flags:
-            free = set(range(source.n)).difference(boxed)
-            missing = any(_misses_a_colour(box, free, target.n) for box in boxes)
-    rep = first_hom(source, target) if flags else None
-    return total, (ClassSummary(rep, total, missing, False),)
+        total = hom_count(source, target, cap)
+    rep = first_hom(source, target) if least else None
+    return total, (ClassSummary(rep, total, True, False),)
 
 
 def components(source: Graph, target: Graph, kind: str = "colour",
@@ -961,14 +938,16 @@ def _misses_a_colour(box, free, n: int) -> bool:
 def is_mixing(source: Graph, target: Graph, cap: int | None = None) -> MixingVerdict:
     """Is the colour graph of HOM(source, target) connected?
 
-    A space that a rule answers without a join (``_ruled``, which works
-    out no non-surjective flag here, as no verdict reports one) takes its
-    verdict from that rule's classes.  Every other is read off the orbit
+    A space that a rule answers without a join (``_ruled``) takes its
+    verdict from that rule's classes.  No verdict reports a flag or a
+    covered space's member, so ``_ruled`` calls no ``first_hom`` here; its
+    flags cost no search, the cycle rule's read off the lower-parent
+    dismantling (``_cycle_classes``).  Every other is read off the orbit
     boxes of ``homs._boxes``, joined by ``_join``, building no member but
     the class representatives: a root with split s is s classes.
     NotMixing verdicts carry the least members of the two least classes.
     """
-    ruled = _ruled(source, target, cap, flags=False)
+    ruled = _ruled(source, target, cap, least=False)
     if ruled is not None:
         total, classes = ruled
         if len(classes) < 2:

@@ -106,6 +106,26 @@ def hom_components_by_steps(images, g: Graph, h: Graph) -> list[list[tuple[int, 
         images, h.n, lambda a, v, c: not g.has_loop(v) or h.has_edge(a[v], c))
 
 
+def missing_zero_naive(n: int, k: int, q: int) -> set[int]:
+    """The winding totals of the colourings of C_n into G_{k,q} that miss
+    colour 0: from each start c in 1..k-1, a walk of n steps in [q, k-q]
+    on the integers, one bit per place reached, that never stands on a
+    multiple of k; a place c + s that closes the walk (s a multiple of k)
+    gives the total s."""
+    top = k * (n + 1)
+    zeros = sum(1 << x for x in range(0, top + 1, k))
+    totals = set()
+    for c in range(1, k):
+        reach = 1 << c
+        for _ in range(n):
+            spread = 0
+            for step in range(q, k - q + 1):
+                spread |= reach << step
+            reach = spread & ~zeros
+        totals.update(x - c for x in _bits(reach) if (x - c) % k == 0)
+    return totals
+
+
 def join_pairwise_naive(source: Graph, target: Graph, boxed, boxes,
                         homotopy: bool = False) -> list[int]:
     """``homgraph._join`` by testing every pair of boxes that differ at one

@@ -919,6 +919,43 @@ def test_lift_bound_is_sharp_on_frozen_graphs():
         assert homgraph._theorem_covers(frozen_regular_graph(d, 1), (d + 2, 1))
 
 
+def test_covered_spaces_hold_a_non_surjective_member(monkeypatch):
+    """A space that a mixing theorem covers maps through K_chi with
+    chi < k, so its one class holds a member that misses a colour, and
+    ``_ruled`` reports that without looking at a box.  Every covered row
+    of the graphs of at most 6 vertices into the coprime G_{k,q} with
+    k <= 14 and q <= 4, within a cap of 100,000, is one such class by the
+    join, and the rule answers each as the join does with the box flag
+    test refusing, which a join cannot get past."""
+    fractions = [(k, q) for q in range(1, 5) for k in range(2 * q, 15) if gcd(k, q) == 1]
+    rows = []
+    for g in iso_reps(6):
+        for k, q in fractions:
+            h = circular_clique(k, q)
+            if homgraph._theorem_covers(g, (k, q)):
+                try:
+                    homs.hom_count(g, h, 100_000)
+                except CapExceededError:
+                    continue
+                rows.append((g, h))
+    assert len(rows) == 1488
+    with monkeypatch.context() as m:
+        m.setattr(homgraph, "_ruled", lambda *a, **kw: None)
+        joined = [components(g, h) for g, h in rows]
+    for (g, h), report in zip(rows, joined):
+        assert [c.contains_non_surjective for c in report.classes] == [True], (g.rows, h.name)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a box read for its flag")
+
+    monkeypatch.setattr(homgraph, "_misses_a_colour", refuse)
+    for (g, h), report in zip(rows, joined):
+        assert components(g, h) == report, (g.rows, h.name)
+    monkeypatch.setattr(homgraph, "_ruled", lambda *a, **kw: None)
+    with pytest.raises(AssertionError, match="a box read for its flag"):
+        components(*rows[0])
+
+
 def test_not_mixing_witnesses_are_the_two_least_class_members():
     """is_mixing narrows only the two least classes to their least members;
     its witnesses are the first two of every class's, as components lists
@@ -1119,8 +1156,9 @@ def test_rule_ladder_order(monkeypatch):
     member, and neither ``is_mixing`` nor a scan calls it."""
     log = []
     for name, tag in (("_cycle_classes", "cycle"), ("_theorem_covers", "theorem"),
-                      ("_winding_counts", "winding"), ("_boxes", "boxes"),
-                      ("_join", "join"), ("first_hom", "first_hom")):
+                      ("_winding_counts", "winding"), ("hom_count", "count"),
+                      ("_boxes", "boxes"), ("_join", "join"),
+                      ("first_hom", "first_hom")):
         monkeypatch.setattr(homgraph, name, lambda *a, real=getattr(homgraph, name),
                             tag=tag, **kw: log.append(tag) or real(*a, **kw))
     ruled = homgraph._ruled
@@ -1138,8 +1176,8 @@ def test_rule_ladder_order(monkeypatch):
         # covered cycle: counted from the winding totals, no box
         (cycle_graph(5), circular_clique(13, 2),
          ["cycle", "theorem", "winding", "ruled"]),
-        # covered non-cycle: counted box by box, not joined
-        (complete_graph(4), circular_clique(9, 1), ["cycle", "theorem", "boxes", "ruled"]),
+        # covered non-cycle: counted by hom_count, not joined
+        (complete_graph(4), circular_clique(9, 1), ["cycle", "theorem", "count", "ruled"]),
         # not coprime: joined
         (cycle_graph(5), circular_clique(8, 2),
          ["cycle", "theorem", "join boxes", "boxes", "join"]),

@@ -15,7 +15,8 @@ from circmix.winding import (ConstrictingResult, check_certificate,
                              cycle_trace, is_constricting,
                              nonmixing_certificate, reflect_colouring)
 
-from helpers import colour_adjacent_naive, components_naive, naive_homs
+from helpers import (colour_adjacent_naive, components_naive, missing_zero_naive,
+                     naive_homs)
 
 
 def test_cycle_trace_frozen_values():
@@ -246,6 +247,32 @@ def test_cycle_classes_match_naive_on_small_cycles():
         assert report.total == len(images)
         assert [(c.rep.image, c.size, c.contains_non_surjective, c.contains_frozen)
                 for c in report.classes] == want
+
+
+def test_cycle_flags_match_a_walk_search():
+    """A winding class holds a colouring that misses a colour exactly when
+    a plain walk search finds one of its total that misses colour 0, on
+    C_n for n <= 48 into every coprime G_{k,q} with 2 < k/q < 4 and
+    q <= 6, far past the join's reach; the frozen classes miss none."""
+    classes = flagged = 0
+    for q in range(1, 7):
+        for k in range(2 * q + 1, 4 * q):
+            if gcd(k, q) != 1:
+                continue
+            target = circular_clique(k, q)
+            for n in range(3, 49):
+                missing = missing_zero_naive(n, k, q)
+                _, found = homgraph._cycle_classes(cycle_graph(n), target, cap=10**100)
+                totals = set()
+                for c in found:
+                    im = c.rep.image
+                    sigma = sum((im[(i + 1) % n] - im[i]) % k for i in range(n))
+                    totals.add(sigma)
+                    assert c.contains_non_surjective == (sigma in missing), (n, k, q, sigma)
+                    classes += 1
+                    flagged += c.contains_non_surjective
+                assert missing <= totals, (n, k, q)
+    assert classes == 10_211 and 0 < flagged < classes
 
 
 def test_cycle_classes_skip_the_boxes(monkeypatch):

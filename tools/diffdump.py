@@ -22,7 +22,10 @@ Standard library only.  The families, each in its own function below:
   cliques and of unnamed copies of them.
 - ``cycles``: C_3-C_30 into every coprime G_{k,q} with q <= 5 and
   k <= max(11, 4q + 6), and C_4095 into G_{13,2}, G_{9,2}, G_{7,2} and
-  G_{4,1}.
+  G_{4,1}; colour ``components`` at a cap of 10**100 of C_17-C_48, also
+  relabelled v -> 2v and v -> 3v, into every coprime G_{k,q} with
+  2 < k/q < 4 and q <= 6, spaces whose flags the winding rule gives far
+  past the default cap.
 - ``certificates``: ``nonmixing_certificate`` on every graph of at most 6
   vertices at each coprime k/q with q <= 5 below max(4, omega + 1), and at
   that threshold; C_3-C_101 at 5/2 and 7/3 (certificate, ``is_mixing``,
@@ -146,10 +149,10 @@ def scan_of(d: Dump, g, fracs) -> None:
              lambda s: sorted({r.hom_count for r in s.rows if r.hom_count is not None}))
 
 
-def relabelled_cycles(top: int):
+def relabelled_cycles(top: int, low: int = 3):
     import circmix as cm
 
-    for n in range(3, top + 1):
+    for n in range(low, top + 1):
         c = cm.cycle_graph(n)
         yield c
         for m in (2, 3):
@@ -191,6 +194,12 @@ def cycles(d: Dump) -> None:
             spaces_of(d, cm.cycle_graph(n), cm.circular_clique(k, q))
     for k, q in ((13, 2), (9, 2), (7, 2), (4, 1)):
         spaces_of(d, cm.cycle_graph(4095), cm.circular_clique(k, q))
+    below = [(k, q) for k, q in coprime(6, lambda q: 4 * q - 1) if k > 2 * q]
+    for c in relabelled_cycles(48, 17):
+        for k, q in below:
+            h = cm.circular_clique(k, q)
+            d.call(f"components colour {name(c)} -> {name(h)} cap=10**100",
+                   lambda: cm.components(c, h, "colour", 10**100))
 
 
 def certificates(d: Dump) -> None:
