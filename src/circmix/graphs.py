@@ -260,6 +260,41 @@ def _path(parent: dict, x) -> list:
     return path[::-1]
 
 
+def _folds(rows) -> tuple[list[tuple[int, int]], int]:
+    """Fold the least pair until no fold remains: ``(pairs, alive)``, each
+    fold as (removed, absorber) in the labels current at that fold (a
+    vertex's label is the number of live vertices below it), and the mask
+    of the vertices left.
+
+    A fold removes v when N(v) lies within another vertex's N(u), loops
+    included.  Deleting a vertex only shrinks neighbourhoods, so it can
+    give a fold only to a live neighbour.  ``todo`` holds every live vertex
+    that may have a fold: a vertex leaves it when it has no absorber, and
+    comes back only when a neighbour is folded away.  Its least vertex with
+    an absorber is thus the least foldable live vertex, the pair a rescan
+    from vertex 0 would take, in O(n + m) absorber tests.  N(v) lies within
+    N(u) exactly when u is adjacent to every neighbour of v, so a test
+    intersects the rows of v's live neighbours until that is empty.
+    """
+    alive = todo = (1 << len(rows)) - 1
+    pairs = []
+    while todo:
+        b = todo & -todo
+        todo ^= b
+        v = b.bit_length() - 1
+        cand = alive ^ b
+        nbrs = rows[v] & alive
+        while nbrs and cand:
+            low = nbrs & -nbrs
+            cand &= rows[low.bit_length() - 1]
+            nbrs ^= low
+        if cand:
+            pairs.append(((alive & b - 1).bit_count(), (alive & (cand & -cand) - 1).bit_count()))
+            alive ^= b
+            todo |= rows[v] & alive
+    return pairs, alive
+
+
 # --- generators -------------------------------------------------------------
 
 

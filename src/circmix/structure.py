@@ -6,11 +6,7 @@ everything else and sending v to u is then a retraction.  A graph with no
 fold available is stiff.  Repeated folding reaches a terminal graph that is
 unique up to isomorphism, and the original graph is dismantlable exactly
 when that terminal is rigid (admits no endomorphism besides the identity).
-
-Deleting a vertex only shrinks neighbourhoods, so it can give a fold only to
-a live neighbour of the deleted vertex.  The stiff reduction therefore keeps
-a worklist of the live vertices not yet known to be unfoldable, and a fold
-puts back only the folded vertex's live neighbours.
+The fold search itself is ``graphs._folds``, below the rule ladder.
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ from itertools import repeat
 from typing import NamedTuple
 
 from .errors import CapExceededError
-from .graphs import Graph, _bits, clique_number
+from .graphs import Graph, _bits, _folds, clique_number
 from .homgraph import components
 from .homs import Hom, compose, identity_hom, is_hom, iter_homs
 
@@ -63,17 +59,10 @@ class SelfMixingResult(NamedTuple):
 
 
 def find_fold(g: Graph) -> FoldStep | None:
-    """Lexicographically least (removed, absorber) pair, or None if stiff;
-    the absorber test is ``stiff_reduction``'s with every vertex live."""
-    rows = g.rows
-    for v in range(g.n):
-        cand, nbrs = (1 << g.n) - 1 ^ 1 << v, rows[v]
-        while nbrs and cand:
-            cand &= rows[(nbrs & -nbrs).bit_length() - 1]
-            nbrs &= nbrs - 1
-        if cand:
-            return FoldStep(v, (cand & -cand).bit_length() - 1)
-    return None
+    """Lexicographically least (removed, absorber) pair, or None if stiff:
+    the first step of ``stiff_reduction``, read off a whole reduction."""
+    pairs = _folds(g.rows)[0]
+    return FoldStep(*pairs[0]) if pairs else None
 
 
 def make_fold(g: Graph, removed: int, absorber: int) -> FoldStep:
@@ -93,38 +82,13 @@ def apply_fold(g: Graph, step: FoldStep) -> Graph:
 
 
 def stiff_reduction(g: Graph) -> StiffReduction:
-    """Fold the least pair until no fold remains.
+    """Fold the least pair until no fold remains (``graphs._folds``).
 
-    Folds only delete vertices, so the reduction keeps g's rows and a mask
-    of the live vertices.  ``todo`` holds every live vertex that may have a
-    fold: a vertex leaves it when it has no absorber, and comes back only
-    when one of its neighbours is folded away.  The least vertex of
-    ``todo`` with an absorber is thus the least foldable live vertex, the
-    pair a rescan from vertex 0 would take, and the reduction makes
-    O(n + m) absorber tests.  N(v) lies within N(u) exactly when u is
-    adjacent to every neighbour of v, so a test intersects the rows of v's
-    live neighbours until the intersection is empty.  A vertex's label at
-    the time of a fold is the number of live vertices below it; FoldSteps
-    are made by ``tuple.__new__``, past FoldStep's Python ``__new__``.  The
-    terminal is induced once at the end; a stiff g is its own terminal.
+    FoldSteps are made by ``tuple.__new__``, past FoldStep's Python
+    ``__new__``.  The terminal is induced once at the end; a stiff g is
+    its own terminal.
     """
-    rows = g.rows
-    alive = todo = (1 << g.n) - 1
-    pairs = []
-    while todo:
-        b = todo & -todo
-        todo ^= b
-        v = b.bit_length() - 1
-        cand = alive ^ b
-        nbrs = rows[v] & alive
-        while nbrs and cand:
-            low = nbrs & -nbrs
-            cand &= rows[low.bit_length() - 1]
-            nbrs ^= low
-        if cand:
-            pairs.append(((alive & b - 1).bit_count(), (alive & (cand & -cand) - 1).bit_count()))
-            alive ^= b
-            todo |= rows[v] & alive
+    pairs, alive = _folds(g.rows)
     if not pairs:
         return StiffReduction((), g, None)
     steps = tuple(map(tuple.__new__, repeat(FoldStep), pairs))

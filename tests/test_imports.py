@@ -88,7 +88,7 @@ def test_cli_starts_without_dataclasses_or_inspect():
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import circmix.cli; "
             "assert circmix.cli.main(['fixtures']) == 0; "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(SOURCES.parent)],
+    proc = subprocess.run([sys.executable, "-B", "-I", "-S", "-c", code, str(SOURCES.parent)],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines()[-1] == "[]"
 

@@ -169,6 +169,7 @@ def test_stiff_reduction_at_the_vertex_limit():
         # O(n + m) absorber tests on a tree, each reading a few rows; a
         # rescan from vertex 0 after each fold would read about n²/2
         assert CountedRows.reads <= 6 * n
+        assert find_fold(g) == red.steps[0]
 
 
 def test_rigidity():

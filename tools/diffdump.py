@@ -49,6 +49,13 @@ Standard library only.  The families, each in its own function below:
   blank lines, tabs and spaces, comments, numerals such as +3, 03,
   Arabic-Indic digits and 1_0, repeated and out-of-range edges, and a
   repeated, late, missing or over-limit p line.
+- ``folds``: ``find_fold``, ``stiff_reduction`` (its steps and the
+  terminal's rows) and ``is_dismantlable`` (its verdict and the witness's
+  image) on the graphs of at most 4 vertices, loops allowed, and of at
+  most 5, on random trees, reflexive cop-win graphs and reflexive
+  8-cycles with pendant trees of 40-250 vertices (seeds 0-3), and on the
+  4096-vertex path, star, path with its ends labelled last, and seeded
+  random tree.
 - ``writer``: the stdout and exit code of every ``structure`` op on the
   graphs of at most 4 vertices, loops allowed, and of ``--op stiff``,
   ``dismantlable``, ``col`` and ``omega`` on random trees, reflexive
@@ -368,6 +375,36 @@ def fold_graphs(rng, n: int) -> list:
             (("tree", tree), ("copwin", copwin), ("cyc", cycle + [(v, v) for v in range(n)]))]
 
 
+def folds(d: Dump) -> None:
+    import random
+
+    import circmix as cm
+
+    def reduce(g):
+        red = cm.stiff_reduction(g)
+        return red.steps, red.terminal.rows
+
+    def dismantle(g):
+        verdict = cm.is_dismantlable(g)
+        return verdict.dismantlable, verdict.witness_endo and verdict.witness_endo.image
+
+    graphs = iso_reps(4, loops=True) + iso_reps(5)
+    for seed in range(4):
+        rng = random.Random(seed)
+        graphs += fold_graphs(rng, rng.randint(40, 250))
+    cases = [(name(g), g) for g in graphs]
+    n, rng = 4096, random.Random(43)
+    order = [n - 1, *range(n - 1)]  # as test_stiff_reduction_at_the_vertex_limit builds them
+    cases += [("path4096", cm.path_graph(n)),
+              ("star4096", cm.Graph(n, [(0, v) for v in range(1, n)])),
+              ("endpath4096", cm.Graph(n, zip(order, order[1:]))),
+              ("tree4096", cm.Graph(n, [(v, rng.randrange(v)) for v in range(1, n)]))]
+    for label, g in cases:
+        d.call(f"find_fold {label}", lambda: cm.find_fold(g))
+        d.call(f"stiff_reduction {label}", lambda: reduce(g))
+        d.call(f"is_dismantlable {label}", lambda: dismantle(g))
+
+
 def writer(d: Dump) -> None:
     import contextlib
     import io
@@ -397,7 +434,8 @@ def writer(d: Dump) -> None:
 
 
 FAMILIES = {"spaces": spaces, "cycles": cycles, "certificates": certificates,
-            "lift": lift, "prepared": prepared, "reader": reader, "writer": writer}
+            "lift": lift, "prepared": prepared, "reader": reader, "folds": folds,
+            "writer": writer}
 
 
 def main(argv=None) -> int:
