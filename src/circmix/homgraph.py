@@ -684,7 +684,8 @@ def _cycle_classes(source: Graph, target: Graph, cap: int | None = None,
     in [q, k-q] (one per colour of v_0), plus, when k divides n, the 2k
     frozen colourings alone; those visit every colour.  A class's least
     member takes, vertex by vertex in index order, the least colour that
-    leaves the colours chosen so far feasible (see ``_least_member``).
+    leaves the colours chosen so far feasible (see ``_least_member``), and
+    the frozen ones are the k shifts of the least members of nq and n(k-q).
 
     (v) Let (k', q') be the lower parent of k/q (``graphs._lower_parent``),
     so kq' - k'q = 1 and k' < k.  The class of an interior total
@@ -720,18 +721,16 @@ def _cycle_classes(source: Graph, target: Graph, cap: int | None = None,
         return None
     n = source.n
     sigmas, counts = _winding_counts(n, k, q, cap)
-    lo, hi = n * q, n * (k - q)
     kp, qp = _lower_parent(k, q)
-    classes = [ClassSummary(Hom(n, k, _least_member(walk, k, q, s)), k * c,
-                            n * qp <= s // k * kp <= n * (kp - qp), False)
-               for s, c in zip(sigmas, counts) if lo < s < hi]
-    if n % k == 0:
-        for c in range(k):
-            for step in (q, k - q):
-                image = [0] * n
-                for i, v in enumerate(walk):
-                    image[v] = (c + i * step) % k
-                classes.append(ClassSummary(Hom(n, k, tuple(image)), 1, False, True))
+    classes = []
+    for s, c in zip(sigmas, counts):
+        rep = _least_member(walk, k, q, s)
+        if n * q < s < n * (k - q):
+            classes.append(ClassSummary(Hom(n, k, rep), k * c,
+                                        n * qp <= s // k * kp <= n * (kp - qp), False))
+        else:
+            classes += [ClassSummary(Hom(n, k, tuple((x + d) % k for x in rep)), 1, False, True)
+                        for d in range(k)]
     return k * sum(counts), tuple(sorted(classes, key=lambda c: c.rep.image))
 
 
@@ -780,7 +779,7 @@ def _arc(length: int, delta: int, k: int, q: int) -> tuple[int, int]:
 
 def _least_member(walk: list[int], k: int, q: int, sigma: int) -> tuple[int, ...]:
     """The least colouring of the cycle ``walk`` into G_{k,q} with winding
-    total sigma, nq < sigma < n(k-q), pinning vertices in index order.
+    total sigma, nq <= sigma <= n(k-q), pinning vertices in index order.
 
     Vertex 0 takes colour 0, as the class holds every shift.  Between two
     consecutive pinned positions a and b of the walk, an arc of L steps,
@@ -788,11 +787,7 @@ def _least_member(walk: list[int], k: int, q: int, sigma: int) -> tuple[int, ...
     [Lq, L(k-q)] in one residue class mod k.  The pins are feasible iff
     every arc has such a sum and sigma lies between the totals of the arcs'
     least and greatest sums, since those sums step by k independently.
-    Pinning a vertex at offset L1 into an arc of L1 + L2 steps keeps that
-    iff the arc's sum t is one the others leave room for and the first L1
-    steps sum to some s with s in [L1 q, L1(k-q)] and t - s in
-    [L2 q, L2(k-q)]; the vertex's colour is then a's plus s, so its least
-    feasible colour is the least residue over those intervals of s.
+    Each vertex takes the least colour that keeps the pins feasible.
     """
     n = len(walk)
     pos = {v: i for i, v in enumerate(walk)}
@@ -805,21 +800,19 @@ def _least_member(walk: list[int], k: int, q: int, sigma: int) -> tuple[int, ...
         p = pos[v]
         j = bisect(pinned, p)
         a, b = pinned[j - 1], pinned[j]
-        lo1, hi1 = (p - a) * q, (p - a) * (k - q)
-        lo2, hi2 = (b - p) * q, (b - p) * (k - q)
         m, big = arcs[a]
-        best = k
-        for t in range(max(m, sigma - most + big), min(big, sigma - least + m) + 1, k):
-            s, top = max(lo1, t - hi2), min(hi1, t - lo2)
-            if s <= top:
-                c = (colour[a] + s) % k
-                best = min(best, 0 if c + top - s >= k else c)
-        first = _arc(p - a, best - colour[a], k, q)
-        second = _arc(b - p, colour[b] - best, k, q)
-        least += first[0] + second[0] - m
-        most += first[1] + second[1] - big
+        ca, cb = colour[a], colour[b]
+        least, most = least - m, most - big  # the other arcs' totals
+        for c in range(k):
+            lo1, hi1 = first = _arc(p - a, c - ca, k, q)
+            if lo1 > hi1:
+                continue
+            lo2, hi2 = second = _arc(b - p, cb - c, k, q)
+            if lo2 <= hi2 and least + lo1 + lo2 <= sigma <= most + hi1 + hi2:
+                break
+        least, most = least + lo1 + lo2, most + hi1 + hi2
         arcs[a], arcs[p] = first, second
-        colour[p] = image[v] = best
+        colour[p] = image[v] = c
         insort(pinned, p)
     return tuple(image)
 

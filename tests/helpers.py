@@ -126,6 +126,40 @@ def missing_zero_naive(n: int, k: int, q: int) -> set[int]:
     return totals
 
 
+def least_member_naive(walk, k: int, q: int, sigma: int) -> tuple[int, ...]:
+    """The least colouring of the cycle ``walk`` into G_{k,q} with winding
+    total sigma and vertex 0 at colour 0: vertices are pinned greedily in
+    index order, each to the least colour a bitset DP allows.  Bit x of a
+    position's set is a lift x of its colour on the integers.  From 0 at
+    position 0, each step shifts the set by every step in [q, k-q] and
+    masks it to the position's pinned residue; back from sigma at position
+    n, each step shifts it down alike.  A vertex may take colour c iff both
+    sets at its position hold a lift that is c mod k."""
+    n = len(walk)
+    at = {v: i for i, v in enumerate(walk)}
+    residue = [sum(1 << x for x in range(c, sigma + 1, k)) for c in range(k)]
+    anywhere = (1 << sigma + 1) - 1
+    pinned = {0: 0}  # position -> colour
+
+    def spread(reach, i, shift):
+        out = 0
+        for step in range(q, k - q + 1):
+            out |= shift(reach, step)
+        return out & residue[pinned[i]] if i in pinned else out & anywhere
+
+    image = [0] * n
+    for v in range(1, n):
+        p = at[v]
+        ahead, back = 1, 1 << sigma
+        for i in range(1, p + 1):
+            ahead = spread(ahead, i, lambda r, s: r << s)
+        for i in range(n - 1, p - 1, -1):
+            back = spread(back, i, lambda r, s: r >> s)
+        both = ahead & back
+        image[v] = pinned[p] = min(c for c in range(k) if both & residue[c])
+    return tuple(image)
+
+
 def join_pairwise_naive(source: Graph, target: Graph, boxed, boxes,
                         homotopy: bool = False) -> list[int]:
     """``homgraph._join`` by testing every pair of boxes that differ at one

@@ -15,8 +15,8 @@ from circmix.winding import (ConstrictingResult, check_certificate,
                              cycle_trace, is_constricting,
                              nonmixing_certificate, reflect_colouring)
 
-from helpers import (colour_adjacent_naive, components_naive, missing_zero_naive,
-                     naive_homs)
+from helpers import (colour_adjacent_naive, components_naive, least_member_naive,
+                     missing_zero_naive, naive_homs)
 
 
 def test_cycle_trace_frozen_values():
@@ -273,6 +273,37 @@ def test_cycle_flags_match_a_walk_search():
                     flagged += c.contains_non_surjective
                 assert missing <= totals, (n, k, q)
     assert classes == 10_211 and 0 < flagged < classes
+
+
+def test_cycle_least_members_match_a_bitset_search():
+    """Every class of C_17-C_30, relabelled v -> 2v and v -> 3v, into every
+    coprime G_{k,q} with 2 < k/q < 4 and q <= 4, far past the join's
+    reach, has the least member that a bitset search over the integer
+    lifts finds for its total; a frozen class counts by its member with
+    vertex 0 at colour 0."""
+    classes = 0
+    for n in range(17, 31):
+        for a in (2, 3):
+            if gcd(a, n) != 1:
+                continue
+            g = _relabelled_cycle(n, a)
+            walk = [a * i % n for i in range(n)]
+            for q in range(1, 5):
+                for k in range(2 * q + 1, 4 * q):
+                    if gcd(k, q) != 1:
+                        continue
+                    _, found = homgraph._cycle_classes(g, circular_clique(k, q), cap=10**100)
+                    totals = []
+                    for c in found:
+                        im = c.rep.image
+                        if im[0]:
+                            continue
+                        sigma = sum((im[walk[(i + 1) % n]] - im[walk[i]]) % k for i in range(n))
+                        assert im == least_member_naive(walk, k, q, sigma), (n, a, k, q, sigma)
+                        totals.append(sigma)
+                    assert sorted(totals) == list(range(-(-n * q // k) * k, n * (k - q) + 1, k))
+                    classes += len(totals)
+    assert classes == 1_288
 
 
 def test_cycle_classes_skip_the_boxes(monkeypatch):

@@ -25,7 +25,9 @@ Standard library only.  The families, each in its own function below:
   G_{4,1}; colour ``components`` at a cap of 10**100 of C_17-C_48, also
   relabelled v -> 2v and v -> 3v, into every coprime G_{k,q} with
   2 < k/q < 4 and q <= 6, spaces whose flags the winding rule gives far
-  past the default cap.
+  past the default cap; and at a cap of 10**400 of C_101 and C_301, also
+  relabelled, into G_{7,2}, G_{10,3}, G_{11,4} and G_{13,4}, frozen
+  classes included, as 7 divides 301.
 - ``certificates``: ``nonmixing_certificate`` on every graph of at most 6
   vertices at each coprime k/q with q <= 5 below max(4, omega + 1), and at
   that threshold; C_3-C_101 at 5/2 and 7/3 (certificate, ``is_mixing``,
@@ -207,6 +209,11 @@ def cycles(d: Dump) -> None:
             h = cm.circular_clique(k, q)
             d.call(f"components colour {name(c)} -> {name(h)} cap=10**100",
                    lambda: cm.components(c, h, "colour", 10**100))
+    for c in [*relabelled_cycles(101, 101), *relabelled_cycles(301, 301)]:
+        for k, q in ((7, 2), (10, 3), (11, 4), (13, 4)):
+            h = cm.circular_clique(k, q)
+            d.call(f"components colour {name(c)} -> {name(h)} cap=10**400",
+                   lambda: cm.components(c, h, "colour", 10**400))
 
 
 def certificates(d: Dump) -> None:
