@@ -18,7 +18,6 @@ import json
 import re
 import sys
 from functools import lru_cache, wraps
-from heapq import heapify, heappop, heappush
 from itertools import chain, permutations
 
 from .config import max_vertices
@@ -443,27 +442,35 @@ def degeneracy_order(g: Graph) -> tuple[int, list[int]]:
     largest minimum degree over subgraphs, and order lists the vertices so
     that order[i] has at most col-1 neighbours among order[:i].  Ties pick
     the least vertex, so the result is deterministic.  The graph with no
-    vertex has no subgraph with a vertex, and col 0.  A heap of (degree,
-    vertex) finds each removal.  A decrement pushes a new entry and leaves
-    the old one behind; it is larger, so it surfaces only once its vertex is
-    gone, and is skipped.
+    vertex has no subgraph with a vertex, and col 0.  Each current degree
+    keeps a bitmask of the live vertices of that degree; a removal takes
+    the least vertex of the lowest nonempty one, and moves each live
+    neighbour down one.
     """
-    deg = [g.degree(v) for v in range(g.n)]
-    heap = [(d, v) for v, d in enumerate(deg)]
-    heapify(heap)
+    rows = g.rows
+    deg = [m.bit_count() for m in rows]
+    buckets = [0] * (g.n + 1)
+    for v, d in enumerate(deg):
+        buckets[d] |= 1 << v
     alive = (1 << g.n) - 1
-    removal = []
-    worst = -1
-    while heap:
-        d, v = heappop(heap)
-        if not alive >> v & 1:
-            continue
-        worst = max(worst, d)
+    removal, worst, d = [], -1, 0
+    for _ in range(g.n):
+        while not buckets[d]:
+            d += 1
+        bit = buckets[d] & -buckets[d]
+        buckets[d] ^= bit
+        alive ^= bit
+        v = bit.bit_length() - 1
+        if d > worst:
+            worst = d
         removal.append(v)
-        alive ^= 1 << v
-        for u in _bits(g.rows[v] & alive):
+        for u in _bits(rows[v] & alive):
+            b = 1 << u
+            buckets[deg[u]] ^= b
             deg[u] -= 1
-            heappush(heap, (deg[u], u))
+            buckets[deg[u]] |= b
+        if d:
+            d -= 1  # a removal lowers degrees by one at most
     return (worst + 1, removal[::-1])
 
 

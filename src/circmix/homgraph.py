@@ -639,16 +639,13 @@ def _cycle_walk(g: Graph) -> list[int] | None:
     return walk if len(walk) == g.n else None
 
 
-def _cycle_classes(source: Graph, target: Graph, cap: int | None = None,
-                   params: tuple[int, int] | None = None
-                   ) -> tuple[int, tuple[ClassSummary, ...]] | None:
+def _cycle_classes(walk: list[int], k: int, q: int, cap: int | None = None
+                   ) -> tuple[int, tuple[ClassSummary, ...]]:
     """HOM(C_n, G_{k,q})'s total and classes, in increasing order of least
-    member, read off the winding total; None unless the source is a cycle
-    (``_cycle_walk``) and ``graphs._clique_parameters`` names the target
-    G_{k,q} with k, q coprime and 2q < k < 4q.  ``params`` is that (k, q)
-    when the caller has read it.  Raises CapExceededError exactly when the
-    join would: when the total passes ``cap``, which is known before any
-    class is built (``_winding_counts``).
+    member, read off the winding total, for the cycle's ``_cycle_walk``
+    and k, q coprime with 2q < k < 4q.  Raises CapExceededError exactly
+    when the join would: when the total passes ``cap``, which is known
+    before any class is built (``_winding_counts``).
 
     The rule follows Cereceda, van den Heuvel and Johnson ("Finding paths
     between 3-colourings", JGT 2011) and Brewster, McGuinness, Moore and
@@ -710,16 +707,7 @@ def _cycle_classes(source: Graph, target: Graph, cap: int | None = None,
     Both keep the winding number w: a colouring's lift ends n steps on at
     its start plus wk, and each map moves that end by w times its period.
     """
-    params = params or _clique_parameters(target)
-    if params is None:
-        return None
-    k, q = params
-    if gcd(k, q) != 1 or not 2 * q < k < 4 * q:
-        return None
-    walk = _cycle_walk(source)
-    if walk is None:
-        return None
-    n = source.n
+    n = len(walk)
     sigmas, counts = _winding_counts(n, k, q, cap)
     kp, qp = _lower_parent(k, q)
     classes = []
@@ -822,8 +810,9 @@ def _ruled(source: Graph, target: Graph, cap: int | None = None,
     """HOM(source, target)'s total and classes, as ``components`` lists
     them, from the first rule that answers the space without a join; None
     when none does, and the boxes are to be joined.  Each rule needs a
-    target named G_{k,q} with k, q coprime (``graphs._clique_parameters``,
-    read once here).  The rules, in the order asked:
+    target named G_{k,q} with k, q coprime (``graphs._clique_parameters``),
+    and reads a cycle source by its ``_cycle_walk``; both are read once
+    here.  The rules, in the order asked:
 
     1. A cycle into G_{k,q} with 2q < k < 4q: ``_cycle_classes``, one
        class per winding total, and no box is built.
@@ -849,11 +838,13 @@ def _ruled(source: Graph, target: Graph, cap: int | None = None,
     params = _clique_parameters(target)
     if params is None:
         return None
-    cycle = _cycle_classes(source, target, cap, params)
-    if cycle is not None or not _theorem_covers(source, params):
-        return cycle
-    if _cycle_walk(source) is not None:
-        k, q = params
+    k, q = params
+    walk = _cycle_walk(source)
+    if walk is not None and gcd(k, q) == 1 and 2 * q < k < 4 * q:
+        return _cycle_classes(walk, k, q, cap)
+    if not _theorem_covers(source, params):
+        return None
+    if walk is not None:
         total = k * sum(_winding_counts(source.n, k, q, cap)[1])
     else:
         total = hom_count(source, target, cap)

@@ -158,6 +158,9 @@ def test_certify_schema(capsys):
     code, _, _ = run_cli(capsys, "certify-nonmixing", "--graph", "circ:8/2",
                          "--frac", "7/2")
     assert code == 1  # bipartite input is a domain error
+    code, _, err = run_cli(capsys, "certify-nonmixing", "--graph", "clique:3",
+                           "--frac", "7/x")
+    assert (code, err) == (1, "error: bad fraction '7/x', want k/q\n")
 
 
 def test_extend_schema(capsys):

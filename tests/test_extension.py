@@ -360,3 +360,15 @@ def test_ring_extension_validates():
                                  groups=((0, 2, 5, 7),))
     with pytest.raises(ValueError, match="do not factor"):
         greedy_ring_extension(inst5, Hom(2, 3, (0, 1)))
+    # the 5-wheel is its own core; a rim pinned to all four colours leaves
+    # its hub none
+    wheel = Graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
+    k4 = complete_graph(4)
+    inst6 = PrecolouringInstance(wheel, k4, ((0, 0), (1, 1), (2, 2), (3, 3), (4, 1)),
+                                 groups=((0, 1, 2, 3, 4),))
+    with pytest.raises(ValueError, match="group 0 pins admit no homomorphism"):
+        greedy_ring_extension(inst6, Hom(6, 4, (0, 1, 0, 1, 2, 3)))
+    # K_3's endomorphisms are isolated in its homomorphism graph
+    inst7 = PrecolouringInstance(k3, k3, ((0, 0), (1, 1), (2, 2)), groups=((0, 1, 2),))
+    with pytest.raises(DisconnectedError, match="group 0 map cannot reach the centre"):
+        greedy_ring_extension(inst7, Hom(3, 3, (1, 0, 2)))

@@ -188,6 +188,8 @@ def test_circular_chromatic_number():
     assert circular_chromatic_number(cycle_graph(7)) == Fraction(7, 3)
     assert circular_chromatic_number(complete_graph(4)) == 4
     assert circular_chromatic_number(cycle_graph(6)) == 2
+    assert circular_chromatic_number(Graph(0)) == 0
+    assert circular_chromatic_number(Graph(3)) == 1
 
 
 def test_bipartite_and_odd_cycle():
@@ -403,3 +405,9 @@ def test_parse_rejects_garbage():
         parse_graph("e 0 1\n")
     with pytest.raises(GraphFormatError):
         parse_graph("p x\n")
+    for text, message in [("p 3\ne 0\n", "line 2: edge needs two endpoints"),
+                          ("p 3\ne 0 1 2\n", "line 2: edge needs two endpoints"),
+                          ("p -1\n", "line 1: negative vertex count"),
+                          ("c named\n\n", "missing p line")]:
+        with pytest.raises(GraphFormatError, match=message):
+            parse_graph(text)

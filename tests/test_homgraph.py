@@ -1148,8 +1148,9 @@ def test_kept_facts_built_once_per_graph(monkeypatch):
 
 
 def test_rule_ladder_order(monkeypatch):
-    """``_ruled`` asks the cycle rule, then the theorems, and the first
-    rule that answers a space decides it with no join; a pair that no rule
+    """``_ruled`` asks the cycle rule (only of a cycle into a coprime
+    G_{k,q} with 2 < k/q < 4), then the theorems, and the first rule that
+    answers a space decides it with no join; a pair that no rule
     answers is joined on boxes.  One pair per outcome, with the calls each
     takes, alike from ``is_mixing``, ``components`` and a scan row.  On a
     covered space ``components`` calls ``first_hom`` once, for the least
@@ -1174,15 +1175,13 @@ def test_rule_ladder_order(monkeypatch):
         # a cycle below 4: its classes from the winding totals, no box
         (cycle_graph(7), circular_clique(10, 3), ["cycle", "winding", "ruled"]),
         # covered cycle: counted from the winding totals, no box
-        (cycle_graph(5), circular_clique(13, 2),
-         ["cycle", "theorem", "winding", "ruled"]),
+        (cycle_graph(5), circular_clique(13, 2), ["theorem", "winding", "ruled"]),
         # covered non-cycle: counted by hom_count, not joined
-        (complete_graph(4), circular_clique(9, 1), ["cycle", "theorem", "count", "ruled"]),
+        (complete_graph(4), circular_clique(9, 1), ["theorem", "count", "ruled"]),
         # not coprime: joined
-        (cycle_graph(5), circular_clique(8, 2),
-         ["cycle", "theorem", "join boxes", "boxes", "join"]),
+        (cycle_graph(5), circular_clique(8, 2), ["theorem", "join boxes", "boxes", "join"]),
         # looped source: boxed, and its space is empty, so nothing is joined
-        (Graph(2, [(0, 0), (0, 1)]), g72, ["cycle", "theorem", "join boxes", "boxes"]),
+        (Graph(2, [(0, 0), (0, 1)]), g72, ["theorem", "join boxes", "boxes"]),
         # a target not named G_{k,q}: no rule is asked
         (complete_graph(3), Graph.from_rows(g72.rows), ["join boxes", "boxes", "join"]),
     ]

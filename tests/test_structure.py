@@ -262,6 +262,9 @@ def test_self_mixing_table():
         result = self_mixing(g)
         assert result.mixing == want
         assert result.method == "dismantlability+components"
+    # past the cap, the component count is skipped
+    for g, cap, want in ((complete_graph(3), 5, False), (reflexive_path(3), 2, True)):
+        assert self_mixing(g, cap) == (want, "dismantlability")
 
 
 def test_self_mixing_agrees_with_components_on_small_graphs():

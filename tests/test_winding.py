@@ -161,6 +161,37 @@ def test_check_certificate_rejects_tampering():
     wrong_kind = cert._replace(kind="clique")
     with pytest.raises(ValueError):
         check_certificate(g, wrong_kind)
+    for mutant, text in [(cert._replace(subgraph=(0, 1, 1)), "vertices repeat"),
+                         (cert._replace(subgraph=(0, 1, 3)), "vertex 3 out of range"),
+                         (cert._replace(kind="path"), "unknown certificate kind 'path'")]:
+        with pytest.raises(ValueError, match=text):
+            check_certificate(g, mutant)
+    # K_4 at 9/2, below its clique threshold 5 (K_4 has no (7,2)-colouring)
+    k4 = complete_graph(4)
+    cert = nonmixing_certificate(k4, 9, 2)
+    assert (cert.kind, cert.cycle) == ("clique", (0, 1, 2, 3))
+    diamond = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    with pytest.raises(ValueError, match="not a clique"):
+        check_certificate(diamond, cert)
+    for mutant, text in [
+            (cert._replace(k=5, q=1), "5/1 is not below the clique threshold 5"),
+            (cert._replace(cycle=(3, 2, 1, 0)), "not the colour-sorted clique order"),
+            (cert._replace(colouring=Hom(4, 9, (0, 0, 4, 6))), "share a colour")]:
+        with pytest.raises(ValueError, match=text):
+            check_certificate(k4, mutant)
+    c5 = cycle_graph(5)
+    cert = nonmixing_certificate(c5, 5, 2)
+    assert (cert.kind, cert.cycle) == ("odd_cycle", (0, 1, 2, 3, 4))
+    for mutant, text in [
+            (cert._replace(subgraph=(0, 1, 2, 3), cycle=(0, 1, 2, 3)), "need an odd cycle"),
+            (cert._replace(k=4, q=1), "4/1 is not below the cycle threshold 4"),
+            (cert._replace(cycle=(0, 4, 3, 2, 1)), "trace the odd cycle in order"),
+            (cert._replace(subgraph=(0, 2, 4, 1, 3), cycle=(0, 2, 4, 1, 3)),
+             "not a cycle of the graph")]:
+        with pytest.raises(ValueError, match=text):
+            check_certificate(c5, mutant)
+    with pytest.raises(ValueError, match="loop-free"):
+        nonmixing_certificate(Graph(3, [(0, 0), (0, 1), (1, 2), (2, 0)]), 5, 2)
 
 
 def test_reflection_is_involution_and_preserves_validity():
@@ -194,7 +225,7 @@ def _cycle_pairs(max_n: int, max_total: int):
                 if gcd(k, q) != 1:
                     continue
                 target = circular_clique(k, q)
-                total, _ = homgraph._cycle_classes(cycle_graph(n), target, cap=10**30)
+                total, _ = homgraph._cycle_classes(list(range(n)), k, q, cap=10**30)
                 if total > max_total:
                     continue
                 for a in (1, 2, 3):
@@ -259,10 +290,9 @@ def test_cycle_flags_match_a_walk_search():
         for k in range(2 * q + 1, 4 * q):
             if gcd(k, q) != 1:
                 continue
-            target = circular_clique(k, q)
             for n in range(3, 49):
                 missing = missing_zero_naive(n, k, q)
-                _, found = homgraph._cycle_classes(cycle_graph(n), target, cap=10**100)
+                _, found = homgraph._cycle_classes(list(range(n)), k, q, cap=10**100)
                 totals = set()
                 for c in found:
                     im = c.rep.image
@@ -286,13 +316,12 @@ def test_cycle_least_members_match_a_bitset_search():
         for a in (2, 3):
             if gcd(a, n) != 1:
                 continue
-            g = _relabelled_cycle(n, a)
             walk = [a * i % n for i in range(n)]
             for q in range(1, 5):
                 for k in range(2 * q + 1, 4 * q):
                     if gcd(k, q) != 1:
                         continue
-                    _, found = homgraph._cycle_classes(g, circular_clique(k, q), cap=10**100)
+                    _, found = homgraph._cycle_classes(walk, k, q, cap=10**100)
                     totals = []
                     for c in found:
                         im = c.rep.image
@@ -321,8 +350,12 @@ def test_cycle_classes_skip_the_boxes(monkeypatch):
 def test_cycle_classes_leave_other_pairs_to_the_join(monkeypatch):
     # C_5 -> G_{9,2} and G_{4,1} are one class by a mixing theorem, which
     # would answer them without a join; the rule is off here, so every
-    # pair below with a colouring is joined
+    # pair below with a colouring is joined, and the cycle rule is not
+    # asked of it
     monkeypatch.setattr(homgraph, "_theorem_covers", lambda *a, **kw: False)
+    asked, rung = [], homgraph._cycle_classes
+    monkeypatch.setattr(homgraph, "_cycle_classes",
+                        lambda *a, **kw: asked.append(1) or rung(*a, **kw))
     searches = _counted_boxes(monkeypatch)
     joins, join = [], homgraph._join
     monkeypatch.setattr(homgraph, "_join",
@@ -339,10 +372,11 @@ def test_cycle_classes_leave_other_pairs_to_the_join(monkeypatch):
         (looped, circular_clique(3, 1)),          # 2 bits a row, with loops
     ]
     for g, h in out_of_scope:
-        assert homgraph._cycle_classes(g, h) is None
         searches.clear()
         joins.clear()
+        asked.clear()
         answers = _answers(g, h)
+        assert not asked
         assert len(searches) == 3
         assert len(joins) == (3 if answers[1].hom_count else 0)
         if h.name == "K_3":

@@ -63,10 +63,15 @@ Standard library only.  The families, each in its own function below:
   ``dismantlable``, ``col`` and ``omega`` on random trees, reflexive
   cop-win graphs and reflexive 8-cycles with pendant trees of 40-60
   vertices; each report is ``cli._json`` of its payload.
+- ``degeneracy``: ``degeneracy_order`` and ``colouring_number`` on the
+  graphs of at most 5 vertices, loops allowed, on 120 random graphs of
+  6-60 vertices (``random``, seed 38), every other one with loops, and on
+  K_n, P_n and C_n for n = 1-16 and n = 2^j - 1, 2^j and 2^j + 1 for
+  j = 5-8, and n = 511 and 512.
 
 Every call that answers with a count is asked again at a cap equal to that
 count and at one below it (a scan at each row's count and one below).
-Takes about fifteen seconds.
+Takes about twenty seconds.
 """
 
 from __future__ import annotations
@@ -440,9 +445,32 @@ def writer(d: Dump) -> None:
                 d.call(f"structure {op} {name(g)}", lambda op=op: request(path, op))
 
 
+def degeneracy(d: Dump) -> None:
+    import random
+
+    import circmix as cm
+    from circmix.graphs import degeneracy_order
+
+    cases = [(name(g), g) for g in iso_reps(5, loops=True)]
+    rng = random.Random(38)
+    for i in range(120):
+        n, p, looped = rng.randint(6, 60), rng.choice((0.05, 0.2, 0.5, 0.8)), i % 2
+        g = cm.Graph(n, [(u, v) for u in range(n) for v in range(u + 1 - looped, n)
+                         if rng.random() < p])
+        cases.append((name(g), g))
+    sizes = [*range(1, 17), 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256, 257, 511, 512]
+    for n in sizes:
+        cases += [(f"K_{n}", cm.complete_graph(n)), (f"P_{n}", cm.path_graph(n))]
+        if n >= 3:
+            cases.append((f"C_{n}", cm.cycle_graph(n)))
+    for label, g in cases:
+        d.call(f"degeneracy_order {label}", lambda: degeneracy_order(g))
+        d.call(f"colouring_number {label}", lambda: cm.colouring_number(g))
+
+
 FAMILIES = {"spaces": spaces, "cycles": cycles, "certificates": certificates,
             "lift": lift, "prepared": prepared, "reader": reader, "folds": folds,
-            "writer": writer}
+            "writer": writer, "degeneracy": degeneracy}
 
 
 def main(argv=None) -> int:
