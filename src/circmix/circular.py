@@ -16,6 +16,7 @@ of the colourings; every other row by explicit component computation.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -303,9 +304,10 @@ def delete_vertex_dismantle(k: int, q: int, d: int, i: int) -> OrbitDismantle:
                           cur, tuple(relabel), target)
 
 
-def _theorem_bounds(g: Graph) -> list[ScanBound]:
+def _theorem_bounds(g: Graph, cap: int | None) -> list[ScanBound]:
     """The bounds a scan report prints, as the literature states them; the
-    scan's rule, k > (2q-1) col, implies the 2 col and col + 1 ones."""
+    scan's rule, k > (2q-1) col, implies the 2 col and col + 1 ones.  A
+    clique search past ``cap`` gives up the clique bound, not the scan."""
     col, dmax = _col_dmax(g)
     has_edge = dmax > 0
     out = [
@@ -318,9 +320,9 @@ def _theorem_bounds(g: Graph) -> list[ScanBound]:
         out.insert(1, ScanBound("M_c", "<=", Fraction(2 * dmax),
                                 "twice the maximum degree", "theorem"))
     if has_edge and not is_bipartite(g):
-        omega = clique_number(g)
-        out.append(ScanBound("m_c", ">=", Fraction(max(4, omega + 1)),
-                             "non-bipartite clique lower bound", "theorem"))
+        with suppress(CapExceededError):
+            out.append(ScanBound("m_c", ">=", Fraction(max(4, clique_number(g, cap) + 1)),
+                                 "non-bipartite clique lower bound", "theorem"))
     params = _clique_parameters(g)
     if params is not None:
         ck, cq = params
@@ -391,5 +393,5 @@ def mixing_scan(g: Graph, fracs, cap: int | None = None) -> MixingScanReport:
         witnesses = () if v.witness is None else tuple(w.image for w in v.witness)
         rows.append(MixingScanRow(k, q, value, v.name, v.hom_count,
                                   v.class_count, witnesses))
-    bounds = _theorem_bounds(g) + _scan_evidence(rows)
+    bounds = _theorem_bounds(g, cap) + _scan_evidence(rows)
     return MixingScanReport(g.name or "", tuple(rows), tuple(bounds))

@@ -203,7 +203,7 @@ def _cmd_structure(args) -> int:
     if op == "col":
         payload = {"op": op, "value": colouring_number(g)}
     elif op == "omega":
-        payload = {"op": op, "value": clique_number(g)}
+        payload = {"op": op, "value": clique_number(g, args.cap)}
     elif op == "stiff":
         red = stiff_reduction(g)
         payload = {
@@ -437,8 +437,8 @@ def _build_parser() -> _Parser:
     """
     common = _Parser(add_help=False)
     common.add_argument("--cap", type=int, default=None,
-                        help="max homomorphisms to enumerate, and max partial "
-                             "assignments of an early-exit search")
+                        help="budget of every search: maps enumerated or walked, "
+                             "partial assignments and clique-search nodes")
     common.add_argument("--threads", type=int, default=None,
                         help="accepted and ignored; output is identical for any value")
     common.add_argument("--output", choices=("json", "text"), default="json")

@@ -1,10 +1,10 @@
 """Runtime limits and their environment overrides.
 
-Two kinds of budget guard the search code: a cap on how many homomorphisms
-an enumeration may collect, and a cap on how many partial assignments an
-early-exit search may visit.  Both default to values that keep worst cases
-on a desktop under control; callers can pass explicit values and the CLI
-reads overrides from the environment (flags win over the environment).
+One budget guards every search: the homomorphisms an enumeration may
+collect, the partial assignments an early-exit search may visit, the nodes
+of a clique search and the maps a walk may reach.  A call's own ``cap``
+wins, then ``CIRCMIX_CAP``, then a default that keeps worst cases on a
+desktop under control (the CLI's ``--cap`` is such a call's cap).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 
 DEFAULT_HOM_CAP = 10_000_000
-DEFAULT_NODE_CAP = 1_000_000
 DEFAULT_MAX_VERTICES = 4096
 
 ENV_CAP = "CIRCMIX_CAP"
@@ -33,17 +32,11 @@ def _env_int(name: str, fallback: int) -> int:
 
 
 def hom_cap(override: int | None = None) -> int:
-    """Maximum number of homomorphisms an enumeration may return."""
+    """The budget of a search: ``override``, else ``CIRCMIX_CAP``, else
+    10,000,000."""
     if override is not None:
         return override
     return _env_int(ENV_CAP, DEFAULT_HOM_CAP)
-
-
-def node_cap(override: int | None = None) -> int:
-    """Maximum number of partial assignments an early-exit search may visit."""
-    if override is not None:
-        return override
-    return DEFAULT_NODE_CAP
 
 
 def max_vertices() -> int:

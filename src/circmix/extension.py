@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .errors import DisconnectedError, RingHypothesisError
 from .graphs import Graph, _bfs, extension_product, path_graph
 from .homgraph import homotopy_path, radius_centre
-from .homs import Hom, _broken_pin_edge, _first_extension, first_hom, is_hom
+from .homs import Hom, _broken_pin_edge, _first_extension, is_hom
 from .structure import CoreResult, core_of
 
 
@@ -142,13 +142,11 @@ def layered_extension_check(g: Graph, h: Graph, f_start: Hom, f_end: Hom,
     cap.
 
     The pinned layers are tested for a broken edge once; the product
-    search is ``first_hom``'s, without its second test of the pins.
-    ``cap`` is also its node budget, 1,000,000 partial assignments at
-    ``cap=None``, and that budget can run out first: with ends at homotopy
-    distance 6 on C_5 into G_{7,2} and n = 7, this raises
-    CapExceededError at ``cap=None`` after about 0.6 s on a 2-CPU machine
-    and answers True at cap 10,000,000, while the bitset layers take about
-    2 ms.
+    search is ``first_hom``'s, without its second test of the pins, and
+    ``cap`` (``config.hom_cap``) also bounds its partial assignments.  With
+    ends at homotopy distance 6 on C_5 into G_{7,2} and n = 7, it takes
+    up to about 2 s on a 2-CPU machine at ``cap=None``, while the bitset
+    layers take about 2 ms.
     """
     if n < 1:
         raise ValueError("layer count must be at least 1")
@@ -251,7 +249,9 @@ def greedy_ring_extension(instance: PrecolouringInstance, centre: Hom,
                 raise ValueError(
                     f"group {i} pins do not factor through the core retraction")
             partial[w] = pin_map[v]
-        g_i = first_hom(core.core, target, pins=partial, budget=cap)
+        # the retraction can send two pins onto one edge in one colour
+        g_i = (None if _broken_pin_edge(core.core, target, partial) is not None
+               else _first_extension(core.core, target, partial, cap))
         if g_i is None:
             raise ValueError(
                 f"group {i} pins admit no homomorphism from the core")

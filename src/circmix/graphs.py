@@ -20,7 +20,7 @@ import sys
 from functools import lru_cache, wraps
 from itertools import chain, permutations
 
-from .config import max_vertices
+from .config import hom_cap, max_vertices
 from .errors import CapExceededError, GraphFormatError
 
 
@@ -478,18 +478,18 @@ def colouring_number(g: Graph) -> int:
     return degeneracy_order(g)[0]
 
 
-def max_clique(g: Graph, cap: int = 2_000_000) -> list[int]:
+def max_clique(g: Graph, cap: int | None = None) -> list[int]:
     """Lexicographically least maximum clique of a loop-free graph.
 
     Branch and bound over an explicit stack of candidate masks, smallest
-    vertex first; ``cap`` bounds the number of search nodes.  Cliques are
-    reached in lexicographic order and a branch is cut only when it cannot
-    beat the best size so far, so the first clique of each new best size is
-    the least one of that size.
+    vertex first; ``cap`` (``config.hom_cap``) bounds the number of search
+    nodes.  Cliques are reached in lexicographic order and a branch is cut
+    only when it cannot beat the best size so far, so the first clique of
+    each new best size is the least one of that size.
     """
     if not g.is_loop_free:
         raise ValueError("clique search requires a loop-free graph")
-    nodes = 0
+    cap, nodes = hom_cap(cap), 0
     best: list[int] = []
     picked: list[int] = []
     stack = [(1 << g.n) - 1]  # candidates at each depth; len(picked) + 1 entries
@@ -513,7 +513,7 @@ def max_clique(g: Graph, cap: int = 2_000_000) -> list[int]:
     return best
 
 
-def clique_number(g: Graph, cap: int = 2_000_000) -> int:
+def clique_number(g: Graph, cap: int | None = None) -> int:
     return len(max_clique(g, cap))
 
 

@@ -848,7 +848,7 @@ def _ruled(source: Graph, target: Graph, cap: int | None = None,
         total = k * sum(_winding_counts(source.n, k, q, cap)[1])
     else:
         total = hom_count(source, target, cap)
-    rep = first_hom(source, target) if least else None
+    rep = first_hom(source, target, budget=cap) if least else None
     return total, (ClassSummary(rep, total, True, False),)
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import accumulate, product
 from typing import NamedTuple
 
-from .config import hom_cap, node_cap
+from .config import hom_cap
 from .errors import CapExceededError
 from .graphs import (Graph, _bfs, _bits, _kept, _rotate, circular_clique,
                      colouring_number, complete_graph)
@@ -469,7 +469,7 @@ def iter_homs(g: Graph, h: Graph, budget: int | None = None):
     For early-exit questions (is there a second endomorphism?); the order is
     the backtracking order, not lexicographic.
     """
-    return _search(_search_source(g), h, [0] * g.n, budget=node_cap(budget))
+    return _search(_search_source(g), h, [0] * g.n, budget=hom_cap(budget))
 
 
 def _broken_pin_edge(g: Graph, h: Graph,
@@ -502,7 +502,7 @@ def first_hom(g: Graph, h: Graph, pins: dict[int, int] | None = None,
 
     Pins are fixed vertex -> colour assignments; they are checked for
     internal consistency first.  None certifies that the search space was
-    exhausted.  Raises CapExceededError if the node budget runs out.
+    exhausted.  Raises CapExceededError past ``budget`` partial assignments.
     """
     pins = dict(pins or {})
     for v, c in pins.items():
@@ -523,7 +523,7 @@ def _first_extension(g: Graph, h: Graph, pins: dict[int, int],
     that ``_broken_pin_edge`` finds."""
     img = [pins.get(v, 0) for v in range(g.n)]
     free = [v for v in range(g.n) if v not in pins]
-    image = next(_search(_Source(g, free), h, img, budget=node_cap(budget)), None)
+    image = next(_search(_Source(g, free), h, img, budget=hom_cap(budget)), None)
     return None if image is None else Hom(g.n, h.n, image)
 
 
@@ -553,6 +553,8 @@ def circular_chromatic_number(g: Graph, max_q: int | None = None, cap: int | Non
     """
     if not g.is_loop_free:
         raise ValueError("circular chromatic number requires a loop-free graph")
+    if max_q is not None and max_q < 1:
+        raise ValueError(f"max_q must be at least 1, got {max_q}")
     if g.n == 0:
         return Fraction(0)
     if all(r == 0 for r in g.rows):

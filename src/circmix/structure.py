@@ -151,14 +151,14 @@ def _idempotent_power(image: tuple[int, ...]) -> tuple[int, ...]:
         cur = tuple(cur[c] for c in image)
 
 
-def _image_floor(g: Graph) -> int:
+def _image_floor(g: Graph, cap: int | None) -> int:
     """No endomorphism image is smaller: a largest clique, or one vertex
-    when g has a loop or no edge.  A clique search over its own budget
-    gives up the bound rather than the answer."""
+    when g has a loop or no edge.  A clique search past ``cap`` gives up
+    the bound (one vertex) rather than the answer."""
     if not (g.is_loop_free and any(g.rows)):
         return 1
     try:
-        return clique_number(g)
+        return clique_number(g, cap)
     except CapExceededError:
         return 1
 
@@ -178,7 +178,7 @@ def core_of(g: Graph, cap: int | None = None) -> CoreResult:
     while True:
         best: tuple[int, ...] | None = None
         best_size = cur.n + 1
-        floor = _image_floor(cur)
+        floor = _image_floor(cur, cap)
         for im in iter_homs(cur, cur, cap):
             size = len(set(im))
             if size < best_size:

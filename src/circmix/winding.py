@@ -136,7 +136,7 @@ def nonmixing_certificate(g: Graph, k: int, q: int,
         raise ValueError("colourings require a loop-free graph")
     if is_bipartite(g):
         raise ValueError("bipartite graphs admit no winding certificate")
-    clique = tuple(max_clique(g))
+    clique = tuple(max_clique(g, cap))
     omega = len(clique)
     if Fraction(k, q) >= max(4, omega + 1):
         raise ValueError(

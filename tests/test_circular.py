@@ -267,6 +267,17 @@ def test_mixing_scan_keeps_fractions_and_skips_on_cap():
     assert first.value == Fraction(3)
     assert rep.rows[1].verdict == "Skipped"
     assert rep.rows[1].hom_count is None
+    # K_4's clique search takes 4 nodes: past a cap of 3 the scan gives up
+    # the clique bound and keeps its rows and every other bound
+    fracs = [(7, 2), (4, 1), (9, 2)]
+    full, capped = (mixing_scan(complete_graph(4), fracs, cap) for cap in (None, 3))
+    assert [r.verdict for r in capped.rows] == ["NoColourings", "Skipped", "Skipped"]
+    assert [r.verdict for r in full.rows] == ["NoColourings", "NotMixing", "NotMixing"]
+    clique = [b for b in full.bounds if b.source == "non-bipartite clique lower bound"]
+    assert [(b.quantity, b.value) for b in clique] == [("m_c", 5)]
+    assert [b for b in full.bounds if b.certified == "theorem" and b not in clique] \
+        == [b for b in capped.bounds if b.certified == "theorem"]
+    assert clique[0] in mixing_scan(complete_graph(4), fracs, 4).bounds
     with pytest.raises(ValueError):
         mixing_scan(Graph(2, [(0, 0), (0, 1)]), [(4, 1)])
 

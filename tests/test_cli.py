@@ -57,6 +57,13 @@ def test_exit_codes(capsys):
     capped, _, err = run_cli(capsys, "mixing", "--graph", "clique:3",
                              "--target", "circ:9/2", "--cap", "3")
     assert capped == 2 and "cap exceeded" in err
+    # the cap bounds the clique searches too
+    omega = ["structure", "--graph", "clique:5", "--op", "omega"]
+    for args, cap in ((["certify-nonmixing", "--graph", "circ:4095/2", "--frac", "5/2"], 1000),
+                      (omega, 4)):
+        assert run_cli(capsys, *args, "--cap", str(cap)) == (
+            2, "", f"cap exceeded: budget of {cap} exceeded (clique search)\n")
+    assert run_json(capsys, *omega, "--cap", "5") == (0, {"op": "omega", "value": 5})
     miss, _, err = run_cli(capsys, "mixing", "--graph", "clique:3",
                            "--target", "circ:9/2", "--expect", "NotMixing")
     assert miss == 3 and "expected NotMixing, got Mixing" in err

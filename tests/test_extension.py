@@ -204,10 +204,10 @@ def test_layered_on_c5_into_g72_at_drawn_distances():
     """HOM(C_5, G_{7,2}) has two classes of 455 maps.  From a drawn start,
     ends drawn at each distance 1-6 (read off a breadth-first search over
     the neighbour-box searches, not the bitsets) and ends from the other
-    class: the layered check turns true exactly at n = d + 1.  The product
-    search on seven layers can pass the default node budget, so the cap is
-    the CLI's default."""
-    g, h, cap = cycle_graph(5), circular_clique(7, 2), 10_000_000
+    class: the layered check turns true exactly at n = d + 1, at the
+    default cap, which also bounds the partial assignments of the product
+    search on seven layers."""
+    g, h = cycle_graph(5), circular_clique(7, 2)
     images = enumerate_homs(g, h).images
     rng = random.Random(17)
     start = rng.choice(images)
@@ -221,14 +221,14 @@ def test_layered_on_c5_into_g72_at_drawn_distances():
         for end in rng.sample(layers[d], 2):
             t = Hom(5, 7, end)
             assert homotopy_distance(f, t, g, h) == d
-            assert not layered_extension_check(g, h, f, t, d, cap)
-            assert layered_extension_check(g, h, f, t, d + 1, cap)
+            assert not layered_extension_check(g, h, f, t, d)
+            assert layered_extension_check(g, h, f, t, d + 1)
     for end in rng.sample([im for im in images if im not in reached], 3):
         t = Hom(5, 7, end)
         assert homotopy_distance(f, t, g, h) is None
         for n in (1, 4):
-            assert not layered_extension_check(g, h, f, t, n, cap)
-            assert not layered_extension_check(g, h, t, f, n, cap)
+            assert not layered_extension_check(g, h, f, t, n)
+            assert not layered_extension_check(g, h, t, f, n)
 
 
 def test_layered_on_degenerate_sources():
@@ -368,6 +368,13 @@ def test_ring_extension_validates():
                                  groups=((0, 1, 2, 3, 4),))
     with pytest.raises(ValueError, match="group 0 pins admit no homomorphism"):
         greedy_ring_extension(inst6, Hom(6, 4, (0, 1, 0, 1, 2, 3)))
+    # C_6 retracts onto an edge that sends 0 and 3 apart: pins that extend
+    # (0,1,2,0,1,2) put one colour on both ends of a core edge
+    c6 = cycle_graph(6)
+    inst8 = PrecolouringInstance(c6, k3, ((0, 0), (3, 0)), groups=((0, 3),))
+    assert extend(inst8).extension.image == (0, 1, 2, 0, 1, 2)
+    with pytest.raises(ValueError, match="group 0 pins admit no homomorphism"):
+        greedy_ring_extension(inst8, Hom(2, 3, (0, 1)))
     # K_3's endomorphisms are isolated in its homomorphism graph
     inst7 = PrecolouringInstance(k3, k3, ((0, 0), (1, 1), (2, 2)), groups=((0, 1, 2),))
     with pytest.raises(DisconnectedError, match="group 0 map cannot reach the centre"):

@@ -190,6 +190,9 @@ def test_circular_chromatic_number():
     assert circular_chromatic_number(cycle_graph(6)) == 2
     assert circular_chromatic_number(Graph(0)) == 0
     assert circular_chromatic_number(Graph(3)) == 1
+    for max_q in (0, -2):  # no fraction is left to try
+        with pytest.raises(ValueError, match=f"max_q must be at least 1, got {max_q}"):
+            circular_chromatic_number(cycle_graph(5), max_q=max_q)
 
 
 def test_bipartite_and_odd_cycle():

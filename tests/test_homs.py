@@ -11,7 +11,7 @@ from circmix.config import DEFAULT_MAX_VERTICES
 from circmix.errors import CapExceededError
 from circmix.extension import PrecolouringInstance, extend
 from circmix.graphs import (Graph, _bits, complete_graph, cycle_graph,
-                            circular_clique, path_graph)
+                            circular_clique, max_clique, path_graph)
 from circmix.homgraph import is_mixing
 from circmix.homs import (Hom, compose, enumerate_homs, first_hom,
                           format_image, hom_count, hom_exists, identity_hom,
@@ -92,13 +92,24 @@ def test_first_hom_is_least_and_respects_pins():
         first_hom(Graph(2, [(0, 1), (1, 1)]), half, pins={1: 0, 0: 0})
 
 
-def test_hom_exists_and_budget():
+def test_hom_exists_and_budget(monkeypatch):
     assert hom_exists(cycle_graph(6), complete_graph(2))
     assert not hom_exists(cycle_graph(5), complete_graph(2))
     with pytest.raises(CapExceededError):
         enumerate_homs(cycle_graph(6), circular_clique(9, 2), cap=10)
     with pytest.raises(CapExceededError):
         list(iter_homs(cycle_graph(6), circular_clique(9, 2), budget=10))
+    # with no budget of its own, every search takes CIRCMIX_CAP's
+    k4 = complete_graph(4)
+    with monkeypatch.context() as m:
+        m.setenv("CIRCMIX_CAP", "3")
+        for search, what in ((lambda: first_hom(k4, k4), "partial assignments"),
+                             (lambda: list(iter_homs(k4, k4)), "partial assignments"),
+                             (lambda: max_clique(k4), "clique search")):
+            with pytest.raises(CapExceededError, match=f"^budget of 3 exceeded \\({what}\\)$"):
+                search()
+        m.setenv("CIRCMIX_CAP", "4")
+        assert first_hom(k4, k4).image == (0, 1, 2, 3) and max_clique(k4) == [0, 1, 2, 3]
     # A node is a consistent assignment of a prefix of the search order;
     # sorted as colour tuples along the order, they come in search order.
     # A budget of b yields the complete ones among the first b nodes, then

@@ -224,7 +224,7 @@ def test_core_of_early_stop_keeps_the_full_walk_choice(monkeypatch):
     graphs = [random_graph(rng, rng.randint(1, 8), p=rng.random(),
                            loops=rng.random() < 0.3) for _ in range(80)]
     early = [core_of(g) for g in graphs]
-    monkeypatch.setattr(structure, "_image_floor", lambda g: 0)  # never stop
+    monkeypatch.setattr(structure, "_image_floor", lambda g, cap: 0)  # never stop
     assert [core_of(g) for g in graphs] == early
 
 

@@ -68,6 +68,12 @@ Standard library only.  The families, each in its own function below:
   6-60 vertices (``random``, seed 38), every other one with loops, and on
   K_n, P_n and C_n for n = 1-16 and n = 2^j - 1, 2^j and 2^j + 1 for
   j = 5-8, and n = 511 and 512.
+- ``budgets``: ``first_hom``, ``iter_homs``, ``hom_count`` and
+  ``homotopy_path`` (from the least to the greatest map of a nonempty
+  space) on the graphs of at most 3 vertices, loops allowed, into the
+  same graphs, and ``max_clique`` on the graphs of at most 5 vertices,
+  each at every budget from 0 up to the first it answers within, and one
+  past that.  Every budget is explicit, so no default reaches the dump.
 
 Every call that answers with a count is asked again at a cap equal to that
 count and at one below it (a scan at each row's count and one below).
@@ -468,9 +474,39 @@ def degeneracy(d: Dump) -> None:
         d.call(f"colouring_number {label}", lambda: cm.colouring_number(g))
 
 
+def budgets(d: Dump) -> None:
+    import circmix as cm
+
+    def ladder(label: str, ask) -> None:
+        """``ask(cap)`` at every cap from 0 up to the first it answers
+        within, and one past that."""
+        cap, first = 0, None
+        while first is None or cap <= first + 1:
+            got = []
+            d.call(f"{label} cap={cap}", lambda: got.append(ask(cap)) or got[0])
+            if got and first is None:
+                first = cap
+            cap += 1
+
+    graphs = iso_reps(3, loops=True)
+    for g in graphs:
+        for h in graphs:
+            label = f"{name(g)} -> {name(h)}"
+            ladder(f"first_hom {label}", lambda cap: cm.first_hom(g, h, budget=cap))
+            ladder(f"iter_homs {label}", lambda cap: list(cm.iter_homs(g, h, cap)))
+            ladder(f"hom_count {label}", lambda cap: cm.hom_count(g, h, cap))
+            images = cm.enumerate_homs(g, h).images
+            if images:
+                a, b = cm.Hom(g.n, h.n, images[0]), cm.Hom(g.n, h.n, images[-1])
+                ladder(f"homotopy_path {label}",
+                       lambda cap: cm.homotopy_path(a, b, g, h, cap))
+    for g in iso_reps(5):
+        ladder(f"max_clique {name(g)}", lambda cap: cm.max_clique(g, cap))
+
+
 FAMILIES = {"spaces": spaces, "cycles": cycles, "certificates": certificates,
             "lift": lift, "prepared": prepared, "reader": reader, "folds": folds,
-            "writer": writer, "degeneracy": degeneracy}
+            "writer": writer, "degeneracy": degeneracy, "budgets": budgets}
 
 
 def main(argv=None) -> int:
