@@ -129,7 +129,8 @@ def layered_extension_check(g: Graph, h: Graph, f_start: Hom, f_end: Hom,
     """Do f_start and f_end extend over g layered against an n-vertex path?
 
     The host is the extension product of g with the path on n vertices,
-    with layer 0 pinned to f_start and layer n-1 to f_end.  The answer is
+    with layer 0 pinned to f_start and layer n-1 to f_end, and g.n * n past
+    the vertex limit raises ValueError before a row is built.  The answer is
     computed twice, by the extension search and as homotopy distance < n,
     and the two must agree (AssertionError otherwise).
 

@@ -402,8 +402,9 @@ def frozen_regular_graph(d: int, q: int) -> Graph:
 def tensor_product(g: Graph, h: Graph) -> Graph:
     """Categorical product: (a,b)(a',b') is an edge iff aa' in E(g) and bb' in E(h).
 
-    Vertex (a, b) gets index a * h.n + b.
+    Vertex (a, b) gets index a * h.n + b; past the vertex limit, ValueError.
     """
+    _check_order(g.n * h.n)
     rows = [0] * (g.n * h.n)
     for a in range(g.n):
         base = a * h.n

@@ -53,16 +53,15 @@ multi-source sweep.
 from __future__ import annotations
 
 from bisect import bisect, insort
-from collections import Counter
-from itertools import islice
+from itertools import islice, product
 from math import comb, gcd
 from operator import itemgetter
 from typing import NamedTuple
 
 from .config import hom_cap
 from .errors import CapExceededError, DisconnectedError, NoColouringsError
-from .graphs import (Graph, _bfs, _clique_parameters, _kept, _lower_parent,
-                     _path, colouring_number, degrees)
+from .graphs import (Graph, _bfs, _bits, _clique_parameters, _kept,
+                     _lower_parent, _path, colouring_number, degrees)
 from .homs import (Hom, _box_source, _box_sources, _boxes, _reflection,
                    _search, _search_source, _shift_period, _Source, first_hom,
                    format_image, hom_count, is_hom)
@@ -860,49 +859,58 @@ def components(source: Graph, target: Graph, kind: str = "colour",
     uses the cross condition.  For loop-free sources the partitions agree.
     A space that a rule answers without a join (``_ruled``) takes that
     rule's classes, both kinds alike.  Every other reads the classes off
-    boxes that box no looped vertex, joined by ``_join``, and builds no
-    member but the representatives.  A class is frozen when it has a
-    member with no neighbour but itself in the homomorphism graph, that
-    is, when it holds a homomorphism class of one member.  A box has a
-    member that misses some colour c exactly when its other vertices miss
-    c and no boxed vertex is held to c alone.
+    one ``_join``, of the boxes ``is_mixing`` joins or, for homomorphism
+    classes, of boxes that box no looped vertex, and builds no member but
+    the representatives.  A box has a member that misses some colour c
+    exactly when its other vertices miss c and no boxed vertex is held to
+    c alone.  A class is frozen when a member has no neighbour but itself
+    in the homomorphism graph (``_isolated``): when it is one member, or,
+    for colour classes of a looped source, when a box holds such a member.
 
     The boxes are one per orbit of the target's r cyclic shifts.  A root
     of ``_join`` with split s stands for s classes, each of r/s times its
-    boxes' size; they share its non-surjective flag, since a shift moves
-    the colours a member misses, and are frozen when its homomorphism class
-    is one box of one member whose shifts are all apart (split r).
-    """
+    boxes' size; each holds a shift of every box of the root, so they share
+    both flags, as a shift keeps the homomorphism graph."""
     if kind not in ("colour", "homomorphism"):
         raise ValueError(f"unknown kind {kind!r}")
     ruled = _ruled(source, target, cap)
     if ruled is not None:
         return ComponentReport(kind, *ruled)
-    boxed, found, root, r = _boxes(_box_source(source, False), target, cap)
+    boxed, found, root, r = _boxes(_box_source(source, kind == "colour"), target, cap)
     boxes = list(found)
     if not boxes:
         return ComponentReport(kind=kind, total=0, classes=())
     free = set(range(source.n)).difference(boxed)
-    hom = join = _join(source, target, boxed, boxes, root, r, homotopy=True)
-    if kind == "colour" and not source.is_loop_free:
-        join = _join(source, target, boxed, boxes, root, r)
+    join = _join(source, target, boxed, boxes, root, r, kind == "homomorphism")
     roots, _, splits = join
-    # a root is a box of its class, so a class of one box is rooted there;
-    # its shifts are classes of their own when its split is r
-    hom_roots, _, hom_splits = hom
-    frozen = {roots[h] for h, count in Counter(hom_roots).items()
-              if count == 1 and boxes[h][2] == 1 and hom_splits[h] == r}
     sizes: dict[int, int] = {}
     non_surj: set[int] = set()
+    frozen: set[int] = set()
+    looped = kind == "colour" and not source.is_loop_free
     for box, x in zip(boxes, roots):
         sizes[x] = sizes.get(x, 0) + box[2]
         if x not in non_surj and _misses_a_colour(box, free, target.n):
             non_surj.add(x)
+        if looped and x not in frozen and _holds_isolated(box, boxed, source, target):
+            frozen.add(x)
     classes = tuple(
-        ClassSummary(Hom(source.n, target.n, rep), sizes[x] * r // splits[x],
-                     x in non_surj, x in frozen)
+        ClassSummary(Hom(source.n, target.n, rep), sizes[x] * r // splits[x], x in non_surj,
+                     x in frozen if looped else sizes[x] * r == splits[x])
         for (x, _), rep in _class_reps(source, target, boxed, boxes, r, join).items())
     return ComponentReport(kind=kind, total=r * sum(sizes.values()), classes=classes)
+
+
+def _holds_isolated(box, boxed, source: Graph, target: Graph) -> bool:
+    """Does the box ``(image, masks, size)`` of ``_box_source(source)`` hold
+    a member that ``_isolated`` accepts?  A boxed v has free neighbours
+    only, so a member's entry at v is the box's mask m there, narrowed
+    with a loop at v to the colours adjacent to its own: v tries the
+    colours alone in m, with a loop alone among those adjacent to them."""
+    choices = [[c] for c in box[0]]
+    for v, m in zip(boxed, box[1]):
+        loop = source.has_loop(v)
+        choices[v] = [c for c in _bits(m) if m & (target.rows[c] if loop else m) == 1 << c]
+    return any(_isolated(image, source, target) for image in product(*choices))
 
 
 def _misses_a_colour(box, free, n: int) -> bool:
@@ -955,17 +963,27 @@ def is_mixing(source: Graph, target: Graph, cap: int | None = None) -> MixingVer
 
 
 def is_frozen(f: Hom, source: Graph, target: Graph) -> bool:
-    """No single-vertex recolouring applies to f.  Loop-free sources only.
-
-    For sources with loops the colour test misreads isolation; ask
-    components(kind="homomorphism") for singleton classes instead.
-    """
-    if not source.is_loop_free:
-        raise ValueError(
-            "frozen test requires a loop-free source; use homomorphism components")
+    """Has f no neighbour but itself in the homomorphism graph (for a
+    loop-free source: does no single-vertex recolouring apply to f)?"""
     if not is_hom(source, target, f.image):
         raise ValueError("not a homomorphism")
-    return next(recolour_neighbours(f, source, target), None) is None
+    return _isolated(f.image, source, target)
+
+
+def _isolated(image, source: Graph, target: Graph) -> bool:
+    """Has the homomorphism ``image`` no neighbour but itself in the
+    homomorphism graph?  Exactly when its ``_avail_masks`` entry at every
+    vertex v, narrowed to the looped colours when v has a loop, is image[v].
+
+    For f has a neighbour g != f iff it has one that differs from f at one
+    vertex: move f at a v with g(v) != f(v) to g(v).  Each pair of colours
+    the result puts on an edge at v, or that its cross condition with f
+    asks there, is f(u)g(v), f(v)g(v) or g(v)g(v), an edge as g is a
+    homomorphism adjacent to f.  And moving f at v alone to c gives a
+    homomorphism adjacent to f iff c lies in that narrowed entry."""
+    refl, full = target.reflexive_mask(), (1 << target.n) - 1
+    return all(m & (refl if source.has_loop(v) else full) == 1 << c
+               for v, (m, c) in enumerate(zip(_avail_masks(image, source, target), image)))
 
 
 def homotopy_path(f: Hom, g: Hom, source: Graph, target: Graph,

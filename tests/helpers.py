@@ -29,12 +29,17 @@ def directed_edges(g: Graph) -> list[tuple[int, int]]:
 
 
 def naive_homs(g: Graph, h: Graph) -> list[tuple[int, ...]]:
-    """Every map V(g) -> V(h) preserving all edges, by brute product filter."""
+    """Every map V(g) -> V(h) preserving all edges, by brute product filter,
+    in lexicographic order.  The product is filtered a vertex at a time:
+    a prefix that breaks an arc among its vertices is not extended."""
     arcs = directed_edges(g)
-    found = []
-    for image in itertools.product(range(h.n), repeat=g.n):
-        if all(h.has_edge(image[u], image[v]) for u, v in arcs):
-            found.append(image)
+    found = [()]
+    for v in range(g.n):
+        back = [u for u, w in arcs if w == v and u < v]
+        loop = (v, v) in arcs
+        found = [image + (c,) for image in found for c in range(h.n)
+                 if (not loop or h.has_edge(c, c))
+                 and all(h.has_edge(image[u], c) for u in back)]
     return found
 
 

@@ -21,7 +21,7 @@ from circmix import cli
 from circmix.cli import _build_parser, _json, _Parser, main
 from circmix.config import DEFAULT_MAX_VERTICES
 from circmix.fixtures import gadget_g62x
-from circmix.graphs import (circular_clique, complete_graph,
+from circmix.graphs import (Graph, circular_clique, complete_graph,
                             frozen_regular_graph, path_graph, read_graph,
                             write_graph)
 
@@ -371,6 +371,9 @@ def test_text_output_of_every_report(capsys, tmp_path):
     left them."""
     write_graph(path_graph(3), tmp_path / "p3.graph")
     p3 = f"file:{tmp_path / 'p3.graph'}"
+    # P_3 looped at its ends: a looped source answers the frozen question too
+    write_graph(Graph(3, [(0, 1), (1, 2), (0, 0), (2, 2)]), tmp_path / "lp3.graph")
+    lp3 = f"file:{tmp_path / 'lp3.graph'}"
     k4_classes = "".join(f"  size 1 rep {','.join(map(str, image))}\n"
                          for image in sorted(itertools.permutations(range(4))))
     cases = [
@@ -394,6 +397,9 @@ def test_text_output_of_every_report(capsys, tmp_path):
         (["hom", "--graph", "clique:3", "--target", "circ:7/2"], "0,2,4\n"),
         (["frozen", "--graph", "clique:3", "--target", "clique:3",
           "--colouring", "0,1,2"], "frozen\n"),
+        (["frozen", "--graph", lp3, "--target", lp3, "--colouring", "0,1,2"], "frozen\n"),
+        (["frozen", "--graph", lp3, "--target", lp3, "--colouring", "0,1,0"],
+         "not frozen\n"),
         (["lower-parent", "7", "2"], "3/1\n"),
         (["sigma", "--graph", "clique:3", "--frac", "7/2", "--cycle", "0,1,2",
           "--colouring", "0,2,4"], "sigma 7 taus [2, 2, 3]\n"),

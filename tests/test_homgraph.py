@@ -150,18 +150,21 @@ def test_components_match_naive_on_drawn_pairs(g, h):
     _assert_partitions_match_naive(g, h)
 
 
-def _assert_loop_free_classes_match_steps(g, h):
-    """Both kinds of components and is_mixing of a loop-free source against
-    a BFS over single-vertex steps: reps, sizes, flags and the verdict."""
+def _assert_classes_match_steps(g, h):
+    """Both kinds of components and is_mixing against a BFS over
+    single-vertex steps: reps, sizes, flags and the verdict.  A member is
+    frozen when it is alone in its class of homomorphism steps."""
     images = naive_homs(g, h)
     naive = colour_components_by_steps(images, h.n)
-    want = [(cls[0], len(cls), any(len(set(a)) < h.n for a in cls), len(cls) == 1)
-            for cls in naive]
-    for kind in ("colour", "homomorphism"):
+    hom = hom_components_by_steps(images, g, h)
+    frozen = {cls[0] for cls in hom if len(cls) == 1}
+    for kind, classes in (("colour", naive), ("homomorphism", hom)):
         report = components(g, h, kind=kind)
         assert report.total == len(images)
         assert [(c.rep.image, c.size, c.contains_non_surjective,
-                 c.contains_frozen) for c in report.classes] == want
+                 c.contains_frozen) for c in report.classes] == \
+            [(cls[0], len(cls), any(len(set(a)) < h.n for a in cls),
+              any(a in frozen for a in cls)) for cls in classes]
     verdict = is_mixing(g, h)
     assert (verdict.hom_count, verdict.class_count) == (len(images), len(naive))
     if len(naive) > 1:
@@ -174,11 +177,11 @@ def test_box_choice_extremes_match_naive():
     g112 = circular_clique(11, 2)
     for r in (4, 5):  # the largest independent set of K_r is one vertex
         assert len(homs._boxes(homs._box_source(complete_graph(r)), g112)[0]) == 1
-        _assert_loop_free_classes_match_steps(complete_graph(r), g112)
+        _assert_classes_match_steps(complete_graph(r), g112)
     star = Graph(9, [(0, v) for v in range(1, 9)])  # K_{1,8}
     assert homs._boxes(homs._box_source(star), complete_graph(3))[0] == list(range(1, 9))
     for h in (complete_graph(3), circular_clique(5, 2)):
-        _assert_loop_free_classes_match_steps(star, h)
+        _assert_classes_match_steps(star, h)
     isolated = (Graph(3, []), Graph(6, list(cycle_graph(4).edges())),
                 Graph(4, [(0, 1), (2, 2)]))
     for g in isolated:
@@ -193,6 +196,15 @@ def test_box_choice_extremes_match_naive():
         for h in (cycle_graph(5, reflexive=True), Graph(3, [(0, 0), (0, 1), (1, 2)]),
                   Graph(4, [(0, 0), (1, 1), (0, 1), (1, 2), (2, 3), (3, 3)])):
             _assert_partitions_match_naive(g, h)
+    # reflexive paths past the naive oracle's reach, and P_3 looped at its
+    # ends into a path whose looped ends are not adjacent: the box with the
+    # middle at 1 holds the frozen (0, 1, 2) though its ends' masks are {0, 2}
+    for n, m in ((8, 4), (10, 5), (12, 3)):
+        _assert_classes_match_steps(path_graph(n, reflexive=True),
+                                    path_graph(m, reflexive=True))
+    g, h = Graph(3, p3 + [(0, 0), (2, 2)]), Graph(3, [(0, 0), (0, 1), (1, 2), (2, 2)])
+    _assert_classes_match_steps(g, h)
+    assert any(c.contains_frozen for c in components(g, h).classes)
 
 
 def _assert_join_matches_pairwise(g, h):
@@ -562,19 +574,31 @@ def test_looped_hom_components_search_no_neighbours(monkeypatch):
     report = components(g, h, kind="homomorphism")
     assert report.total == 1215
     assert calls == []
+    # its colour classes take one join, on the boxes is_mixing joins
+    joins = []
+    join = homgraph._join
+    monkeypatch.setattr(homgraph, "_join",
+                        lambda *args, **kw: joins.append(1) or join(*args, **kw))
+    assert components(g, h).total == 1215
+    assert joins == [1]
 
 
 def test_hom_steps_lemma_on_all_small_pairs():
     """Homomorphism classes are the classes of single-vertex steps, a step
     at a looped vertex following an edge of the target: the lemma that
-    lets ``components`` join boxes for looped sources."""
+    lets ``components`` join boxes for looped sources.  So a map is alone
+    in its homomorphism class exactly when ``is_frozen`` finds no step."""
     targets = iso_reps(3, loops=True)
     for g in iso_reps(4, loops=True):
         arcs = directed_edges(g)
         for h in targets:
             images = naive_homs(g, h)
-            assert hom_components_by_steps(images, g, h) == components_naive(
+            naive = components_naive(
                 images, lambda a, b: hom_adjacent_naive(a, b, g, h, arcs))
+            assert hom_components_by_steps(images, g, h) == naive
+            isolated = {cls[0] for cls in naive if len(cls) == 1}
+            assert all(is_frozen(Hom(g.n, h.n, a), g, h) == (a in isolated)
+                       for a in images), (g.rows, h.rows)
 
 
 def test_homotopy_distance_matches_naive_bfs():

@@ -11,7 +11,8 @@ from circmix.circular import mixing_scan
 from circmix.cli import main
 from circmix.fixtures import gadget_g62x
 from circmix.graphs import (Graph, _bits, circular_clique, complete_graph,
-                            cycle_graph, write_graph)
+                            cycle_graph, extension_product, path_graph,
+                            tensor_product, write_graph)
 from circmix.homgraph import components, is_mixing
 from circmix.homs import hom_count
 from circmix.winding import check_certificate, nonmixing_certificate
@@ -44,9 +45,11 @@ def test_named_graphs_are_shared_and_equal_fresh_builds():
 
 def test_order_limit_is_checked_on_every_call(monkeypatch):
     circular_clique(9, 2), complete_graph(9), gadget_g62x()
+    c5, p3000, k100 = cycle_graph(5), path_graph(3000), complete_graph(100)
     monkeypatch.setenv("CIRCMIX_MAX_N", "6")
     for build, n in ((lambda: circular_clique(9, 2), 9), (lambda: complete_graph(9), 9),
-                     (gadget_g62x, 7)):
+                     (gadget_g62x, 7), (lambda: extension_product(c5, p3000), 15000),
+                     (lambda: tensor_product(k100, k100), 10000)):
         with pytest.raises(ValueError) as err:
             build()
         assert str(err.value) == f"vertex count {n} exceeds the configured limit 6"

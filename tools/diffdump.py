@@ -74,6 +74,11 @@ Standard library only.  The families, each in its own function below:
   same graphs, and ``max_clique`` on the graphs of at most 5 vertices,
   each at every budget from 0 up to the first it answers within, and one
   past that.  Every budget is explicit, so no default reaches the dump.
+- ``looped``: ``is_mixing`` and both kinds of ``components`` of the
+  reflexive P_2-P_10 and C_3-C_7 into the reflexive P_2-P_5 and C_5 and
+  into the graphs of at most 3 vertices, loops allowed, and of the
+  partly looped graphs on 4 vertices (some vertices looped, not all) into
+  each other: colour classes and frozen flags of looped sources.
 
 Every call that answers with a count is asked again at a cap equal to that
 count and at one below it (a scan at each row's count and one below).
@@ -504,9 +509,26 @@ def budgets(d: Dump) -> None:
         ladder(f"max_clique {name(g)}", lambda cap: cm.max_clique(g, cap))
 
 
+def looped(d: Dump) -> None:
+    import circmix as cm
+
+    reflexive = ([cm.path_graph(n, reflexive=True) for n in range(2, 11)]
+                 + [cm.cycle_graph(n, reflexive=True) for n in range(3, 8)])
+    targets = ([cm.path_graph(n, reflexive=True) for n in range(2, 6)]
+               + [cm.cycle_graph(5, reflexive=True)] + iso_reps(3, loops=True))
+    for g in reflexive:
+        for h in targets:
+            spaces_of(d, g, h)
+    partly = [g for g in iso_reps(4, loops=True) if g.n == 4 and 0 < len(g.loops()) < 4]
+    for g in partly:
+        for h in partly:
+            spaces_of(d, g, h)
+
+
 FAMILIES = {"spaces": spaces, "cycles": cycles, "certificates": certificates,
             "lift": lift, "prepared": prepared, "reader": reader, "folds": folds,
-            "writer": writer, "degeneracy": degeneracy, "budgets": budgets}
+            "writer": writer, "degeneracy": degeneracy, "budgets": budgets,
+            "looped": looped}
 
 
 def main(argv=None) -> int:
