@@ -17,13 +17,13 @@ once).  Homomorphism classes are the classes of single-vertex steps where a
 step at a looped vertex follows an edge of H: changing the vertices from f
 to a neighbour g one at a time meets only homomorphisms, each adjacent to
 the last, since every pair of colours an edge uv of G then meets is one of
-f(u)g(v), g(u)f(v), f(u)f(v) or g(u)g(v).  So a box that boxes no looped
-vertex is connected in the homomorphism graph too.  Joining boxes is
-local: whether two boxes that differ at one unboxed vertex w are linked by
-a step depends only on the colours of the unboxed vertices adjacent to w or
-to a boxed neighbour of w, so ``_join`` decides it once per colouring of
+f(u)g(v), g(u)f(v), f(u)f(v) or g(u)g(v).  So homomorphism classes join
+boxes cut at looped vertices by the components of H (``_split``).  Joining
+is local: whether two boxes that differ at one unboxed vertex w are linked
+by a step depends only on the colours of the unboxed vertices adjacent to w
+or to a boxed neighbour of w, so ``_join`` decides it once per colouring of
 those vertices, not once per pair of boxes.  Which vertices those are is
-worked out once per source and kept on it (``_join_plans``).
+worked out once per source and kept on it (``_join_plan``).
 
 The target's cyclic shifts act on all of this.  When c -> c + d (mod n)
 is an automorphism of H (``homs._shift_period``), so is f -> f + d on
@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from bisect import bisect, insort
 from itertools import islice, product
-from math import comb, gcd
+from math import comb, gcd, prod
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -62,8 +62,8 @@ from .config import hom_cap
 from .errors import CapExceededError, DisconnectedError, NoColouringsError
 from .graphs import (Graph, _bfs, _bits, _clique_parameters, _kept,
                      _lower_parent, _path, colouring_number, degrees)
-from .homs import (Hom, _box_source, _box_sources, _boxes, _reflection,
-                   _search, _search_source, _shift_period, _Source, first_hom,
+from .homs import (Hom, _box_source, _boxes, _reflection, _search,
+                   _search_source, _shift_period, _Source, first_hom,
                    format_image, hom_count, is_hom)
 
 
@@ -242,29 +242,31 @@ class _UnionFind:
             split[ra] = gcd(split[ra], split[rb])
 
 
-def _join(source: Graph, target: Graph, boxed: list[int], boxes, root, r: int,
-          homotopy: bool = False):
+def _join(source: Graph, target: Graph, boxes, root, r: int, homotopy: bool = False):
     """The classes of the shifts of ``boxes``, as ``(roots, pots, splits)``:
     shift t of box i lies in class (roots[i], (t + pots[i]) % s) for
     s = splits[roots[i]], one of the s classes of that root.  These are the
-    colour classes or, with ``homotopy`` set and no looped vertex boxed,
-    the homomorphism classes; ``boxes``, ``root`` and r are those of
-    ``homs._boxes``.  What the join needs of the source and ``boxed``
-    whatever the target is kept on the source (``_join_plans``).
+    colour classes or, with ``homotopy`` set and the boxes cut by
+    ``_split``, the homomorphism classes; ``boxes``, ``root`` and r are
+    those of ``homs._boxes``.  What the join needs of the source whatever
+    the target is kept on it (``_join_plan``).
 
     A box is connected, and a step at a boxed vertex stays in its box.  Two
     boxes that differ at one other vertex w, a group off w, are joined by a
-    step exactly when the masks of w's boxed neighbours meet, and, with
-    ``homotopy`` set and a loop at w, w's two colours are adjacent in the
-    target: the homomorphism classes are those of single-vertex steps where
-    a step at a looped vertex follows an edge of the target.
+    step exactly when the masks of w's boxed neighbours meet.  So are two
+    sub-boxes with ``homotopy`` set, where a step at a looped vertex
+    follows an edge of the target, when besides the looped boxed vertices
+    not adjacent to w hold one component and, with a loop at w, w's two
+    colours are adjacent.  Those components are part of the group, so a
+    colour of w may hold sub-boxes of one box, never joined directly: they
+    are disjoint at a looped boxed neighbour of w.
 
     The test is local.  Boxed vertices are independent and closed, so each
-    boxed neighbour's mask, and which colours of w the group holds, are
-    functions of the colours of w's free neighbourhood: the free vertices
-    adjacent to w or to a boxed neighbour of w, w excluded.  Groups that
-    colour that neighbourhood alike split w's colours alike, so
-    ``_local_classes`` runs once per colouring of it, not once per group.
+    boxed neighbour's mask and its components, and which colours of w the
+    group holds, are functions of the colours of w's free neighbourhood:
+    the free vertices adjacent to w or to a boxed neighbour of w, w
+    excluded.  Groups that colour that neighbourhood alike split w's
+    colours alike, so ``_local_classes`` runs once per colouring of it.
 
     The test is also equivariant.  A shift c -> c + d of the target maps
     groups to groups and classes to classes, since it keeps both
@@ -275,13 +277,13 @@ def _join(source: Graph, target: Graph, boxed: list[int], boxes, root, r: int,
     each: delta is 0.  Off ``root`` each box is framed by the shift that
     brings the colour of a fixed other free vertex below d, one of w's free
     neighbourhood when it has one, so the key is framed too; the framed
-    boxes of one orbit of groups form one group, and a union carries the
-    difference of the two frames.  With no other free vertex the one group
-    holds all r shifts of every box.  A union inside one tree closes a
-    cycle whose voltage, the gap of its potentials, puts shifts t and
-    t + voltage of the root in one class; so a root whose voltages have gcd
-    s with r splits into s classes, shift t of box i lying in class
-    (t + potential of i) mod s.
+    boxes of one orbit of groups, masks rotated, form one group, and a
+    union carries the difference of the two frames.  With no other free
+    vertex the one group holds all r shifts of every box.  A union inside
+    one tree closes a cycle whose voltage, the gap of its potentials, puts
+    shifts t and t + voltage of the root in one class; so a root whose
+    voltages have gcd s with r splits into s classes, shift t of box i
+    lying in class (t + potential of i) mod s.
     """
     uf = _UnionFind(len(boxes), r)
     roots, pots, splits = uf.root, uf.pot, uf.split
@@ -289,16 +291,17 @@ def _join(source: Graph, target: Graph, boxed: list[int], boxes, root, r: int,
         return roots, pots, splits
     n = target.n
     d = n // r
-    plan = _join_plans(source)[tuple(boxed)]
+    plan = _join_plan(source)
     full = (1 << n) - 1
     colour_at = list(zip(*[im for im, _, _ in boxes]))  # per vertex, per box
     mask_at = list(zip(*[masks for _, masks, _ in boxes]))  # per slot, per box
-    for w, near, width, others in zip(plan.free, plan.near, plan.width, plan.others):
+    fars = plan.far if homotopy else [[]] * len(plan.free)
+    for w, near, far, width, others in zip(plan.free, plan.near, fars, plan.width, plan.others):
         step = target if homotopy and source.has_loop(w) else None
         # the entries of this pass: the boxes, or off the root the shift
         # lifts[e] of box owner[e], framed as described above
         owner = lifts = None
-        at, colours = colour_at, colour_at[w]
+        at, colours, masks = colour_at, colour_at[w], mask_at
         if w == root and r > 1:
             frame = (others or [None])[0]  # of w's free neighbourhood if it has one
             if frame is None:
@@ -311,6 +314,9 @@ def _join(source: Graph, target: Graph, boxed: list[int], boxes, root, r: int,
             at = {x: [(colour_at[x][i] + k) % n for i, k in zip(owner, shifts)]
                   for x in others}
             colours = [(colour_at[w][i] + k) % n for i, k in zip(owner, shifts)]
+            masks = {j: [(m << k | m >> n - k) & full if k else m
+                         for m, k in zip(map(mask_at[j].__getitem__, owner), shifts)]
+                     for j in near + far}
         # the masks of w's boxed neighbours, per entry, as one integer of a
         # field of n + 1 bits each: all of two entries' masks meet when
         # adding ``ones`` to their AND carries into every bit of ``tops``
@@ -320,16 +326,14 @@ def _join(source: Graph, target: Graph, boxed: list[int], boxes, root, r: int,
             o = (n + 1) * q
             ones |= full << o
             tops |= 1 << o + n
-            masks = mask_at[j]
-            if owner is not None:
-                masks = [(m << k | m >> n - k) & full if k else m
-                         for m, k in zip(map(masks.__getitem__, owner), shifts)]
-            packs = [x | m << o for x, m in zip(packs, masks)] if q else masks
+            packs = [x | m << o for x, m in zip(packs, masks[j])] if q else masks[j]
         # an entry's group is its colours off w, those of w's free
-        # neighbourhood first, and the group's key is that first part
+        # neighbourhood first, then in homotopy joins its components ``far``,
+        # and the group's key is that first part
+        columns = [at[x] for x in others] + [masks[j] for j in far]
+        names = list(zip(colours, packs)) if homotopy else colours
         groups: dict = {}
-        for e, code in enumerate(zip(*[at[x] for x in others]) if others
-                                 else [()] * len(colours)):
+        for e, code in enumerate(zip(*columns) if columns else [()] * len(colours)):
             groups.setdefault(code, []).append(e)
         known: dict = {}
         for code, group in groups.items():
@@ -338,13 +342,13 @@ def _join(source: Graph, target: Graph, boxed: list[int], boxes, root, r: int,
             key = code[:width]
             classes = known.get(key)
             if classes is None:
-                classes = known[key] = _local_classes(group, colours, packs,
+                classes = known[key] = _local_classes(group, names, packs,
                                                       ones, tops, step)
             if not classes:
                 continue
             first: dict = {}
             for e in group:
-                f = first.setdefault(classes[colours[e]], e)
+                f = first.setdefault(classes[names[e]], e)
                 if f == e:
                     continue
                 if lifts is None:
@@ -360,85 +364,101 @@ def _join(source: Graph, target: Graph, boxed: list[int], boxes, root, r: int,
 
 
 class _JoinPlan(NamedTuple):
-    """What ``_join`` and ``_class_reps`` need of a source and its boxed
-    vertices, whatever the target: ``slot`` maps each boxed vertex to the
-    index of its mask, ``free`` lists the other vertices in index order,
-    and for the free vertex w = ``free[p]``, ``near[p]`` holds the slots of
-    w's boxed neighbours, ``others[p]`` the free vertices but w, those of
-    w's free neighbourhood (the free vertices adjacent to w or to a boxed
-    neighbour of w, w excluded) first, each part in index order, and
-    ``width[p]`` the size of that neighbourhood."""
+    """What ``_join``, ``_split`` and ``_class_reps`` need of a source and its
+    boxed vertices, whatever the target: ``slot`` maps each boxed vertex to
+    the index of its mask, ``free`` lists the other vertices in index
+    order, and for the free vertex w = ``free[p]``, ``near[p]`` holds the
+    slots of w's boxed neighbours, ``far[p]`` those of the looped boxed
+    vertices not adjacent to w, ``others[p]`` the free vertices but w,
+    those of w's free neighbourhood (the free vertices adjacent to w or to
+    a boxed neighbour of w, w excluded) first, each part in index order,
+    and ``width[p]`` the size of that neighbourhood."""
 
     slot: dict[int, int]
     free: list[int]
     near: list[list[int]]
+    far: list[list[int]]
     width: list[int]
     others: list[list[int]]
 
 
-def _join_plan(g: Graph, boxed) -> _JoinPlan:
-    """The ``_JoinPlan`` of g with ``boxed`` boxed."""
-    slot = {v: j for j, v in enumerate(boxed)}
+@_kept
+def _join_plan(g: Graph) -> _JoinPlan:
+    """The ``_JoinPlan`` of g, for both kinds of classes and every scan row."""
+    src = _box_source(g)
+    slot = {v: j for j, v in enumerate(w for w, c in zip(src.order, src.boxes) if c)}
     free = [v for v in range(g.n) if v not in slot]
-    near, width, others = [], [], []
+    looped = {j for v, j in slot.items() if g.has_loop(v)}
+    near, far, width, others = [], [], [], []
     for w in free:
         near.append([slot[u] for u in g.neighbours(w) if u in slot])
+        far.append(sorted(looped.difference(near[-1])))
         seen = {x for u in g.neighbours(w)
                 for x in (g.neighbours(u) if u in slot else (u,))}
         around = [x for x in free if x in seen and x != w]
         width.append(len(around))
         others.append(around + [x for x in free if x != w and x not in seen])
-    return _JoinPlan(slot, free, near, width, others)
+    return _JoinPlan(slot, free, near, far, width, others)
 
 
-@_kept
-def _join_plans(g: Graph) -> dict[tuple[int, ...], _JoinPlan]:
-    """The ``_JoinPlan`` of each of g's box sources (``homs._box_sources``),
-    by its boxed vertices: one plan when g is loop-free, so every row of a
-    scan joins on one."""
-    plans = {}
-    for src in _box_sources(g):
-        boxed = tuple(w for w, c in zip(src.order, src.boxes) if c)
-        if boxed not in plans:
-            plans[boxed] = _join_plan(g, boxed)
-    return plans
+def _local_classes(group, names, packs, ones: int, tops: int,
+                   target: Graph | None) -> dict:
+    """The classes of one group off w, as a map from each entry's name to
+    the least name of its class, or empty when every class is one entry.
 
-
-def _local_classes(group, colours, packs, ones: int, tops: int,
-                   target: Graph | None) -> dict[int, int]:
-    """The classes of one group off w, as a map from each colour of w to
-    the least colour of its class, or empty when every class is one colour.
-
-    ``group`` lists the group's entries: entry e has colour ``colours[e]``
-    at w, and ``packs[e]`` holds the masks of w's boxed neighbours, packed
-    as ``_join`` packs them.  Two colours join when each of their masks
-    meets its fellow, that is when adding ``ones`` to the AND of their
-    packs carries into every bit of ``tops``, and, with ``target`` given
-    (a homotopy step at a looped w), the colours are adjacent in it.
+    ``group`` lists the group's entries: entry e is named ``names[e]``, its
+    colour at w, or in homotopy joins that colour and ``packs[e]``, the
+    masks of w's boxed neighbours, packed as ``_join`` packs them.  Two
+    entries join when each of their masks meets its fellow, that is when
+    adding ``ones`` to the AND of their packs carries into every bit of
+    ``tops``, and, with ``target`` given (a homotopy step at a looped w),
+    their colours are adjacent in it.
     """
-    label: dict[int, int] = {}
-    seen = []  # the entries before e, as (colour, pack)
+    label: dict = {}
+    seen = []  # the entries before e, as (name, pack)
     joined = False
     for e in group:
-        c, mc = colours[e], packs[e]
-        label[c] = c
-        for d, md in seen:
-            if (mc & md) + ones & tops == tops and (
-                    target is None or target.rows[c] >> d & 1):
-                keep, drop = label[c], label[d]
+        x, mx = names[e], packs[e]
+        label[x] = x
+        for y, my in seen:
+            if (mx & my) + ones & tops == tops and (
+                    target is None or target.rows[x[0]] >> y[0] & 1):
+                keep, drop = label[x], label[y]
                 if keep != drop:
                     if keep > drop:
                         keep, drop = drop, keep
                     joined = True
-                    for x, y in label.items():
-                        if y == drop:
-                            label[x] = keep
-        seen.append((c, mc))
+                    for z, v in label.items():
+                        if v == drop:
+                            label[z] = keep
+        seen.append((x, mx))
     return label if joined else {}
 
 
-def _class_reps(source: Graph, target: Graph, boxed: list[int], boxes, r: int,
-                join, keep: int | None = None) -> dict[tuple[int, int], tuple[int, ...]]:
+def _split(source: Graph, target: Graph, boxes) -> list:
+    """``boxes`` of ``homs._boxes``, each cut into one sub-box per choice,
+    at each looped boxed vertex v, of a component of the target induced on
+    v's mask.  In a box a homotopy step moves one boxed vertex, at a looped
+    v along a target edge, so these are its classes, and a target shift
+    maps them onto its shift's.  Joins read only the free colours of the kept image."""
+    looped = {j for v, j in _join_plan(source).slot.items() if source.has_loop(v)}
+    rows, cut, out = target.rows, {}, []  # cut: each mask's components
+    for im, masks, size in boxes:
+        for m in {masks[j] for j in looped}.difference(cut):
+            cut[m], rest = [], m
+            while rest:
+                *_, (_, seen) = _bfs([(rest & -rest).bit_length() - 1],
+                                     lambda c, m=m: _bits(rows[c] & m))
+                cut[m].append(sum(1 << c for c in seen))
+                rest &= ~cut[m][-1]
+        subs = list(product(*[cut[m] if j in looped else (m,) for j, m in enumerate(masks)]))
+        out += [(im, masks, size)] if len(subs) == 1 else [
+            (im, x, prod(map(int.bit_count, x))) for x in subs]
+    return out
+
+
+def _class_reps(source: Graph, target: Graph, boxes, r: int, join,
+                keep: int | None = None) -> dict[tuple[int, int], tuple[int, ...]]:
     """Least member of each class ``(root, c)`` of ``_join``, in increasing
     order of that member, or of the ``keep`` classes with the least ones.
 
@@ -463,7 +483,7 @@ def _class_reps(source: Graph, target: Graph, boxed: list[int], boxes, r: int,
     d = n // r
     if not source.n:  # the one box of the empty map
         return {(x, 0): () for x in set(roots)}
-    slot = _join_plans(source)[tuple(boxed)].slot
+    slot = _join_plan(source).slot
     order = [(v, slot.get(v)) for v in range(source.n)]
 
     def narrow(cands, member, fronts):
@@ -859,9 +879,9 @@ def components(source: Graph, target: Graph, kind: str = "colour",
     uses the cross condition.  For loop-free sources the partitions agree.
     A space that a rule answers without a join (``_ruled``) takes that
     rule's classes, both kinds alike.  Every other reads the classes off
-    one ``_join``, of the boxes ``is_mixing`` joins or, for homomorphism
-    classes, of boxes that box no looped vertex, and builds no member but
-    the representatives.  A box has a member that misses some colour c
+    one ``_join`` of the boxes ``is_mixing`` joins, for homomorphism
+    classes cut by ``_split``, and builds no member but the
+    representatives.  A box has a member that misses some colour c
     exactly when its other vertices miss c and no boxed vertex is held to
     c alone.  A class is frozen when a member has no neighbour but itself
     in the homomorphism graph (``_isolated``): when it is one member, or,
@@ -876,12 +896,12 @@ def components(source: Graph, target: Graph, kind: str = "colour",
     ruled = _ruled(source, target, cap)
     if ruled is not None:
         return ComponentReport(kind, *ruled)
-    boxed, found, root, r = _boxes(_box_source(source, kind == "colour"), target, cap)
-    boxes = list(found)
+    boxed, found, root, r = _boxes(_box_source(source), target, cap)
+    boxes = _split(source, target, list(found)) if kind == "homomorphism" else list(found)
     if not boxes:
         return ComponentReport(kind=kind, total=0, classes=())
     free = set(range(source.n)).difference(boxed)
-    join = _join(source, target, boxed, boxes, root, r, kind == "homomorphism")
+    join = _join(source, target, boxes, root, r, kind == "homomorphism")
     roots, _, splits = join
     sizes: dict[int, int] = {}
     non_surj: set[int] = set()
@@ -896,7 +916,7 @@ def components(source: Graph, target: Graph, kind: str = "colour",
     classes = tuple(
         ClassSummary(Hom(source.n, target.n, rep), sizes[x] * r // splits[x], x in non_surj,
                      x in frozen if looped else sizes[x] * r == splits[x])
-        for (x, _), rep in _class_reps(source, target, boxed, boxes, r, join).items())
+        for (x, _), rep in _class_reps(source, target, boxes, r, join).items())
     return ComponentReport(kind=kind, total=r * sum(sizes.values()), classes=classes)
 
 
@@ -947,17 +967,17 @@ def is_mixing(source: Graph, target: Graph, cap: int | None = None) -> MixingVer
             return MixingVerdict(status, total, len(classes), None)
         return MixingVerdict("not_mixing", total, len(classes),
                              (classes[0].rep, classes[1].rep))
-    boxed, found, root, r = _boxes(_box_source(source), target, cap)
+    _, found, root, r = _boxes(_box_source(source), target, cap)
     boxes = list(found)
     if not boxes:
         return MixingVerdict("no_colourings", 0, 0, None)
     total = r * sum(size for _, _, size in boxes)
-    join = _join(source, target, boxed, boxes, root, r)
+    join = _join(source, target, boxes, root, r)
     roots, _, splits = join
     count = sum(splits[x] for x in set(roots))
     if count == 1:
         return MixingVerdict("mixing", total, 1, None)
-    reps = list(_class_reps(source, target, boxed, boxes, r, join, keep=2).values())
+    reps = list(_class_reps(source, target, boxes, r, join, keep=2).values())
     witness = (Hom(source.n, target.n, reps[0]), Hom(source.n, target.n, reps[1]))
     return MixingVerdict("not_mixing", total, count, witness)
 

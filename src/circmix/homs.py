@@ -12,7 +12,7 @@ its least member followed by one candidate mask per vertex of the set.
 Counting and enumeration box the largest such set; early-exit questions
 box none, so their boxes are single images.  What it needs of the source,
 a ``_Source``, is built once per graph and kept on it
-(``graphs._kept``): the box sources, the search source of early-exit
+(``graphs._kept``): the box source, the search source of early-exit
 questions and walks, and the shift symmetries of a target.
 """
 
@@ -216,29 +216,15 @@ class _Source:
             placed |= 1 << w
 
 
-def _box_source(g: Graph, loops: bool = True) -> _Source:
-    """The source of a box search of g: ``_box_order`` with every level
-    ``_closed`` flagged, except looped ones when ``loops`` is false, the
-    masks of the flagged levels following the image in level order.
-    Both kinds are kept on g (``_box_sources``)."""
-    return _box_sources(g)[not loops]
-
-
 @_kept
-def _box_sources(g: Graph) -> tuple[_Source, _Source]:
-    """``_box_source(g, loops)`` for loops true and false, one source
-    when g is loop-free."""
+def _box_source(g: Graph) -> _Source:
+    """The source of a box search of g: ``_box_order`` with every level
+    ``_closed`` flagged, looped ones too, the masks of the flagged levels
+    following the image in level order."""
     order = _box_order(g)
     closed = _closed(g, order)
-
-    def source(flags):
-        return _Source(g, order, [k if c else 0
-                                  for c, k in zip(flags, accumulate(flags, initial=g.n))])
-
-    looped = source(closed)
-    if g.is_loop_free:
-        return looped, looped
-    return looped, source([c and not g.has_loop(w) for w, c in zip(order, closed)])
+    return _Source(g, order, [k if c else 0
+                              for c, k in zip(closed, accumulate(closed, initial=g.n))])
 
 
 @_kept

@@ -168,9 +168,11 @@ def least_member_naive(walk, k: int, q: int, sigma: int) -> tuple[int, ...]:
 def join_pairwise_naive(source: Graph, target: Graph, boxed, boxes,
                         homotopy: bool = False) -> list[int]:
     """``homgraph._join`` by testing every pair of boxes that differ at one
-    free vertex w only: they join when the masks of w's boxed neighbours
-    meet and, with ``homotopy`` set and a loop at w, w's two colours are
-    adjacent in the target.  A root per box, the least box of its class."""
+    free vertex w only: they join when all their boxed masks meet (off w's
+    boxed neighbours, masks of one box, or components of one mask, as
+    ``homgraph._split`` cuts them) and, with ``homotopy`` set and a loop at
+    w, w's two colours are adjacent in the target.  A root per box, the
+    least box of its class."""
     parent = list(range(len(boxes)))
 
     def find(x):
@@ -180,7 +182,6 @@ def join_pairwise_naive(source: Graph, target: Graph, boxed, boxes,
 
     free = [v for v in range(source.n) if v not in boxed]
     for w in free:
-        near = [boxed.index(u) for u in source.neighbours(w) if u in boxed]
         groups = {}
         for i, (im, _, _) in enumerate(boxes):
             groups.setdefault(tuple(im[v] for v in free if v != w), []).append(i)
@@ -188,7 +189,7 @@ def join_pairwise_naive(source: Graph, target: Graph, boxed, boxes,
             for a, i in enumerate(group):
                 for j in group[a + 1:]:
                     ci, cj = boxes[i][0][w], boxes[j][0][w]
-                    if all(boxes[i][1][k] & boxes[j][1][k] for k in near) and (
+                    if all(x & y for x, y in zip(boxes[i][1], boxes[j][1])) and (
                             not (homotopy and source.has_loop(w))
                             or target.has_edge(ci, cj)):
                         ri, rj = sorted((find(i), find(j)))

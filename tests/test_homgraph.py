@@ -87,11 +87,11 @@ def _assert_partitions_match_naive(g, h):
     # that shift's class
     boxed, found, root, r = homs._boxes(homs._box_source(g), h)
     boxes = list(found)
-    join = homgraph._join(g, h, boxed, boxes, root, r)
+    join = homgraph._join(g, h, boxes, root, r)
     lifted = lift_boxes(boxed, boxes, h.n, r)
     assert sum(size for _, _, size in lifted) == len(images)
     labels = _lifted_labels(join, r)
-    reps = homgraph._class_reps(g, h, boxed, boxes, r, join)
+    reps = homgraph._class_reps(g, h, boxes, r, join)
     classes = {}
     for a in images:
         [label] = [label for (im, masks, _), label in zip(lifted, labels)
@@ -205,21 +205,32 @@ def test_box_choice_extremes_match_naive():
     g, h = Graph(3, p3 + [(0, 0), (2, 2)]), Graph(3, [(0, 0), (0, 1), (1, 2), (2, 2)])
     _assert_classes_match_steps(g, h)
     assert any(c.contains_frozen for c in components(g, h).classes)
+    # boxes that ``_split`` cuts: a looped leaf's mask on T's two looped
+    # edges, when the centre sits at T's hub, is two components
+    _assert_classes_match_steps(cycle_graph(8, reflexive=True),
+                                cycle_graph(5, reflexive=True))
+    t = Graph(5, [(0, 0), (1, 1), (0, 1), (2, 2), (3, 3), (2, 3),
+                  (4, 0), (4, 1), (4, 2), (4, 3)])
+    star = Graph(6, [(0, v) for v in range(1, 6)] + [(v, v) for v in range(1, 6)])
+    boxed, found, _, _ = homs._boxes(homs._box_source(star), t)
+    boxes = list(found)
+    assert (boxed, len(boxes), len(homgraph._split(star, t, boxes))) == \
+        ([1, 2, 3, 4, 5], 5, 36)
+    _assert_classes_match_steps(star, t)
+    report = components(star, t, kind="homomorphism")
+    assert (report.total, report.class_count) == (1152, 32)
 
 
 def _assert_join_matches_pairwise(g, h):
     """``_join``'s classes, lifted to every shift of the orbit boxes,
     against the pairwise oracle on those lifted boxes, box for box: colour
-    classes on the boxes of both box choices and homomorphism classes on
-    those that box no looped vertex."""
-    for loops in (True, False):
-        boxed, found, root, r = homs._boxes(homs._box_source(g, loops), h)
-        boxes = list(found)
-        lifted = lift_boxes(boxed, boxes, h.n, r)
-        for homotopy in ((False,) if loops else (False, True)):
-            join = homgraph._join(g, h, boxed, boxes, root, r, homotopy)
-            assert _lifted_roots(join, r) == \
-                join_pairwise_naive(g, h, boxed, lifted, homotopy)
+    classes on the boxes and homomorphism classes on their ``_split``."""
+    boxed, found, root, r = homs._boxes(homs._box_source(g), h)
+    boxes = list(found)
+    for homotopy, joined in ((False, boxes), (True, homgraph._split(g, h, boxes))):
+        join = homgraph._join(g, h, joined, root, r, homotopy)
+        assert _lifted_roots(join, r) == \
+            join_pairwise_naive(g, h, boxed, lift_boxes(boxed, joined, h.n, r), homotopy)
 
 
 # shift-invariant targets with shift periods 1, 2, 3 and n
@@ -319,7 +330,7 @@ def test_join_computes_classes_once_per_neighbourhood_colouring(monkeypatch):
     assert (groups, keys) == (374, 154)
     for homotopy in (False, True):
         calls = 0
-        homgraph._join(g, h, boxed, boxes, root, r, homotopy)
+        homgraph._join(g, h, boxes, root, r, homotopy)
         assert calls == keys
 
 
@@ -352,9 +363,10 @@ def test_components_match_pairwise_join_on_drawn_pairs(g, h):
         assert answers() == fast
 
 
-def _pairwise_join(source, target, boxed, boxes, root, r, homotopy=False):
+def _pairwise_join(source, target, boxes, root, r, homotopy=False):
     """``_join`` by the pairwise oracle, for the trivial shift group."""
     assert r == 1
+    boxed = list(homgraph._join_plan(source).slot)
     roots = join_pairwise_naive(source, target, boxed, boxes, homotopy)
     return roots, [0] * len(roots), [1] * len(roots)
 
@@ -994,15 +1006,15 @@ def test_not_mixing_witnesses_are_the_two_least_class_members():
             verdict = is_mixing(g, h)
             if verdict.status != "not_mixing":
                 continue
-            boxed, found, root, r = homs._boxes(src, h)
+            _, found, root, r = homs._boxes(src, h)
             boxes = list(found)
-            join = homgraph._join(g, h, boxed, boxes, root, r)
-            every = homgraph._class_reps(g, h, boxed, boxes, r, join)
+            join = homgraph._join(g, h, boxes, root, r)
+            every = homgraph._class_reps(g, h, boxes, r, join)
             assert [w.image for w in verdict.witness] == list(every.values())[:2], \
                 (g.rows, k, q)
             # and the least ``keep`` of them, for any keep
             for keep in (1, 3, 4, 7):
-                assert homgraph._class_reps(g, h, boxed, boxes, r, join, keep) == \
+                assert homgraph._class_reps(g, h, boxes, r, join, keep) == \
                     dict(list(every.items())[:keep]), (g.rows, k, q, keep)
             checked += 1
     assert checked > 100

@@ -98,11 +98,10 @@ def _fields(src):
     return (src.graph, src.order, src.looped, src.earlier, src.fixed, src.boxes)
 
 
-def _box_source_afresh(g, loops):
+def _box_source_afresh(g):
     """The box source as built before sources were kept on the graph."""
     order = homs._box_order(g)
-    flags = [c and (loops or not g.has_loop(w))
-             for w, c in zip(order, homs._closed(g, order))]
+    flags = homs._closed(g, order)
     boxes, k = [], g.n
     for c in flags:
         boxes.append(k if c else 0)
@@ -116,10 +115,9 @@ def test_kept_sources_equal_fresh_builds():
         for _ in range(2):
             assert graphs._loop_mask(g) == graphs._loop_mask.__wrapped__(g) == mask
             assert (g.reflexive_mask(), g.is_loop_free) == (mask, not mask)
-        for loops in (True, False):
-            kept = homs._box_source(g, loops)
-            assert homs._box_source(g, loops) is kept
-            assert _fields(kept) == _fields(_box_source_afresh(g, loops))
+        kept = homs._box_source(g)
+        assert homs._box_source(g) is kept
+        assert _fields(kept) == _fields(_box_source_afresh(g))
         kept = homs._search_source(g)
         assert homs._search_source(g) is kept
         assert _fields(kept) == _fields(homs._Source(g, homs._search_order(g)))
@@ -128,35 +126,36 @@ def test_kept_sources_equal_fresh_builds():
 def _join_plan_afresh(g, boxed):
     """The plan ``homgraph._join`` worked out on each call before it was
     kept: slots, free vertices, and per free vertex w its boxed
-    neighbours' slots, the size of its free neighbourhood, and the other
-    free vertices, those of its free neighbourhood first."""
+    neighbours' slots, the slots of the looped boxed vertices not adjacent
+    to w, the size of its free neighbourhood, and the other free vertices,
+    those of its free neighbourhood first."""
     slot = {v: j for j, v in enumerate(boxed)}
     free = [v for v in range(g.n) if v not in slot]
     near = [[slot[u] for u in g.neighbours(w) if u in slot] for w in free]
+    far = [[j for u, j in slot.items() if g.has_loop(u) and not g.has_edge(u, w)]
+           for w in free]
     around = [sorted({x for u in g.neighbours(w)
                       for x in (g.neighbours(u) if u in slot else (u,))}
                      .intersection(free) - {w}) for w in free]
     others = [a + [x for x in free if x != w and x not in a] for w, a in zip(free, around)]
-    return slot, free, near, [len(a) for a in around], others
+    return slot, free, near, far, [len(a) for a in around], others
 
 
 def test_kept_join_plans_equal_fresh_builds():
     h = complete_graph(2)
     for g in iso_reps(5, loops=True):
-        plans = homgraph._join_plans(g)
-        assert homgraph._join_plans(g) is plans
-        want = {}
-        for loops in (True, False):
-            boxed = homs._boxes(homs._box_source(g, loops), h)[0]
-            want[tuple(boxed)] = _join_plan_afresh(g, boxed)
-        assert {boxed: tuple(plan) for boxed, plan in plans.items()} == want
-        assert len(plans) == (1 if g.is_loop_free else len(want))
+        plan = homgraph._join_plan(g)
+        assert homgraph._join_plan(g) is plan
+        boxed = homs._boxes(homs._box_source(g), h)[0]
+        assert tuple(plan) == _join_plan_afresh(g, boxed)
 
 
 def test_a_scan_builds_one_join_plan():
+    """A scan joins every row on one plan, and a looped source answers
+    both kinds of classes and its verdict on one box source and one plan."""
     fracs = [(k, q) for q in range(1, 4) for k in range(2 * q, 8) if gcd(k, q) == 1]
     g = Graph(5, [(0, 4), (1, 2), (1, 3), (2, 3)])
-    with mock.patch.object(homgraph, "_join_plan", wraps=homgraph._join_plan) as built, \
+    with mock.patch.object(homgraph, "_JoinPlan", wraps=homgraph._JoinPlan) as built, \
             mock.patch.object(homgraph, "_join", wraps=homgraph._join) as joined:
         report = mixing_scan(g, fracs)
         assert built.call_count == 1 and joined.call_count == 2
@@ -165,6 +164,15 @@ def test_a_scan_builds_one_join_plan():
         mixing_scan(g, fracs)
         components(g, circular_clique(7, 2), kind="homomorphism")
         assert built.call_count == 1 and joined.call_count == 5
+    looped = Graph(6, [*path_graph(6).edges(), (0, 0), (2, 2), (3, 3), (5, 5)])
+    h = path_graph(3, reflexive=True)
+    with mock.patch.object(homgraph, "_JoinPlan", wraps=homgraph._JoinPlan) as built, \
+            mock.patch.object(homs, "_Source", wraps=homs._Source) as sources, \
+            mock.patch.object(homgraph, "_join", wraps=homgraph._join) as joined:
+        for kind in ("colour", "homomorphism"):
+            components(looped, h, kind=kind)
+        is_mixing(looped, h)
+        assert (built.call_count, sources.call_count, joined.call_count) == (1, 1, 3)
 
 
 def _symmetries_afresh(h):

@@ -78,11 +78,15 @@ Standard library only.  The families, each in its own function below:
   reflexive P_2-P_10 and C_3-C_7 into the reflexive P_2-P_5 and C_5 and
   into the graphs of at most 3 vertices, loops allowed, and of the
   partly looped graphs on 4 vertices (some vertices looped, not all) into
-  each other: colour classes and frozen flags of looped sources.
+  each other: colour classes and frozen flags of looped sources; and of
+  the stars K_{1,3}-K_{1,8} with looped leaves into two looped edges and
+  an unlooped hub adjacent to all four, and into every graph of at most 4
+  vertices, loops allowed, with two looped vertices that are not
+  adjacent: boxes that homomorphism classes cut at looped vertices.
 
 Every call that answers with a count is asked again at a cap equal to that
 count and at one below it (a scan at each row's count and one below).
-Takes about twenty seconds.
+Takes about half a minute.
 """
 
 from __future__ import annotations
@@ -523,6 +527,17 @@ def looped(d: Dump) -> None:
     for g in partly:
         for h in partly:
             spaces_of(d, g, h)
+    # stars with looped leaves, whose boxes split where a leaf's colours
+    # hold two looped colours that are not adjacent
+    hub = cm.Graph(5, [(0, 0), (1, 1), (0, 1), (2, 2), (3, 3), (2, 3),
+                       (4, 0), (4, 1), (4, 2), (4, 3)])
+    apart = [h for h in iso_reps(4, loops=True)
+             if any(not h.has_edge(a, b) for a in h.loops() for b in h.loops() if a < b)]
+    for n in range(3, 9):
+        star = cm.Graph(n + 1, [(0, v) for v in range(1, n + 1)]
+                        + [(v, v) for v in range(1, n + 1)])
+        for h in [hub] + apart:
+            spaces_of(d, star, h)
 
 
 FAMILIES = {"spaces": spaces, "cycles": cycles, "certificates": certificates,
