@@ -147,7 +147,8 @@ def lower_parent(k: int, q: int) -> LowerParent:
     _require_frac(k, q)
     _require_coprime(k, q)
     kp, qp = _lower_parent(k, q)
-    assert k * qp - kp * q == 1 and 1 <= qp <= q
+    if not (k * qp - kp * q == 1 and 1 <= qp <= q):
+        raise AssertionError("lower parent fails kq' - k'q = 1")
     return LowerParent(k, q, kp, qp)
 
 
@@ -164,7 +165,8 @@ def lower_parent_bound(k: int, q: int, j: int, p: int) -> LowerParentBound:
         raise ValueError(f"{k}/{q} must exceed {j}/{p}")
     qp = parent.parent_q
     bound = Fraction(j, p) + Fraction(qp - p, p * q * qp)
-    assert parent.value >= bound
+    if parent.value < bound:
+        raise AssertionError("lower parent falls below its bound")
     case = "q'=p" if qp == p else ("q'>p" if qp > p else "q'<p")
     return LowerParentBound(parent, j, p, bound, case)
 
@@ -242,10 +244,12 @@ def avoid_colour_normalize(f: Hom, g: Graph, k: int, q: int) -> list[Hom]:
         for v in range(g.n):
             if cur[v] == nxt:
                 cur[v] = down
-                assert is_hom(g, target, cur)
+                if not is_hom(g, target, cur):
+                    raise AssertionError("recolouring step left the homomorphisms")
                 path.append(Hom(g.n, k, tuple(cur)))
         colour = nxt
-    assert 0 not in set(cur)
+    if 0 in cur:
+        raise AssertionError("recolouring path still uses colour 0")
     return path
 
 

@@ -36,7 +36,8 @@ the root's cycle voltages.  Sizes, flags and least members are read off
 that quotient, so the work is about 1/r of a join over all boxes.
 
 Some spaces are answered without a join, by the first rule of
-``_ruled`` that applies; every other pair is joined on boxes.
+``_ruled`` that applies; every other pair is joined on boxes.  ``stats``
+records the rung that answered, or the join's phases, and homotopy walks.
 
 Homotopy paths walk the homomorphism graph with ``graphs._bfs`` and never
 enumerate the space, finding each map's neighbours by one search over its
@@ -58,6 +59,7 @@ from math import comb, gcd, prod
 from operator import itemgetter
 from typing import NamedTuple
 
+from . import stats
 from .config import hom_cap
 from .errors import CapExceededError, DisconnectedError, NoColouringsError
 from .graphs import (Graph, _bfs, _bits, _clique_parameters, _kept,
@@ -854,21 +856,23 @@ def _ruled(source: Graph, target: Graph, cap: int | None = None,
     q = 1 and lies inside k > 4q for q >= 2, so the two rules never both
     apply.
     """
+    start = None if stats.on is None else stats.clock()
     params = _clique_parameters(target)
     if params is None:
         return None
     k, q = params
     walk = _cycle_walk(source)
     if walk is not None and gcd(k, q) == 1 and 2 * q < k < 4 * q:
-        return _cycle_classes(walk, k, q, cap)
-    if not _theorem_covers(source, params):
+        rung, ruled = "rule.cycle", _cycle_classes(walk, k, q, cap)
+    elif not _theorem_covers(source, params):
         return None
-    if walk is not None:
-        total = k * sum(_winding_counts(source.n, k, q, cap)[1])
     else:
-        total = hom_count(source, target, cap)
-    rep = first_hom(source, target, budget=cap) if least else None
-    return total, (ClassSummary(rep, total, True, False),)
+        total = (hom_count(source, target, cap) if walk is None
+                 else k * sum(_winding_counts(source.n, k, q, cap)[1]))
+        rep = first_hom(source, target, budget=cap) if least else None
+        rung, ruled = "rule.theorem", (total, (ClassSummary(rep, total, True, False),))
+    start = None if start is None else stats.add(rung, 1, start)
+    return ruled
 
 
 def components(source: Graph, target: Graph, kind: str = "colour",
@@ -896,13 +900,19 @@ def components(source: Graph, target: Graph, kind: str = "colour",
     ruled = _ruled(source, target, cap)
     if ruled is not None:
         return ComponentReport(kind, *ruled)
+    start = None if stats.on is None else stats.clock()
     boxed, found, root, r = _boxes(_box_source(source), target, cap)
-    boxes = _split(source, target, list(found)) if kind == "homomorphism" else list(found)
+    boxes = list(found)
+    start = None if start is None else stats.add("boxes", r * sum(box[2] for box in boxes), start)
+    if kind == "homomorphism":
+        boxes = _split(source, target, boxes)
+        start = None if start is None else stats.add("split", len(boxes), start)
     if not boxes:
         return ComponentReport(kind=kind, total=0, classes=())
     free = set(range(source.n)).difference(boxed)
     join = _join(source, target, boxes, root, r, kind == "homomorphism")
     roots, _, splits = join
+    start = None if start is None else stats.add("join", sum(splits[x] for x in set(roots)), start)
     sizes: dict[int, int] = {}
     non_surj: set[int] = set()
     frozen: set[int] = set()
@@ -917,6 +927,7 @@ def components(source: Graph, target: Graph, kind: str = "colour",
         ClassSummary(Hom(source.n, target.n, rep), sizes[x] * r // splits[x], x in non_surj,
                      x in frozen if looped else sizes[x] * r == splits[x])
         for (x, _), rep in _class_reps(source, target, boxes, r, join).items())
+    start = None if start is None else stats.add("reps", len(classes), start)
     return ComponentReport(kind=kind, total=r * sum(sizes.values()), classes=classes)
 
 
@@ -967,17 +978,21 @@ def is_mixing(source: Graph, target: Graph, cap: int | None = None) -> MixingVer
             return MixingVerdict(status, total, len(classes), None)
         return MixingVerdict("not_mixing", total, len(classes),
                              (classes[0].rep, classes[1].rep))
+    start = None if stats.on is None else stats.clock()
     _, found, root, r = _boxes(_box_source(source), target, cap)
     boxes = list(found)
+    total = r * sum(size for _, _, size in boxes)
+    start = None if start is None else stats.add("boxes", total, start)
     if not boxes:
         return MixingVerdict("no_colourings", 0, 0, None)
-    total = r * sum(size for _, _, size in boxes)
     join = _join(source, target, boxes, root, r)
     roots, _, splits = join
     count = sum(splits[x] for x in set(roots))
+    start = None if start is None else stats.add("join", count, start)
     if count == 1:
         return MixingVerdict("mixing", total, 1, None)
     reps = list(_class_reps(source, target, boxes, r, join, keep=2).values())
+    start = None if start is None else stats.add("reps", len(reps), start)
     witness = (Hom(source.n, target.n, reps[0]), Hom(source.n, target.n, reps[1]))
     return MixingVerdict("not_mixing", total, count, witness)
 
@@ -1027,11 +1042,13 @@ def homotopy_path(f: Hom, g: Hom, source: Graph, target: Graph,
         # reached, so no neighbour search needs to go further
         return _hom_neighbours(im, src, target, cap + 1)
 
+    start = None if stats.on is None else stats.clock()
     for _, parent in _bfs([f.image], neighbours, cap,
                           "maps reached by the homotopy search"):
         if goal in parent:
-            return [Hom(source.n, target.n, im) for im in _path(parent, goal)]
-    return None
+            break
+    start = None if start is None else stats.add("walk", len(parent), start)
+    return [Hom(source.n, target.n, im) for im in _path(parent, goal)] if goal in parent else None
 
 
 def homotopy_distance(f: Hom, g: Hom, source: Graph, target: Graph,

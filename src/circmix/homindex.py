@@ -17,6 +17,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 
+from . import stats
 from .graphs import Graph
 from .homs import _orbit_reps
 
@@ -44,6 +45,7 @@ class _HomIndex:
     """
 
     def __init__(self, source: Graph, target: Graph, cap: int | None = None):
+        start = None if stats.on is None else stats.clock()
         reps, self._root, r = _orbit_reps(source, target, cap)
         self.reps = reps
         self._n, self._r = target.n, r
@@ -78,6 +80,7 @@ class _HomIndex:
             for c in range(d, n):
                 whole.append(self._turn(whole[c - d], 1))
             self._near.append(whole)
+        start = None if start is None else stats.add("index", self.count, start)
 
     def image(self, j: int) -> tuple[int, ...]:
         """The map that bit j stands for."""

@@ -13,7 +13,8 @@ Counting and enumeration box the largest such set; early-exit questions
 box none, so their boxes are single images.  What it needs of the source,
 a ``_Source``, is built once per graph and kept on it
 (``graphs._kept``): the box source, the search source of early-exit
-questions and walks, and the shift symmetries of a target.
+questions and walks, and the shift symmetries of a target.  Where
+``homgraph`` drains the boxes, ``stats`` records them as phase ``boxes``.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ fold available is stiff.  Repeated folding reaches a terminal graph that is
 unique up to isomorphism, and the original graph is dismantlable exactly
 when that terminal is rigid (admits no endomorphism besides the identity).
 The fold search itself is ``graphs._folds``, below the rule ladder.
+``stats`` records each fold search and each walk of endomorphisms.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from itertools import repeat
 from typing import NamedTuple
 
+from . import stats
 from .errors import CapExceededError
 from .graphs import Graph, _bits, _folds, clique_number
 from .homgraph import components
@@ -88,7 +90,9 @@ def stiff_reduction(g: Graph) -> StiffReduction:
     ``__new__``.  The terminal is induced once at the end; a stiff g is
     its own terminal.
     """
+    start = None if stats.on is None else stats.clock()
     pairs, alive = _folds(g.rows)
+    start = None if start is None else stats.add("folds", len(pairs), start)
     if not pairs:
         return StiffReduction((), g, None)
     steps = tuple(map(tuple.__new__, repeat(FoldStep), pairs))
@@ -97,8 +101,12 @@ def stiff_reduction(g: Graph) -> StiffReduction:
 
 def _other_endo(g: Graph, cap: int | None) -> tuple[int, ...] | None:
     """First endomorphism other than the identity in search order, or None."""
+    start = None if stats.on is None else stats.clock()
     ident = tuple(range(g.n))
-    return next((im for im in iter_homs(g, g, cap) if im != ident), None)
+    walked, other = next(((i, im) for i, im in enumerate(iter_homs(g, g, cap), 1)
+                          if im != ident), (1, None))
+    start = None if start is None else stats.add("endomorphisms", walked, start)
+    return other
 
 
 def is_rigid(g: Graph, cap: int | None = None) -> bool:
@@ -175,11 +183,13 @@ def core_of(g: Graph, cap: int | None = None) -> CoreResult:
     cur = g
     keep = list(range(g.n))  # original labels of current vertices
     retr = list(range(g.n))  # original vertex -> position in keep
+    start = None if stats.on is None else stats.clock()
+    walked = 0
     while True:
         best: tuple[int, ...] | None = None
         best_size = cur.n + 1
         floor = _image_floor(cur, cap)
-        for im in iter_homs(cur, cur, cap):
+        for walked, im in enumerate(iter_homs(cur, cur, cap), walked + 1):
             size = len(set(im))
             if size < best_size:
                 best, best_size = im, size
@@ -195,6 +205,7 @@ def core_of(g: Graph, cap: int | None = None) -> CoreResult:
         cur = cur.induced(fixed)
         keep = [keep[v] for v in fixed]
         retr = [pos[rho[c]] for c in retr]
+    start = None if start is None else stats.add("endomorphisms", walked, start)
     core = cur
     retraction = Hom(g.n, core.n, tuple(retr))
     section = Hom(core.n, g.n, tuple(keep))

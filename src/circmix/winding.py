@@ -82,9 +82,11 @@ def cycle_trace(f: Hom, cycle, g: Graph, k: int, q: int) -> CycleTrace:
             raise ValueError(f"consecutive pair ({v}, {u}) is not an edge")
     taus = tuple((f.image[walk[(i + 1) % len(walk)]] - f.image[v]) % k
                  for i, v in enumerate(walk))
-    assert all(q <= t <= k - q for t in taus)
+    if not all(q <= t <= k - q for t in taus):
+        raise AssertionError("cycle step outside [q, k - q]")
     sigma = sum(taus)
-    assert sigma % k == 0
+    if sigma % k:
+        raise AssertionError("winding total not a multiple of k")
     return CycleTrace(walk, taus, sigma, k, q)
 
 
@@ -158,7 +160,8 @@ def nonmixing_certificate(g: Graph, k: int, q: int,
     sigma = sum((image[b] - image[a]) % k for a, b in zip(cycle, cycle[1:] + cycle[:1]))
     cert = NonMixingCertificate(k, q, kind, subgraph, cycle, colouring, reflection,
                                 sigma, len(cycle) * k - sigma)
-    assert check_certificate(g, cert)
+    if not check_certificate(g, cert):
+        raise AssertionError("certificate failed its own check")
     return cert
 
 

@@ -1,6 +1,9 @@
 """Winding totals around cycles and sigma-based non-mixing certificates."""
 
+import pathlib
 import random
+import subprocess
+import sys
 from math import gcd
 
 import pytest
@@ -401,3 +404,20 @@ def test_cycle_classes_raise_where_the_join_does(monkeypatch):
             assert outcome(g, h, cap) == got
         assert searches == [1]  # the rule is off where components looks it up
     assert got == "budget of 10000000 exceeded (homomorphism count for n=4095)"
+
+
+def test_certificates_are_checked_under_python_O():
+    """``nonmixing_certificate`` re-checks what it hands out even where
+    ``assert`` statements are stripped: once per certificate, under -O."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+            "from circmix import complete_graph, cycle_graph, winding\n"
+            "check, calls = winding.check_certificate, []\n"
+            "winding.check_certificate = lambda g, cert: calls.append(cert) or check(g, cert)\n"
+            "for g, k, q in ((complete_graph(3), 7, 2), (cycle_graph(5), 11, 3),"
+            " (complete_graph(4), 9, 2)):\n"
+            "    winding.nonmixing_certificate(g, k, q)\n"
+            "print(__debug__, len(calls))\n")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-O", "-B", "-I", "-c", code, str(src)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["False", "3"]
